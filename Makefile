@@ -63,7 +63,10 @@ microbench:
 # boundary checkpoints and the durable journal — then restore from the
 # checkpoint directory and byte-compare the resumed run's span/metric
 # dumps against the reference (DESIGN.md §15's restore-equals-
-# uninterrupted contract, checked through the real binary).
+# uninterrupted contract, checked through the real binary). The reference
+# run's checkpoints are also size-checked: a boundary file is ~35 KB at any
+# horizon now that histories are stored as positions, so one over 128 KB
+# means a history-proportional payload has crept back in.
 smoke:
 	$(GO) run ./cmd/aquabench -exp overload -scale quick -parallel 2 > .smoke_p2.txt
 	$(GO) run ./cmd/aquabench -exp overload -scale quick -parallel 1 > .smoke_p1.txt
@@ -83,6 +86,7 @@ smoke:
 		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
 		-chaos kill-restore -ignore-crash \
 		-trace-out .smoke_ref_spans.jsonl -metrics-out .smoke_ref_metrics.json > /dev/null
+	test -z "$$(find .smoke_ck_ref -name '*.aqcp' -size +128k | tee /dev/stderr)"
 	./.smoke_aquatope -serve -stream .smoke_stream.jsonl -checkpoint-dir .smoke_ck \
 		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
 		-chaos kill-restore \

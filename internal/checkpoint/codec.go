@@ -30,7 +30,8 @@ import (
 // Snapshotter is implemented by components whose state can be serialized
 // deterministically. Snapshot must be read-only: serving writes checkpoints
 // mid-run and a mutating snapshot would make the checkpointed run diverge
-// from an unmonitored one.
+// from an unmonitored one. (Advancing a Position's running digest over an
+// append-only log is not a mutation in that sense: no run can observe it.)
 type Snapshotter interface {
 	Snapshot(enc *Encoder)
 }
@@ -56,6 +57,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes accumulated so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Reset empties the encoder, keeping its buffer for reuse; slices Bytes
+// returned earlier are overwritten by what is encoded next.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // U64 appends an unsigned varint.
 func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }

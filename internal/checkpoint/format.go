@@ -28,7 +28,7 @@ const Magic = "AQCP"
 // Version is the current format version. Decode rejects any other value:
 // snapshot state is tightly coupled to component struct layout, so skew
 // always means "refuse and re-run" rather than best-effort migration.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // Section is one named component snapshot inside a File.
 type Section struct {

@@ -2,12 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -208,6 +210,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("unexpected error type: %v", err)
 		}
 	})
+	t.Run("v1-refused", func(t *testing.T) {
+		// Format 1 stored the span log and latency lists as blobs; its
+		// sections mean something else, so a v1 file that is otherwise
+		// intact must be refused by version, naming both.
+		mut := append([]byte(nil), base...)
+		binary.LittleEndian.PutUint32(mut[4:], 1)
+		binary.LittleEndian.PutUint32(mut[len(mut)-4:], crcOf(mut[:len(mut)-4]))
+		_, err := Decode(mut)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v1 file: got %v, want ErrCorrupt", err)
+		}
+		for _, want := range []string{"version 1", "supported: 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+	})
 	t.Run("trailing-garbage", func(t *testing.T) {
 		mut := append(append([]byte(nil), base...), 0xAA)
 		if _, err := Decode(mut); err == nil {
@@ -253,5 +272,35 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("accepted corrupted file")
+	}
+}
+
+// TestPositionIgnoresBatching: a Position is a function of the bytes and
+// record count appended, not of how the appends were grouped — the property
+// that lets a restoring server fold once what the original run folded at
+// every boundary.
+func TestPositionIgnoresBatching(t *testing.T) {
+	var empty, once, pieces Position
+	want := sha256.Sum256(nil)
+	if empty.Count() != 0 || !bytes.Equal(empty.Sum(), want[:]) {
+		t.Fatal("zero Position is not the empty log")
+	}
+	log := []byte("alpha\nbeta\ngamma\n")
+	once.Write(log, 3)
+	pieces.Write(log[:6], 1)
+	pieces.Write(nil, 0)
+	pieces.Sum() // reading the digest must not disturb it
+	pieces.Write(log[6:], 2)
+	want = sha256.Sum256(log)
+	if pieces.Count() != 3 || !bytes.Equal(pieces.Sum(), want[:]) || !bytes.Equal(once.Sum(), want[:]) {
+		t.Fatalf("batched position (%d, %x) differs from single write (%d, %x)", pieces.Count(), pieces.Sum(), once.Count(), once.Sum())
+	}
+
+	enc := NewEncoder()
+	pieces.Snapshot(enc)
+	dec := NewDecoder(enc.Bytes())
+	n, sum := DecodePosition(dec)
+	if err := dec.Done(); err != nil || n != 3 || !bytes.Equal(sum, want[:]) {
+		t.Fatalf("position round trip: count %d sum %x err %v", n, sum, err)
 	}
 }

@@ -2,6 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -10,8 +15,9 @@ import (
 // re-encodes to the exact input (so a decoded File can stand in for the
 // file it came from — no silent partial restore). The committed seed corpus
 // in testdata/fuzz/FuzzDecode covers a valid file plus truncated,
-// bit-flipped and version-skewed variants; `go test -fuzz=FuzzDecode
-// ./internal/checkpoint` explores from there.
+// bit-flipped and version-skewed variants, and seed-v1-refused: the valid
+// file as format 1 wrote it, which must now be refused; `go test
+// -fuzz=FuzzDecode ./internal/checkpoint` explores from there.
 func FuzzDecode(f *testing.F) {
 	valid := sampleFile().Encode()
 	f.Add(valid)
@@ -63,4 +69,31 @@ func FuzzDecoder(f *testing.F) {
 		d.Expect("x")
 		d.Done()
 	})
+}
+
+// TestCorpusFollowsVersion keeps the committed corpus honest across format
+// bumps: the fuzz target passes whether a seed is accepted or refused, so a
+// stale seed-valid would go unnoticed. seed-valid must be today's sample
+// file; seed-v1-refused, the one format 1 wrote, must be refused by version.
+func TestCorpusFollowsVersion(t *testing.T) {
+	seed := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+		s, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return []byte(s)
+	}
+	if !bytes.Equal(seed("seed-valid"), sampleFile().Encode()) {
+		t.Error("seed-valid is not the current encoding of sampleFile(); regenerate the corpus")
+	}
+	_, err := Decode(seed("seed-v1-refused"))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("seed-v1-refused: got %v, want a version-1 refusal", err)
+	}
 }

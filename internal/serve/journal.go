@@ -3,11 +3,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"hash"
 	"io"
 	"os"
+
+	"aquatope/internal/checkpoint"
 )
 
 // Journal is the durable arrival log: every ingested record is appended as
@@ -20,11 +20,10 @@ import (
 // The journal doubles as a recorded stream: its format is exactly the
 // -stream JSONL format, so a journal from one run can drive another.
 type Journal struct {
-	f     *os.File
-	w     *bufio.Writer
-	h     hash.Hash // running SHA-256 over all durable+buffered bytes
-	off   int64     // bytes written (including buffered)
-	count int       // records appended
+	f   *os.File
+	w   *bufio.Writer
+	pos checkpoint.Position // records appended and SHA-256 of all durable+buffered bytes
+	off int64               // bytes written (including buffered)
 }
 
 // CreateJournal opens a fresh (truncated) journal at path.
@@ -33,7 +32,7 @@ func CreateJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), h: sha256.New()}, nil
+	return &Journal{f: f, w: bufio.NewWriter(f)}, nil
 }
 
 // OpenJournalAppend reopens an existing journal for appending after its
@@ -52,9 +51,8 @@ func OpenJournalAppend(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: journal: %w", err)
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f), h: sha256.New(), off: int64(len(data))}
-	j.h.Write(data) //aqualint:allow droppederr hash.Hash Write never returns an error
-	j.count = bytes.Count(data, []byte{'\n'})
+	j := &Journal{f: f, w: bufio.NewWriter(f), off: int64(len(data))}
+	j.pos.Write(data, bytes.Count(data, []byte{'\n'}))
 	return j, nil
 }
 
@@ -69,9 +67,8 @@ func (j *Journal) Append(rec Record) error {
 	if _, err := j.w.Write(line); err != nil {
 		return fmt.Errorf("serve: journal append: %w", err)
 	}
-	j.h.Write(line) //aqualint:allow droppederr hash.Hash Write never returns an error
+	j.pos.Write(line, 1)
 	j.off += int64(len(line))
-	j.count++
 	return nil
 }
 
@@ -87,14 +84,13 @@ func (j *Journal) Sync() error {
 }
 
 // Count returns the number of records appended (including re-seeded ones).
-func (j *Journal) Count() int { return j.count }
+func (j *Journal) Count() int { return j.pos.Count() }
 
 // Offset returns the byte length of the journal including buffered writes.
 func (j *Journal) Offset() int64 { return j.off }
 
-// PrefixSHA256 returns the SHA-256 of everything appended so far. Sum does
-// not disturb the running state, so this is cheap at every boundary.
-func (j *Journal) PrefixSHA256() []byte { return j.h.Sum(nil) }
+// PrefixSHA256 returns the SHA-256 of everything appended so far.
+func (j *Journal) PrefixSHA256() []byte { return j.pos.Sum() }
 
 // Close flushes and closes the journal (without fsync; call Sync first if
 // durability matters).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -162,6 +164,9 @@ type appStats struct {
 	qos  float64
 	lats []float64
 	hist *telemetry.Histogram
+	// sealed is the checkpoint position of lats: the latencies already
+	// folded into a snapshot (lats is append-only).
+	sealed checkpoint.Position
 }
 
 // Server is one live serving run over a record stream.
@@ -502,7 +507,11 @@ func checkpointName(k int) string { return fmt.Sprintf("checkpoint-%06d.aqcp", k
 
 // assemble collects the current component snapshots into sections plus the
 // serve header. Called at boundaries (and at final-stop), when no event is
-// mid-flight, so every Snapshot observes a quiescent component.
+// mid-flight, so every Snapshot observes a quiescent component. The span
+// log and the latency lists go in as positions whose running digests
+// advance here; the digests depend only on what was appended, so a
+// restoring server that assembles once at boundary K produces the bytes the
+// original run produced on its K-th assembly.
 func (s *Server) assemble(final bool) *checkpoint.File {
 	f := &checkpoint.File{Version: checkpoint.Version}
 
@@ -558,6 +567,14 @@ func (s *Server) assemble(final bool) *checkpoint.File {
 
 func (s *Server) snapshotStats(enc *checkpoint.Encoder, st *appStats) {
 	enc.String("serve.stats")
+	// The latency list is stored as its position, not its content: fold
+	// what settled since the last snapshot into the running digest.
+	fresh := checkpoint.NewEncoder()
+	for _, l := range st.lats[st.sealed.Count():] {
+		fresh.F64(l)
+	}
+	st.sealed.Write(fresh.Bytes(), len(st.lats)-st.sealed.Count())
+	st.sealed.Snapshot(enc)
 	r := st.res
 	for _, v := range []int{
 		r.Workflows, r.QoSViolations, r.LatencyViolations, r.FailureViolations,
@@ -569,7 +586,6 @@ func (s *Server) snapshotStats(enc *checkpoint.Encoder, st *appStats) {
 	}
 	enc.F64(r.CPUTime)
 	enc.F64(r.MemTime)
-	enc.F64s(st.lats)
 }
 
 // writeCheckpoint atomically writes the current state snapshot.
@@ -598,24 +614,32 @@ func (s *Server) verifyAgainst(want *checkpoint.File) error {
 		if g.Name != w.Name {
 			return fmt.Errorf("serve: restore verification: section %d is %q, checkpoint has %q", i, g.Name, w.Name)
 		}
-		if !bytesEqual(g.Data, w.Data) {
-			return fmt.Errorf("serve: restore verification: section %q diverged after replay (%d vs %d bytes)",
-				w.Name, len(g.Data), len(w.Data))
+		if !bytes.Equal(g.Data, w.Data) {
+			return fmt.Errorf("serve: restore verification: section %q diverged after replay (replayed %s; checkpoint %s)",
+				w.Name, describeSection(w.Name, g.Data), describeSection(w.Name, w.Data))
 		}
 	}
 	return nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// describeSection renders one side of a verification mismatch. The two
+// position sections are a few dozen bytes whatever the history behind them,
+// so a byte length says nothing there: report the counts and the digest
+// they carry.
+func describeSection(name string, data []byte) string {
+	switch {
+	case name == "telemetry.spans":
+		if total, completed, digest, open, err := telemetry.SpanSectionHead(data); err == nil {
+			return fmt.Sprintf("%d spans, %d completed (sha256 %.4x..), %d open", total, completed, digest, open)
+		}
+	case strings.HasPrefix(name, "serve.stats."):
+		dec := checkpoint.NewDecoder(data)
+		dec.Expect("serve.stats")
+		if n, digest := checkpoint.DecodePosition(dec); dec.Err() == nil {
+			return fmt.Sprintf("%d latencies (sha256 %.4x..)", n, digest)
 		}
 	}
-	return true
+	return fmt.Sprintf("%d bytes", len(data))
 }
 
 // Run ingests the stream to completion: records are scheduled as they

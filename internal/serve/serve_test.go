@@ -2,14 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aquatope/internal/apps"
 	"aquatope/internal/chaos"
+	"aquatope/internal/checkpoint"
 	"aquatope/internal/core"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
@@ -237,4 +241,110 @@ func TestRestoreRejectsDigestMismatch(t *testing.T) {
 	if _, err := Restore(wrong, filepath.Join(dir, checkpointName(2))); err == nil {
 		t.Fatal("digest mismatch accepted")
 	}
+}
+
+// TestRestoreRejectsTamperedCheckpoint: the span log and the latency list
+// are stored as positions, so their digests are all that stands between a
+// forked history and a "verified" restore. A checkpoint that is well formed
+// (every CRC recomputed) but carries one flipped digest byte must fail
+// verification naming the section; a version-1 file must be refused as
+// such before any replay.
+func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
+	crashDir := t.TempDir()
+	crashed, err := New(fixtureOpts(t, crashDir, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := fixtureStream(t, 20, 7)
+	if err := crashed.Run(sourceOf(t, recs)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want ErrCrashed, got %v", err)
+	}
+	name := checkpointName(crashed.Boundary())
+
+	// restore copies the crash state, lets edit rewrite the checkpoint's
+	// bytes, and restores from the result.
+	restore := func(t *testing.T, edit func(path string)) error {
+		dir := t.TempDir()
+		copyDir(t, crashDir, dir)
+		path := filepath.Join(dir, name)
+		edit(path)
+		_, err := Restore(fixtureOpts(t, dir, false), path)
+		return err
+	}
+	// flipDigest flips one byte of the position digest that follows the
+	// section's marker and skip leading ints, then re-encodes the file.
+	flipDigest := func(section, marker string, skip int) func(string) {
+		return func(path string) {
+			f, err := checkpoint.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, ok := f.Section(section)
+			if !ok {
+				t.Fatalf("no %s section", section)
+			}
+			dec := checkpoint.NewDecoder(data)
+			dec.Expect(marker)
+			for i := 0; i < skip; i++ {
+				dec.Int()
+			}
+			count, sum := checkpoint.DecodePosition(dec)
+			if dec.Err() != nil || len(sum) != 32 || count == 0 {
+				t.Fatalf("%s: no position after %d ints (count %d, %d-byte digest, err %v)", section, skip, count, len(sum), dec.Err())
+			}
+			// The digest is the last 32 bytes the decoder consumed.
+			data[len(data)-dec.Remaining()-32] ^= 0x01
+			if err := checkpoint.WriteFile(path, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	if err := restore(t, func(string) {}); err != nil {
+		t.Fatalf("untouched checkpoint: %v", err)
+	}
+	for _, tc := range []struct {
+		name, section, marker string
+		skip                  int
+		counts                string
+	}{
+		{"span-digest", "telemetry.spans", "telemetry.spans", 1, "completed"},
+		{"latency-digest", "serve.stats.chain2", "serve.stats", 0, "latencies"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := restore(t, flipDigest(tc.section, tc.marker, tc.skip))
+			if err == nil {
+				t.Fatal("restore verified a checkpoint with a forged digest")
+			}
+			for _, want := range []string{`"` + tc.section + `" diverged`, tc.counts} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+	t.Run("version-1", func(t *testing.T) {
+		err := restore(t, func(path string) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(data[4:], 1)
+			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("version-1 checkpoint: got %v, want ErrCorrupt", err)
+		}
+		for _, want := range []string{"version 1", "supported: 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "diverged") {
+			t.Errorf("version skew reported as a divergence: %v", err)
+		}
+	})
 }

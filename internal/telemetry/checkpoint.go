@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"sort"
 
 	"aquatope/internal/checkpoint"
 )
@@ -24,16 +25,79 @@ func (r *Registry) SnapshotTo(enc *checkpoint.Encoder) {
 	enc.Blob(buf.Bytes())
 }
 
-// SnapshotTo serializes the collected spans as the canonical JSONL dump —
-// exactly the bytes the exit-path trace dump would produce at this instant.
-// Like the registry, spans are replay-derived and verified by byte
-// comparison on restore.
+// SnapshotTo writes the span log as a position, not as content: a
+// checkpoint would otherwise re-serialize the whole history at every
+// boundary. Restore re-derives spans by replay (DESIGN.md §15), so a digest
+// proves what the bytes would.
+//
+// The span table itself is not append-only — an open span's End and Fields
+// arrive later, and a chaos.fault span can stay open for a third of the
+// run — but the sequence of completed records is: a Point when recorded, a
+// span when EndSpan closes it, a merged-in span when Merge appends it.
+// SnapshotTo folds the records completed since the last call into a running
+// SHA-256 (each record is encoded once per run) and emits the total span
+// count, the completed log's position, and the still-open spans verbatim in
+// ID order. Completion order belongs to the run, not to when snapshots were
+// taken, so a restoring server that snapshots once produces the bytes the
+// original produced after many; calls with no tracer activity in between
+// emit equal bytes. Only this memo changes — the spans do not.
 func (c *Collector) SnapshotTo(enc *checkpoint.Encoder) {
 	enc.String("telemetry.spans")
-	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
-		enc.String("error: " + err.Error())
-		return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	rec := checkpoint.NewEncoder()
+	for _, i := range c.done {
+		rec.Reset()
+		keys = appendRecord(rec, &c.spans[i], keys)
+		c.sealed.Write(rec.Bytes(), 1)
 	}
-	enc.Blob(buf.Bytes())
+	c.done = c.done[:0]
+
+	open := make([]int, 0, len(c.byID))
+	for _, i := range c.byID {
+		open = append(open, i)
+	}
+	sort.Ints(open)
+	enc.Int(len(c.spans))
+	c.sealed.Snapshot(enc)
+	enc.Int(len(open))
+	for _, i := range open {
+		keys = appendRecord(enc, &c.spans[i], keys)
+	}
+}
+
+// appendRecord appends a span's canonical record: every value its JSONL
+// dump line shows, length-prefixed or fixed-width, fields in sorted key
+// order — so changing any byte of the dump line changes the record. keys is
+// scratch space, returned for reuse.
+func appendRecord(enc *checkpoint.Encoder, sp *Span, keys []string) []string {
+	enc.U64(uint64(sp.ID))
+	enc.U64(uint64(sp.Parent))
+	enc.String(sp.Kind)
+	enc.String(sp.Name)
+	enc.F64(sp.Start)
+	enc.F64(sp.End)
+	keys = keys[:0]
+	for k := range sp.Fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	enc.U64(uint64(len(keys)))
+	for _, k := range keys {
+		enc.String(k)
+		enc.F64(sp.Fields[k])
+	}
+	return keys
+}
+
+// SpanSectionHead reads the fixed-size head of a telemetry.spans section:
+// spans recorded, the completed log's position, and spans still open.
+func SpanSectionHead(section []byte) (total, completed int, digest []byte, open int, err error) {
+	dec := checkpoint.NewDecoder(section)
+	dec.Expect("telemetry.spans")
+	total = dec.Int()
+	completed, digest = checkpoint.DecodePosition(dec)
+	open = dec.Int()
+	return total, completed, digest, open, dec.Err()
 }

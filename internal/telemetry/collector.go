@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"aquatope/internal/checkpoint"
 )
 
 // Collector is a Tracer that buffers every span in memory for export. Span
@@ -19,6 +21,12 @@ type Collector struct {
 	spans []Span
 	byID  map[SpanID]int // open spans → index in spans
 	next  SpanID
+
+	// The checkpoint view (SnapshotTo): completed records form an
+	// append-only log in completion order. done holds the indices completed
+	// since the last snapshot; sealed is the log's position before them.
+	done   []int
+	sealed checkpoint.Position
 }
 
 // NewCollector returns an empty collector.
@@ -55,13 +63,9 @@ func (c *Collector) EndSpan(id SpanID, at float64, fields Fields) {
 	sp := &c.spans[i]
 	sp.End = at
 	if len(fields) > 0 {
-		if sp.Fields == nil {
-			sp.Fields = make(Fields, len(fields))
-		}
-		for k, v := range fields {
-			sp.Fields[k] = v
-		}
+		sp.Fields = fields
 	}
+	c.done = append(c.done, i)
 }
 
 // Point implements Tracer.
@@ -70,6 +74,7 @@ func (c *Collector) Point(kind, name string, parent SpanID, at float64, fields F
 	defer c.mu.Unlock()
 	id := c.next
 	c.next++
+	c.done = append(c.done, len(c.spans))
 	c.spans = append(c.spans, Span{ID: id, Parent: parent, Kind: kind, Name: name, Start: at, End: at, Fields: fields})
 }
 

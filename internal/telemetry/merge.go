@@ -15,7 +15,8 @@ import (
 // Merge appends every span of src, re-basing span IDs (and parent
 // references) onto this collector's ID sequence so the merged stream stays
 // densely numbered in merge order. Open spans in src are absorbed as-is and
-// can no longer be ended through either collector; merge a collector only
+// can no longer be ended through either collector — every merged-in span
+// counts as completed in the checkpoint view — so merge a collector only
 // after the run that fed it has completed. src is left untouched.
 func (c *Collector) Merge(src *Collector) {
 	if c == nil || src == nil {
@@ -34,6 +35,7 @@ func (c *Collector) Merge(src *Collector) {
 		if sp.Parent != 0 {
 			sp.Parent += offset
 		}
+		c.done = append(c.done, len(c.spans))
 		c.spans = append(c.spans, sp)
 	}
 	c.next += srcNext - 1

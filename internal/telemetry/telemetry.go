@@ -98,10 +98,12 @@ type Tracer interface {
 	Enabled() bool
 	// StartSpan opens a span; parent 0 makes it a root.
 	StartSpan(kind, name string, parent SpanID, at float64) SpanID
-	// EndSpan closes a span, attaching fields (may be nil). Ending an
-	// unknown or zero ID is a no-op.
+	// EndSpan closes a span, attaching fields (may be nil). It takes
+	// ownership of fields: the caller must not touch the map afterwards.
+	// Ending an unknown or zero ID is a no-op.
 	EndSpan(id SpanID, at float64, fields Fields)
-	// Point records an instantaneous event.
+	// Point records an instantaneous event; like EndSpan it takes
+	// ownership of fields.
 	Point(kind, name string, parent SpanID, at float64, fields Fields)
 }
 
