@@ -30,12 +30,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# bench regenerates the evaluation suite at quick scale with the parallel
-# replication engine at its default worker count (GOMAXPROCS) and records
-# per-experiment wall/busy timing and speedup — the repo's performance
-# trajectory for the harness.
+# bench runs the repo's benchmark (BENCHMARK.json, bench/README.md): five
+# seeded workloads, results in bench/out/results.json; compare two such
+# files with `go run ./bench -compare old.json new.json`.
 bench:
-	$(GO) run ./cmd/aquabench -exp all -scale quick -bench-out BENCH_aquabench.json
+	$(GO) run ./bench
 
 microbench:
 	$(GO) test -bench=. -benchtime=1x ./...

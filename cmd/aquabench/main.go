@@ -14,7 +14,7 @@
 //	aquabench -exp all                # everything
 //	aquabench -exp fig13 -scale full  # paper-scale repetitions
 //	aquabench -exp all -format json   # mechanical output
-//	aquabench -exp all -bench-out BENCH_aquabench.json
+//	aquabench -exp all -bench-out timing.json
 package main
 
 import (

@@ -27,7 +27,6 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/faas"
 	"aquatope/internal/obs"
-	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/serve"
 	"aquatope/internal/socialgraph"
@@ -58,8 +57,7 @@ func buildApp(name string, seed int64) *apps.App {
 
 func main() {
 	appName := flag.String("app", "mlpipeline", "application: chain | fanout | mlpipeline | videoproc | socialnet")
-	system := flag.String("system", "aquatope", "framework: aquatope | aqualite | autoscale | icebreaker+clite | keepalive")
-	schedName := flag.String("scheduler", "", "pluggable scheduler from the internal/sched registry (overrides -system): "+strings.Join(sched.Names(), " | "))
+	system := flag.String("system", "aquatope", "framework, from the internal/sched registry: "+strings.Join(sched.Names(), " | "))
 	minutes := flag.Int("minutes", 2160, "trace length in minutes")
 	trainMin := flag.Int("train", 1440, "training prefix in minutes")
 	budget := flag.Int("budget", 30, "resource-search profiling budget")
@@ -176,45 +174,19 @@ func main() {
 		}
 		fmt.Printf("serving telemetry on http://%s (/metrics, /analysis)\n", srv.addr)
 	}
-	label := *system
-	if *schedName != "" {
-		// -scheduler picks both halves (pool policy + resource manager)
-		// from the pluggable registry and supersedes -system.
-		s, ok := sched.New(*schedName, sched.Options{})
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scheduler %q (have: %s)\n",
-				*schedName, strings.Join(sched.Names(), " "))
-			os.Exit(2)
-		}
-		cfg.Scheduler = s
-		label = "scheduler/" + s.Name()
-	} else {
-		switch *system {
-		case "aquatope":
-			cfg.PoolFactory = aquaPool(false)
-			cfg.ManagerFactory = core.AquatopeManagerFactory()
-		case "aqualite":
-			cfg.PoolFactory = aquaPool(true)
-			cfg.ManagerFactory = core.AquatopeManagerFactory()
-		case "autoscale":
-			cfg.PoolFactory = core.AutoscalePoolFactory()
-			cfg.ManagerFactory = core.AutoscaleManagerFactory()
-		case "icebreaker+clite":
-			cfg.PoolFactory = core.IceBreakerPoolFactory()
-			cfg.ManagerFactory = core.CLITEManagerFactory()
-		case "keepalive":
-			cfg.PoolFactory = core.KeepAlivePoolFactory(600)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
-			os.Exit(2)
-		}
+	// -system picks both halves (pool policy + resource manager) from the
+	// scheduler registry.
+	var ok bool
+	if cfg.Scheduler, ok = sched.New(*system, sched.Options{}); !ok {
+		fmt.Fprintf(os.Stderr, "unknown system %q (have: %s)\n", *system, strings.Join(sched.Names(), " "))
+		os.Exit(2)
 	}
 
 	if serveMode {
 		runServe(serveRun{
 			app:           app,
 			cfg:           cfg,
-			label:         label,
+			label:         *system,
 			minutes:       *minutes,
 			stream:        *streamFlag,
 			checkpointDir: *checkpointDir,
@@ -231,7 +203,7 @@ func main() {
 	}
 
 	fmt.Printf("running %s under %s: %d invocations over %d min (train %d min)\n",
-		app.Name, label, len(tr.Arrivals), *minutes, *trainMin)
+		app.Name, *system, len(tr.Arrivals), *minutes, *trainMin)
 	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run failed:", err)
@@ -378,23 +350,21 @@ func openStream(spec string) (io.ReadCloser, error) {
 // crash fired (no dumps: the checkpoint and journal are the survivors).
 func runServe(r serveRun) {
 	opts := serve.Options{
-		Apps:           []*apps.App{r.app},
-		TrainMin:       r.cfg.TrainMin,
-		HorizonMin:     r.minutes,
-		PoolFactory:    r.cfg.PoolFactory,
-		ManagerFactory: r.cfg.ManagerFactory,
-		Scheduler:      r.cfg.Scheduler,
-		SearchBudget:   r.budget,
-		ProfileNoise:   r.cfg.ProfileNoise,
-		RuntimeNoise:   r.cfg.RuntimeNoise,
-		Chaos:          r.cfg.Chaos,
-		ArmCrash:       r.restore == "" && !r.ignoreCrash && !r.cfg.Chaos.Empty(),
-		Resilience:     r.cfg.Resilience,
-		Tracer:         r.collector,
-		Registry:       r.registry,
-		CheckpointDir:  r.checkpointDir,
-		Pace:           r.pace,
-		Seed:           r.cfg.Seed,
+		Apps:          []*apps.App{r.app},
+		TrainMin:      r.cfg.TrainMin,
+		HorizonMin:    r.minutes,
+		Scheduler:     r.cfg.Scheduler,
+		SearchBudget:  r.budget,
+		ProfileNoise:  r.cfg.ProfileNoise,
+		RuntimeNoise:  r.cfg.RuntimeNoise,
+		Chaos:         r.cfg.Chaos,
+		ArmCrash:      r.restore == "" && !r.ignoreCrash && !r.cfg.Chaos.Empty(),
+		Resilience:    r.cfg.Resilience,
+		Tracer:        r.collector,
+		Registry:      r.registry,
+		CheckpointDir: r.checkpointDir,
+		Pace:          r.pace,
+		Seed:          r.cfg.Seed,
 	}
 
 	reader, err := openStream(r.stream)
@@ -468,17 +438,4 @@ func runServe(r serveRun) {
 	}
 	printResult(r.app, s.Result(), r.chaosOn)
 	r.dump()
-}
-
-func aquaPool(lite bool) core.PolicyFactory {
-	return func(fn string) pool.Policy {
-		cfg := pool.DefaultModelConfig(trace.FeatureDim)
-		cfg.EncoderHidden = 20
-		cfg.PredHidden = []int{20, 10}
-		cfg.EncoderEpochs = 8
-		cfg.PredEpochs = 24
-		cfg.MCSamples = 12
-		cfg.LR = 0.01
-		return &pool.Aquatope{ModelConfig: cfg, Window: 40, HeadroomZ: 2.5, Lite: lite}
-	}
 }

@@ -1,0 +1,129 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"aquatope/internal/sched"
+)
+
+// binary is the aquatope command built once for the whole test binary.
+var binary string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "aquatope-test")
+	if err != nil {
+		panic(err)
+	}
+	binary = filepath.Join(dir, "aquatope")
+	if out, err := exec.Command("go", "build", "-o", binary, ".").CombinedOutput(); err != nil {
+		panic("building aquatope: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	_ = os.RemoveAll(dir) // best-effort cleanup of a temp directory
+	os.Exit(code)
+}
+
+// run executes the binary in dir and returns its exit code and output.
+func run(t *testing.T, dir string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(binary, args...)
+	cmd.Dir = dir
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), so.String(), se.String()
+	}
+	if err != nil {
+		t.Fatalf("running aquatope %v: %v", args, err)
+	}
+	return 0, so.String(), se.String()
+}
+
+// TestFlagsAndExitCodes: flags → exit code and what the user is told.
+func TestFlagsAndExitCodes(t *testing.T) {
+	tiny := []string{"-app", "chain", "-minutes", "6", "-train", "2", "-budget", "2"}
+	type row struct {
+		name   string
+		args   []string
+		code   int
+		stdout []string // substrings
+		stderr []string
+	}
+	rows := []row{
+		{name: "unknown-system", args: append([]string{"-system", "nope"}, tiny...), code: 2,
+			stderr: append([]string{`unknown system "nope"`}, sched.Names()...)},
+		{name: "unknown-app", args: []string{"-app", "nope"}, code: 2, stderr: []string{`unknown app "nope"`}},
+		{name: "serve-without-stream", args: append([]string{"-serve"}, tiny...), code: 2, stderr: []string{"-serve requires -stream"}},
+		{name: "removed-scheduler-flag", args: append([]string{"-scheduler", "aquatope"}, tiny...), code: 2,
+			stderr: []string{"flag provided but not defined: -scheduler"}},
+	}
+	for _, name := range sched.Names() {
+		rows = append(rows, row{name: "system-" + name, args: append([]string{"-system", name}, tiny...), code: 0,
+			stdout: []string{"running chain3 under " + name, "workflows completed:"}})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			code, stdout, stderr := run(t, t.TempDir(), r.args...)
+			if code != r.code {
+				t.Errorf("exit code %d, want %d\nstderr: %s", code, r.code, stderr)
+			}
+			for _, want := range r.stdout {
+				if !strings.Contains(stdout, want) {
+					t.Errorf("stdout lacks %q:\n%s", want, stdout)
+				}
+			}
+			for _, want := range r.stderr {
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr lacks %q:\n%s", want, stderr)
+				}
+			}
+		})
+	}
+}
+
+// TestServeKillRestore drives the crash-safe serving loop through the real
+// binary: a run the kill-restore script kills exits 137 and writes no dumps;
+// restoring from its checkpoint directory finishes with exit 0 and dumps.
+func TestServeKillRestore(t *testing.T) {
+	dir := t.TempDir()
+	flags := []string{"-app", "chain", "-minutes", "20", "-train", "5", "-budget", "2", "-system", "keepalive", "-seed", "3"}
+	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, flags...)...); code != 0 {
+		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
+	}
+	serve := append([]string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", "ck", "-chaos", "kill-restore",
+		"-trace-out", "spans.jsonl", "-metrics-out", "metrics.json"}, flags...)
+
+	code, _, stderr := run(t, dir, serve...)
+	if code != 137 {
+		t.Fatalf("killed run: exit %d, want 137\n%s", code, stderr)
+	}
+	for _, dump := range []string{"spans.jsonl", "metrics.json"} {
+		if _, err := os.Stat(filepath.Join(dir, dump)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("killed run left %s behind (stat: %v)", dump, err)
+		}
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ck", "checkpoint-*.aqcp")); len(ckpts) == 0 {
+		t.Fatal("killed run left no boundary checkpoint")
+	}
+
+	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serve...)...)
+	if code != 0 {
+		t.Fatalf("restored run: exit %d, want 0\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "verified replay") || !strings.Contains(stdout, "workflows completed:") {
+		t.Errorf("restored run did not report a verified replay and a result:\nstdout: %s\nstderr: %s", stdout, stderr)
+	}
+	for _, dump := range []string{"spans.jsonl", "metrics.json"} {
+		if fi, err := os.Stat(filepath.Join(dir, dump)); err != nil || fi.Size() == 0 {
+			t.Errorf("restored run wrote no %s (stat: %v)", dump, err)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 	"aquatope/internal/apps"
 	"aquatope/internal/core"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/trace"
 )
 
@@ -41,19 +41,20 @@ func main() {
 	//    configurations with noisy-EI Bayesian optimization, then the
 	//    hybrid-Bayesian pool pre-warms containers ahead of load. The
 	//    first day trains the models; metrics cover the rest.
+	//    Both halves come from the scheduler registry (the names
+	//    `aquatope -system` takes); fewer training epochs keep this quick.
+	brain, ok := sched.New("aquatope", sched.Options{EncoderEpochs: 6, PredEpochs: 18})
+	if !ok {
+		log.Fatal("scheduler aquatope is not registered")
+	}
 	res, err := core.Run(core.Config{
-		Components: []core.Component{{App: app, Trace: tr}},
-		TrainMin:   1440,
-		PoolFactory: func(fn string) pool.Policy {
-			cfg := pool.DefaultModelConfig(trace.FeatureDim)
-			cfg.EncoderEpochs, cfg.PredEpochs = 6, 18
-			return &pool.Aquatope{ModelConfig: cfg, Window: 40, HeadroomZ: 2.5}
-		},
-		ManagerFactory: core.AquatopeManagerFactory(),
-		SearchBudget:   24,
-		ProfileNoise:   faas.Noise{GaussianStd: 0.1},
-		RuntimeNoise:   faas.Noise{GaussianStd: 0.1},
-		Seed:           1,
+		Components:   []core.Component{{App: app, Trace: tr}},
+		TrainMin:     1440,
+		Scheduler:    brain,
+		SearchBudget: 24,
+		ProfileNoise: faas.Noise{GaussianStd: 0.1},
+		RuntimeNoise: faas.Noise{GaussianStd: 0.1},
+		Seed:         1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -119,13 +119,6 @@ type Options struct {
 	// cadence.
 	RefitEveryK int
 
-	// DisableKernelCache turns off train-kernel matrix reuse in the NEI
-	// incumbent path (kernel values are then re-evaluated per Suggest).
-	DisableKernelCache bool
-	// DisableIncremental forces a full surrogate rebuild on every Observe
-	// (the pre-incremental behaviour, kept for ablation and debugging).
-	DisableIncremental bool
-
 	Seed int64
 }
 
@@ -199,8 +192,6 @@ func New(opts Options) *Engine {
 	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed), tracer: telemetry.Nop{}}
 	e.costGP = gp.New(opts.Kernel.build(opts.Dim), opts.NoiseVar)
 	e.latGP = gp.New(opts.Kernel.build(opts.Dim), opts.NoiseVar)
-	e.costGP.SetFullRefit(opts.DisableIncremental)
-	e.latGP.SetFullRefit(opts.DisableIncremental)
 	return e
 }
 
@@ -554,7 +545,7 @@ func (e *Engine) sampleIncumbents(S int) []float64 {
 	sobC := qmc.NewScrambledSobol(m, e.rng.Split())
 	sobL := qmc.NewScrambledSobol(m, e.rng.Split())
 	var costDraws, latDraws [][]float64
-	if e.cfg.DisableKernelCache || !e.synced {
+	if !e.synced {
 		xs := make([][]float64, 0, m)
 		for _, o := range clean[len(clean)-m:] {
 			xs = append(xs, o.X)
@@ -687,7 +678,7 @@ func (e *Engine) refit(batch []Observation, flags []bool, droppedClean int) {
 		e.synced = false
 		return
 	}
-	if e.cfg.DisableIncremental || !e.synced {
+	if !e.synced {
 		if !e.rebuild(clean) {
 			return
 		}

@@ -13,52 +13,39 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"aquatope/internal/apps"
 	"aquatope/internal/bo"
 	"aquatope/internal/chaos"
 	"aquatope/internal/faas"
-	"aquatope/internal/loadgen"
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
 	"aquatope/internal/sched"
-	"aquatope/internal/sim"
 	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
 )
 
-// Component pairs an application with the trace that drives it.
+// Component pairs an application with its trace. Run hands the trace's
+// arrivals to the controller; the controller itself reads only the horizon
+// and the per-minute feature context from it, so a feeder with arrivals of
+// its own (serve.Server) passes a trace without any.
 type Component struct {
 	App   *apps.App
 	Trace *trace.Trace
 }
-
-// PolicyFactory builds a pool policy for one function.
-type PolicyFactory func(fn string) pool.Policy
-
-// ManagerFactory builds a resource-manager for one application.
-type ManagerFactory func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager
 
 // Config parameterizes an end-to-end run.
 type Config struct {
 	Components []Component
 	// TrainMin is the training prefix (minutes); metrics cover the rest.
 	TrainMin int
-	// PoolFactory supplies the container-pool policy (nil = provider
-	// fixed keep-alive).
-	PoolFactory PolicyFactory
-	// ManagerFactory supplies the resource manager (nil = keep each
-	// app's default configuration).
-	ManagerFactory ManagerFactory
-	// Scheduler supplies both halves — pool policy and resource manager —
-	// from the pluggable internal/sched registry; its PoolSizer and
-	// Configurator become the two factories above. Mutually exclusive
-	// with setting PoolFactory/ManagerFactory directly.
+	// Scheduler supplies the brain from the internal/sched registry: its
+	// PoolSizer drives the pre-warmed pools, its Configurator the phase-1
+	// resource search. A nil Scheduler (or a nil half) means no pool
+	// manager (or each app's default configuration).
 	Scheduler sched.Scheduler
 	// SearchBudget is the profiling-sample budget per application.
 	SearchBudget int
@@ -308,7 +295,7 @@ func SearchSeeds(cfg Config) [][2]int64 {
 // pair and its own tracer.
 func SearchComponent(cfg Config, i int, seeds [2]int64, tracer telemetry.Tracer) map[string]faas.ResourceConfig {
 	a := cfg.Components[i].App
-	if cfg.ManagerFactory == nil {
+	if cfg.Scheduler == nil || cfg.Scheduler.Configurator() == nil {
 		return a.Defaults
 	}
 	tracer = telemetry.OrNop(tracer)
@@ -316,7 +303,7 @@ func SearchComponent(cfg Config, i int, seeds [2]int64, tracer telemetry.Tracer)
 	prof := resource.NewProfiler(a, seeds[0])
 	prof.Noise = cfg.ProfileNoise
 	prof.ColdStartFraction = cfg.ColdStartFraction
-	m := cfg.ManagerFactory(space, prof, a.QoS, seeds[1])
+	m := cfg.Scheduler.Configurator().Manager(space, prof, a.QoS, seeds[1])
 	if bm, ok := m.(interface{ Engine() *bo.Engine }); ok {
 		if be := bm.Engine(); be != nil {
 			be.SetTracer(tracer)
@@ -334,270 +321,4 @@ func SearchComponent(cfg Config, i int, seeds [2]int64, tracer telemetry.Tracer)
 		return b
 	}
 	return a.Defaults
-}
-
-// Run executes the end-to-end experiment.
-func Run(cfg Config) (Result, error) {
-	if len(cfg.Components) == 0 {
-		return Result{}, fmt.Errorf("core: no components")
-	}
-	if cfg.TrainMin <= 0 {
-		return Result{}, fmt.Errorf("core: TrainMin must be positive")
-	}
-	if cfg.Scheduler != nil {
-		if cfg.PoolFactory != nil || cfg.ManagerFactory != nil {
-			return Result{}, fmt.Errorf("core: Scheduler is mutually exclusive with PoolFactory/ManagerFactory")
-		}
-		if ps := cfg.Scheduler.PoolSizer(); ps != nil {
-			cfg.PoolFactory = ps.Policy
-		}
-		if c := cfg.Scheduler.Configurator(); c != nil {
-			cfg.ManagerFactory = c.Manager
-		}
-	}
-	tracer := telemetry.OrNop(cfg.Tracer)
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-
-	// Phase 1: per-app resource search (offline profiling), unless the
-	// harness already ran it (fanned out) and injected the result.
-	chosen := cfg.Chosen
-	if chosen == nil {
-		seeds := SearchSeeds(cfg)
-		chosen = make(map[string]map[string]faas.ResourceConfig)
-		for i, comp := range cfg.Components {
-			chosen[comp.App.Name] = SearchComponent(cfg, i, seeds[i], tracer)
-		}
-	}
-
-	// Phase 2: live cluster, instrumented end to end.
-	eng := sim.NewEngine()
-	eng.SetMetrics(reg)
-	ccfg := cfg.ClusterCfg
-	ccfg.Noise = cfg.RuntimeNoise
-	ccfg.Registry = reg
-	if ccfg.Seed == 0 {
-		ccfg.Seed = cfg.Seed + 1
-	}
-	cl := faas.NewCluster(eng, ccfg)
-	cl.SetTracer(tracer)
-	for _, comp := range cfg.Components {
-		if err := comp.App.Register(cl); err != nil {
-			return Result{}, err
-		}
-		for fn, rc := range chosen[comp.App.Name] {
-			if err := cl.SetResourceConfig(fn, rc); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	ex := workflow.NewExecutor(cl)
-	ex.Policy = cfg.Resilience
-	ex.Seed = cfg.Seed + 7919
-	if !cfg.Chaos.Empty() {
-		chaos.New(cl, cfg.Chaos).Arm()
-	}
-
-	// Schedule workflow arrivals for every component over the full trace.
-	trainCut := float64(cfg.TrainMin) * 60
-	if tracer.Enabled() {
-		// One run.meta point per application: the QoS target and training
-		// cutoff that post-hoc analysis (cmd/aquatrace) needs to flag
-		// violators and restrict rollups to the evaluation window.
-		for _, comp := range cfg.Components {
-			tracer.Point(telemetry.KindRunMeta, comp.App.Name, 0, 0, telemetry.Fields{
-				"qos":      comp.App.QoS,
-				"train_s":  trainCut,
-				"invokers": float64(len(cl.Invokers())),
-			})
-		}
-	}
-	type appStats struct {
-		res  *AppResult
-		qos  float64
-		lats []float64
-		hist *telemetry.Histogram
-	}
-	statsByApp := make(map[string]*appStats)
-	for _, comp := range cfg.Components {
-		st := &appStats{
-			res:  &AppResult{ChosenConfig: chosen[comp.App.Name]},
-			qos:  comp.App.QoS,
-			hist: reg.Histogram(telemetry.MetricWorkflowLatency + "." + comp.App.Name),
-		}
-		statsByApp[comp.App.Name] = st
-		driver := &loadgen.Driver{
-			Executor: ex,
-			App:      comp.App,
-			Trace:    comp.Trace,
-			Seed:     cfg.Seed + int64(len(statsByApp)),
-			OnResult: func(r workflow.Result) {
-				if r.SubmitTime < trainCut {
-					return
-				}
-				st.res.Workflows++
-				if r.Failed {
-					// A faulted workflow has no output: it violates QoS
-					// no matter how quickly it gave up. Sheds are
-					// attributed separately: the platform rejected the
-					// work to stay stable, it did not lose it.
-					st.res.QoSViolations++
-					st.res.FailedWorkflows++
-					if r.ShedStages > 0 {
-						st.res.ShedViolations++
-					} else {
-						st.res.FailureViolations++
-					}
-				} else if r.Latency() > st.qos {
-					st.res.QoSViolations++
-					st.res.LatencyViolations++
-				}
-				st.res.Retries += r.Retries
-				st.res.Hedges += r.Hedges
-				st.res.RetriesDenied += r.RetriesDenied
-				st.res.HedgesSkipped += r.HedgesSkipped
-				st.res.ShedInvocations += r.Sheds
-				st.res.ColdStarts += r.ColdStarts
-				st.res.Invocations += r.Invocations
-				st.res.CPUTime += r.CPUTime()
-				st.res.MemTime += r.MemTime()
-				if !r.Failed {
-					// Failed workflows abort early; their "latency" is
-					// time-to-failure and would skew the percentiles.
-					st.lats = append(st.lats, r.Latency())
-					st.hist.Observe(r.Latency())
-				}
-			},
-		}
-		driver.Start()
-	}
-
-	// Phase 3: container pool management. History accrues from t=0;
-	// policies are fitted at the training boundary and applied after it.
-	var mgr *pool.Manager
-	if cfg.PoolFactory != nil {
-		mgr = pool.NewManager(cl)
-		mgr.ApplyAfter = trainCut
-		mgr.Guard = cfg.PoolGuard
-		policies := make(map[string]pool.Policy)
-		for _, comp := range cfg.Components {
-			tr := comp.Trace
-			for _, fn := range comp.App.FunctionNames() {
-				p := cfg.PoolFactory(fn)
-				policies[fn] = p
-				mgr.Manage(fn, p, 0)
-				_ = tr
-			}
-		}
-		mgr.Start()
-		eng.Schedule(trainCut, func() {
-			for _, comp := range cfg.Components {
-				tr := comp.Trace
-				for _, fn := range comp.App.FunctionNames() {
-					fn := fn
-					policies[fn].Fit(pool.FitData{
-						Demand:   mgr.History(fn),
-						Arrivals: arrivalsBefore(tr.Arrivals, trainCut),
-						FeatFn:   func(i int) []float64 { return tr.Features(i) },
-					})
-				}
-			}
-		})
-	}
-
-	// Metrics snapshot at the training boundary.
-	var provBase float64
-	eng.Schedule(trainCut, func() { provBase = cl.Metrics().ProvisionedMemTime() })
-
-	horizon := 0.0
-	for _, comp := range cfg.Components {
-		if h := float64(comp.Trace.DurationMin) * 60; h > horizon {
-			horizon = h
-		}
-	}
-	// Allow in-flight workflows to finish.
-	eng.RunUntil(horizon + 300)
-	cl.Flush()
-
-	out := Result{PerApp: make(map[string]AppResult)}
-	for name, st := range statsByApp {
-		if len(st.lats) > 0 {
-			st.res.MeanLatency = stats.Mean(st.lats)
-			st.res.P50 = st.hist.Quantile(0.50)
-			st.res.P95 = st.hist.Quantile(0.95)
-			st.res.P99 = st.hist.Quantile(0.99)
-		}
-		out.PerApp[name] = *st.res
-	}
-	out.ProvisionedMemGBs = cl.Metrics().ProvisionedMemTime() - provBase
-	if math.IsNaN(out.ProvisionedMemGBs) || out.ProvisionedMemGBs < 0 {
-		out.ProvisionedMemGBs = 0
-	}
-	return out, nil
-}
-
-func arrivalsBefore(arrivals []float64, cut float64) []float64 {
-	var out []float64
-	for _, a := range arrivals {
-		if a < cut {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Preset system variants used throughout the evaluation (§8.3).
-
-// AquatopePoolFactory returns the paper's hybrid-Bayesian pool policy with
-// a compact model configuration suitable for minute-scale traces.
-func AquatopePoolFactory(lite bool) PolicyFactory {
-	return func(fn string) pool.Policy {
-		cfg := pool.DefaultModelConfig(trace.FeatureDim)
-		cfg.EncoderHidden = 20
-		cfg.PredHidden = []int{20, 10}
-		cfg.EncoderEpochs = 10
-		cfg.PredEpochs = 25
-		cfg.MCSamples = 12
-		cfg.LR = 0.01
-		return &pool.Aquatope{ModelConfig: cfg, Window: 40, HeadroomZ: 2.5, Lite: lite}
-	}
-}
-
-// AutoscalePoolFactory returns the reactive autoscaling pool baseline.
-func AutoscalePoolFactory() PolicyFactory {
-	return func(fn string) pool.Policy { return &pool.Autoscale{} }
-}
-
-// IceBreakerPoolFactory returns IceBreaker's Fourier pre-warming baseline.
-func IceBreakerPoolFactory() PolicyFactory {
-	return func(fn string) pool.Policy { return &pool.IceBreaker{} }
-}
-
-// KeepAlivePoolFactory returns the provider fixed keep-alive baseline.
-func KeepAlivePoolFactory(seconds float64) PolicyFactory {
-	return func(fn string) pool.Policy { return &pool.FixedKeepAlive{Duration: seconds} }
-}
-
-// AquatopeManagerFactory returns the customized-BO resource manager.
-func AquatopeManagerFactory() ManagerFactory {
-	return func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-		return resource.NewAquatope(space, prof, qos, seed)
-	}
-}
-
-// CLITEManagerFactory returns the CLITE baseline manager.
-func CLITEManagerFactory() ManagerFactory {
-	return func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-		return resource.NewCLITE(space, prof, qos, seed)
-	}
-}
-
-// AutoscaleManagerFactory returns the autoscaling resource manager.
-func AutoscaleManagerFactory() ManagerFactory {
-	return func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-		return resource.NewAutoscale(space, prof, qos, seed)
-	}
 }

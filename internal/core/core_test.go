@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"aquatope/internal/apps"
-	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/trace"
 )
 
@@ -20,19 +20,36 @@ func smallComponents(seed int64) []Component {
 	return []Component{{App: chain, Trace: tr}}
 }
 
-// fastPool keeps end-to-end tests quick.
-func fastPool() PolicyFactory {
-	return func(fn string) pool.Policy {
-		cfg := pool.DefaultModelConfig(trace.FeatureDim)
-		cfg.EncoderHidden = 10
-		cfg.PredHidden = []int{10, 6}
-		cfg.EncoderEpochs = 4
-		cfg.PredEpochs = 10
-		cfg.MCSamples = 6
-		cfg.LR = 0.01
-		return &pool.Aquatope{ModelConfig: cfg, Window: 20, HeadroomZ: 2}
+// registered builds a registry scheduler.
+func registered(t *testing.T, name string, o sched.Options) sched.Scheduler {
+	t.Helper()
+	s, ok := sched.New(name, o)
+	if !ok {
+		t.Fatalf("scheduler %q not registered", name)
 	}
+	return s
 }
+
+// fastBrain is the aquatope scheduler with a model small enough to keep
+// end-to-end tests quick.
+func fastBrain(t *testing.T) sched.Scheduler {
+	return registered(t, "aquatope", sched.Options{
+		EncoderHidden: 10,
+		PredHidden:    []int{10, 6},
+		EncoderEpochs: 4,
+		PredEpochs:    10,
+		MCSamples:     6,
+		LR:            0.01,
+		Window:        20,
+		HeadroomZ:     2,
+	})
+}
+
+// poolOnly drops a scheduler's configuration half: apps keep their default
+// configurations.
+type poolOnly struct{ sched.Scheduler }
+
+func (poolOnly) Configurator() sched.Configurator { return nil }
 
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
@@ -69,12 +86,11 @@ func TestEndToEndDefaults(t *testing.T) {
 
 func TestEndToEndFullAquatope(t *testing.T) {
 	res, err := Run(Config{
-		Components:     smallComponents(4),
-		TrainMin:       120,
-		PoolFactory:    fastPool(),
-		ManagerFactory: AquatopeManagerFactory(),
-		SearchBudget:   15,
-		Seed:           5,
+		Components:   smallComponents(4),
+		TrainMin:     120,
+		Scheduler:    fastBrain(t),
+		SearchBudget: 15,
+		Seed:         5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,36 +118,18 @@ func TestFullSystemBeatsKeepAliveOnColdStarts(t *testing.T) {
 	comps := []Component{{App: chain, Trace: tr}}
 
 	keep, err := Run(Config{Components: comps, TrainMin: 600,
-		PoolFactory: KeepAlivePoolFactory(600), Seed: 7})
+		Scheduler: registered(t, "keepalive", sched.Options{}), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	aqua, err := Run(Config{Components: comps, TrainMin: 600,
-		PoolFactory: fastPool(), Seed: 7})
+		Scheduler: poolOnly{fastBrain(t)}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aqua.ColdStartRate() >= keep.ColdStartRate() {
 		t.Fatalf("aquatope cold %.3f should beat keep-alive %.3f",
 			aqua.ColdStartRate(), keep.ColdStartRate())
-	}
-}
-
-func TestFactoriesProduceDistinctPolicies(t *testing.T) {
-	if AquatopePoolFactory(false)("f").Name() != "aquatope" {
-		t.Fatal("aquatope factory wrong")
-	}
-	if AquatopePoolFactory(true)("f").Name() != "aqualite" {
-		t.Fatal("aqualite factory wrong")
-	}
-	if AutoscalePoolFactory()("f").Name() != "autoscale" {
-		t.Fatal("autoscale factory wrong")
-	}
-	if IceBreakerPoolFactory()("f").Name() != "icebreaker" {
-		t.Fatal("icebreaker factory wrong")
-	}
-	if KeepAlivePoolFactory(60)("f").Name() != "keepalive" {
-		t.Fatal("keepalive factory wrong")
 	}
 }
 

@@ -32,16 +32,15 @@ func runFullPipeline(t *testing.T, seed int64) (Result, *telemetry.Collector, *t
 	col := telemetry.NewCollector()
 	reg := telemetry.NewRegistry()
 	res, err := Run(Config{
-		Components:     comps,
-		TrainMin:       120,
-		PoolFactory:    fastPool(),
-		ManagerFactory: AquatopeManagerFactory(),
-		SearchBudget:   6,
-		Chaos:          scn,
-		Resilience:     &pol,
-		Tracer:         col,
-		Registry:       reg,
-		Seed:           seed,
+		Components:   comps,
+		TrainMin:     120,
+		Scheduler:    fastBrain(t),
+		SearchBudget: 6,
+		Chaos:        scn,
+		Resilience:   &pol,
+		Tracer:       col,
+		Registry:     reg,
+		Seed:         seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +126,10 @@ func runOverloadPipeline(t *testing.T, seed int64) (Result, *telemetry.Collector
 	col := telemetry.NewCollector()
 	reg := telemetry.NewRegistry()
 	res, err := Run(Config{
-		Components:     comps,
-		TrainMin:       120,
-		PoolFactory:    fastPool(),
-		ManagerFactory: AquatopeManagerFactory(),
-		SearchBudget:   6,
+		Components:   comps,
+		TrainMin:     120,
+		Scheduler:    fastBrain(t),
+		SearchBudget: 6,
 		ClusterCfg: faas.Config{
 			Invokers: 2, CPUPerInvoker: 2, MemoryPerInvokerMB: 2048,
 			QueueLimit: 4, Admission: faas.AdmitDeadlineAware,

@@ -8,6 +8,7 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
+	"aquatope/internal/sched"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
 )
@@ -165,7 +166,7 @@ func Chaos(s Scale) ChaosResult {
 					out, err := core.Run(core.Config{
 						Components:   []core.Component{{App: app, Trace: chaosTrace(s)}},
 						TrainMin:     s.TrainMin,
-						PoolFactory:  core.KeepAlivePoolFactory(600),
+						Scheduler:    mustScheduler("keepalive", sched.Options{}),
 						RuntimeNoise: runtimeNoise,
 						Chaos:        chaosScenario(s, rate),
 						Resilience:   chaosPolicy(polName, app.QoS),

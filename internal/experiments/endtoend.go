@@ -4,7 +4,7 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 )
 
 // e2eComponents builds the end-to-end workload: the five applications,
@@ -25,11 +25,36 @@ func e2eComponents(s Scale) []core.Component {
 // runtimeNoise is the live-platform interference for end-to-end runs.
 var runtimeNoise = faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3}
 
-// aquatopePoolFactory returns a core.PolicyFactory producing fresh
-// scale-adjusted Aquatope pool policies.
-func (s Scale) aquatopePoolFactory(lite bool) core.PolicyFactory {
-	return func(fn string) pool.Policy { return s.aquatopePolicy(lite) }
+// mustScheduler builds a registry scheduler; the names are literals of
+// this package, so a miss is a programming error.
+func mustScheduler(name string, o sched.Options) sched.Scheduler {
+	sc, ok := sched.New(name, o)
+	if !ok {
+		panic("experiments: scheduler " + name + " is not registered")
+	}
+	return sc
 }
+
+// aquatopeScheduler returns the registry's aquatope at this scale's model
+// shape — field for field the policy aquatopePolicy builds.
+func (s Scale) aquatopeScheduler() sched.Scheduler {
+	return mustScheduler("aquatope", sched.Options{
+		EncoderEpochs:   s.ModelEpochs,
+		PredEpochs:      3 * s.ModelEpochs,
+		HeadroomZ:       3,
+		MaxTrainSamples: 500,
+	})
+}
+
+// searchedBy pairs one scheduler's pool half with another's configuration
+// search: Fig. 17's resource-manager-only system is the provider keep-alive
+// pool searched by aquatope's BO.
+type searchedBy struct {
+	sched.Scheduler
+	conf sched.Configurator
+}
+
+func (s searchedBy) Configurator() sched.Configurator { return s.conf }
 
 // ---------------------------------------------------------------------------
 
@@ -82,14 +107,13 @@ func runE2E(cfg core.Config) (e2eOutcome, error) {
 // runner's no-shared-mutable-state contract.
 func fig17FullConfig(s Scale) core.Config {
 	return core.Config{
-		Components:     e2eComponents(s),
-		TrainMin:       s.TrainMin,
-		PoolFactory:    s.aquatopePoolFactory(false),
-		ManagerFactory: core.AquatopeManagerFactory(),
-		SearchBudget:   s.SearchBudget,
-		ProfileNoise:   profileNoise,
-		RuntimeNoise:   runtimeNoise,
-		Seed:           s.Seed,
+		Components:   e2eComponents(s),
+		TrainMin:     s.TrainMin,
+		Scheduler:    s.aquatopeScheduler(),
+		SearchBudget: s.SearchBudget,
+		ProfileNoise: profileNoise,
+		RuntimeNoise: runtimeNoise,
+		Seed:         s.Seed,
 	}
 }
 
@@ -97,8 +121,7 @@ func fig17RMOnlyConfig(s Scale) core.Config {
 	return core.Config{
 		Components:        e2eComponents(s),
 		TrainMin:          s.TrainMin,
-		PoolFactory:       core.KeepAlivePoolFactory(600),
-		ManagerFactory:    core.AquatopeManagerFactory(),
+		Scheduler:         searchedBy{mustScheduler("keepalive", sched.Options{}), s.aquatopeScheduler().Configurator()},
 		SearchBudget:      s.SearchBudget,
 		ProfileNoise:      profileNoise,
 		RuntimeNoise:      runtimeNoise,
@@ -236,16 +259,10 @@ func Fig18(s Scale) Fig18Result {
 					Registry:     ctx.Registry,
 					Seed:         s.Seed,
 				}
-				switch name {
-				case "autoscale":
-					cfg.PoolFactory = core.AutoscalePoolFactory()
-					cfg.ManagerFactory = core.AutoscaleManagerFactory()
-				case "icebreaker+clite":
-					cfg.PoolFactory = core.IceBreakerPoolFactory()
-					cfg.ManagerFactory = core.CLITEManagerFactory()
-				case "aquatope":
-					cfg.PoolFactory = s.aquatopePoolFactory(false)
-					cfg.ManagerFactory = core.AquatopeManagerFactory()
+				if name == "aquatope" {
+					cfg.Scheduler = s.aquatopeScheduler()
+				} else {
+					cfg.Scheduler = mustScheduler(name, sched.Options{})
 				}
 				return runE2E(cfg)
 			}}

@@ -8,6 +8,7 @@ import (
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
@@ -198,7 +199,7 @@ func Overload(s Scale) OverloadResult {
 					out, err := core.Run(core.Config{
 						Components:   []core.Component{{App: app, Trace: overloadTrace(s, mult)}},
 						TrainMin:     trainMin,
-						PoolFactory:  core.KeepAlivePoolFactory(600),
+						Scheduler:    mustScheduler("keepalive", sched.Options{}),
 						ClusterCfg:   overloadClusterCfg(s),
 						RuntimeNoise: runtimeNoise,
 						Resilience:   overloadPolicy(polName, app.QoS),

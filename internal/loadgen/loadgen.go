@@ -1,54 +1,14 @@
-// Package loadgen drives workflow traffic into the simulated platform the
-// way the paper drives Locust against OpenWhisk (§7.2): an open-loop
-// generator replays trace arrival timestamps (exponential inter-arrivals
-// within each minute of the source trace), samples per-request inputs and
-// fan-out widths from the application, and streams completed results to a
-// callback.
+// Package loadgen shapes the traffic the paper drives with Locust against
+// OpenWhisk (§7.2): open-loop Poisson arrivals regenerated from per-minute
+// counts, and thinning to a utilization cap. Handing arrivals to the
+// platform — input and fan-out width draws included — is core.Controller's
+// job.
 package loadgen
 
 import (
-	"aquatope/internal/apps"
 	"aquatope/internal/stats"
 	"aquatope/internal/trace"
-	"aquatope/internal/workflow"
 )
-
-// Driver schedules one application's workload onto an executor.
-type Driver struct {
-	Executor *workflow.Executor
-	App      *apps.App
-	Trace    *trace.Trace
-	// OnResult receives every completed workflow (may be nil).
-	OnResult func(workflow.Result)
-	// Seed derives the per-request input/width stream.
-	Seed int64
-
-	scheduled int
-}
-
-// Start schedules every arrival of the trace on the executor's engine.
-// It returns the number of requests scheduled. Call before running the
-// engine.
-func (d *Driver) Start() int {
-	rng := stats.NewRNG(d.Seed)
-	eng := d.Executor.Cluster.Engine()
-	for _, at := range d.Trace.Arrivals {
-		at := at
-		eng.Schedule(at, func() {
-			input := d.App.Input(rng)
-			widths := d.App.Widths(rng)
-			err := d.Executor.Execute(d.App.DAG, input, widths, d.OnResult)
-			if err != nil {
-				panic(err)
-			}
-		})
-		d.scheduled++
-	}
-	return d.scheduled
-}
-
-// Scheduled returns how many requests Start scheduled.
-func (d *Driver) Scheduled() int { return d.scheduled }
 
 // OpenLoopPoisson generates a fresh trace with Poisson arrivals at the
 // given per-minute rate — the paper's per-minute Poisson regeneration for

@@ -5,38 +5,8 @@ import (
 	"sort"
 	"testing"
 
-	"aquatope/internal/apps"
-	"aquatope/internal/faas"
-	"aquatope/internal/sim"
 	"aquatope/internal/trace"
-	"aquatope/internal/workflow"
 )
-
-func TestDriverSchedulesAllArrivals(t *testing.T) {
-	app := apps.NewChain(2)
-	eng := sim.NewEngine()
-	cl := faas.NewCluster(eng, faas.Config{Seed: 1})
-	if err := app.Register(cl); err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.Synthesize(trace.GenConfig{DurationMin: 60, MeanRatePerMin: 3, CV: 1, Seed: 2})
-	done := 0
-	d := &Driver{
-		Executor: workflow.NewExecutor(cl),
-		App:      app,
-		Trace:    tr,
-		OnResult: func(workflow.Result) { done++ },
-		Seed:     3,
-	}
-	n := d.Start()
-	if n != len(tr.Arrivals) || d.Scheduled() != n {
-		t.Fatalf("scheduled %d, want %d", n, len(tr.Arrivals))
-	}
-	eng.Run()
-	if done != n {
-		t.Fatalf("completed %d of %d workflows", done, n)
-	}
-}
 
 func TestOpenLoopPoissonRespectsCounts(t *testing.T) {
 	counts := []float64{0, 30, 0, 60, 0}

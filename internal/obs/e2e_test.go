@@ -10,6 +10,7 @@ import (
 	"aquatope/internal/faas"
 	"aquatope/internal/obs"
 	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
@@ -55,10 +56,14 @@ func e2eRun(t *testing.T) ([]telemetry.Span, *telemetry.Snapshot) {
 	pol.MaxAttempts = 4
 	col := telemetry.NewCollector()
 	reg := telemetry.NewRegistry()
+	keepalive, ok := sched.New("keepalive", sched.Options{})
+	if !ok {
+		t.Fatal("scheduler keepalive not registered")
+	}
 	_, err := core.Run(core.Config{
-		Components:  []core.Component{{App: app, Trace: tr}},
-		TrainMin:    3,
-		PoolFactory: core.KeepAlivePoolFactory(600),
+		Components: []core.Component{{App: app, Trace: tr}},
+		TrainMin:   3,
+		Scheduler:  keepalive,
 		ClusterCfg: faas.Config{
 			Invokers:           2,
 			CPUPerInvoker:      2,

@@ -16,7 +16,7 @@ func init() {
 				name: "aquatope",
 				desc: Describe("aquatope"),
 				pool: &bnnPool{name: "aquatope", opts: o},
-				conf: &boConf{name: "aquatope", opts: o, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
+				conf: &managerConf{name: "aquatope", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
 					b := o.BO
 					b.QoS = qos
 					b.Seed = seed
@@ -32,7 +32,7 @@ func init() {
 				name: "aqualite",
 				desc: Describe("aqualite"),
 				pool: &bnnPool{name: "aqualite", opts: o},
-				conf: &boConf{name: "aqualite", opts: o, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
+				conf: &managerConf{name: "aqualite", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
 					b := o.BO
 					b.QoS = qos
 					b.Seed = seed
@@ -89,23 +89,4 @@ func (p *bnnPool) Policy(string) pool.Policy {
 		Lite:            o.Lite,
 	}
 	return meterPolicy(pol, o.Meter)
-}
-
-// boConf adapts the existing BO resource managers to the Configurator
-// interface, adding meter accounting when armed.
-type boConf struct {
-	name  string
-	opts  Options
-	build func(*resource.Space, *resource.Profiler, float64, int64) resource.Manager
-}
-
-func (c *boConf) Name() string { return c.name }
-
-// Manager implements Configurator.
-func (c *boConf) Manager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-	m := c.build(space, prof, qos, seed)
-	if c.opts.Meter == nil {
-		return m
-	}
-	return meteredManager{Manager: m, meter: c.opts.Meter}
 }

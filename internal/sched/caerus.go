@@ -18,50 +18,21 @@ func init() {
 			return &scheduler{
 				name: "caerus",
 				desc: Describe("caerus"),
-				pool: &fixedPool{name: "caerus", duration: 600, meter: o.Meter},
-				conf: &caerusConf{opts: o},
+				pool: keepAlivePool("caerus", o.Meter),
+				conf: &managerConf{name: "caerus", meter: o.Meter, build: newCaerusManager},
 			}
 		})
 }
 
-// fixedPool is the provider-default keep-alive pool half shared by the
-// static schedulers: no pre-warm target, a fixed idle lifetime.
-type fixedPool struct {
-	name     string
-	duration float64
-	meter    *Meter
-}
-
-func (p *fixedPool) Name() string { return p.name }
-
-// Policy implements PoolSizer.
-func (p *fixedPool) Policy(string) pool.Policy {
-	return meterPolicy(&pool.FixedKeepAlive{Duration: p.duration}, p.meter)
+// keepAlivePool is the provider-default pool half shared by the static
+// schedulers: no pre-warm target, a fixed 10-minute idle lifetime.
+func keepAlivePool(name string, m *Meter) PoolSizer {
+	return &policyPool{name: name, meter: m, build: func() pool.Policy {
+		return &pool.FixedKeepAlive{Duration: 600}
+	}}
 }
 
 // ---------------------------------------------------------------------------
-
-// caerusConf builds caerusManager per application.
-type caerusConf struct {
-	opts Options
-}
-
-func (c *caerusConf) Name() string { return "caerus" }
-
-// Manager implements Configurator.
-func (c *caerusConf) Manager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-	m := &caerusManager{
-		space:  space,
-		prof:   prof,
-		qos:    qos,
-		seed:   seed,
-		tracer: telemetry.Nop{},
-	}
-	if c.opts.Meter == nil {
-		return m
-	}
-	return meteredManager{Manager: m, meter: c.opts.Meter}
-}
 
 // caerusManager is the Caerus/Orion composite static baseline.
 //
@@ -98,6 +69,10 @@ type caerusManager struct {
 	fbCfg map[string]faas.ResourceConfig
 	fbC   float64
 	fbLat float64
+}
+
+func newCaerusManager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
+	return &caerusManager{space: space, prof: prof, qos: qos, seed: seed, tracer: telemetry.Nop{}}
 }
 
 // Name implements resource.Manager.

@@ -91,6 +91,15 @@ func TestConformanceDeterminism(t *testing.T) {
 	}
 }
 
+// silentConfig lists the registered schedulers whose configuration half
+// leaves no explain record, and why the contract exempts each. Anything not
+// listed here must explain every configuration decision.
+var silentConfig = map[string]string{
+	"autoscale":        "the paper's reactive baseline, held byte-identical to the dumps of the factory wiring it replaced: resource.AutoscaleManager emits nothing",
+	"icebreaker+clite": "the paper's best prior combination, held byte-identical likewise: bo.CLITE emits nothing",
+	"keepalive":        "no Configurator, so nothing decides a configuration",
+}
+
 // TestConformanceExplainRecords: every decision a scheduler makes must
 // leave an auditable explain record — pool decisions as pool.decision
 // points, configuration decisions as bo.decision or sched.decision points
@@ -117,14 +126,21 @@ func TestConformanceExplainRecords(t *testing.T) {
 			if poolPts == 0 {
 				t.Error("no pool.decision explain records emitted")
 			}
-			if confPts == 0 {
-				t.Error("no configuration explain records (bo.decision / sched.decision) emitted")
-			}
 			if poolPts != meter.PoolDecisions {
 				t.Errorf("pool.decision records %d != metered pool decisions %d", poolPts, meter.PoolDecisions)
 			}
-			if confPts != meter.ConfigDecisions {
-				t.Errorf("configuration records %d != metered config decisions %d", confPts, meter.ConfigDecisions)
+			if why, silent := silentConfig[name]; silent {
+				// An exemption that stopped being true must be struck.
+				if confPts != 0 {
+					t.Errorf("%d configuration explain records from a scheduler exempted because: %s", confPts, why)
+				}
+			} else {
+				if confPts == 0 {
+					t.Error("no configuration explain records (bo.decision / sched.decision) emitted")
+				}
+				if confPts != meter.ConfigDecisions {
+					t.Errorf("configuration records %d != metered config decisions %d", confPts, meter.ConfigDecisions)
+				}
 			}
 			if meter.MeanDecisionLatencyS() <= 0 {
 				t.Error("no modeled decision latency accrued")

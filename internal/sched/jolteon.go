@@ -17,8 +17,12 @@ func init() {
 			return &scheduler{
 				name: "jolteon",
 				desc: Describe("jolteon"),
-				pool: &quantilePool{risk: o.risk(), meter: o.Meter},
-				conf: &jolteonConf{opts: o},
+				pool: &policyPool{name: "jolteon", meter: o.Meter, build: func() pool.Policy {
+					return &quantilePolicy{risk: o.risk()}
+				}},
+				conf: &managerConf{name: "jolteon", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
+					return newJolteonManager(space, prof, qos, o.risk(), o.samplesPerCandidate())
+				}},
 			}
 		})
 }
@@ -37,23 +41,10 @@ func quantileZ(risk float64) float64 {
 // ---------------------------------------------------------------------------
 // Pool half: empirical-quantile demand sizing.
 
-// quantilePool targets the (1-risk) empirical quantile of the trailing
+// quantilePolicy targets the (1-risk) empirical quantile of the trailing
 // demand window — a distribution-aware rule with no learned model: the
 // pool covers demand with probability 1-risk assuming the recent past
 // predicts the next interval.
-type quantilePool struct {
-	risk  float64
-	meter *Meter
-}
-
-func (p *quantilePool) Name() string { return "jolteon" }
-
-// Policy implements PoolSizer.
-func (p *quantilePool) Policy(string) pool.Policy {
-	return meterPolicy(&quantilePolicy{risk: p.risk}, p.meter)
-}
-
-// quantilePolicy is the per-function pool.Policy behind quantilePool.
 type quantilePolicy struct {
 	risk float64
 }
@@ -98,34 +89,6 @@ func (p *quantilePolicy) Decide(history []float64, _ int) pool.Decision {
 // ---------------------------------------------------------------------------
 // Configuration half: probabilistic-bound greedy descent.
 
-// jolteonConf builds jolteonManager per application.
-type jolteonConf struct {
-	opts Options
-}
-
-func (c *jolteonConf) Name() string { return "jolteon" }
-
-// Manager implements Configurator.
-func (c *jolteonConf) Manager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
-	m := &jolteonManager{
-		space: space,
-		prof:  prof,
-		qos:   qos,
-		risk:  c.opts.risk(),
-		k:     c.opts.samplesPerCandidate(),
-		level: make([]int, len(space.Functions)),
-		done:  make([]bool, len(space.Functions)),
-	}
-	for i := range m.level {
-		m.level[i] = len(space.CPUOptions) - 1
-	}
-	m.tracer = telemetry.Nop{}
-	if c.opts.Meter == nil {
-		return m
-	}
-	return meteredManager{Manager: m, meter: c.opts.Meter}
-}
-
 // jolteonManager solves for the cheapest per-function vCPU allocation
 // whose modeled tail latency stays under the QoS bound. It anchors at the
 // all-max allocation (feasible by construction or nothing is), then walks
@@ -153,6 +116,24 @@ type jolteonManager struct {
 	best  map[string]faas.ResourceConfig
 	bestC float64
 	haveB bool
+}
+
+// newJolteonManager anchors every function at the top of the vCPU ladder.
+func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos, risk float64, k int) *jolteonManager {
+	m := &jolteonManager{
+		space:  space,
+		prof:   prof,
+		qos:    qos,
+		risk:   risk,
+		k:      k,
+		tracer: telemetry.Nop{},
+		level:  make([]int, len(space.Functions)),
+		done:   make([]bool, len(space.Functions)),
+	}
+	for i := range m.level {
+		m.level[i] = len(space.CPUOptions) - 1
+	}
+	return m
 }
 
 // Name implements resource.Manager.

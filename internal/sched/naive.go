@@ -16,26 +16,16 @@ func init() {
 			return &scheduler{
 				name: "naive",
 				desc: Describe("naive"),
-				pool: &peakPool{meter: o.Meter},
-				conf: &naiveConf{opts: o},
+				pool: &policyPool{name: "naive", meter: o.Meter, build: func() pool.Policy { return &peakPolicy{} }},
+				conf: &managerConf{name: "naive", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
+					return &naiveManager{space: space, prof: prof, qos: qos, tracer: telemetry.Nop{}}
+				}},
 			}
 		})
 }
 
-// peakPool pins every function's pre-warm target at the highest demand
-// ever observed — the never-cold, never-cheap upper bound.
-type peakPool struct {
-	meter *Meter
-}
-
-func (p *peakPool) Name() string { return "naive" }
-
-// Policy implements PoolSizer.
-func (p *peakPool) Policy(string) pool.Policy {
-	return meterPolicy(&peakPolicy{}, p.meter)
-}
-
-// peakPolicy is the per-function pool.Policy behind peakPool.
+// peakPolicy pins a function's pre-warm target at the highest demand ever
+// observed — the never-cold, never-cheap upper bound.
 type peakPolicy struct{}
 
 func (p *peakPolicy) Name() string { return "naive" }
@@ -56,22 +46,6 @@ func (p *peakPolicy) Decide(history []float64, _ int) pool.Decision {
 }
 
 // ---------------------------------------------------------------------------
-
-// naiveConf builds naiveManager per application.
-type naiveConf struct {
-	opts Options
-}
-
-func (c *naiveConf) Name() string { return "naive" }
-
-// Manager implements Configurator.
-func (c *naiveConf) Manager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
-	m := &naiveManager{space: space, prof: prof, qos: qos, tracer: telemetry.Nop{}}
-	if c.opts.Meter == nil {
-		return m
-	}
-	return meteredManager{Manager: m, meter: c.opts.Meter}
-}
 
 // naiveManager makes exactly one decision: everything at the top of the
 // grid. The single profiling sample only prices the choice.

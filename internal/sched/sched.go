@@ -13,7 +13,9 @@
 // must emit one explain record per decision: pool decisions surface as
 // pool.decision points through pool.Manager, configuration decisions as
 // bo.decision (the BO engine) or sched.decision (everything else) points,
-// all auditable by cmd/aquatrace.
+// all auditable by cmd/aquatrace. The paper's own baselines (baselines.go)
+// are the exception on the configuration side; the conformance suite names
+// each exemption.
 package sched
 
 import (
@@ -33,7 +35,7 @@ import (
 type PoolSizer interface {
 	Name() string
 	// Policy builds the pool policy driving one function's pre-warm
-	// target and keep-alive (the core.PolicyFactory shape).
+	// target and keep-alive.
 	Policy(fn string) pool.Policy
 }
 
@@ -42,8 +44,7 @@ type PoolSizer interface {
 // is called once per application before the live run.
 type Configurator interface {
 	Name() string
-	// Manager builds the configuration search for one application (the
-	// core.ManagerFactory shape).
+	// Manager builds the configuration search for one application.
 	Manager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager
 }
 
@@ -89,7 +90,7 @@ type Options struct {
 	SamplesPerCandidate int
 	// BO declaratively tunes the customized-BO engine behind the
 	// aquatope/aqualite configurator: kernel, acquisition, batch shape,
-	// sliding window, refit-every-k schedule and cache toggles. Dim, QoS
+	// sliding window and refit-every-k schedule. Dim, QoS
 	// and Seed are filled per application; the zero value reproduces the
 	// engine defaults (and aqualite still forces EI + no anomaly pruning
 	// on top of it).
@@ -203,6 +204,19 @@ func meterPolicy(p pool.Policy, m *Meter) pool.Policy {
 	return meteredPolicy{Policy: p, meter: m, evals: evals}
 }
 
+// policyPool is the PoolSizer of every scheduler whose per-function policy
+// needs nothing but a constructor.
+type policyPool struct {
+	name  string
+	meter *Meter
+	build func() pool.Policy
+}
+
+func (p *policyPool) Name() string { return p.name }
+
+// Policy implements PoolSizer.
+func (p *policyPool) Policy(string) pool.Policy { return meterPolicy(p.build(), p.meter) }
+
 // meteredManager counts Step calls and profiled configurations on the
 // scheduler's meter. It forwards the optional Engine/SetTracer hooks so
 // core's telemetry wiring sees through the wrapper.
@@ -222,7 +236,7 @@ func (m meteredManager) Step() int {
 	return n
 }
 
-// Engine forwards the BO-engine accessor core.Run uses to wire tracing,
+// Engine forwards the BO-engine accessor core uses to wire tracing,
 // so metering a BOManager does not hide its engine.
 func (m meteredManager) Engine() *bo.Engine {
 	if e, ok := m.Manager.(interface{ Engine() *bo.Engine }); ok {
@@ -237,6 +251,25 @@ func (m meteredManager) SetTracer(t telemetry.Tracer) {
 	if st, ok := m.Manager.(interface{ SetTracer(telemetry.Tracer) }); ok {
 		st.SetTracer(t)
 	}
+}
+
+// managerConf is the Configurator of every registered scheduler: a
+// resource-manager constructor, metered when the scheduler has a meter.
+type managerConf struct {
+	name  string
+	meter *Meter
+	build func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager
+}
+
+func (c *managerConf) Name() string { return c.name }
+
+// Manager implements Configurator.
+func (c *managerConf) Manager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
+	m := c.build(space, prof, qos, seed)
+	if c.meter == nil {
+		return m
+	}
+	return meteredManager{Manager: m, meter: c.meter}
 }
 
 // ---------------------------------------------------------------------------

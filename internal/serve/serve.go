@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/sim"
-	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
@@ -42,6 +40,10 @@ var ErrStopped = errors.New("serve: stopped by request")
 // of the event loop without running any deferred flushing.
 type crashSentinel struct{}
 
+// intervalSec is the decision/checkpoint interval, the same minute
+// pool.Manager adjusts on.
+const intervalSec = 60
+
 // Options parameterizes a serving run. Every field that shapes the
 // trajectory is folded into the config digest: a checkpoint only restores
 // against bit-identical options, because restore re-derives all state by
@@ -55,18 +57,9 @@ type Options struct {
 	// HorizonMin is the virtual horizon: boundaries stop there and the
 	// run finalizes after draining in-flight work.
 	HorizonMin int
-	// IntervalSec is the decision/checkpoint interval (default 60,
-	// matching pool.Manager).
-	IntervalSec float64
-	// DrainSec extends the final RunUntil so in-flight workflows finish
-	// (default 300, matching core.Run).
-	DrainSec float64
 
-	// PoolFactory/ManagerFactory/Scheduler select the scheduler halves
-	// exactly as core.Config does.
-	PoolFactory    core.PolicyFactory
-	ManagerFactory core.ManagerFactory
-	Scheduler      sched.Scheduler
+	// Scheduler selects the brain exactly as core.Config.Scheduler does.
+	Scheduler sched.Scheduler
 	// Meter, when non-nil, accrues decision-work accounting and is
 	// included in checkpoints.
 	Meter *sched.Meter
@@ -99,11 +92,6 @@ type Options struct {
 	// CheckpointDir/checkpoint-NNNNNN.aqcp.
 	CheckpointDir string
 
-	// TriggerType/StartMinute shape the per-minute feature vector of the
-	// incrementally built trace (see trace.Features).
-	TriggerType int
-	StartMinute int
-
 	// Pace throttles ingest to wall time: 1 plays one virtual second per
 	// wall second, 2 at double speed, 0 as fast as possible. Pacing is
 	// the serving loop's only wall-clock surface.
@@ -112,81 +100,59 @@ type Options struct {
 	Seed int64
 }
 
-func (o Options) intervalSec() float64 {
-	if o.IntervalSec <= 0 {
-		return 60
-	}
-	return o.IntervalSec
-}
-
-func (o Options) drainSec() float64 {
-	if o.DrainSec <= 0 {
-		return 300
-	}
-	return o.DrainSec
-}
-
 // Digest canonically fingerprints every option that shapes the run
 // trajectory. Checkpoints embed it; Restore refuses a mismatch, because
 // replaying a journal through a differently-configured server would
-// diverge silently instead.
+// diverge silently instead. The value structs go in whole (%+v), so a field
+// added to one of them is covered the day it is added; what is left out —
+// Pace, ArmCrash, CheckpointDir, Registry, Meter, which collector traces —
+// moves wall time or where bytes land, never the trajectory. A scheduler is
+// known here by its names only; the sched.Options it was built from show up
+// as diverged sections in replay, not as a digest mismatch.
 func (o Options) Digest() string {
 	h := sha256.New()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	w("seed=%d interval=%g train=%d horizon=%d drain=%g trigger=%d startmin=%d pace-excluded\n",
-		o.Seed, o.intervalSec(), o.TrainMin, o.HorizonMin, o.drainSec(), o.TriggerType, o.StartMinute)
+	w("seed=%d train=%d horizon=%d budget=%d coldfrac=%g\n",
+		o.Seed, o.TrainMin, o.HorizonMin, o.SearchBudget, o.ColdStartFraction)
 	for _, a := range o.Apps {
-		w("app=%s qos=%g fns=%d\n", a.Name, a.QoS, len(a.FunctionNames()))
+		w("app=%q qos=%g fns=%q\n", a.Name, a.QoS, a.FunctionNames())
 	}
-	w("chaos=%s faults=%d armed-excluded\n", o.Chaos.Name, len(o.Chaos.Faults))
-	for _, f := range o.Chaos.Faults {
-		w("fault=%s at=%g dur=%g inv=%d rate=%g factor=%g fn=%s init=%g kill=%g\n",
-			f.Kind, f.At, f.Duration, f.Invoker, f.Rate, f.Factor, f.Function,
-			f.Rates.InitFailure, f.Rates.ExecKill)
+	w("chaos=%+v\n", o.Chaos)
+	if o.Resilience != nil {
+		w("resilience=%+v\n", *o.Resilience)
 	}
-	w("resilience=%v guard=%v budget=%d coldfrac=%g\n",
-		o.Resilience != nil, o.PoolGuard != nil, o.SearchBudget, o.ColdStartFraction)
+	if o.PoolGuard != nil {
+		w("guard=%+v\n", *o.PoolGuard)
+	}
 	w("profnoise=%+v runnoise=%+v\n", o.ProfileNoise, o.RuntimeNoise)
-	w("cluster=inv:%d cpu:%g mem:%g keep:%g queue:%d seed:%d\n",
-		o.ClusterCfg.Invokers, o.ClusterCfg.CPUPerInvoker, o.ClusterCfg.MemoryPerInvokerMB,
-		o.ClusterCfg.DefaultKeepAlive, o.ClusterCfg.QueueLimit, o.ClusterCfg.Seed)
-	if o.Scheduler != nil {
-		w("scheduler=%s\n", o.Scheduler.Name())
+	// The controller overwrites the cluster's noise and registry with the
+	// run's own.
+	cl := o.ClusterCfg
+	cl.Noise, cl.Registry = faas.Noise{}, nil
+	w("cluster=%+v\n", cl)
+	// fmt prints maps in key order.
+	w("chosen=%v searched=%v\n", o.Chosen, o.Chosen == nil)
+	if sc := o.Scheduler; sc != nil {
+		w("scheduler=%q", sc.Name())
+		if ps := sc.PoolSizer(); ps != nil {
+			w(" pool=%q", ps.Name())
+		}
+		if c := sc.Configurator(); c != nil {
+			w(" conf=%q", c.Name())
+		}
 	}
-	w("tracing=%v\n", o.Tracer != nil)
+	w("\ntracing=%v\n", o.Tracer != nil)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// appStats mirrors core.Run's per-app accounting so a serving run reports
-// the same AppResult and feeds the same registry histogram.
-type appStats struct {
-	res  core.AppResult
-	qos  float64
-	lats []float64
-	hist *telemetry.Histogram
-	// sealed is the checkpoint position of lats: the latencies already
-	// folded into a snapshot (lats is append-only).
-	sealed checkpoint.Position
-}
-
-// Server is one live serving run over a record stream.
+// Server is one live serving run over a record stream: a core.Controller
+// fed a record at a time, plus what serving adds — stream validation, the
+// durable journal, interval boundaries with their checkpoints, verified
+// replay, pacing and the stop request.
 type Server struct {
-	opts   Options
-	eng    *sim.Engine
-	cl     *faas.Cluster
-	ex     *workflow.Executor
-	mgr    *pool.Manager
-	inj    *chaos.Injector
-	reg    *telemetry.Registry
-	col    *telemetry.Collector
-	tracer telemetry.Tracer
-
-	appsByName map[string]*apps.App
-	appNames   []string // sorted
-	rngs       map[string]*stats.RNG
-	traces     map[string]*trace.Trace
-	stats      map[string]*appStats
-	chosen     map[string]map[string]faas.ResourceConfig
+	opts Options
+	ctl  *core.Controller
+	apps map[string]bool
 
 	journal    *Journal
 	replaying  bool
@@ -194,180 +160,61 @@ type Server struct {
 	verifyAtK  int              // boundary to verify at (-1: at journal exhaustion)
 	verified   bool
 
-	trainCut     float64
 	horizon      float64
 	nextBoundary float64
 	k            int // completed boundaries
 	ingested     int // records scheduled
 	lastT        float64
-	provBase     float64
 	stop         atomic.Bool
 	digest       string
 }
 
-// New builds a serving run: it performs the phase-1 resource search (unless
-// Options.Chosen injects one), constructs the live cluster, executor, pool
-// manager and chaos injector exactly as core.Run does, and schedules the
-// policy Fit at the training boundary. No events run until ingest starts.
+// New builds a serving run on a fresh core.Controller (phase-1 search
+// included, unless Options.Chosen injects one) and opens the journal. No
+// events run until ingest starts.
 func New(opts Options) (*Server, error) {
-	if len(opts.Apps) == 0 {
-		return nil, fmt.Errorf("serve: no applications")
-	}
-	if opts.TrainMin <= 0 {
-		return nil, fmt.Errorf("serve: TrainMin must be positive")
-	}
 	if opts.HorizonMin <= 0 {
 		return nil, fmt.Errorf("serve: HorizonMin must be positive")
 	}
-	if opts.Scheduler != nil {
-		if opts.PoolFactory != nil || opts.ManagerFactory != nil {
-			return nil, fmt.Errorf("serve: Scheduler is mutually exclusive with PoolFactory/ManagerFactory")
-		}
-		if ps := opts.Scheduler.PoolSizer(); ps != nil {
-			opts.PoolFactory = ps.Policy
-		}
-		if c := opts.Scheduler.Configurator(); c != nil {
-			opts.ManagerFactory = c.Manager
-		}
-	}
-	var rawTracer telemetry.Tracer
-	if opts.Tracer != nil {
-		rawTracer = opts.Tracer
-	}
-	tracer := telemetry.OrNop(rawTracer)
-	reg := opts.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-
-	s := &Server{
-		opts:       opts,
-		reg:        reg,
-		col:        opts.Tracer,
-		tracer:     tracer,
-		appsByName: make(map[string]*apps.App),
-		rngs:       make(map[string]*stats.RNG),
-		traces:     make(map[string]*trace.Trace),
-		stats:      make(map[string]*appStats),
-		trainCut:   float64(opts.TrainMin) * 60,
-		horizon:    float64(opts.HorizonMin) * 60,
-		digest:     opts.Digest(),
-	}
-	s.nextBoundary = opts.intervalSec()
-
-	// Phase 1: resource search, exactly as core.Run (same seed stream).
-	coreCfg := core.Config{
+	cfg := core.Config{
 		TrainMin:          opts.TrainMin,
-		ManagerFactory:    opts.ManagerFactory,
+		Scheduler:         opts.Scheduler,
 		SearchBudget:      opts.SearchBudget,
 		ProfileNoise:      opts.ProfileNoise,
+		RuntimeNoise:      opts.RuntimeNoise,
 		ColdStartFraction: opts.ColdStartFraction,
+		ClusterCfg:        opts.ClusterCfg,
+		Registry:          opts.Registry,
+		Chosen:            opts.Chosen,
+		Chaos:             opts.Chaos,
+		Resilience:        opts.Resilience,
+		PoolGuard:         opts.PoolGuard,
 		Seed:              opts.Seed,
 	}
+	if opts.Tracer != nil {
+		cfg.Tracer = opts.Tracer
+	}
+	s := &Server{
+		opts:         opts,
+		apps:         make(map[string]bool),
+		horizon:      float64(opts.HorizonMin) * 60,
+		nextBoundary: intervalSec,
+		digest:       opts.Digest(),
+	}
 	for _, a := range opts.Apps {
-		coreCfg.Components = append(coreCfg.Components, core.Component{App: a})
+		// The arrivals come from the stream; the trace carries only the
+		// horizon and the feature context of the policy fit.
+		cfg.Components = append(cfg.Components, core.Component{App: a, Trace: &trace.Trace{DurationMin: opts.HorizonMin}})
+		s.apps[a.Name] = true
 	}
-	s.chosen = opts.Chosen
-	if s.chosen == nil {
-		seeds := core.SearchSeeds(coreCfg)
-		s.chosen = make(map[string]map[string]faas.ResourceConfig)
-		for i, comp := range coreCfg.Components {
-			s.chosen[comp.App.Name] = core.SearchComponent(coreCfg, i, seeds[i], tracer)
-		}
+	ctl, err := core.New(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Phase 2: live cluster.
-	s.eng = sim.NewEngine()
-	s.eng.SetMetrics(reg)
-	ccfg := opts.ClusterCfg
-	ccfg.Noise = opts.RuntimeNoise
-	ccfg.Registry = reg
-	if ccfg.Seed == 0 {
-		ccfg.Seed = opts.Seed + 1
+	s.ctl = ctl
+	if opts.ArmCrash {
+		ctl.OnCrash(func() { panic(crashSentinel{}) })
 	}
-	s.cl = faas.NewCluster(s.eng, ccfg)
-	s.cl.SetTracer(tracer)
-	for _, a := range opts.Apps {
-		if err := a.Register(s.cl); err != nil {
-			return nil, err
-		}
-		for fn, rc := range s.chosen[a.Name] {
-			if err := s.cl.SetResourceConfig(fn, rc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	s.ex = workflow.NewExecutor(s.cl)
-	s.ex.Policy = opts.Resilience
-	s.ex.Seed = opts.Seed + 7919
-	if !opts.Chaos.Empty() {
-		s.inj = chaos.New(s.cl, opts.Chaos)
-		if opts.ArmCrash {
-			s.inj.SetOnCrash(func() { panic(crashSentinel{}) })
-		}
-		s.inj.Arm()
-	}
-
-	if tracer.Enabled() {
-		for _, a := range opts.Apps {
-			tracer.Point(telemetry.KindRunMeta, a.Name, 0, 0, telemetry.Fields{
-				"qos":      a.QoS,
-				"train_s":  s.trainCut,
-				"invokers": float64(len(s.cl.Invokers())),
-			})
-		}
-	}
-
-	// Per-app request streams and incrementally built traces. Seeds match
-	// core.Run's drivers (cfg.Seed + running app count); draw order is
-	// preserved because draws happen at event execution time.
-	for i, a := range opts.Apps {
-		s.appsByName[a.Name] = a
-		s.appNames = append(s.appNames, a.Name)
-		s.rngs[a.Name] = stats.NewRNG(opts.Seed + int64(i+1))
-		s.traces[a.Name] = &trace.Trace{
-			DurationMin: opts.HorizonMin,
-			TriggerType: opts.TriggerType,
-			StartMinute: opts.StartMinute,
-		}
-		s.stats[a.Name] = &appStats{
-			res:  core.AppResult{ChosenConfig: s.chosen[a.Name]},
-			qos:  a.QoS,
-			hist: reg.Histogram(telemetry.MetricWorkflowLatency + "." + a.Name),
-		}
-	}
-	sort.Strings(s.appNames)
-
-	// Phase 3: pool management, fitted at the training boundary on the
-	// arrivals ingested so far.
-	if opts.PoolFactory != nil {
-		s.mgr = pool.NewManager(s.cl)
-		s.mgr.IntervalSec = opts.intervalSec()
-		s.mgr.ApplyAfter = s.trainCut
-		s.mgr.Guard = opts.PoolGuard
-		policies := make(map[string]pool.Policy)
-		for _, a := range opts.Apps {
-			for _, fn := range a.FunctionNames() {
-				p := opts.PoolFactory(fn)
-				policies[fn] = p
-				s.mgr.Manage(fn, p, 0)
-			}
-		}
-		s.mgr.Start()
-		s.eng.Schedule(s.trainCut, func() {
-			for _, a := range s.opts.Apps {
-				tr := s.traces[a.Name]
-				for _, fn := range a.FunctionNames() {
-					policies[fn].Fit(pool.FitData{
-						Demand:   s.mgr.History(fn),
-						Arrivals: arrivalsBefore(tr.Arrivals, s.trainCut),
-						FeatFn:   func(i int) []float64 { return tr.Features(i) },
-					})
-				}
-			}
-		})
-	}
-	s.eng.Schedule(s.trainCut, func() { s.provBase = s.cl.Metrics().ProvisionedMemTime() })
 
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
@@ -380,16 +227,6 @@ func New(opts Options) (*Server, error) {
 		s.journal = j
 	}
 	return s, nil
-}
-
-func arrivalsBefore(arrivals []float64, cut float64) []float64 {
-	var out []float64
-	for _, a := range arrivals {
-		if a < cut {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // RequestStop asks the serving loop to stop at the next record boundary.
@@ -405,14 +242,11 @@ func (s *Server) Ingested() int { return s.ingested }
 func (s *Server) Boundary() int { return s.k }
 
 // Engine exposes the virtual clock (tests and the CLI summary use it).
-func (s *Server) Engine() *sim.Engine { return s.eng }
+func (s *Server) Engine() *sim.Engine { return s.ctl.Engine() }
 
-// ingest schedules one arrival. Draws happen when the event fires, so the
-// per-app request stream consumes its RNG in engine event order — the same
-// order a batch loadgen.Driver produces.
+// ingest validates one record, journals it and hands it to the controller.
 func (s *Server) ingest(rec Record) error {
-	a, ok := s.appsByName[rec.App]
-	if !ok {
+	if !s.apps[rec.App] {
 		return fmt.Errorf("serve: record %d targets unknown app %q", s.ingested, rec.App)
 	}
 	if rec.T < s.lastT {
@@ -427,64 +261,17 @@ func (s *Server) ingest(rec Record) error {
 		}
 	}
 	s.lastT = rec.T
-	s.traces[rec.App].Arrivals = append(s.traces[rec.App].Arrivals, rec.T)
-	rng := s.rngs[rec.App]
-	st := s.stats[rec.App]
-	at := rec.T
-	s.eng.Schedule(at, func() {
-		input := a.Input(rng)
-		widths := a.Widths(rng)
-		err := s.ex.Execute(a.DAG, input, widths, func(r workflow.Result) {
-			s.onResult(st, r)
-		})
-		if err != nil {
-			panic(err)
-		}
-	})
+	s.ctl.Arrive(rec.App, rec.T)
 	s.ingested++
 	return nil
-}
-
-// onResult mirrors core.Run's per-workflow accounting.
-func (s *Server) onResult(st *appStats, r workflow.Result) {
-	if r.SubmitTime < s.trainCut {
-		return
-	}
-	st.res.Workflows++
-	if r.Failed {
-		st.res.QoSViolations++
-		st.res.FailedWorkflows++
-		if r.ShedStages > 0 {
-			st.res.ShedViolations++
-		} else {
-			st.res.FailureViolations++
-		}
-	} else if r.Latency() > st.qos {
-		st.res.QoSViolations++
-		st.res.LatencyViolations++
-	}
-	st.res.Retries += r.Retries
-	st.res.Hedges += r.Hedges
-	st.res.RetriesDenied += r.RetriesDenied
-	st.res.HedgesSkipped += r.HedgesSkipped
-	st.res.ShedInvocations += r.Sheds
-	st.res.ColdStarts += r.ColdStarts
-	st.res.Invocations += r.Invocations
-	st.res.CPUTime += r.CPUTime()
-	st.res.MemTime += r.MemTime()
-	if !r.Failed {
-		st.lats = append(st.lats, r.Latency())
-		st.hist.Observe(r.Latency())
-	}
 }
 
 // advance runs the engine to the next interval boundary, makes the
 // journal durable, and cuts a checkpoint there.
 func (s *Server) advance() error {
-	boundary := s.nextBoundary
-	s.eng.RunUntil(boundary)
+	s.ctl.Engine().RunUntil(s.nextBoundary)
 	s.k++
-	s.nextBoundary += s.opts.intervalSec()
+	s.nextBoundary += intervalSec
 	if s.replaying {
 		if s.verifyFile != nil && s.k == s.verifyAtK {
 			if err := s.verifyAgainst(s.verifyFile); err != nil {
@@ -508,10 +295,8 @@ func checkpointName(k int) string { return fmt.Sprintf("checkpoint-%06d.aqcp", k
 // assemble collects the current component snapshots into sections plus the
 // serve header. Called at boundaries (and at final-stop), when no event is
 // mid-flight, so every Snapshot observes a quiescent component. The span
-// log and the latency lists go in as positions whose running digests
-// advance here; the digests depend only on what was appended, so a
-// restoring server that assembles once at boundary K produces the bytes the
-// original run produced on its K-th assembly.
+// log goes in as a position whose running digest advances here, like the
+// controller's latency lists.
 func (s *Server) assemble(final bool) *checkpoint.File {
 	f := &checkpoint.File{Version: checkpoint.Version}
 
@@ -520,7 +305,7 @@ func (s *Server) assemble(final bool) *checkpoint.File {
 	hdr.Bool(final)
 	hdr.I64(s.opts.Seed)
 	hdr.String(s.digest)
-	hdr.F64(s.eng.Now())
+	hdr.F64(s.ctl.Engine().Now())
 	hdr.Int(s.k)
 	hdr.Int(s.ingested)
 	hdr.F64(s.lastT)
@@ -538,54 +323,15 @@ func (s *Server) assemble(final bool) *checkpoint.File {
 		fn(enc)
 		f.AddSection(name, enc.Bytes())
 	}
-	add("faas.cluster", s.cl.Snapshot)
-	add("sim.engine", s.eng.Snapshot)
-	add("workflow.executor", s.ex.Snapshot)
-	add("telemetry.registry", s.reg.SnapshotTo)
-	if s.col != nil {
-		add("telemetry.spans", s.col.SnapshotTo)
-	}
-	if s.mgr != nil {
-		add("pool.manager", s.mgr.Snapshot)
-	}
-	if s.inj != nil {
-		add("chaos.injector", s.inj.Snapshot)
+	s.ctl.Snapshot(add)
+	if s.opts.Tracer != nil {
+		add("telemetry.spans", s.opts.Tracer.SnapshotTo)
 	}
 	if s.opts.Meter != nil {
 		add("sched.meter", s.opts.Meter.Snapshot)
 	}
-	for _, name := range s.appNames {
-		name := name
-		add("loadgen.rng."+name, s.rngs[name].Snapshot)
-		add("serve.stats."+name, func(enc *checkpoint.Encoder) {
-			s.snapshotStats(enc, s.stats[name])
-		})
-	}
 	f.SortSections()
 	return f
-}
-
-func (s *Server) snapshotStats(enc *checkpoint.Encoder, st *appStats) {
-	enc.String("serve.stats")
-	// The latency list is stored as its position, not its content: fold
-	// what settled since the last snapshot into the running digest.
-	fresh := checkpoint.NewEncoder()
-	for _, l := range st.lats[st.sealed.Count():] {
-		fresh.F64(l)
-	}
-	st.sealed.Write(fresh.Bytes(), len(st.lats)-st.sealed.Count())
-	st.sealed.Snapshot(enc)
-	r := st.res
-	for _, v := range []int{
-		r.Workflows, r.QoSViolations, r.LatencyViolations, r.FailureViolations,
-		r.ShedViolations, r.FailedWorkflows, r.Retries, r.Hedges,
-		r.RetriesDenied, r.HedgesSkipped, r.ShedInvocations, r.ColdStarts,
-		r.Invocations,
-	} {
-		enc.Int(v)
-	}
-	enc.F64(r.CPUTime)
-	enc.F64(r.MemTime)
 }
 
 // writeCheckpoint atomically writes the current state snapshot.
@@ -712,7 +458,7 @@ func (s *Server) pace() {
 	if s.opts.Pace <= 0 || s.replaying {
 		return
 	}
-	d := time.Duration(float64(time.Second) * s.opts.intervalSec() / s.opts.Pace)
+	d := time.Duration(float64(time.Second) * intervalSec / s.opts.Pace)
 	time.Sleep(d) //aqualint:allow wallclock serve pacing throttles ingest to wall time by option; virtual time is engine-driven and unaffected
 }
 
@@ -725,8 +471,7 @@ func (s *Server) finalize() error {
 			return err
 		}
 	}
-	s.eng.RunUntil(s.horizon + s.opts.drainSec())
-	s.cl.Flush()
+	s.ctl.Finish()
 	if s.journal != nil && !s.replaying {
 		if err := s.journal.Sync(); err != nil {
 			return err
@@ -751,22 +496,5 @@ func (s *Server) finalStop() error {
 	return s.writeCheckpoint("checkpoint-final.aqcp", true)
 }
 
-// Result aggregates the run like core.Run does.
-func (s *Server) Result() core.Result {
-	out := core.Result{PerApp: make(map[string]core.AppResult)}
-	for name, st := range s.stats {
-		res := st.res
-		if len(st.lats) > 0 {
-			res.MeanLatency = stats.Mean(st.lats)
-			res.P50 = st.hist.Quantile(0.50)
-			res.P95 = st.hist.Quantile(0.95)
-			res.P99 = st.hist.Quantile(0.99)
-		}
-		out.PerApp[name] = res
-	}
-	out.ProvisionedMemGBs = s.cl.Metrics().ProvisionedMemTime() - s.provBase
-	if math.IsNaN(out.ProvisionedMemGBs) || out.ProvisionedMemGBs < 0 {
-		out.ProvisionedMemGBs = 0
-	}
-	return out
-}
+// Result aggregates the run so far.
+func (s *Server) Result() core.Result { return s.ctl.Result() }

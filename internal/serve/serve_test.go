@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
 	"aquatope/internal/workflow"
@@ -70,37 +73,42 @@ func fixtureOpts(t *testing.T, dir string, armCrash bool) Options {
 	pol := workflow.DefaultRetryPolicy()
 	pol.Timeout = app.QoS
 	return Options{
-		Apps:           []*apps.App{app},
-		TrainMin:       5,
-		HorizonMin:     minutes,
-		PoolFactory:    testPoolFactory(),
-		ManagerFactory: core.AquatopeManagerFactory(),
-		SearchBudget:   3,
-		ProfileNoise:   faas.Noise{GaussianStd: 0.15, OutlierRate: 0.02, OutlierScale: 3},
-		RuntimeNoise:   faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3},
-		ClusterCfg:     faas.Config{Invokers: 4, QueueLimit: 8},
-		Chaos:          scn,
-		ArmCrash:       armCrash,
-		Resilience:     &pol,
-		PoolGuard:      &pool.Guard{},
-		Tracer:         telemetry.NewCollector(),
-		Registry:       telemetry.NewRegistry(),
-		CheckpointDir:  dir,
-		Seed:           7,
+		Apps:          []*apps.App{app},
+		TrainMin:      5,
+		HorizonMin:    minutes,
+		Scheduler:     testBrain(t),
+		SearchBudget:  3,
+		ProfileNoise:  faas.Noise{GaussianStd: 0.15, OutlierRate: 0.02, OutlierScale: 3},
+		RuntimeNoise:  faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3},
+		ClusterCfg:    faas.Config{Invokers: 4, QueueLimit: 8},
+		Chaos:         scn,
+		ArmCrash:      armCrash,
+		Resilience:    &pol,
+		PoolGuard:     &pool.Guard{},
+		Tracer:        telemetry.NewCollector(),
+		Registry:      telemetry.NewRegistry(),
+		CheckpointDir: dir,
+		Seed:          7,
 	}
 }
 
-func testPoolFactory() core.PolicyFactory {
-	return func(fn string) pool.Policy {
-		cfg := pool.DefaultModelConfig(trace.FeatureDim)
-		cfg.EncoderHidden = 10
-		cfg.PredHidden = []int{10, 6}
-		cfg.EncoderEpochs = 4
-		cfg.PredEpochs = 10
-		cfg.MCSamples = 6
-		cfg.LR = 0.01
-		return &pool.Aquatope{ModelConfig: cfg, Window: 20, HeadroomZ: 2}
+// testBrain is the aquatope scheduler at test scale.
+func testBrain(t *testing.T) sched.Scheduler {
+	t.Helper()
+	s, ok := sched.New("aquatope", sched.Options{
+		EncoderHidden: 10,
+		PredHidden:    []int{10, 6},
+		EncoderEpochs: 4,
+		PredEpochs:    10,
+		MCSamples:     6,
+		LR:            0.01,
+		Window:        20,
+		HeadroomZ:     2,
+	})
+	if !ok {
+		t.Fatal("scheduler aquatope not registered")
 	}
+	return s
 }
 
 // dumps renders the run's trace and metrics exactly as the CLI would.
@@ -347,4 +355,102 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 			t.Errorf("version skew reported as a divergence: %v", err)
 		}
 	})
+}
+
+// TestRestoreRejectsChangedAdmission: an option the old digest left out. A
+// checkpoint cut under reject-new admission and restored under
+// deadline-aware admission must be refused up front as the configuration
+// mismatch it is, not later as some section that diverged in replay.
+func TestRestoreRejectsChangedAdmission(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(fixtureOpts(t, dir, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(sourceOf(t, fixtureStream(t, 20, 7))); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want ErrCrashed, got %v", err)
+	}
+	changed := fixtureOpts(t, dir, false)
+	changed.ClusterCfg.Admission = faas.AdmitDeadlineAware
+	_, err = Restore(changed, filepath.Join(dir, checkpointName(2)))
+	if err == nil {
+		t.Fatal("restore under a different admission policy accepted")
+	}
+	if !strings.Contains(err.Error(), "config digest mismatch") || strings.Contains(err.Error(), "section") {
+		t.Fatalf("want a digest mismatch, got: %v", err)
+	}
+}
+
+// TestBatchEqualsServe keeps the two feeders on one controller: core.Run
+// over per-app traces and a server (checkpointing off) over the same
+// arrivals merged into one time-ordered stream must produce byte-identical
+// span dumps, metric dumps and equal Results — with two applications, the
+// kill-restore script left inert, resilience, the pool guard and a BNN+BO
+// brain all in play.
+func TestBatchEqualsServe(t *testing.T) {
+	const minutes = 20
+	appList := []*apps.App{apps.NewChain(2), apps.NewFanOutFanIn()}
+	var comps []core.Component
+	var recs []Record
+	for i, a := range appList {
+		tr := trace.Synthesize(trace.GenConfig{DurationMin: minutes, MeanRatePerMin: 4, Diurnal: 0.5, CV: 1.5, Seed: int64(21 + i)})
+		comps = append(comps, core.Component{App: a, Trace: tr})
+		for _, at := range tr.Arrivals {
+			recs = append(recs, Record{T: at, App: a.Name})
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].T < recs[j].T })
+	var stream bytes.Buffer
+	for _, r := range recs {
+		line, err := r.MarshalLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(append(line, '\n'))
+	}
+
+	opts := fixtureOpts(t, "", false)
+	opts.Apps = appList
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(NewSource(&stream)); err != nil {
+		t.Fatal(err)
+	}
+	servedSpans, servedMetrics := dumps(t, opts)
+
+	batch := fixtureOpts(t, "", false)
+	res, err := core.Run(core.Config{
+		Components:   comps,
+		TrainMin:     batch.TrainMin,
+		Scheduler:    batch.Scheduler,
+		SearchBudget: batch.SearchBudget,
+		ProfileNoise: batch.ProfileNoise,
+		RuntimeNoise: batch.RuntimeNoise,
+		ClusterCfg:   batch.ClusterCfg,
+		Chaos:        batch.Chaos,
+		Resilience:   batch.Resilience,
+		PoolGuard:    batch.PoolGuard,
+		Tracer:       batch.Tracer,
+		Registry:     batch.Registry,
+		Seed:         batch.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSpans, batchMetrics := dumps(t, batch)
+
+	if res.Workflows() == 0 || len(batchSpans) == 0 {
+		t.Fatal("batch run did nothing")
+	}
+	if !bytes.Equal(batchSpans, servedSpans) {
+		t.Errorf("span dumps differ: batch %d B, served %d B", len(batchSpans), len(servedSpans))
+	}
+	if !bytes.Equal(batchMetrics, servedMetrics) {
+		t.Errorf("metric dumps differ: batch %d B, served %d B", len(batchMetrics), len(servedMetrics))
+	}
+	if got := s.Result(); !reflect.DeepEqual(res, got) {
+		t.Errorf("results differ:\nbatch  %+v\nserved %+v", res, got)
+	}
 }
