@@ -58,10 +58,13 @@ microbench:
 # scripted controller kill left inert via -ignore-crash), run the same
 # serve with the kill armed — identical flags including the dump flags,
 # since the config digest covers whether tracing is on — it must exit
-# 137 mid-run writing no dumps (asserted), leaving only
-# boundary checkpoints and the durable journal — then restore from the
-# checkpoint directory and byte-compare the resumed run's span/metric
-# dumps against the reference (DESIGN.md §15's restore-equals-
+# 137 mid-run writing no dumps (asserted), leaving only boundary
+# checkpoints and the durable journal. Every one of those checkpoints must
+# cmp equal to the reference run's file of the same name: a checkpoint is
+# a function of the run (-ignore-crash is outside the config digest), and
+# this is the cheapest guard that every Snapshot stays deterministic. Then
+# restore from the checkpoint directory and byte-compare the resumed run's
+# span/metric dumps against the reference (DESIGN.md §15's restore-equals-
 # uninterrupted contract, checked through the real binary). The reference
 # run's checkpoints are also size-checked: a boundary file is ~35 KB at any
 # horizon now that histories are stored as positions, so one over 128 KB
@@ -92,6 +95,7 @@ smoke:
 		-trace-out .smoke_crash_spans.jsonl -metrics-out .smoke_crash_metrics.json \
 		> /dev/null 2>&1; test $$? -eq 137
 	test ! -e .smoke_crash_spans.jsonl && test ! -e .smoke_crash_metrics.json
+	for f in .smoke_ck/checkpoint-*.aqcp; do cmp $$f .smoke_ck_ref/$${f##*/} || exit 1; done
 	./.smoke_aquatope -serve -stream .smoke_stream.jsonl -checkpoint-dir .smoke_ck \
 		-restore .smoke_ck \
 		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \

@@ -14,7 +14,6 @@
 //	aquabench -exp all                # everything
 //	aquabench -exp fig13 -scale full  # paper-scale repetitions
 //	aquabench -exp all -format json   # mechanical output
-//	aquabench -exp all -bench-out timing.json
 package main
 
 import (
@@ -29,21 +28,8 @@ import (
 	"time"
 
 	"aquatope/internal/experiments"
-	"aquatope/internal/experiments/runner"
 	"aquatope/internal/telemetry"
 )
-
-// benchReport is the -bench-out file layout: the repo's performance
-// trajectory for the evaluation harness.
-type benchReport struct {
-	Scale            string         `json:"scale"`
-	Parallel         int            `json:"parallel"`
-	Workers          int            `json:"workers"`
-	GOMAXPROCS       int            `json:"gomaxprocs"`
-	Seed             int64          `json:"seed"`
-	TotalWallSeconds float64        `json:"total_wall_seconds"`
-	Experiments      []runner.Entry `json:"experiments"`
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list), or all")
@@ -54,7 +40,6 @@ func main() {
 	list := flag.Bool("list", false, "list registered experiments and exit")
 	traceOut := flag.String("trace-out", "", "write telemetry spans from end-to-end experiments as JSONL to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metric registry snapshot as JSON to this file")
-	benchOut := flag.String("bench-out", "", "write per-experiment wall/busy timing and speedup as JSON to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 	flag.Parse()
 
@@ -101,8 +86,6 @@ func main() {
 		registry = telemetry.NewRegistry()
 		scale.Registry = registry
 	}
-	bench := runner.NewBench()
-	scale.Bench = bench
 
 	var targets []experiments.Experiment
 	if *exp == "all" {
@@ -124,7 +107,6 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	suiteStart := time.Now() //aqualint:allow wallclock benchmark harness reports real elapsed time, not simulated time
 	var jsonResults []experiments.ResultJSON
 	for _, e := range targets {
 		start := time.Now() //aqualint:allow wallclock benchmark harness reports real elapsed time per experiment, not simulated time
@@ -140,7 +122,6 @@ func main() {
 		//aqualint:allow wallclock real elapsed time of the experiment run
 		fmt.Fprintf(os.Stderr, "(%s, scale=%s, workers=%d, %.1fs)\n", e.ID(), *scaleName, workers, time.Since(start).Seconds())
 	}
-	totalWall := time.Since(suiteStart).Seconds() //aqualint:allow wallclock benchmark harness reports real elapsed time, not simulated time
 
 	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
@@ -164,25 +145,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote metrics snapshot to %s\n", *metricsOut)
-	}
-	if *benchOut != "" {
-		report := benchReport{
-			Scale:            *scaleName,
-			Parallel:         *parallel,
-			Workers:          workers,
-			GOMAXPROCS:       runtime.GOMAXPROCS(0),
-			Seed:             *seed,
-			TotalWallSeconds: totalWall,
-			Experiments:      bench.Entries(),
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "writing bench report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote bench report to %s\n", *benchOut)
 	}
 }

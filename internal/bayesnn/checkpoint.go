@@ -6,8 +6,8 @@ import (
 )
 
 // allParams returns every trainable parameter in a fixed architecture
-// order. Snapshot and Restore iterate this list, so the order is part of
-// the snapshot format.
+// order. Snapshot iterates this list, so the order is part of the snapshot
+// format.
 func (m *Model) allParams() []*nn.Param {
 	var ps []*nn.Param
 	ps = append(ps, m.encoder.Params()...)
@@ -35,26 +35,4 @@ func (m *Model) Snapshot(enc *checkpoint.Encoder) {
 	enc.F64(m.residStd)
 	enc.F64(m.dispersion)
 	enc.Bool(m.trained)
-}
-
-// Restore loads a snapshot produced by Snapshot into a model built from the
-// same Config (New with identical dimensions).
-func (m *Model) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("bayesnn")
-	if err := m.rng.Restore(dec); err != nil {
-		return err
-	}
-	if err := nn.RestoreParams(dec, m.allParams()); err != nil {
-		return err
-	}
-	m.yMean = dec.F64()
-	m.yStd = dec.F64()
-	m.extMean = dec.F64s()
-	m.extStd = dec.F64s()
-	m.histMean = dec.F64()
-	m.histStd = dec.F64()
-	m.residStd = dec.F64()
-	m.dispersion = dec.F64()
-	m.trained = dec.Bool()
-	return dec.Err()
 }

@@ -362,11 +362,6 @@ func (e *Engine) FeasibilityProbability(x []float64) float64 {
 	return stats.NormalCDF((e.cfg.QoS - m) / sd)
 }
 
-// CostPosterior exposes the cost surrogate's posterior for inspection.
-func (e *Engine) CostPosterior(x []float64) (mean, variance float64) {
-	return e.costGP.Posterior(x)
-}
-
 // countClean returns the number of observations not flagged as anomalies.
 func (e *Engine) countClean() int {
 	n := 0

@@ -108,9 +108,6 @@ func New(cl *faas.Cluster, scn Scenario) *Injector {
 	return &Injector{cl: cl, tracer: cl.Tracer(), scn: scn}
 }
 
-// Scenario returns the script the injector was built with.
-func (in *Injector) Scenario() Scenario { return in.scn }
-
 // Arm schedules every fault of the scenario on the cluster's engine. Faults
 // are scheduled in (At, script order): the engine's stable FIFO for
 // simultaneous events keeps ties deterministic. Arm is idempotent.

@@ -12,12 +12,3 @@ func (in *Injector) Snapshot(enc *checkpoint.Encoder) {
 	enc.F64(in.curRates.InitFailure)
 	enc.F64(in.curRates.ExecKill)
 }
-
-// Restore loads injector state saved by Snapshot.
-func (in *Injector) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("chaos.injector")
-	in.armed = dec.Bool()
-	in.curRates.InitFailure = dec.F64()
-	in.curRates.ExecKill = dec.F64()
-	return dec.Err()
-}

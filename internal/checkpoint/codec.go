@@ -11,10 +11,21 @@
 //   - File: the AQCP container — magic, format version, a CRC-guarded
 //     opaque header blob, and CRC-guarded named sections, with a whole-file
 //     CRC trailer. Truncated, bit-flipped, or version-skewed files are
-//     rejected by Decode with an error before any section reaches a
-//     component Restorer, so a partial restore cannot happen silently.
+//     rejected by Decode with an error before any section is compared.
 //
-//   - Snapshotter/Restorer: the interfaces stateful components implement.
+//   - Position: a place in an append-only log (record count + running
+//     SHA-256), the form every history-proportional payload is stored in.
+//
+// A component contributes a fingerprint writer, Snapshot(*Encoder), and
+// nothing else: restore is verified deterministic replay (internal/serve
+// re-derives every section and byte-compares it with the stored one), so
+// no section is ever loaded back into a component. The Decoder therefore
+// reads only what the program reads back from disk — the serve header and
+// the position heads — and has no slice readers. A Snapshot must be
+// read-only: serving writes checkpoints mid-run and a mutating snapshot
+// would make the checkpointed run diverge from an unmonitored one.
+// (Advancing a Position's running digest over an append-only log is not a
+// mutation in that sense: no run can observe it.)
 //
 // The package deliberately depends only on the standard library so every
 // internal package can import it without cycles.
@@ -27,23 +38,6 @@ import (
 	"math"
 )
 
-// Snapshotter is implemented by components whose state can be serialized
-// deterministically. Snapshot must be read-only: serving writes checkpoints
-// mid-run and a mutating snapshot would make the checkpointed run diverge
-// from an unmonitored one. (Advancing a Position's running digest over an
-// append-only log is not a mutation in that sense: no run can observe it.)
-type Snapshotter interface {
-	Snapshot(enc *Encoder)
-}
-
-// Restorer is implemented by components that can reload a snapshot produced
-// by their own Snapshot method on a structurally identical instance (same
-// config, same shapes). Restore validates shape markers and returns an error
-// on any mismatch rather than partially applying state.
-type Restorer interface {
-	Restore(dec *Decoder) error
-}
-
 // Encoder accumulates a deterministic byte encoding of primitive values.
 type Encoder struct {
 	buf []byte
@@ -54,9 +48,6 @@ func NewEncoder() *Encoder { return &Encoder{} }
 
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes accumulated so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset empties the encoder, keeping its buffer for reuse; slices Bytes
 // returned earlier are overwritten by what is encoded next.
@@ -107,14 +98,6 @@ func (e *Encoder) F64s(v []float64) {
 	}
 }
 
-// I64s appends a length-prefixed signed varint slice.
-func (e *Encoder) I64s(v []int64) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.I64(x)
-	}
-}
-
 // Bools appends a length-prefixed bool slice.
 func (e *Encoder) Bools(v []bool) {
 	e.U64(uint64(len(v)))
@@ -127,12 +110,6 @@ func (e *Encoder) Bools(v []bool) {
 // file-format errors wrap it, so callers can errors.Is against a single
 // sentinel.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
-
-// ErrShape is returned by component Restore methods when a structurally
-// valid snapshot does not fit the receiving instance (different layer
-// sizes, window lengths, parameter counts) — i.e. the snapshot came from a
-// different configuration.
-var ErrShape = fmt.Errorf("%w: snapshot shape does not match component", ErrCorrupt)
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -157,7 +134,7 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) Remaining() int { return len(d.data) - d.off }
 
 // Done returns an error when decoding failed or unread bytes remain — a
-// trailing-garbage check for component Restore methods.
+// trailing-garbage check.
 func (d *Decoder) Done() error {
 	if d.err != nil {
 		return d.err
@@ -237,15 +214,15 @@ func (d *Decoder) F64() float64 {
 	return v
 }
 
-// count validates a length prefix against the bytes actually remaining
-// (each element occupies at least min bytes), so corrupt lengths fail fast
-// instead of attempting enormous allocations.
-func (d *Decoder) count(min int) (int, bool) {
+// count validates a byte-length prefix against the bytes actually
+// remaining, so corrupt lengths fail fast instead of attempting enormous
+// allocations.
+func (d *Decoder) count() (int, bool) {
 	n := d.U64()
 	if d.err != nil {
 		return 0, false
 	}
-	if min > 0 && n > uint64(d.Remaining()/min) {
+	if n > uint64(d.Remaining()) {
 		d.fail("length %d exceeds remaining input", n)
 		return 0, false
 	}
@@ -254,7 +231,7 @@ func (d *Decoder) count(min int) (int, bool) {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {
-	n, ok := d.count(1)
+	n, ok := d.count()
 	if !ok {
 		return ""
 	}
@@ -265,7 +242,7 @@ func (d *Decoder) String() string {
 
 // Blob reads a length-prefixed byte slice (copied out of the input).
 func (d *Decoder) Blob() []byte {
-	n, ok := d.count(1)
+	n, ok := d.count()
 	if !ok {
 		return nil
 	}
@@ -275,47 +252,8 @@ func (d *Decoder) Blob() []byte {
 	return b
 }
 
-// F64s reads a length-prefixed float64 slice. Zero length yields nil.
-func (d *Decoder) F64s() []float64 {
-	n, ok := d.count(8)
-	if !ok || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.F64()
-	}
-	return v
-}
-
-// I64s reads a length-prefixed signed varint slice. Zero length yields nil.
-func (d *Decoder) I64s() []int64 {
-	n, ok := d.count(1)
-	if !ok || n == 0 {
-		return nil
-	}
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = d.I64()
-	}
-	return v
-}
-
-// Bools reads a length-prefixed bool slice. Zero length yields nil.
-func (d *Decoder) Bools() []bool {
-	n, ok := d.count(1)
-	if !ok || n == 0 {
-		return nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = d.Bool()
-	}
-	return v
-}
-
-// Expect reads a string and errors unless it equals want — a cheap shape
-// marker for Restore methods ("wrong section fed to wrong component").
+// Expect reads a string and errors unless it equals want — a cheap marker
+// check ("wrong bytes fed to wrong reader").
 func (d *Decoder) Expect(want string) {
 	got := d.String()
 	if d.err == nil && got != want {

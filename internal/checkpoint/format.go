@@ -20,7 +20,7 @@ import (
 // seed, virtual time, interval index, journal position and config digest into
 // it with an Encoder). Sections are named component snapshots. Every layer is
 // CRC-guarded and length-validated so truncation or bit flips anywhere are
-// detected before any byte reaches a Restorer.
+// detected before any stored section is compared with a re-derived one.
 
 // Magic identifies an AQCP checkpoint file.
 const Magic = "AQCP"

@@ -46,7 +46,9 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecoder drives arbitrary bytes through every primitive read to prove
-// the value codec never panics regardless of read sequence.
+// the value codec never panics regardless of read sequence. The reads are
+// the ones the program performs on bytes that came off disk (the serve
+// header and the position heads).
 func FuzzDecoder(f *testing.F) {
 	enc := NewEncoder()
 	enc.U64(99)
@@ -63,9 +65,6 @@ func FuzzDecoder(f *testing.F) {
 		d.F64()
 		_ = d.String()
 		d.Blob()
-		d.F64s()
-		d.I64s()
-		d.Bools()
 		d.Expect("x")
 		d.Done()
 	})

@@ -6,7 +6,6 @@ import (
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
-	"aquatope/internal/timeseries"
 	"aquatope/internal/trace"
 )
 
@@ -285,10 +284,4 @@ func Fig11(s Scale) Fig11Result {
 		res.AquaLiteGB = append(res.AquaLiteGB, lite.MemorySeriesGB[i])
 	}
 	return res
-}
-
-// PredictorPolicyForTable1 adapts a timeseries predictor into a pool
-// policy (exported for the CLI's extended comparisons).
-func PredictorPolicyForTable1(name string, p timeseries.Predictor) pool.Policy {
-	return &pool.PredictorPolicy{Label: name, Predictor: p}
 }

@@ -46,10 +46,7 @@ type Scale struct {
 	// snapshots.
 	Collector *telemetry.Collector
 	Registry  *telemetry.Registry
-	// Bench, when non-nil, accumulates per-experiment wall/busy timing
-	// from the replication engine (aquabench -bench-out).
-	Bench *runner.Bench
-	Seed  int64
+	Seed      int64
 }
 
 // engine builds the replication engine for one experiment run at this
@@ -61,7 +58,6 @@ func (s Scale) engine(experiment string) *runner.Engine {
 		BaseSeed:   s.Seed,
 		Collector:  s.Collector,
 		Registry:   s.Registry,
-		Bench:      s.Bench,
 	}
 }
 

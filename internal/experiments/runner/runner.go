@@ -14,9 +14,7 @@
 //     order the jobs were built, exactly as the old serial loops did.
 //
 // A panicking replication is recovered and surfaced as an error on the
-// batch — one bad worker never deadlocks the pool. The engine also keeps
-// per-experiment wall/busy timing (see Bench) which cmd/aquabench exports
-// as the repo's performance trajectory.
+// batch — one bad worker never deadlocks the pool.
 package runner
 
 import (
@@ -25,7 +23,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"aquatope/internal/telemetry"
 )
@@ -63,8 +60,8 @@ type Job[T any] struct {
 
 // Engine runs batches of replications for one experiment.
 type Engine struct {
-	// Experiment is the experiment id, used in seed derivation, error
-	// messages and Bench accounting.
+	// Experiment is the experiment id, used in seed derivation and error
+	// messages.
 	Experiment string
 	// Parallel is the worker count: 0 (or negative) means
 	// runtime.GOMAXPROCS(0), 1 forces a serial run.
@@ -77,8 +74,6 @@ type Engine struct {
 	// Registry, when non-nil, receives every replication's metrics,
 	// merged in submission order after the batch completes.
 	Registry *telemetry.Registry
-	// Bench, when non-nil, accumulates the engine's timing.
-	Bench *Bench
 }
 
 // Workers returns the effective worker count.
@@ -107,7 +102,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 
 	results := make([]T, n)
 	errs := make([]error, n)
-	busy := make([]float64, n)
 	var collectors []*telemetry.Collector
 	if e.Collector != nil {
 		collectors = make([]*telemetry.Collector, n)
@@ -117,7 +111,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 		registries = make([]*telemetry.Registry, n)
 	}
 
-	start := time.Now() //aqualint:allow wallclock the engine reports real harness wall time, not simulated time
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -125,7 +118,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				jobStart := time.Now() //aqualint:allow wallclock per-replication busy time for the speedup report
 				ctx := Ctx{Seed: jobs[i].Seed, Tracer: telemetry.Nop{}}
 				if ctx.Seed == 0 {
 					ctx.Seed = DeriveSeed(e.BaseSeed, e.Experiment, jobs[i].Cell, jobs[i].Rep)
@@ -140,7 +132,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 					ctx.Registry = registries[i]
 				}
 				results[i], errs[i] = runOne(jobs[i], ctx)
-				busy[i] = time.Since(jobStart).Seconds() //aqualint:allow wallclock per-replication busy time for the speedup report
 			}
 		}()
 	}
@@ -149,7 +140,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 	}
 	close(idx)
 	wg.Wait()
-	wall := time.Since(start).Seconds() //aqualint:allow wallclock the engine reports real harness wall time, not simulated time
 
 	// Merge per-replication telemetry in submission order: this, plus the
 	// scheduling-independent seeds, is why -parallel 1 and -parallel N
@@ -162,12 +152,6 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 			e.Registry.Merge(registries[i])
 		}
 	}
-
-	var totalBusy float64
-	for _, d := range busy {
-		totalBusy += d
-	}
-	e.Bench.Record(e.Experiment, n, wall, totalBusy)
 
 	var failures []error
 	for i, err := range errs {

@@ -173,34 +173,3 @@ func TestRunEmptyBatch(t *testing.T) {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
 }
-
-func TestBenchAccumulates(t *testing.T) {
-	b := NewBench()
-	b.Record("fig9", 12, 2, 6)
-	b.Record("fig9", 6, 1, 3)
-	b.Record("table1", 4, 1, 1)
-	entries := b.Entries()
-	if len(entries) != 2 || entries[0].ID != "fig9" || entries[1].ID != "table1" {
-		t.Fatalf("entries = %+v", entries)
-	}
-	if entries[0].Replications != 18 || entries[0].WallSeconds != 3 || entries[0].BusySeconds != 9 {
-		t.Fatalf("fig9 stats = %+v", entries[0])
-	}
-	if entries[0].Speedup != 3 {
-		t.Fatalf("speedup = %v, want 3", entries[0].Speedup)
-	}
-	var nilBench *Bench
-	nilBench.Record("x", 1, 1, 1) // must not panic
-	if nilBench.Entries() != nil {
-		t.Fatal("nil bench should have no entries")
-	}
-	// The engine feeds the bench.
-	e := &Engine{Experiment: "engine", Parallel: 2, Bench: NewBench()}
-	if _, err := Run(e, batch(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	got := e.Bench.Entries()
-	if len(got) != 1 || got[0].Replications != 4 || got[0].WallSeconds <= 0 {
-		t.Fatalf("engine bench entries = %+v", got)
-	}
-}

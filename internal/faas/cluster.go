@@ -65,9 +65,6 @@ type Invoker struct {
 // MemoryInUseMB returns the memory currently claimed by containers.
 func (iv *Invoker) MemoryInUseMB() float64 { return iv.memUsedMB }
 
-// Down reports whether the invoker is currently crashed.
-func (iv *Invoker) Down() bool { return iv.down }
-
 // function is the cluster-side state of a registered function.
 type function struct {
 	spec          FunctionSpec
@@ -130,7 +127,7 @@ type Config struct {
 	// Noise is the platform interference model.
 	Noise Noise
 	// QueueLimit bounds every function's pending queue (0 = unbounded,
-	// the historical behaviour); SetQueueLimit overrides per function.
+	// the historical behaviour).
 	QueueLimit int
 	// Admission selects what is shed when a bounded queue overflows.
 	Admission AdmissionPolicy
@@ -351,14 +348,6 @@ func (c *Cluster) lruIdle(fn *function) *container {
 // Invoke submits an invocation; done is called on completion (may be nil).
 func (c *Cluster) Invoke(name string, inputSize float64, done func(InvocationResult)) error {
 	return c.InvokeOpts(name, InvokeOptions{InputSize: inputSize}, done)
-}
-
-// InvokeSpan is Invoke with an explicit parent telemetry span, linking the
-// invocation's span to the workflow stage (or other operation) that issued
-// it. The span opens at submission, so its duration covers queue wait and
-// cold-start setup as well as execution.
-func (c *Cluster) InvokeSpan(name string, inputSize float64, parent telemetry.SpanID, done func(InvocationResult)) error {
-	return c.InvokeOpts(name, InvokeOptions{InputSize: inputSize, Parent: parent}, done)
 }
 
 // InvokeOpts submits an invocation with full options (parent span, deadline,
@@ -892,9 +881,6 @@ func (c *Cluster) armIdleTimer(ct *container) {
 // run that never enables them is byte-identical to one before the fault
 // model existed.
 func (c *Cluster) SetFaultRates(f FaultRates) { c.faults = f }
-
-// Faults returns the active fault rates.
-func (c *Cluster) Faults() FaultRates { return c.faults }
 
 // SetStraggler applies a multiplicative execution slowdown to one invoker
 // (chaos straggler episodes). Factor <= 1 clears it.

@@ -43,19 +43,6 @@ func (a AdmissionPolicy) String() string {
 	}
 }
 
-// ParseAdmissionPolicy maps a wire name back to a policy.
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
-	switch s {
-	case "reject-new", "":
-		return AdmitRejectNew, nil
-	case "shed-oldest":
-		return AdmitShedOldest, nil
-	case "deadline-aware":
-		return AdmitDeadlineAware, nil
-	}
-	return AdmitRejectNew, fmt.Errorf("faas: unknown admission policy %q", s)
-}
-
 // BreakerConfig parameterizes the per-invoker circuit breakers. A breaker
 // watches the terminal outcomes of invocations that ran on its invoker over
 // a sliding window; when the error rate crosses the threshold the breaker
@@ -333,27 +320,4 @@ func (c *Cluster) QueueDepth(name string) int {
 		return 0
 	}
 	return len(fn.queue)
-}
-
-// QueueLimitOf returns the function's effective queue bound (0 = unbounded).
-func (c *Cluster) QueueLimitOf(name string) int {
-	fn, ok := c.fns[name]
-	if !ok {
-		return 0
-	}
-	return fn.queueLimit
-}
-
-// SetQueueLimit overrides one function's queue bound (n <= 0 = unbounded),
-// overriding the cluster-wide Config.QueueLimit default.
-func (c *Cluster) SetQueueLimit(name string, n int) error {
-	fn, ok := c.fns[name]
-	if !ok {
-		return fmt.Errorf("faas: unknown function %q", name)
-	}
-	if n < 0 {
-		n = 0
-	}
-	fn.queueLimit = n
-	return nil
 }

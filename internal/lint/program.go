@@ -166,6 +166,3 @@ func calleeFullName(info *types.Info, call *ast.CallExpr) string {
 	}
 	return ""
 }
-
-// FuncNames returns the declared function names in sorted order.
-func (p *Program) FuncNames() []string { return p.funcNames }

@@ -4,26 +4,10 @@ import "aquatope/internal/checkpoint"
 
 // Snapshot serializes the parameter's name and weights. Gradients are
 // transient (zeroed by every optimizer step, meaningless between training
-// phases) and are excluded; Restore clears them.
+// phases) and are excluded.
 func (p *Param) Snapshot(enc *checkpoint.Encoder) {
 	enc.String(p.Name)
 	enc.F64s(p.W)
-}
-
-// Restore loads weights into a structurally identical parameter (same name,
-// same size — i.e. the same architecture built from the same config).
-func (p *Param) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect(p.Name)
-	w := dec.F64s()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if len(w) != len(p.W) {
-		return checkpoint.ErrShape
-	}
-	copy(p.W, w)
-	p.ZeroGrad()
-	return nil
 }
 
 // SnapshotParams serializes an ordered parameter list (count-prefixed).
@@ -32,65 +16,4 @@ func SnapshotParams(enc *checkpoint.Encoder, params []*Param) {
 	for _, p := range params {
 		p.Snapshot(enc)
 	}
-}
-
-// RestoreParams loads an ordered parameter list serialized by
-// SnapshotParams into the same architecture's parameters.
-func RestoreParams(dec *checkpoint.Decoder, params []*Param) error {
-	n := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(params)) {
-		return checkpoint.ErrShape
-	}
-	for _, p := range params {
-		if err := p.Restore(dec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Snapshot serializes the optimizer step count and moment vectors in the
-// managed-parameter order. Training in this codebase happens atomically
-// inside single scheduler events, so live checkpoints never catch an Adam
-// mid-descent — the method exists so any component that does hold a
-// long-lived optimizer serializes completely.
-func (a *Adam) Snapshot(enc *checkpoint.Encoder) {
-	enc.String("adam")
-	enc.Int(a.t)
-	enc.U64(uint64(len(a.targets)))
-	for _, p := range a.targets {
-		enc.F64s(a.m[p])
-		enc.F64s(a.v[p])
-	}
-}
-
-// Restore loads optimizer state saved by Snapshot onto the same parameter
-// set.
-func (a *Adam) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("adam")
-	t := dec.Int()
-	n := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(a.targets)) {
-		return checkpoint.ErrShape
-	}
-	for _, p := range a.targets {
-		m := dec.F64s()
-		v := dec.F64s()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if len(m) != len(p.W) || len(v) != len(p.W) {
-			return checkpoint.ErrShape
-		}
-		copy(a.m[p], m)
-		copy(a.v[p], v)
-	}
-	a.t = t
-	return nil
 }

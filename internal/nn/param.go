@@ -104,6 +104,3 @@ func (a *Adam) Step(scale float64) {
 		p.ZeroGrad()
 	}
 }
-
-// Params returns the managed parameters.
-func (a *Adam) Params() []*Param { return a.targets }

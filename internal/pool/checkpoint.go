@@ -1,18 +1,22 @@
 package pool
 
-import (
-	"aquatope/internal/checkpoint"
-	"aquatope/internal/timeseries"
-)
+import "aquatope/internal/checkpoint"
+
+// unwrapper is implemented by policy wrappers that add no state of their
+// own to the decision.
+type unwrapper interface{ Unwrap() Policy }
 
 // SnapshotPolicy serializes a policy's mutable state, keyed by a type tag.
-// The BNN-backed Aquatope policy persists its full model; the forecasting
-// baselines persist their fitted series and refit deterministically on
-// restore (a re-factorization recipe — the fit is a pure function of the
-// series). Policy types this package does not know serialize as an opaque
-// name-only tag: they restore to their fresh state and re-learn through
-// replay.
+// The BNN-backed Aquatope policy writes its full model; the forecasting
+// baselines write their fitted series (the fit is a pure function of the
+// series). A policy wrapped for accounting (sched's meter) is written as
+// the policy it wraps, so the bytes do not depend on whether a meter is
+// attached. Policy types this package does not know serialize as an opaque
+// name-only tag.
 func SnapshotPolicy(enc *checkpoint.Encoder, p Policy) {
+	if w, ok := p.(unwrapper); ok {
+		p = w.Unwrap()
+	}
 	switch p := p.(type) {
 	case *FixedKeepAlive:
 		enc.String("keepalive")
@@ -43,85 +47,6 @@ func SnapshotPolicy(enc *checkpoint.Encoder, p Policy) {
 	}
 }
 
-// RestorePolicy loads state saved by SnapshotPolicy into a policy of the
-// identical type and configuration. An Aquatope policy restoring a trained
-// model must already hold a structurally identical model (Fit has run —
-// which verified replay guarantees, since training precedes any checkpoint
-// that captures a trained model).
-func RestorePolicy(dec *checkpoint.Decoder, p Policy) error {
-	tag := dec.String()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	switch p := p.(type) {
-	case *FixedKeepAlive:
-		if tag != "keepalive" {
-			return checkpoint.ErrShape
-		}
-	case *Autoscale:
-		if tag != "autoscale" {
-			return checkpoint.ErrShape
-		}
-		p.prev = dec.F64()
-	case *Histogram:
-		if tag != "histogram" {
-			return checkpoint.ErrShape
-		}
-		p.gaps = dec.F64s()
-	case *FaaSCache:
-		if tag != "faascache" {
-			return checkpoint.ErrShape
-		}
-		p.auto.prev = dec.F64()
-	case *IceBreaker:
-		if tag != "icebreaker" {
-			return checkpoint.ErrShape
-		}
-		p.fitted = dec.F64s()
-		if dec.Err() == nil && p.fitted != nil {
-			h, w := p.Harmonics, p.Window
-			if h <= 0 {
-				h = 8
-			}
-			if w <= 0 {
-				w = 256
-			}
-			p.model = timeseries.NewFourier(h, w)
-			p.model.Fit(p.fitted)
-		}
-	case *PredictorPolicy:
-		if tag != "predictor:"+p.Label {
-			return checkpoint.ErrShape
-		}
-		p.fitted = dec.F64s()
-		if dec.Err() == nil && p.fitted != nil {
-			p.Predictor.Fit(p.fitted)
-		}
-	case *Aquatope:
-		if tag != "aquatope" {
-			return checkpoint.ErrShape
-		}
-		p.offset = dec.Int()
-		hasModel := dec.Bool()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if hasModel {
-			if p.model == nil {
-				return checkpoint.ErrShape
-			}
-			if err := p.model.Restore(dec); err != nil {
-				return err
-			}
-		}
-	default:
-		if tag != "opaque:"+p.Name() {
-			return checkpoint.ErrShape
-		}
-	}
-	return dec.Err()
-}
-
 // Snapshot serializes the manager: per-function demand histories, applied
 // targets, watermarks, the Guard degraded-mode state machine, and each
 // policy's state. The sampling/tick events live in the simulation queue and
@@ -145,37 +70,4 @@ func (m *Manager) Snapshot(enc *checkpoint.Encoder) {
 		enc.Int(e.lastTarget)
 		SnapshotPolicy(enc, e.policy)
 	}
-}
-
-// Restore loads manager state saved by Snapshot. The manager must already
-// manage the same functions in the same order (Manage calls from the same
-// config) — only their accumulated state is loaded.
-func (m *Manager) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("pool.manager")
-	m.IntervalSec = dec.F64()
-	m.SamplesPerInterval = dec.Int()
-	m.ApplyAfter = dec.F64()
-	m.RewarmDelaySec = dec.F64()
-	m.started = dec.Bool()
-	m.degraded = dec.Bool()
-	m.cleanTicks = dec.Int()
-	m.lastShed = dec.Int()
-	n := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(m.entries)) {
-		return checkpoint.ErrShape
-	}
-	for _, e := range m.entries {
-		dec.Expect(e.fn)
-		e.history = dec.F64s()
-		e.offsetMin = dec.Int()
-		e.watermark = dec.F64()
-		e.lastTarget = dec.Int()
-		if err := RestorePolicy(dec, e.policy); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
 }

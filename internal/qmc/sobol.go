@@ -120,9 +120,6 @@ func NewScrambledSobol(dim int, rng *stats.RNG) *Sobol {
 	return s
 }
 
-// Dim returns the dimensionality of generated points.
-func (s *Sobol) Dim() int { return s.dim }
-
 // Next returns the next point of the sequence in [0,1)^dim.
 func (s *Sobol) Next() []float64 {
 	s.count++

@@ -11,13 +11,3 @@ func (m *Meter) Snapshot(enc *checkpoint.Encoder) {
 	enc.Int(m.ConfigDecisions)
 	enc.F64(m.ConfigProfiles)
 }
-
-// Restore loads meter state saved by Snapshot.
-func (m *Meter) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("sched.meter")
-	m.PoolDecisions = dec.Int()
-	m.PoolEvals = dec.F64()
-	m.ConfigDecisions = dec.Int()
-	m.ConfigProfiles = dec.F64()
-	return dec.Err()
-}

@@ -186,6 +186,10 @@ func (p meteredPolicy) Decide(history []float64, minute int) pool.Decision {
 	return p.Policy.Decide(history, minute)
 }
 
+// Unwrap lets pool.SnapshotPolicy fingerprint the wrapped policy: the
+// wrapper's own counters live on the meter, which has its own section.
+func (p meteredPolicy) Unwrap() pool.Policy { return p.Policy }
+
 // meterPolicy wraps a pool policy with decision-work accounting. The
 // modeled work per Decide is policy-shaped: a BNN pays one evaluation per
 // MC sample, everything else one evaluation per decision.

@@ -60,8 +60,9 @@ type Options struct {
 
 	// Scheduler selects the brain exactly as core.Config.Scheduler does.
 	Scheduler sched.Scheduler
-	// Meter, when non-nil, accrues decision-work accounting and is
-	// included in checkpoints.
+	// Meter, when non-nil, is the meter Scheduler was built with; its
+	// counters go into checkpoints as one more section (sched.meter).
+	// No other section depends on whether a meter is attached.
 	Meter *sched.Meter
 
 	SearchBudget      int

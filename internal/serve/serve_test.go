@@ -76,7 +76,7 @@ func fixtureOpts(t *testing.T, dir string, armCrash bool) Options {
 		Apps:          []*apps.App{app},
 		TrainMin:      5,
 		HorizonMin:    minutes,
-		Scheduler:     testBrain(t),
+		Scheduler:     testBrain(t, nil),
 		SearchBudget:  3,
 		ProfileNoise:  faas.Noise{GaussianStd: 0.15, OutlierRate: 0.02, OutlierScale: 3},
 		RuntimeNoise:  faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3},
@@ -92,10 +92,12 @@ func fixtureOpts(t *testing.T, dir string, armCrash bool) Options {
 	}
 }
 
-// testBrain is the aquatope scheduler at test scale.
-func testBrain(t *testing.T) sched.Scheduler {
+// testBrain is the aquatope scheduler at test scale, metered when m is
+// non-nil.
+func testBrain(t *testing.T, m *sched.Meter) sched.Scheduler {
 	t.Helper()
 	s, ok := sched.New("aquatope", sched.Options{
+		Meter:         m,
 		EncoderHidden: 10,
 		PredHidden:    []int{10, 6},
 		EncoderEpochs: 4,
@@ -279,9 +281,9 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 		_, err := Restore(fixtureOpts(t, dir, false), path)
 		return err
 	}
-	// flipDigest flips one byte of the position digest that follows the
-	// section's marker and skip leading ints, then re-encodes the file.
-	flipDigest := func(section, marker string, skip int) func(string) {
+	// forge lets edit rewrite one section's stored body in place, then
+	// re-encodes the file, so every CRC is valid again.
+	forge := func(section string, edit func(data []byte)) func(string) {
 		return func(path string) {
 			f, err := checkpoint.ReadFile(path)
 			if err != nil {
@@ -291,6 +293,16 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s section", section)
 			}
+			edit(data)
+			if err := checkpoint.WriteFile(path, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// flipDigest flips one byte of the position digest that follows the
+	// section's marker and skip leading ints.
+	flipDigest := func(section, marker string, skip int) func(string) {
+		return forge(section, func(data []byte) {
 			dec := checkpoint.NewDecoder(data)
 			dec.Expect(marker)
 			for i := 0; i < skip; i++ {
@@ -302,10 +314,7 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 			}
 			// The digest is the last 32 bytes the decoder consumed.
 			data[len(data)-dec.Remaining()-32] ^= 0x01
-			if err := checkpoint.WriteFile(path, f); err != nil {
-				t.Fatal(err)
-			}
-		}
+		})
 	}
 
 	if err := restore(t, func(string) {}); err != nil {
@@ -328,6 +337,32 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
+			}
+		})
+	}
+	// Every section that is written is a section that is verified: flip the
+	// last byte of each stored body in turn.
+	sections := []string{
+		"chaos.injector", "faas.cluster", "loadgen.rng.chain2", "pool.manager",
+		"serve.stats.chain2", "sim.engine", "telemetry.registry", "telemetry.spans",
+		"workflow.executor",
+	}
+	f, err := checkpoint.ReadFile(filepath.Join(crashDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []string
+	for _, sec := range f.Sections {
+		stored = append(stored, sec.Name)
+	}
+	if !reflect.DeepEqual(stored, sections) {
+		t.Fatalf("boundary file holds sections %v, the table forges %v", stored, sections)
+	}
+	for _, section := range sections {
+		t.Run("section/"+section, func(t *testing.T) {
+			err := restore(t, forge(section, func(data []byte) { data[len(data)-1] ^= 0x01 }))
+			if want := `section "` + section + `" diverged`; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("got %v, want %s", err, want)
 			}
 		})
 	}
@@ -355,6 +390,49 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 			t.Errorf("version skew reported as a divergence: %v", err)
 		}
 	})
+}
+
+// TestPoolSectionIgnoresMeter: attaching a sched.Meter wraps every pool
+// policy, and the wrapper must not hide the policy's state (BNN weights,
+// window offset) from the pool.manager fingerprint. The same run served
+// with and without a meter writes byte-identical pool.manager sections at
+// every boundary.
+func TestPoolSectionIgnoresMeter(t *testing.T) {
+	recs := fixtureStream(t, 20, 7)
+	serveInto := func(m *sched.Meter) string {
+		dir := t.TempDir()
+		opts := fixtureOpts(t, dir, false)
+		opts.Scheduler, opts.Meter = testBrain(t, m), m
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(sourceOf(t, recs)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	meter := &sched.Meter{}
+	plain, metered := serveInto(nil), serveInto(meter)
+	if meter.PoolDecisions == 0 {
+		t.Fatal("the meter saw no pool decision: the metered run did not wrap its policies")
+	}
+	for k := 1; k <= 20; k++ {
+		section := func(dir string) []byte {
+			f, err := checkpoint.ReadFile(filepath.Join(dir, checkpointName(k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, ok := f.Section("pool.manager")
+			if !ok {
+				t.Fatalf("boundary %d: no pool.manager section", k)
+			}
+			return data
+		}
+		if a, b := section(plain), section(metered); !bytes.Equal(a, b) {
+			t.Fatalf("boundary %d: pool.manager is %d bytes unmetered, %d bytes metered", k, len(a), len(b))
+		}
+	}
 }
 
 // TestRestoreRejectsChangedAdmission: an option the old digest left out. A

@@ -67,6 +67,11 @@ func (s *Source) Next() (Record, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return Record{}, fmt.Errorf("serve: stream line %d: %w", s.line, err)
 		}
+		// null, {} and {"t":5} all unmarshal without error into a record
+		// that addresses nothing.
+		if rec.App == "" {
+			return Record{}, fmt.Errorf("serve: stream line %d: record has no app", s.line)
+		}
 		return rec, nil
 	}
 	if err := s.sc.Err(); err != nil {

@@ -18,8 +18,9 @@ var streamLineErr = regexp.MustCompile(`^serve: stream line (\d+): `)
 // journal re-reads its own lines on restore); and every error names the
 // line it stopped at. The committed corpus in testdata/fuzz/FuzzSourceNext
 // holds a valid stream, blank and CRLF lines, truncated JSON, wrong types,
-// non-objects, NaN / negative / huge timestamps and odd strings; the line
-// past the scanner's 1 MiB limit is added here rather than committed.
+// non-objects, null and {} (records with no app), NaN / negative / huge
+// timestamps and odd strings; the line past the scanner's 1 MiB limit is
+// added here rather than committed.
 func FuzzSourceNext(f *testing.F) {
 	long := append(bytes.Repeat([]byte("x"), 1<<20+1), '\n')
 	f.Add(append([]byte("{\"t\":1,\"app\":\"a\"}\n"), long...))
@@ -66,6 +67,8 @@ func TestSourceErrorsNameLine(t *testing.T) {
 		{"bad-json-after-blanks", "\n\n{bad\n", "3"},
 		{"wrong-type", ok + ok + "{\"t\":\"x\"}\n", "3"},
 		{"truncated-tail", ok + "{\"t\":2,\"ap", "2"},
+		{"null", ok + "null\n", "2"},
+		{"no-app", ok + "\n{\"t\":5}\n", "3"},
 		{"over-long-line", ok + "\n" + string(bytes.Repeat([]byte("x"), 1<<20+1)) + "\n", "3"},
 	} {
 		src := NewSource(bytes.NewReader([]byte(tc.in)))

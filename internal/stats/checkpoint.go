@@ -8,17 +8,3 @@ func (g *RNG) Snapshot(enc *checkpoint.Encoder) {
 	enc.I64(g.seed)
 	enc.U64(g.src.n)
 }
-
-// Restore resets the generator to a snapshotted position: fresh source at
-// the recorded seed, fast-forwarded by the recorded draw count.
-func (g *RNG) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("rng")
-	seed := dec.I64()
-	draws := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	*g = *NewRNG(seed)
-	g.Skip(draws)
-	return nil
-}

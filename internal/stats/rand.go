@@ -50,15 +50,6 @@ func NewRNG(seed int64) *RNG {
 // the complete serializable state of the generator.
 func (g *RNG) Pos() (seed int64, draws uint64) { return g.seed, g.src.n }
 
-// Skip advances the generator by n source draws. NewRNG(seed) followed by
-// Skip(draws) reconstructs the exact state reported by Pos.
-func (g *RNG) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		g.src.src.Int63()
-	}
-	g.src.n += n
-}
-
 // Float64 returns a uniform sample in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

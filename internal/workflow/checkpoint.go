@@ -1,9 +1,6 @@
 package workflow
 
-import (
-	"aquatope/internal/checkpoint"
-	"aquatope/internal/stats"
-)
+import "aquatope/internal/checkpoint"
 
 // Snapshot serializes the executor's mutable state: the retry-jitter RNG
 // stream, including whether its lazy initialization has happened (an
@@ -18,24 +15,4 @@ func (e *Executor) Snapshot(enc *checkpoint.Encoder) {
 	if e.rng != nil {
 		e.rng.Snapshot(enc)
 	}
-}
-
-// Restore loads executor state saved by Snapshot.
-func (e *Executor) Restore(dec *checkpoint.Decoder) error {
-	dec.Expect("workflow.executor")
-	seed := dec.I64()
-	hasRNG := dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	e.Seed = seed
-	if hasRNG {
-		e.rng = stats.NewRNG(0) //aqualint:allow seedflow placeholder state; Restore overwrites it with the snapshot's seed and position
-		if err := e.rng.Restore(dec); err != nil {
-			return err
-		}
-	} else {
-		e.rng = nil
-	}
-	return nil
 }
