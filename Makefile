@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck lint test bench microbench smoke
+.PHONY: verify build vet fmtcheck lint test bench pairs microbench smoke
 
 # Tier-1 gate: build everything, vet, check formatting, lint the
 # determinism invariants, and run the full test suite with the race
@@ -35,6 +35,38 @@ test:
 # files with `go run ./bench -compare old.json new.json`.
 bench:
 	$(GO) run ./bench
+
+# pairs is house rule 1's evidence for a performance claim (ROADMAP.md): N
+# alternating parent/change runs of one workload on one seed, then a
+# -compare per pair. It builds ./bench once from PARENT's committed files
+# (a `git archive` into a temp dir, so a killed run leaves nothing registered
+# in .git) and once from the working tree, runs the two binaries in ABBA
+# order, and leaves each run in bench/out/pairs/{parent,change}.<i>/.
+#
+#	make pairs PARENT=<rev> WORKLOAD=fleet-steady SEED=7 N=10
+PARENT ?= HEAD
+WORKLOAD ?= fleet-steady
+SEED ?= 7
+N ?= 10
+pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
+	mkdir "$$tmp/src"; git archive $(PARENT) | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent" ./bench); \
+	$(GO) build -o "$$tmp/change" ./bench; \
+	out=bench/out/pairs; rm -rf $$out; mkdir -p $$out; \
+	i=1; while [ $$i -le $(N) ]; do \
+		order="parent change"; [ $$((i % 2)) -eq 1 ] || order="change parent"; \
+		for side in $$order; do \
+			echo "pair $$i: $$side"; \
+			"$$tmp/$$side" -workload $(WORKLOAD) -seed $(SEED) -out $$out/$$side.$$i > /dev/null; \
+		done; \
+		i=$$((i + 1)); \
+	done; \
+	rc=0; i=1; while [ $$i -le $(N) ]; do \
+		echo "== pair $$i"; \
+		$(GO) run ./bench -compare $$out/parent.$$i/$(WORKLOAD).json $$out/change.$$i/$(WORKLOAD).json || rc=1; \
+		i=$$((i + 1)); \
+	done; exit $$rc
 
 microbench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -49,6 +49,9 @@ type Invoker struct {
 	containers map[*container]struct{}
 	memUsedMB  float64
 	cpuBusy    float64
+	// idleN counts the resident containers in stateIdle. container.setState
+	// maintains it so accrueUtil need not walk the container set.
+	idleN int
 	// breaker is the invoker's circuit breaker (nil unless
 	// Config.Breaker.Enabled).
 	breaker *breaker
@@ -106,8 +109,10 @@ type pendingInvocation struct {
 	// ct is the container the invocation is reserved on or running in
 	// (nil while queued).
 	ct *container
-	// startTime and cold are valid once execution began.
+	// startTime, cold and execTime (the realized service time the
+	// completion event was scheduled with) are valid once execution began.
 	startTime float64
+	execTime  float64
 	cold      bool
 	// settled marks a delivered terminal result; late container events
 	// (a reserved container finishing init after a timeout) check it.
@@ -171,8 +176,14 @@ type Cluster struct {
 	invokers []*Invoker
 	fns      map[string]*function
 	fnOrder  []string
-	metrics  *Metrics
-	tracer   telemetry.Tracer
+	// fnList is fns in registration order (fnList[i] == fns[fnOrder[i]]),
+	// so cluster-wide passes cost no lookups by name.
+	fnList  []*function
+	metrics *Metrics
+	tracer  telemetry.Tracer
+	// queued is the number of invocations parked across all function
+	// queues; while it is zero a drain pass has nothing to do.
+	queued   int
 	draining bool // reentrancy guard for queue draining
 
 	// faults are the active probabilistic fault rates (normally zero);
@@ -235,9 +246,11 @@ func (c *Cluster) RegisterFunction(spec FunctionSpec, cfg ResourceConfig) error 
 	if _, dup := c.fns[spec.Name]; dup {
 		return fmt.Errorf("faas: duplicate function %q", spec.Name)
 	}
-	c.fns[spec.Name] = &function{spec: spec, cfg: cfg,
+	fn := &function{spec: spec, cfg: cfg,
 		keepAlive: c.cfg.DefaultKeepAlive, queueLimit: c.cfg.QueueLimit}
+	c.fns[spec.Name] = fn
 	c.fnOrder = append(c.fnOrder, spec.Name)
+	c.fnList = append(c.fnList, fn)
 	return nil
 }
 
@@ -279,8 +292,16 @@ func (c *Cluster) SetKeepAlive(name string, seconds float64) error {
 	return nil
 }
 
-// Functions returns the registered function names in registration order.
+// Functions returns the registered function names in registration order. It
+// copies the list on every call, so it is for set-up and reporting; hot paths
+// that only need membership use HasFunction.
 func (c *Cluster) Functions() []string { return append([]string(nil), c.fnOrder...) }
+
+// HasFunction reports whether a function of that name is registered.
+func (c *Cluster) HasFunction(name string) bool {
+	_, ok := c.fns[name]
+	return ok
+}
 
 // Demand returns the function's instantaneous demand: invocations running
 // or reserved on containers plus those queued — the quantity the container
@@ -430,12 +451,14 @@ func (c *Cluster) enqueue(fn *function, p *pendingInvocation, front bool) {
 		fn.queue = append(fn.queue, nil)
 		copy(fn.queue[1:], fn.queue)
 		fn.queue[0] = p
+		c.queued++
 		return
 	}
 	if !c.admit(fn, p) {
 		return // shed; terminal result already delivered
 	}
 	fn.queue = append(fn.queue, p)
+	c.queued++
 }
 
 // spawnContainer creates a container on the best invoker, evicting idle
@@ -498,7 +521,7 @@ func (c *Cluster) spawnContainer(fn *function, prewarmed bool) *container {
 					return
 				}
 				c.accrueUtil(ct.invoker)
-				ct.state = stateIdle
+				ct.setState(stateIdle)
 				ct.fn.warming = append(ct.fn.warming[:i], ct.fn.warming[i+1:]...)
 				ct.fn.idle = append(ct.fn.idle, ct)
 				ct.lastUsed = c.eng.Now()
@@ -534,8 +557,7 @@ func (c *Cluster) pickInvoker(memMB float64) *Invoker {
 // false when no idle container exists.
 func (c *Cluster) evictOneIdle() bool {
 	var lru *container
-	for _, name := range c.fnOrder {
-		fn := c.fns[name]
+	for _, fn := range c.fnList {
 		for _, ct := range fn.idle {
 			if lru == nil || ct.lastUsed < lru.lastUsed {
 				lru = ct
@@ -560,7 +582,7 @@ func (c *Cluster) runOn(ct *container, p *pendingInvocation, coldExperience bool
 				c.faultKillContainer(ct, "init-failure")
 			} else {
 				c.accrueUtil(ct.invoker)
-				ct.state = stateIdle
+				ct.setState(stateIdle)
 				ct.lastUsed = c.eng.Now()
 				fn.idle = append(fn.idle, ct)
 				c.armIdleTimer(ct)
@@ -596,15 +618,14 @@ func (c *Cluster) runOn(ct *container, p *pendingInvocation, coldExperience bool
 		ct.idleTimer = nil
 	}
 	c.accrueUtil(ct.invoker)
-	ct.state = stateBusy
+	ct.setState(stateBusy)
 	fn.busyN++
 	cold := coldExperience || !ct.everUsed && !warmedAhead(ct, c.eng.Now())
 	ct.everUsed = true
 	p.ct = ct
 	p.cold = cold
 
-	start := c.eng.Now()
-	p.startTime = start
+	p.startTime = c.eng.Now()
 	exec := fn.spec.Model.ExecTime(ct.cfg, cold, p.inputSize, c.rng)
 	// CPU contention: when the invoker's aggregate demand exceeds its
 	// capacity, running containers slow down proportionally.
@@ -630,40 +651,49 @@ func (c *Cluster) runOn(ct *container, p *pendingInvocation, coldExperience bool
 	}
 
 	ct.running = p
-	ct.execTimer = c.eng.After(exec, func() {
-		c.accrueUtil(iv)
-		ct.execTimer = nil
-		ct.running = nil
-		iv.cpuBusy -= ct.cfg.CPU
-		fn.busyN--
-		fn.inFlight--
-		// Fold the realized service time into the function's EWMA
-		// (deadline-aware shedding's estimate of "one more run").
-		if fn.execEWMA <= 0 {
-			fn.execEWMA = exec
-		} else {
-			fn.execEWMA = 0.25*exec + 0.75*fn.execEWMA
-		}
-		res := InvocationResult{
-			Function:   fn.spec.Name,
-			SubmitTime: p.submitAt,
-			StartTime:  start,
-			EndTime:    c.eng.Now(),
-			ColdStart:  cold,
-			WaitTime:   start - p.submitAt,
-			ExecTime:   exec,
-			CPU:        ct.cfg.CPU,
-			MemoryMB:   ct.cfg.MemoryMB,
-			Outcome:    OutcomeSuccess,
-			Attempt:    p.attempt,
-		}
-		ct.state = stateIdle
-		ct.lastUsed = c.eng.Now()
-		fn.idle = append(fn.idle, ct)
-		c.armIdleTimer(ct)
-		c.deliver(p, res, ct)
-		c.drainAllQueues()
-	})
+	p.execTime = exec
+	if ct.execDone == nil {
+		ct.execDone = func() { c.finishRun(ct) }
+	}
+	ct.execTimer = c.eng.After(exec, ct.execDone)
+}
+
+// finishRun is a busy container's completion event (container.execDone):
+// the invocation in ct.running succeeded after p.execTime seconds.
+func (c *Cluster) finishRun(ct *container) {
+	p, iv, fn := ct.running, ct.invoker, ct.fn
+	c.accrueUtil(iv)
+	ct.execTimer = nil
+	ct.running = nil
+	iv.cpuBusy -= ct.cfg.CPU
+	fn.busyN--
+	fn.inFlight--
+	// Fold the realized service time into the function's EWMA
+	// (deadline-aware shedding's estimate of "one more run").
+	if fn.execEWMA <= 0 {
+		fn.execEWMA = p.execTime
+	} else {
+		fn.execEWMA = 0.25*p.execTime + 0.75*fn.execEWMA
+	}
+	res := InvocationResult{
+		Function:   fn.spec.Name,
+		SubmitTime: p.submitAt,
+		StartTime:  p.startTime,
+		EndTime:    c.eng.Now(),
+		ColdStart:  p.cold,
+		WaitTime:   p.startTime - p.submitAt,
+		ExecTime:   p.execTime,
+		CPU:        ct.cfg.CPU,
+		MemoryMB:   ct.cfg.MemoryMB,
+		Outcome:    OutcomeSuccess,
+		Attempt:    p.attempt,
+	}
+	ct.setState(stateIdle)
+	ct.lastUsed = c.eng.Now()
+	fn.idle = append(fn.idle, ct)
+	c.armIdleTimer(ct)
+	c.deliver(p, res, ct)
+	c.drainAllQueues()
 }
 
 // abortRun terminates a busy container's in-flight invocation: the
@@ -783,6 +813,7 @@ func (c *Cluster) timeoutPending(fn *function, p *pendingInvocation) {
 		for i, q := range fn.queue {
 			if q == p {
 				fn.queue = append(fn.queue[:i], fn.queue[i+1:]...)
+				c.queued--
 				break
 			}
 		}
@@ -825,6 +856,7 @@ func (c *Cluster) drainQueue(fn *function) {
 		}
 		p := fn.queue[0]
 		fn.queue = fn.queue[1:]
+		c.queued--
 		if !c.dispatch(fn, p, true) {
 			return
 		}
@@ -832,8 +864,8 @@ func (c *Cluster) drainQueue(fn *function) {
 }
 
 func (c *Cluster) hasIdleAnywhere() bool {
-	for _, name := range c.fnOrder {
-		if len(c.fns[name].idle) > 0 {
+	for _, fn := range c.fnList {
+		if len(fn.idle) > 0 {
 			return true
 		}
 	}
@@ -869,11 +901,14 @@ func (c *Cluster) armIdleTimer(ct *container) {
 		c.killContainer(ct)
 		return
 	}
-	ct.idleTimer = c.eng.After(delay, func() {
-		if ct.state == stateIdle {
-			c.killContainer(ct)
+	if ct.idleExpire == nil {
+		ct.idleExpire = func() {
+			if ct.state == stateIdle {
+				c.killContainer(ct)
+			}
 		}
-	})
+	}
+	ct.idleTimer = c.eng.After(delay, ct.idleExpire)
 }
 
 // SetFaultRates installs the probabilistic fault knobs (driven by
@@ -1012,7 +1047,7 @@ func (c *Cluster) killContainer(ct *container) {
 		ct.idleTimer = nil
 	}
 	c.accrueUtil(ct.invoker)
-	ct.state = stateDead
+	ct.setState(stateDead)
 	delete(ct.invoker.containers, ct)
 	ct.invoker.memUsedMB -= ct.cfg.MemoryMB
 	ct.invoker.util.killed++
@@ -1038,14 +1073,16 @@ func (c *Cluster) killContainer(ct *container) {
 // is reentrancy-guarded: dispatching can evict containers, whose death
 // hooks call back here.
 func (c *Cluster) drainAllQueues() {
-	if c.draining {
+	if c.draining || c.queued == 0 {
 		return
 	}
 	c.draining = true
-	defer func() { c.draining = false }()
-	for _, name := range c.fnOrder {
-		c.drainQueue(c.fns[name])
+	for _, fn := range c.fnList {
+		if len(fn.queue) > 0 {
+			c.drainQueue(fn)
+		}
 	}
+	c.draining = false
 }
 
 // Flush finalizes metrics for containers still alive (call at the end of a
@@ -1071,13 +1108,12 @@ func (c *Cluster) Flush() {
 		})
 		for _, ct := range alive {
 			c.metrics.containerDied(ct.cfg.MemoryMB, now-ct.born)
-			ct.state = stateDead
+			ct.setState(stateDead)
 		}
 		iv.containers = make(map[*container]struct{})
 		iv.memUsedMB = 0
 	}
-	for _, name := range c.fnOrder {
-		fn := c.fns[name]
+	for _, fn := range c.fnList {
 		fn.idle, fn.warming = nil, nil
 	}
 }

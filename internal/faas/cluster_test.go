@@ -72,6 +72,26 @@ func TestColdThenWarmStart(t *testing.T) {
 	}
 }
 
+// TestWarmInvokeAllocBudget: with the tracer off, one warm invocation costs
+// its pending record, its completion event and the keep-alive event armed
+// when the container goes idle again — the callbacks of both events are
+// bound once per container.
+func TestWarmInvokeAllocBudget(t *testing.T) {
+	eng, cl := newTestCluster(t)
+	register(t, cl, "f", &testModel{init: 1, exec: 0.05}, ResourceConfig{CPU: 1, MemoryMB: 128})
+	run := func() {
+		if err := cl.Invoke("f", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + 1)
+	}
+	run()
+	run() // the cold start, then one warm pass
+	if got := testing.AllocsPerRun(500, run); got > 3 {
+		t.Fatalf("warm Invoke allocates %v, budget 3", got)
+	}
+}
+
 func TestColdExecutionPenalty(t *testing.T) {
 	eng, cl := newTestCluster(t)
 	register(t, cl, "f", &testModel{init: 1, exec: 1, cold: 2}, ResourceConfig{CPU: 1, MemoryMB: 128})

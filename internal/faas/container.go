@@ -44,4 +44,21 @@ type container struct {
 	// crashes and timeouts can cancel the completion and fail it.
 	running   *pendingInvocation
 	execTimer *sim.Event
+	// execDone and idleExpire are the completion and keep-alive expiry
+	// callbacks, bound on first use and then reused, so arming either
+	// timer allocates only its event.
+	execDone   func()
+	idleExpire func()
+}
+
+// setState moves the container through its lifecycle, keeping its
+// invoker's idle count in step. Callers accrueUtil first.
+func (ct *container) setState(s containerState) {
+	if ct.state == stateIdle {
+		ct.invoker.idleN--
+	}
+	if s == stateIdle {
+		ct.invoker.idleN++
+	}
+	ct.state = s
 }

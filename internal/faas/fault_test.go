@@ -19,7 +19,7 @@ func TestInvokerCrashFailsInFlight(t *testing.T) {
 		cl.CrashInvoker(0)
 		cl.CrashInvoker(1)
 	})
-	eng.RunUntil(20)
+	stepUntil(t, eng, cl, 20)
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want 1", len(results))
 	}
@@ -37,13 +37,13 @@ func TestInvokerCrashFailsInFlight(t *testing.T) {
 	// Both invokers down: a new invocation queues but cannot run.
 	var blocked *InvocationResult
 	eng.Schedule(21, func() { cl.Invoke("f", 1, func(r InvocationResult) { blocked = &r }) })
-	eng.RunUntil(30)
+	stepUntil(t, eng, cl, 30)
 	if blocked != nil {
 		t.Fatalf("invocation completed with all invokers down: %+v", blocked)
 	}
 	// Recovery drains the queue; the run is a cold start on a fresh container.
 	eng.Schedule(31, func() { cl.RecoverInvoker(0) })
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	if blocked == nil {
 		t.Fatal("queued invocation never ran after recovery")
 	}
@@ -66,7 +66,7 @@ func TestCrashedInvokerNotRouted(t *testing.T) {
 			}
 		})
 	}
-	eng.RunUntil(50)
+	stepUntil(t, eng, cl, 50)
 	if done != 4 {
 		t.Fatalf("completed %d/4 with one invoker down", done)
 	}
@@ -83,7 +83,7 @@ func TestInitFailure(t *testing.T) {
 	cl.SetFaultRates(FaultRates{InitFailure: 1})
 	var res *InvocationResult
 	cl.Invoke("f", 1, func(r InvocationResult) { res = &r })
-	eng.RunUntil(20)
+	stepUntil(t, eng, cl, 20)
 	if res == nil {
 		t.Fatal("no result")
 	}
@@ -103,7 +103,7 @@ func TestExecKill(t *testing.T) {
 	cl.SetFaultRates(FaultRates{ExecKill: 1})
 	var res *InvocationResult
 	cl.Invoke("f", 1, func(r InvocationResult) { res = &r })
-	eng.RunUntil(50)
+	stepUntil(t, eng, cl, 50)
 	if res == nil {
 		t.Fatal("no result")
 	}
@@ -125,7 +125,7 @@ func TestInvokeTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(50)
+	stepUntil(t, eng, cl, 50)
 	if res == nil {
 		t.Fatal("no result")
 	}
@@ -141,7 +141,7 @@ func TestInvokeTimeout(t *testing.T) {
 	// A later invocation succeeds normally.
 	var ok *InvocationResult
 	cl.Invoke("f", 1, func(r InvocationResult) { ok = &r })
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	if ok == nil || !ok.OK() {
 		t.Fatalf("post-timeout invocation = %+v, want success", ok)
 	}
@@ -159,7 +159,7 @@ func TestQueuedTimeout(t *testing.T) {
 	if err := cl.InvokeOpts("f", InvokeOptions{InputSize: 1, Timeout: 2}, func(r InvocationResult) { second = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(50)
+	stepUntil(t, eng, cl, 50)
 	if second == nil {
 		t.Fatal("queued invocation has no result")
 	}
@@ -180,10 +180,10 @@ func TestStragglerSlowdown(t *testing.T) {
 	cl.SetStraggler(0, 3)
 	var slow, fast *InvocationResult
 	cl.Invoke("f", 1, func(r InvocationResult) { slow = &r })
-	eng.RunUntil(20)
+	stepUntil(t, eng, cl, 20)
 	cl.SetStraggler(0, 1)
 	cl.Invoke("f", 1, func(r InvocationResult) { fast = &r })
-	eng.RunUntil(40)
+	stepUntil(t, eng, cl, 40)
 	if slow == nil || fast == nil {
 		t.Fatal("missing results")
 	}
@@ -211,7 +211,7 @@ func TestZeroFaultRatesUnchanged(t *testing.T) {
 			at := float64(i) * 3
 			eng.Schedule(at, func() { cl.Invoke("f", 1, func(r InvocationResult) { out = append(out, r) }) })
 		}
-		eng.RunUntil(200)
+		stepUntil(t, eng, cl, 200)
 		return out
 	}
 	a, b := run(false), run(true)

@@ -8,14 +8,10 @@ import "aquatope/internal/telemetry"
 // components, provisioned memory-time (the Fig. 9b metric), container
 // churn — lives in registry counters, plus streaming latency/exec/wait
 // histograms for percentile reporting, all under the "faas." namespace.
-// The accessor methods preserve the pre-registry API.
+// The accessor methods preserve the pre-registry API. It folds each result
+// into those instruments and retains none: a caller that wants per-invocation
+// results takes them from Invoke's done callback.
 type Metrics struct {
-	Results []InvocationResult
-
-	// KeepResults controls whether per-invocation results are retained
-	// (slices can get large on long traces).
-	KeepResults bool
-
 	reg *telemetry.Registry
 
 	coldStarts        *telemetry.Counter
@@ -38,8 +34,7 @@ type Metrics struct {
 	waitTime *telemetry.Histogram
 }
 
-// NewMetrics returns an accumulator on a private registry that retains
-// per-invocation results.
+// NewMetrics returns an accumulator on a private registry.
 func NewMetrics() *Metrics { return NewMetricsOn(telemetry.NewRegistry()) }
 
 // NewMetricsOn returns an accumulator recording into reg (shared with other
@@ -50,7 +45,6 @@ func NewMetricsOn(reg *telemetry.Registry) *Metrics {
 		reg = telemetry.NewRegistry()
 	}
 	return &Metrics{
-		KeepResults:       true,
 		reg:               reg,
 		coldStarts:        reg.Counter(telemetry.MetricColdStarts),
 		warmStarts:        reg.Counter(telemetry.MetricWarmStarts),
@@ -77,9 +71,6 @@ func NewMetricsOn(reg *telemetry.Registry) *Metrics {
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 
 func (m *Metrics) record(r InvocationResult) {
-	if m.KeepResults {
-		m.Results = append(m.Results, r)
-	}
 	switch r.Outcome {
 	case OutcomeShed:
 		// Admission rejections never ran: no cost, no latency sample.
@@ -192,10 +183,8 @@ func (m *Metrics) ColdStartRate() float64 {
 // LatencyHistogram returns the end-to-end invocation latency histogram.
 func (m *Metrics) LatencyHistogram() *telemetry.Histogram { return m.latency }
 
-// Reset clears all counters, histograms and retained results, preserving
-// KeepResults and the registry binding.
+// Reset clears all counters and histograms, preserving the registry binding.
 func (m *Metrics) Reset() {
-	m.Results = nil
 	m.coldStarts.Reset()
 	m.warmStarts.Reset()
 	m.failed.Reset()

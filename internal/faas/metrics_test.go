@@ -27,9 +27,6 @@ func TestMetricsRecord(t *testing.T) {
 	if math.Abs(m.MemTime()-3) > 1e-9 {
 		t.Fatalf("MemTime = %v, want 3", m.MemTime())
 	}
-	if len(m.Results) != 2 {
-		t.Fatalf("Results retained %d, want 2", len(m.Results))
-	}
 	h := m.LatencyHistogram()
 	if h.Count() != 2 {
 		t.Fatalf("latency histogram count = %d, want 2", h.Count())
@@ -40,15 +37,23 @@ func TestMetricsRecord(t *testing.T) {
 	}
 }
 
-func TestMetricsRecordDropsResultsWhenDisabled(t *testing.T) {
+// TestMetricsRetainNothing pins that Metrics is an accumulator, not a log:
+// after any number of results it holds what it held after none, so a
+// serving run's memory does not grow with its invocation history.
+func TestMetricsRetainNothing(t *testing.T) {
 	m := NewMetrics()
-	m.KeepResults = false
-	m.record(InvocationResult{ExecTime: 1})
-	if len(m.Results) != 0 {
-		t.Fatal("Results retained despite KeepResults=false")
+	r := InvocationResult{
+		Function: "f", SubmitTime: 1, StartTime: 1.5, EndTime: 3,
+		WaitTime: 0.5, ExecTime: 1.5, CPU: 1, MemoryMB: 512,
 	}
-	if m.Invocations() != 1 {
-		t.Fatal("counter should still record")
+	for i := 0; i < 100_000; i++ {
+		m.record(r)
+	}
+	if got := testing.AllocsPerRun(1000, func() { m.record(r) }); got != 0 {
+		t.Fatalf("record allocates %v per result; Metrics must retain nothing", got)
+	}
+	if m.Invocations() != 101_001 {
+		t.Fatalf("Invocations = %d, want 101001", m.Invocations())
 	}
 }
 
@@ -90,19 +95,15 @@ func TestMetricsColdStartRateEdges(t *testing.T) {
 	}
 }
 
-func TestMetricsResetPreservesKeepResults(t *testing.T) {
+func TestMetricsReset(t *testing.T) {
 	m := NewMetrics()
-	m.KeepResults = false
 	m.record(InvocationResult{ColdStart: true, ExecTime: 1, CPU: 1, MemoryMB: 512})
 	m.containerCreated()
 	m.containerDied(512, 5)
 	m.Reset()
-	if m.KeepResults {
-		t.Fatal("Reset flipped KeepResults")
-	}
 	if m.Invocations() != 0 || m.ColdStarts() != 0 || m.ContainersCreated() != 0 ||
 		m.ContainersKilled() != 0 || m.CPUTime() != 0 || m.MemTime() != 0 ||
-		m.ProvisionedMemTime() != 0 || len(m.Results) != 0 {
+		m.ProvisionedMemTime() != 0 {
 		t.Fatal("Reset left residual state")
 	}
 	if m.LatencyHistogram().Count() != 0 {

@@ -266,6 +266,7 @@ func (c *Cluster) admit(fn *function, p *pendingInvocation) bool {
 	case AdmitShedOldest:
 		victim := fn.queue[0]
 		fn.queue = fn.queue[1:]
+		c.queued--
 		c.shed(fn, victim, "shed-oldest")
 		return true
 	case AdmitDeadlineAware:
@@ -299,6 +300,7 @@ func (c *Cluster) shedDoomed(fn *function) int {
 		}
 	}
 	fn.queue = kept
+	c.queued -= len(victims)
 	for _, q := range victims {
 		c.shed(fn, q, "deadline-unmeetable")
 	}

@@ -45,7 +45,7 @@ func TestQueueLimitRejectNew(t *testing.T) {
 	if shed != 2 {
 		t.Fatalf("sheds before run = %d, want 2", shed)
 	}
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	if len(results) != 5 {
 		t.Fatalf("results = %d, want 5", len(results))
 	}
@@ -95,7 +95,7 @@ func TestAdmissionShedOldest(t *testing.T) {
 				results[i].res.FailureReason, want)
 		}
 	}
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	var okTags []int
 	for _, r := range results {
 		if r.res.OK() {
@@ -117,7 +117,7 @@ func TestAdmissionDeadlineAware(t *testing.T) {
 	if err := cl.Invoke("f", 1, collect); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(10)
+	stepUntil(t, eng, cl, 10)
 	results = nil
 	// Refill: one running, two queued — one with a deadline it cannot make
 	// (the running invocation alone outlasts it), one without a deadline.
@@ -146,7 +146,7 @@ func TestAdmissionDeadlineAware(t *testing.T) {
 	if len(results) != 2 || results[1].FailureReason != "queue-full" {
 		t.Fatalf("expected queue-full fallback, got %+v", results)
 	}
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	okN := 0
 	for _, r := range results {
 		if r.OK() {
@@ -176,7 +176,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		at := float64(i) * 3
 		eng.Schedule(at, func() { _ = cl.Invoke("f", 1, nil) })
 	}
-	eng.RunUntil(20)
+	stepUntil(t, eng, cl, 20)
 	if got := cl.BreakerState(0); got != "open" {
 		t.Fatalf("state after failures = %q, want open", got)
 	}
@@ -201,7 +201,7 @@ func TestBreakerStateMachine(t *testing.T) {
 			}
 		})
 	})
-	eng.RunUntil(300)
+	stepUntil(t, eng, cl, 300)
 	if got := cl.BreakerState(0); got != "closed" {
 		t.Fatalf("state after recovery = %q, want closed", got)
 	}
@@ -226,7 +226,7 @@ func TestBreakerResetOnRecover(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_ = cl.Invoke("f", 1, nil)
 	}
-	eng.RunUntil(2)
+	stepUntil(t, eng, cl, 2)
 	host := -1
 	for _, iv := range cl.Invokers() {
 		if iv.MemoryInUseMB() > 0 {
@@ -280,7 +280,7 @@ func TestShedReentrancy(t *testing.T) {
 	if cl.QueueDepth("f") != 1 {
 		t.Fatalf("queue depth = %d, want 1", cl.QueueDepth("f"))
 	}
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	for tag, n := range settled {
 		if n != 1 {
 			t.Fatalf("tag %d settled %d times", tag, n)
@@ -313,7 +313,7 @@ func TestShedOldestReentrancy(t *testing.T) {
 	for i := 0; i < 3 && submitted < 6; i++ {
 		submit()
 	}
-	eng.RunUntil(200)
+	stepUntil(t, eng, cl, 200)
 	if deliveries != submitted {
 		t.Fatalf("deliveries = %d, submitted = %d", deliveries, submitted)
 	}
@@ -381,7 +381,7 @@ func TestPropertyDemandAccounting(t *testing.T) {
 				eng.Schedule(at, func() { cl.SetFaultRates(FaultRates{ExecKill: kill}); check() })
 			}
 		}
-		eng.RunUntil(float64(len(ops))*1.5 + 600)
+		stepUntil(t, eng, cl, float64(len(ops))*1.5+600)
 		check()
 		return ok && submitted == settledN && cl.Demand("f") == 0
 	}
@@ -405,7 +405,7 @@ func TestDrainQueueFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.RunUntil(200)
+	stepUntil(t, eng, cl, 200)
 	if len(order) != 6 {
 		t.Fatalf("completions = %d, want 6", len(order))
 	}

@@ -50,7 +50,7 @@ func TestPropertyMemoryNeverOvercommitted(t *testing.T) {
 				eng.Schedule(at, func() { cl.SetKeepAlive(fn, ka); check() })
 			}
 		}
-		eng.RunUntil(float64(len(ops))*3 + 600)
+		stepUntil(t, eng, cl, float64(len(ops))*3+600)
 		check()
 		return ok
 	}
@@ -85,7 +85,7 @@ func TestPropertyInvocationsAlwaysComplete(t *testing.T) {
 			tgt := rng.Intn(4)
 			eng.Schedule(at, func() { cl.SetPrewarmTarget("f", tgt) })
 		}
-		eng.RunUntil(1e6)
+		stepUntil(t, eng, cl, 1e6)
 		return submitted == n && completed == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -107,7 +107,7 @@ func TestPropertyColdWarmPartition(t *testing.T) {
 			at := rng.Uniform(0, 3000)
 			eng.Schedule(at, func() { cl.Invoke("f", 1, nil) })
 		}
-		eng.RunUntil(1e6)
+		stepUntil(t, eng, cl, 1e6)
 		met := cl.Metrics()
 		return met.ColdStarts()+met.WarmStarts() == n && met.Invocations() == n
 	}
@@ -131,8 +131,9 @@ func TestPropertyProvisionedMemCoversBusyTime(t *testing.T) {
 			at := rng.Uniform(0, 600)
 			eng.Schedule(at, func() { cl.Invoke("f", 1, nil) })
 		}
-		eng.RunUntil(1e6)
+		stepUntil(t, eng, cl, 1e6)
 		cl.Flush()
+		checkIndexes(t, cl)
 		met := cl.Metrics()
 		return met.ProvisionedMemTime() >= met.MemTime()-1e-9
 	}

@@ -49,13 +49,7 @@ func (c *Cluster) accrueUtil(iv *Invoker) {
 		}
 		u.cpuCoreS += iv.cpuBusy * dt
 		u.memMBs += iv.memUsedMB * dt
-		idle := 0
-		for ct := range iv.containers {
-			if ct.state == stateIdle {
-				idle++
-			}
-		}
-		u.warmSpareS += float64(idle) * dt
+		u.warmSpareS += float64(iv.idleN) * dt
 	}
 	u.lastAt = now
 }

@@ -26,8 +26,9 @@ func TestUtilizationIntegrals(t *testing.T) {
 	}
 	// Timeline: warming [0,2), busy [2,3), idle [3,63), killed at t=63
 	// (keep-alive), then an empty invoker until the flush at t=100.
-	eng.RunUntil(100)
+	stepUntil(t, eng, cl, 100)
 	cl.Flush()
+	checkIndexes(t, cl)
 
 	approx := func(name string, got, want float64) {
 		t.Helper()
@@ -65,8 +66,9 @@ func TestUtilizationConcurrent(t *testing.T) {
 	if err := cl.Invoke("f", 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(20)
+	stepUntil(t, eng, cl, 20)
 	cl.Flush()
+	checkIndexes(t, cl)
 
 	if got, want := gaugeVal(t, cl, telemetry.MetricInvokerCPUCoreS+".0"), 4.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("cpu_core_s = %v, want %v (2 cores × 1 s × 2 containers)", got, want)

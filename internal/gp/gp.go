@@ -406,15 +406,18 @@ func (g *GP) FitHyperparameters(rng *stats.RNG, restarts int) {
 
 	for r := 0; r < restarts; r++ {
 		var h []float64
+		var ll float64
 		if r == 0 {
-			h = append([]float64(nil), best...)
+			// The incumbent was evaluated just above and the model is still
+			// factored at it: start from its likelihood, don't recompute it.
+			h, ll = append([]float64(nil), best...), bestLL
 		} else {
 			h = make([]float64, dim)
 			for i := range h {
 				h[i] = rng.Uniform(-2, 2) // lengthscales/variance in e^±2
 			}
+			ll = evalAt(h)
 		}
-		ll := evalAt(h)
 		step := 0.5
 		for pass := 0; pass < 12; pass++ {
 			improved := false

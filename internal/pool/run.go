@@ -67,13 +67,23 @@ func Run(cfg RunConfig) RunResult {
 		panic(err)
 	}
 
+	// Mean latency is over every terminal result submitted in the test
+	// window — shed and failed ones too — summed in completion order.
+	trainCut := float64(cfg.TrainMin) * 60
+	var latSum float64
+	var latN int
+	onDone := func(r faas.InvocationResult) {
+		if r.SubmitTime >= trainCut {
+			latSum += r.Latency()
+			latN++
+		}
+	}
 	// Schedule every arrival of the full trace.
-	for _, a := range cfg.Trace.Arrivals {
-		at := a
-		eng.Schedule(at, func() { _ = cl.Invoke(fnName, 1, nil) })
+	invoke := func() { _ = cl.Invoke(fnName, 1, onDone) }
+	for _, at := range cfg.Trace.Arrivals {
+		eng.Schedule(at, invoke)
 	}
 
-	trainCut := float64(cfg.TrainMin) * 60
 	mgr := NewManager(cl)
 
 	// At the train/test boundary: fit the policy on the observed demand
@@ -126,15 +136,6 @@ func Run(cfg RunConfig) RunResult {
 	res.Invocations = res.ColdStarts + res.WarmStarts
 	if res.Invocations > 0 {
 		res.ColdRate = float64(res.ColdStarts) / float64(res.Invocations)
-	}
-	// Mean latency over test-window results.
-	var latSum float64
-	var latN int
-	for _, r := range m.Results {
-		if r.SubmitTime >= trainCut {
-			latSum += r.Latency()
-			latN++
-		}
 	}
 	if latN > 0 {
 		res.MeanLatency = latSum / float64(latN)

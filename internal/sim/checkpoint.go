@@ -19,20 +19,12 @@ func (e *Engine) Snapshot(enc *checkpoint.Encoder) {
 	enc.U64(e.seq)
 	enc.U64(e.events)
 	enc.Int(e.live)
-	pend := make([]*Event, 0, len(e.queue))
-	for _, ev := range e.queue {
-		pend = append(pend, ev)
-	}
-	sort.Slice(pend, func(i, j int) bool {
-		if pend[i].at != pend[j].at {
-			return pend[i].at < pend[j].at
-		}
-		return pend[i].seq < pend[j].seq
-	})
+	pend := append([]entry(nil), e.queue...)
+	sort.Slice(pend, func(i, j int) bool { return pend[i].before(pend[j]) })
 	enc.U64(uint64(len(pend)))
-	for _, ev := range pend {
-		enc.F64(ev.at)
-		enc.U64(ev.seq)
-		enc.Bool(ev.canceled)
+	for _, x := range pend {
+		enc.F64(x.at)
+		enc.U64(x.seq)
+		enc.Bool(x.ev.canceled)
 	}
 }

@@ -1,5 +1,5 @@
 // Package sim implements the discrete-event simulation engine the FaaS
-// platform substrate runs on: a virtual clock, a binary-heap event queue with
+// platform substrate runs on: a virtual clock, a 4-ary-heap event queue with
 // stable FIFO ordering for simultaneous events, and cancellable timers.
 //
 // All simulated time is expressed as float64 seconds from the start of the
@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -18,25 +17,27 @@ import (
 // Time is a point in virtual time, in seconds since simulation start.
 type Time = float64
 
-// Event is a scheduled callback.
+// Event is a scheduled callback. Callers may hold an *Event past its firing
+// (to Cancel it, or ask Canceled/At), so the engine never recycles one.
 type Event struct {
 	at       Time
-	seq      uint64 // tie-breaker preserving schedule order
 	fn       func()
-	canceled bool
-	index    int     // heap index, -1 when popped
 	eng      *Engine // owner, for live-event accounting on Cancel
+	canceled bool
+	queued   bool // still in the queue (not yet popped)
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that
-// already fired (or canceling twice) is a no-op.
+// already fired (or canceling twice) is a no-op. A canceled event keeps its
+// queue slot until it reaches the head and is popped: removing it eagerly
+// would change the pending schedule the checkpoint fingerprint lists.
 func (e *Event) Cancel() {
 	if e == nil || e.canceled {
 		return
 	}
 	e.canceled = true
 	// Still in the queue: it no longer counts as a live pending event.
-	if e.eng != nil && e.index >= 0 {
+	if e.queued {
 		e.eng.live--
 	}
 }
@@ -47,33 +48,69 @@ func (e *Event) Canceled() bool { return e != nil && e.canceled }
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-type eventQueue []*Event
+// entry is one queue slot. The (at, seq) key sits beside the pointer so
+// sifting compares without touching the events themselves.
+type entry struct {
+	at  Time
+	seq uint64 // tie-breaker preserving schedule order
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap on (at, seq). seq is unique, so the key
+// order is total and the pop order does not depend on the heap's shape.
+type eventQueue []entry
+
+func (q *eventQueue) push(x entry) {
+	h := append(*q, x)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	h[i] = x
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// pop removes and returns the head; the queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	head := h[0].ev
+	n := len(h) - 1
+	x := h[n]
+	h[n] = entry{}
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(x) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	head.queued = false
+	return head
 }
 
 // Engine is a discrete-event simulator.
@@ -122,9 +159,9 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if math.IsNaN(at) {
 		panic("sim: scheduling event at NaN")
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn, eng: e}
+	ev := &Event{at: at, fn: fn, eng: e, queued: true}
+	e.queue.push(entry{at: at, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	e.live++
 	return ev
 }
@@ -141,7 +178,7 @@ func (e *Engine) After(delay float64, fn func()) *Event {
 // Step executes the next event. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue // live count already dropped at Cancel time
 		}
@@ -167,10 +204,10 @@ func (e *Engine) Run() {
 // clock to deadline (if it has not passed it already).
 func (e *Engine) RunUntil(deadline Time) {
 	for len(e.queue) > 0 {
-		// Peek without popping: heap root is index 0.
+		// Peek without popping: the heap's head is index 0.
 		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
+		if next.ev.canceled {
+			e.queue.pop()
 			continue
 		}
 		if next.at > deadline {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 )
 
@@ -237,5 +238,98 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if s.Gauges["sim.pending_events"] != 0 {
 		t.Fatalf("sim.pending_events = %v, want 0", s.Gauges["sim.pending_events"])
+	}
+}
+
+// TestPropertyQueueMatchesSortedReference runs random schedule / cancel /
+// step programs against a reference that keeps every event in a plain list
+// and picks the least live (at, schedule order) by scanning: the heap must
+// fire the same event at every step and agree on Pending throughout.
+func TestPropertyQueueMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		at             Time
+		canceled, gone bool
+		ev             *Event
+	}
+	f := func(seed int64, ops []uint8) bool {
+		rng := stats.NewRNG(seed)
+		e := NewEngine()
+		var evs []*ref
+		fired := -1
+		live := func() (n, least int) {
+			least = -1
+			for i, r := range evs {
+				if r.canceled || r.gone {
+					continue
+				}
+				n++
+				// Strict <: among equal times the earliest scheduled wins.
+				if least < 0 || r.at < evs[least].at {
+					least = i
+				}
+			}
+			return n, least
+		}
+		for _, op := range ops {
+			switch op % 4 {
+			case 0, 1: // schedule; delays from a small set, so times tie often
+				id := len(evs)
+				r := &ref{at: e.Now() + Time(rng.Intn(4))/2}
+				r.ev = e.Schedule(r.at, func() { fired = id })
+				evs = append(evs, r)
+			case 2: // cancel anything ever scheduled, fired or not
+				if len(evs) > 0 {
+					r := evs[rng.Intn(len(evs))]
+					r.ev.Cancel()
+					if !r.gone {
+						r.canceled = true
+					}
+				}
+			case 3:
+				_, want := live()
+				fired = -1
+				if e.Step() != (want >= 0) || fired != want {
+					return false
+				}
+				if want >= 0 {
+					evs[want].gone = true
+				}
+			}
+			if n, _ := live(); e.Pending() != n {
+				return false
+			}
+		}
+		// Drain: what is left fires in reference order too.
+		for {
+			_, want := live()
+			fired = -1
+			if e.Step() != (want >= 0) || fired != want {
+				return false
+			}
+			if want < 0 {
+				return e.Pending() == 0
+			}
+			evs[want].gone = true
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScheduleStepAllocBudget: scheduling and dispatching one event costs
+// the Event itself and nothing else (the queue holds keys inline and no
+// longer boxes entries through container/heap's interface).
+func TestScheduleStepAllocBudget(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	for i := 0; i < 1024; i++ {
+		e.Schedule(Time(i), nop)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+512, nop)
+		e.Step()
+	}); got > 1 {
+		t.Fatalf("schedule+dispatch allocates %v, budget 1", got)
 	}
 }

@@ -29,7 +29,7 @@ func TestRetryBudgetFailFast(t *testing.T) {
 		if err := ex.Execute(Chain("c", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 			t.Fatal(err)
 		}
-		eng.Run()
+		runChecked(t, eng, cl)
 		if res == nil {
 			t.Fatal("workflow never completed")
 		}
@@ -89,7 +89,7 @@ func TestRetryBudgetRefill(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runChecked(t, eng, cl)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}
@@ -129,7 +129,7 @@ func TestHedgeBackpressure(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runChecked(t, eng, cl)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}
@@ -163,7 +163,7 @@ func TestHedgeBackpressure(t *testing.T) {
 	if err := ex2.Execute(Chain("c", "f"), 1, nil, func(r Result) { res2 = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng2.Run()
+	runChecked(t, eng2, cl2)
 	if res2 == nil || res2.Hedges == 0 {
 		t.Fatalf("control run should hedge: %+v", res2)
 	}
@@ -193,7 +193,7 @@ func TestShedStageAttribution(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runChecked(t, eng, cl)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}

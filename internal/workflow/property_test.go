@@ -34,6 +34,18 @@ func randomDAG(nStages int, rng *stats.RNG) *DAG {
 
 func stageName(i int) string { return string(rune('a' + i)) }
 
+// runChecked is eng.Run() with the cluster's index oracle run after every
+// event, so the counters faas maintains are checked on the retry, shed,
+// timeout and crash paths these tests drive.
+func runChecked(t testing.TB, eng *sim.Engine, cl *faas.Cluster) {
+	t.Helper()
+	for eng.Step() {
+		if err := cl.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestPropertyWorkflowCompletesAndLatencyBounds: every random DAG completes,
 // its end-to-end latency is at least the longest single invocation and at
 // most the sum of all invocation latencies.
@@ -54,7 +66,7 @@ func TestPropertyWorkflowCompletesAndLatencyBounds(t *testing.T) {
 		if err := ex.Execute(d, 1, nil, func(r Result) { res = &r }); err != nil {
 			return false
 		}
-		eng.Run()
+		runChecked(t, eng, cl)
 		if res == nil {
 			return false
 		}
@@ -94,7 +106,7 @@ func TestPropertyCostAdditivity(t *testing.T) {
 		ex := NewExecutor(cl)
 		var res *Result
 		ex.Execute(d, 1, nil, func(r Result) { res = &r })
-		eng.Run()
+		runChecked(t, eng, cl)
 		if res == nil {
 			return false
 		}

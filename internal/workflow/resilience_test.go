@@ -71,7 +71,7 @@ func TestPropertyResilienceTerminatesAndOrders(t *testing.T) {
 		if err := ex.Execute(d, 1, nil, func(r Result) { calls++; res = &r }); err != nil {
 			return false
 		}
-		eng.Run()
+		runChecked(t, eng, cl)
 		if calls != 1 || res == nil {
 			t.Logf("seed %d: done fired %d times", seed, calls)
 			return false
@@ -147,7 +147,7 @@ func TestRetryRecoversInitFailure(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runChecked(t, eng, cl)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}
@@ -185,7 +185,7 @@ func TestFailFastSkipsDownstream(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run()
+	runChecked(t, eng, cl)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}

@@ -56,6 +56,9 @@ type DAG struct {
 	// children[i] lists indices of stages depending on stage i.
 	children [][]int
 	order    []int // topological order
+	// sortedNames is every stage name in sorted order: the stage order
+	// Result's cost sums run in.
+	sortedNames []string
 }
 
 // NewDAG validates the stages (unique names, existing dependencies,
@@ -105,6 +108,11 @@ func NewDAG(name string, stages []Stage) (*DAG, error) {
 	if len(d.order) != len(stages) {
 		return nil, fmt.Errorf("workflow: %q has a dependency cycle", name)
 	}
+	d.sortedNames = make([]string, len(stages))
+	for i, s := range stages {
+		d.sortedNames[i] = s.Name
+	}
+	sort.Strings(d.sortedNames)
 	return d, nil
 }
 
@@ -267,6 +275,19 @@ type Result struct {
 	// queue-depth backpressure.
 	RetriesDenied int
 	HedgesSkipped int
+
+	// sorted is the executed DAG's sortedNames (a superset of PerStage's
+	// keys); nil on a hand-built Result, which sorts its own keys.
+	sorted []string
+}
+
+// sortedStages returns stage names in sorted order, covering every key of
+// PerStage.
+func (r Result) sortedStages() []string {
+	if r.sorted != nil {
+		return r.sorted
+	}
+	return r.StageNames()
 }
 
 // Latency returns the end-to-end latency.
@@ -277,7 +298,7 @@ func (r Result) Latency() float64 { return r.EndTime - r.SubmitTime }
 // same-seed runs (map iteration order would perturb the last ULP).
 func (r Result) CPUTime() float64 {
 	var s float64
-	for _, name := range r.StageNames() {
+	for _, name := range r.sortedStages() {
 		for _, ir := range r.PerStage[name] {
 			s += ir.CostCPUTime()
 		}
@@ -289,7 +310,7 @@ func (r Result) CPUTime() float64 {
 // same deterministic stage order as CPUTime.
 func (r Result) MemTime() float64 {
 	var s float64
-	for _, name := range r.StageNames() {
+	for _, name := range r.sortedStages() {
 		for _, ir := range r.PerStage[name] {
 			s += ir.CostMemTime()
 		}
@@ -328,302 +349,372 @@ func (e *Executor) jitter(frac float64) float64 {
 	return 1 + frac*(2*e.rng.Float64()-1)
 }
 
+// execution is one workflow request in flight: the DAG walk, the per-stage
+// bookkeeping and the retry budget that all of its stage calls share.
+type execution struct {
+	e   *Executor
+	d   *DAG
+	tr  telemetry.Tracer
+	pol *RetryPolicy // the executor's policy at submission (nil = fire-once)
+	// maxAttempts and timeout are pol's, or 1 and none without a policy.
+	maxAttempts int
+	timeout     float64
+	inputSize   float64
+	done        func(Result)
+	res         Result
+	span        telemetry.SpanID
+	stages      []stageRun
+	// calls has one slot per stage instance, handed out in launch order.
+	calls      []call
+	nextCall   int
+	stagesLeft int
+	finished   bool
+	// tokens is the retry budget, one bucket for the whole execution, last
+	// refilled at tokensAt; tokens < 0 means unbudgeted (legacy behaviour).
+	tokens, tokensAt float64
+}
+
+// stageRun is one stage's progress within an execution.
+type stageRun struct {
+	span    telemetry.SpanID
+	deps    int // dependencies still unfinished
+	width   int // instances the stage issues (per-request override applied)
+	pending int // instances still unsettled while the stage runs
+	// results collects the settling result of every instance, in settling
+	// order; it is a width-capped window of the execution's one result array.
+	results []faas.InvocationResult
+}
+
+// call is one logical stage instance under the resilience policy:
+// per-attempt timeout, capped exponential backoff retries with
+// deterministic jitter, and an optional hedged duplicate. Exactly one
+// terminal result settles the call; late hedge losers are dropped.
+type call struct {
+	x           *execution
+	stage       int
+	settled     bool
+	issued      int // attempts issued or committed (incl. scheduled)
+	outstanding int // attempts in flight or scheduled
+	retries     int
+	hedgeEv     *sim.Event
+	// done is onTerminal, bound once so re-issuing allocates nothing.
+	done func(faas.InvocationResult)
+}
+
 // Execute submits one workflow request with the given input size. Width
 // overrides (may be nil) replace stage widths per request — e.g. a social
 // post fanning out to each follower. done receives the completed Result.
 func (e *Executor) Execute(d *DAG, inputSize float64, widths map[string]int, done func(Result)) error {
-	n := len(d.stages)
-	res := &Result{
-		Workflow:   d.Name,
-		SubmitTime: e.Cluster.Engine().Now(),
-		PerStage:   make(map[string][]faas.InvocationResult, n),
-	}
-	tr := e.Cluster.Tracer()
-	var wfSpan telemetry.SpanID
-	stageSpans := make([]telemetry.SpanID, n)
-	// Retry budget: one token bucket shared by all of this execution's
-	// stage calls. tokens < 0 means unbudgeted (legacy behaviour).
-	tokens := -1.0
-	tokensAt := res.SubmitTime
-	if e.Policy != nil && e.Policy.RetryBudget > 0 {
-		tokens = float64(e.Policy.RetryBudget)
-	}
-	takeBudget := func() bool {
-		if tokens < 0 {
-			return true
-		}
-		now := e.Cluster.Engine().Now()
-		if refill := e.Policy.RetryBudgetPerSec; refill > 0 {
-			tokens = math.Min(float64(e.Policy.RetryBudget),
-				tokens+(now-tokensAt)*refill)
-		}
-		tokensAt = now
-		if tokens >= 1 {
-			tokens--
-			return true
-		}
-		return false
-	}
-	remainingDeps := make([]int, n)
-	pendingInv := make([]int, n) // outstanding invocations per running stage
-	stagesLeft := n
-	finished := false
-	var launch func(i int)
-	finishStage := func(i int) {
-		stagesLeft--
-		if stageSpans[i] != 0 {
-			tr.EndSpan(stageSpans[i], e.Cluster.Engine().Now(), telemetry.Fields{
-				"invocations": float64(len(res.PerStage[d.stages[i].Name])),
-			})
-		}
-		for _, ch := range d.children[i] {
-			remainingDeps[ch]--
-			if remainingDeps[ch] == 0 {
-				launch(ch)
-			}
-		}
-		// The finished guard matters under fail-fast: skipping a child
-		// stage re-enters finishStage synchronously, so after the recursion
-		// unwinds the parent frame can observe stagesLeft == 0 again.
-		if stagesLeft == 0 && !finished {
-			finished = true
-			res.EndTime = e.Cluster.Engine().Now()
-			if wfSpan != 0 {
-				tr.EndSpan(wfSpan, res.EndTime, telemetry.Fields{
-					"invocations": float64(res.Invocations),
-					"cold_starts": float64(res.ColdStarts),
-				})
-			}
-			if done != nil {
-				done(*res)
-			}
-		}
-	}
-	// settleCall records the terminal result of one logical stage instance
-	// (the winning attempt under retries/hedging) and advances the stage.
-	settleCall := func(i int, r faas.InvocationResult) {
-		st := d.stages[i]
-		res.PerStage[st.Name] = append(res.PerStage[st.Name], r)
-		res.Invocations++
-		if r.ColdStart {
-			res.ColdStarts++
-		}
-		if !r.OK() {
-			res.Failed = true
-			res.FailedInvocations++
-			if r.Outcome == faas.OutcomeShed {
-				res.ShedStages++
-			}
-		}
-		pendingInv[i]--
-		if pendingInv[i] == 0 {
-			finishStage(i)
-		}
-	}
-	// runCall executes one logical stage instance under the resilience
-	// policy: per-attempt timeout, capped exponential backoff retries with
-	// deterministic jitter, and an optional hedged duplicate. Exactly one
-	// terminal result settles the call; late hedge losers are dropped.
-	runCall := func(i int) {
-		st := d.stages[i]
-		pol := e.Policy
-		maxAttempts := 1
-		var timeout float64
-		if pol != nil {
-			maxAttempts = pol.maxAttempts()
-			timeout = pol.Timeout
-		}
-		type callState struct {
-			settled     bool
-			issued      int // attempts issued or committed (incl. scheduled)
-			outstanding int // attempts in flight or scheduled
-			retries     int
-			hedgeEv     *sim.Event
-		}
-		cs := &callState{}
-		eng := e.Cluster.Engine()
-		var issue func()
-		var onTerminal func(r faas.InvocationResult)
-		issue = func() {
-			attempt := cs.issued
-			cs.issued++
-			cs.outstanding++
-			err := e.Cluster.InvokeOpts(st.Function, faas.InvokeOptions{
-				InputSize: inputSize * st.inputScale(),
-				Parent:    stageSpans[i],
-				Timeout:   timeout,
-				Attempt:   attempt,
-			}, onTerminal)
-			if err != nil {
-				panic(fmt.Sprintf("workflow: invoke %s: %v", st.Function, err))
-			}
-		}
-		settle := func(r faas.InvocationResult) {
-			cs.settled = true
-			if cs.hedgeEv != nil {
-				cs.hedgeEv.Cancel()
-				cs.hedgeEv = nil
-			}
-			settleCall(i, r)
-		}
-		onTerminal = func(r faas.InvocationResult) {
-			cs.outstanding--
-			if r.Outcome == faas.OutcomeShed {
-				res.Sheds++
-			}
-			if cs.settled {
-				return // hedge loser / late completion
-			}
-			if r.OK() {
-				settle(r)
-				return
-			}
-			if cs.issued < maxAttempts {
-				if takeBudget() {
-					// Schedule a retry with capped exponential backoff.
-					k := cs.retries
-					cs.retries++
-					res.Retries++
-					backoff := pol.backoff(k) * e.jitter(pol.JitterFrac)
-					if tr.Enabled() {
-						tr.Point(telemetry.KindRetry, st.Function, stageSpans[i], eng.Now(), telemetry.Fields{
-							"attempt":   float64(cs.issued),
-							"backoff_s": backoff,
-							"outcome":   float64(r.Outcome),
-							"hedge":     0,
-						})
-					}
-					cs.issued++ // commit the slot before the timer fires
-					cs.outstanding++
-					eng.After(backoff, func() {
-						if cs.settled {
-							cs.outstanding--
-							return
-						}
-						cs.issued--
-						cs.outstanding--
-						issue()
-					})
-					return
-				}
-				// Budget exhausted: degrade to fail-fast instead of
-				// amplifying an already-saturated platform.
-				res.RetriesDenied++
-				if tr.Enabled() {
-					tr.Point(telemetry.KindRetry, st.Function, stageSpans[i], eng.Now(), telemetry.Fields{
-						"attempt": float64(cs.issued),
-						"outcome": float64(r.Outcome),
-						"hedge":   0,
-						"denied":  1,
-					})
-				}
-			}
-			if cs.outstanding == 0 {
-				// Every attempt exhausted; the last failure settles.
-				settle(r)
-			}
-		}
-		issue()
-		// A shed (or budget-denied) first attempt can settle the call
-		// synchronously inside issue(); arming a hedge then would leak it.
-		if pol != nil && pol.HedgeDelay > 0 && maxAttempts > 1 && !cs.settled {
-			cs.hedgeEv = eng.After(pol.HedgeDelay, func() {
-				cs.hedgeEv = nil
-				if cs.settled || cs.issued >= maxAttempts || cs.outstanding == 0 {
-					return
-				}
-				if lim := pol.HedgeQueueLimit; lim > 0 {
-					if depth := e.Cluster.QueueDepth(st.Function); depth >= lim {
-						// Backpressure: the target queue is saturated, so a
-						// duplicate request is pure extra load.
-						res.HedgesSkipped++
-						if tr.Enabled() {
-							tr.Point(telemetry.KindRetry, st.Function, stageSpans[i], eng.Now(), telemetry.Fields{
-								"attempt":     float64(cs.issued),
-								"outcome":     0,
-								"hedge":       1,
-								"denied":      1,
-								"queue_depth": float64(depth),
-							})
-						}
-						return
-					}
-				}
-				if !takeBudget() {
-					res.HedgesSkipped++
-					if tr.Enabled() {
-						tr.Point(telemetry.KindRetry, st.Function, stageSpans[i], eng.Now(), telemetry.Fields{
-							"attempt": float64(cs.issued),
-							"outcome": 0,
-							"hedge":   1,
-							"denied":  1,
-						})
-					}
-					return
-				}
-				res.Hedges++
-				if tr.Enabled() {
-					tr.Point(telemetry.KindRetry, st.Function, stageSpans[i], eng.Now(), telemetry.Fields{
-						"attempt":   float64(cs.issued),
-						"backoff_s": 0,
-						"outcome":   0,
-						"hedge":     1,
-					})
-				}
-				issue()
-			})
-		}
-	}
-	launch = func(i int) {
-		st := d.stages[i]
-		stageSpans[i] = tr.StartSpan(telemetry.KindStage, st.Name, wfSpan, e.Cluster.Engine().Now())
-		if res.Failed {
-			// Fail-fast: an upstream stage exhausted its attempts, so
-			// this stage's inputs are lost. Skip it (and, transitively,
-			// the rest of the DAG) instead of burning resources.
-			res.SkippedStages++
-			pendingInv[i] = 0
-			if stageSpans[i] != 0 {
-				tr.EndSpan(stageSpans[i], e.Cluster.Engine().Now(), telemetry.Fields{
-					"invocations": 0,
-					"skipped":     1,
-				})
-				stageSpans[i] = 0
-			}
-			finishStage(i)
-			return
-		}
-		w := st.width()
-		if widths != nil {
-			if ov, ok := widths[st.Name]; ok && ov > 0 {
-				w = ov
-			}
-		}
-		pendingInv[i] = w
-		for k := 0; k < w; k++ {
-			runCall(i)
-		}
-	}
 	// Validate functions exist before launching anything.
-	known := make(map[string]bool)
-	for _, fn := range e.Cluster.Functions() {
-		known[fn] = true
-	}
-	for _, st := range d.stages {
-		if !known[st.Function] {
-			return fmt.Errorf("workflow: function %q not registered", st.Function)
+	for i := range d.stages {
+		if fn := d.stages[i].Function; !e.Cluster.HasFunction(fn) {
+			return fmt.Errorf("workflow: function %q not registered", fn)
 		}
 	}
-	for i, s := range d.stages {
-		remainingDeps[i] = len(s.Deps)
+	n := len(d.stages)
+	now := e.Cluster.Engine().Now()
+	x := &execution{
+		e: e, d: d, tr: e.Cluster.Tracer(), pol: e.Policy, maxAttempts: 1,
+		inputSize: inputSize, done: done,
+		res:    Result{Workflow: d.Name, SubmitTime: now, sorted: d.sortedNames},
+		stages: make([]stageRun, n), stagesLeft: n,
+		tokens: -1, tokensAt: now,
 	}
-	wfSpan = tr.StartSpan(telemetry.KindWorkflow, d.Name, 0, res.SubmitTime)
-	for i, s := range d.stages {
-		if len(s.Deps) == 0 {
-			launch(i)
+	if pol := x.pol; pol != nil {
+		x.maxAttempts, x.timeout = pol.maxAttempts(), pol.Timeout
+		if pol.RetryBudget > 0 {
+			x.tokens = float64(pol.RetryBudget)
+		}
+	}
+	// Every width is known now, so one array holds all stage results and
+	// one holds all call states.
+	total := 0
+	for i := range d.stages {
+		st := &d.stages[i]
+		w := st.width()
+		if ov, ok := widths[st.Name]; ok && ov > 0 {
+			w = ov
+		}
+		x.stages[i].deps, x.stages[i].width = len(st.Deps), w
+		total += w
+	}
+	results := make([]faas.InvocationResult, total)
+	x.calls = make([]call, total)
+	off := 0
+	for i := range x.stages {
+		w := x.stages[i].width
+		x.stages[i].results = results[off : off : off+w]
+		off += w
+	}
+	x.span = x.tr.StartSpan(telemetry.KindWorkflow, d.Name, 0, now)
+	for i := range d.stages {
+		if len(d.stages[i].Deps) == 0 {
+			x.launch(i)
 		}
 	}
 	return nil
+}
+
+func (x *execution) now() float64 { return x.e.Cluster.Engine().Now() }
+
+// takeBudget spends one retry token, refilling the bucket first.
+func (x *execution) takeBudget() bool {
+	if x.tokens < 0 {
+		return true
+	}
+	now := x.now()
+	if refill := x.pol.RetryBudgetPerSec; refill > 0 {
+		x.tokens = math.Min(float64(x.pol.RetryBudget), x.tokens+(now-x.tokensAt)*refill)
+	}
+	x.tokensAt = now
+	if x.tokens >= 1 {
+		x.tokens--
+		return true
+	}
+	return false
+}
+
+func (x *execution) launch(i int) {
+	tr := x.tr
+	s := &x.stages[i]
+	s.span = tr.StartSpan(telemetry.KindStage, x.d.stages[i].Name, x.span, x.now())
+	if x.res.Failed {
+		// Fail-fast: an upstream stage exhausted its attempts, so
+		// this stage's inputs are lost. Skip it (and, transitively,
+		// the rest of the DAG) instead of burning resources.
+		x.res.SkippedStages++
+		if s.span != 0 {
+			tr.EndSpan(s.span, x.now(), telemetry.Fields{
+				"invocations": 0,
+				"skipped":     1,
+			})
+			s.span = 0
+		}
+		x.finishStage(i)
+		return
+	}
+	s.pending = s.width
+	for k := 0; k < s.width; k++ {
+		c := &x.calls[x.nextCall]
+		x.nextCall++
+		c.x, c.stage = x, i
+		c.done = c.onTerminal
+		c.run()
+	}
+}
+
+func (x *execution) finishStage(i int) {
+	tr := x.tr
+	x.stagesLeft--
+	if s := &x.stages[i]; s.span != 0 {
+		tr.EndSpan(s.span, x.now(), telemetry.Fields{
+			"invocations": float64(len(s.results)),
+		})
+	}
+	for _, ch := range x.d.children[i] {
+		x.stages[ch].deps--
+		if x.stages[ch].deps == 0 {
+			x.launch(ch)
+		}
+	}
+	// The finished guard matters under fail-fast: skipping a child
+	// stage re-enters finishStage synchronously, so after the recursion
+	// unwinds the parent frame can observe stagesLeft == 0 again.
+	if x.stagesLeft == 0 && !x.finished {
+		x.finished = true
+		x.res.EndTime = x.now()
+		x.res.PerStage = make(map[string][]faas.InvocationResult, len(x.stages))
+		for j := range x.stages {
+			if rs := x.stages[j].results; len(rs) > 0 {
+				x.res.PerStage[x.d.stages[j].Name] = rs
+			}
+		}
+		if x.span != 0 {
+			tr.EndSpan(x.span, x.res.EndTime, telemetry.Fields{
+				"invocations": float64(x.res.Invocations),
+				"cold_starts": float64(x.res.ColdStarts),
+			})
+		}
+		if x.done != nil {
+			x.done(x.res)
+		}
+	}
+}
+
+// settleCall records the terminal result of one logical stage instance
+// (the winning attempt under retries/hedging) and advances the stage.
+func (x *execution) settleCall(i int, r faas.InvocationResult) {
+	s := &x.stages[i]
+	s.results = append(s.results, r)
+	x.res.Invocations++
+	if r.ColdStart {
+		x.res.ColdStarts++
+	}
+	if !r.OK() {
+		x.res.Failed = true
+		x.res.FailedInvocations++
+		if r.Outcome == faas.OutcomeShed {
+			x.res.ShedStages++
+		}
+	}
+	s.pending--
+	if s.pending == 0 {
+		x.finishStage(i)
+	}
+}
+
+// run issues the call's first attempt and arms its hedge.
+func (c *call) run() {
+	c.issue()
+	// A shed (or budget-denied) first attempt can settle the call
+	// synchronously inside issue(); arming a hedge then would leak it.
+	if pol := c.x.pol; pol != nil && pol.HedgeDelay > 0 && c.x.maxAttempts > 1 && !c.settled {
+		c.hedgeEv = c.x.e.Cluster.Engine().After(pol.HedgeDelay, c.hedge)
+	}
+}
+
+func (c *call) issue() {
+	x := c.x
+	st := &x.d.stages[c.stage]
+	attempt := c.issued
+	c.issued++
+	c.outstanding++
+	err := x.e.Cluster.InvokeOpts(st.Function, faas.InvokeOptions{
+		InputSize: x.inputSize * st.inputScale(),
+		Parent:    x.stages[c.stage].span,
+		Timeout:   x.timeout,
+		Attempt:   attempt,
+	}, c.done)
+	if err != nil {
+		panic(fmt.Sprintf("workflow: invoke %s: %v", st.Function, err))
+	}
+}
+
+func (c *call) settle(r faas.InvocationResult) {
+	c.settled = true
+	if c.hedgeEv != nil {
+		c.hedgeEv.Cancel()
+		c.hedgeEv = nil
+	}
+	c.x.settleCall(c.stage, r)
+}
+
+// retryPoint emits one invocation.retry point for the call's stage.
+func (c *call) retryPoint(f telemetry.Fields) {
+	x := c.x
+	x.tr.Point(telemetry.KindRetry, x.d.stages[c.stage].Function,
+		x.stages[c.stage].span, x.now(), f)
+}
+
+func (c *call) onTerminal(r faas.InvocationResult) {
+	x := c.x
+	c.outstanding--
+	if r.Outcome == faas.OutcomeShed {
+		x.res.Sheds++
+	}
+	if c.settled {
+		return // hedge loser / late completion
+	}
+	if r.OK() {
+		c.settle(r)
+		return
+	}
+	if c.issued < x.maxAttempts {
+		tr := x.tr
+		if x.takeBudget() {
+			// Schedule a retry with capped exponential backoff.
+			k := c.retries
+			c.retries++
+			x.res.Retries++
+			backoff := x.pol.backoff(k) * x.e.jitter(x.pol.JitterFrac)
+			if tr.Enabled() {
+				c.retryPoint(telemetry.Fields{
+					"attempt":   float64(c.issued),
+					"backoff_s": backoff,
+					"outcome":   float64(r.Outcome),
+					"hedge":     0,
+				})
+			}
+			c.issued++ // commit the slot before the timer fires
+			c.outstanding++
+			x.e.Cluster.Engine().After(backoff, c.retry)
+			return
+		}
+		// Budget exhausted: degrade to fail-fast instead of
+		// amplifying an already-saturated platform.
+		x.res.RetriesDenied++
+		if tr.Enabled() {
+			c.retryPoint(telemetry.Fields{
+				"attempt": float64(c.issued),
+				"outcome": float64(r.Outcome),
+				"hedge":   0,
+				"denied":  1,
+			})
+		}
+	}
+	if c.outstanding == 0 {
+		// Every attempt exhausted; the last failure settles.
+		c.settle(r)
+	}
+}
+
+// retry is the backoff timer: it turns the committed slot into an attempt.
+func (c *call) retry() {
+	c.outstanding--
+	if c.settled {
+		return
+	}
+	c.issued--
+	c.issue()
+}
+
+// hedge is the hedge timer: it issues one duplicate of a still-pending
+// first attempt unless backpressure or the retry budget says no.
+func (c *call) hedge() {
+	x, tr := c.x, c.x.tr
+	c.hedgeEv = nil
+	if c.settled || c.issued >= x.maxAttempts || c.outstanding == 0 {
+		return
+	}
+	if lim := x.pol.HedgeQueueLimit; lim > 0 {
+		if depth := x.e.Cluster.QueueDepth(x.d.stages[c.stage].Function); depth >= lim {
+			// Backpressure: the target queue is saturated, so a
+			// duplicate request is pure extra load.
+			x.res.HedgesSkipped++
+			if tr.Enabled() {
+				c.retryPoint(telemetry.Fields{
+					"attempt":     float64(c.issued),
+					"outcome":     0,
+					"hedge":       1,
+					"denied":      1,
+					"queue_depth": float64(depth),
+				})
+			}
+			return
+		}
+	}
+	if !x.takeBudget() {
+		x.res.HedgesSkipped++
+		if tr.Enabled() {
+			c.retryPoint(telemetry.Fields{
+				"attempt": float64(c.issued),
+				"outcome": 0,
+				"hedge":   1,
+				"denied":  1,
+			})
+		}
+		return
+	}
+	x.res.Hedges++
+	if tr.Enabled() {
+		c.retryPoint(telemetry.Fields{
+			"attempt":   float64(c.issued),
+			"backoff_s": 0,
+			"outcome":   0,
+			"hedge":     1,
+		})
+	}
+	c.issue()
 }
 
 // StageNames returns sorted stage names of a result (stable for reports).

@@ -60,6 +60,30 @@ func TestDAGQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestWarmExecuteAllocBudget pins what one warm chain3 request costs end to
+// end (workflow, faas and sim) without a resilience policy or tracer: per
+// execution its state, stage table, result array, call array and the
+// two-part PerStage map; per stage one bound callback; per invocation the
+// pending record and the completion and keep-alive events. That is 18; the
+// budget leaves 2 of slack.
+func TestWarmExecuteAllocBudget(t *testing.T) {
+	eng, _, ex := setup(t, map[string]*fixedModel{
+		"f1": {exec: 1}, "f2": {exec: 1}, "f3": {exec: 1},
+	})
+	d := Chain("chain3", "f1", "f2", "f3")
+	done := func(Result) {}
+	run := func() {
+		if err := ex.Execute(d, 1, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + 60)
+	}
+	run() // cold starts
+	if got := testing.AllocsPerRun(200, run); got > 20 {
+		t.Fatalf("warm chain3 Execute allocates %v, budget 20", got)
+	}
+}
+
 func TestChainExecutesSequentially(t *testing.T) {
 	eng, _, ex := setup(t, map[string]*fixedModel{
 		"f1": {init: 0, exec: 1},
