@@ -1,21 +1,32 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck lint test bench pairs microbench smoke
+.PHONY: verify build vet fmtcheck lint orphans test bench pairs microbench smoke
 
 # Tier-1 gate: build everything, vet, check formatting, lint the
-# determinism invariants, and run the full test suite with the race
-# detector. CI and pre-commit both run this target. The race detector is
+# determinism invariants, check that no internal package is orphaned, and
+# run the full test suite with the race detector. CI and pre-commit both run this target. The race detector is
 # ~10x slower than a plain run and the experiment harnesses are
 # end-to-end simulations, so the suite needs more than go test's default
 # 10-minute budget on small machines.
-verify: build vet fmtcheck lint
-	$(GO) test -race -timeout 30m ./...
+verify: build vet fmtcheck lint orphans
+	$(GO) test -race -timeout 45m ./...
 
 # aqualint machine-checks the simulator's determinism invariants
 # (DESIGN.md §8): no wall-clock time, no global randomness, no
 # order-dependent map iteration, no silently dropped errors.
 lint:
 	$(GO) run ./cmd/aqualint ./...
+
+# orphans fails when a package under internal/ is one no binary reaches:
+# everything there exists to be run by cmd/*, bench or examples/*, and a
+# package only its own tests import is dead weight that still has to be
+# maintained.
+orphans:
+	@reached=$$($(GO) list -deps ./cmd/... ./bench ./examples/...) || exit 1; \
+	out=$$($(GO) list ./internal/... | while read -r p; do \
+		echo "$$reached" | grep -Fxq "$$p" || echo "$$p"; done); \
+	if [ -n "$$out" ]; then \
+		echo "internal packages no binary (cmd/*, bench, examples/*) imports:"; echo "$$out"; exit 1; fi
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

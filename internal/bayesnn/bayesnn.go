@@ -498,22 +498,6 @@ func (m *Model) predictDetScaled(scaled [][]float64, history [][]float64, extern
 	return base + m.unscaleY(y)
 }
 
-// PredictSeries applies Predict over a sliding window on a full series,
-// returning aligned predictions for indices [window, len(series)).
-// extFn supplies external features for target index i.
-func (m *Model) PredictSeries(series []float64, window int, featFn func(i int) []float64, extFn func(i int) []float64) []Prediction {
-	var out []Prediction
-	for i := window; i < len(series); i++ {
-		hist := make([][]float64, window)
-		for t := 0; t < window; t++ {
-			idx := i - window + t
-			hist[t] = append([]float64{series[idx]}, featFn(idx)...)
-		}
-		out = append(out, m.Predict(hist, extFn(i)))
-	}
-	return out
-}
-
 // BuildSamples converts a scalar series into supervised samples with the
 // given history window and decoder horizon. featFn provides per-timestep
 // auxiliary features appended after the count channel; extFn provides the
@@ -535,25 +519,4 @@ func BuildSamples(series []float64, window, horizon int, featFn func(i int) []fl
 		})
 	}
 	return samples
-}
-
-// Uncertainty calibration helper: fraction of actuals falling inside the
-// mean ± z*std predictive interval.
-func Coverage(preds []Prediction, actual []float64, z float64) float64 {
-	n := len(preds)
-	if len(actual) < n {
-		n = len(actual)
-	}
-	if n == 0 {
-		return 0
-	}
-	in := 0
-	for i := 0; i < n; i++ {
-		lo := preds[i].Mean - z*preds[i].Std
-		hi := preds[i].Mean + z*preds[i].Std
-		if actual[i] >= lo && actual[i] <= hi {
-			in++
-		}
-	}
-	return float64(in) / float64(n)
 }

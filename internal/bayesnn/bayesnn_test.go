@@ -145,18 +145,6 @@ func TestDeterministicPredictionStable(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	preds := []Prediction{{Mean: 10, Std: 1}, {Mean: 20, Std: 1}, {Mean: 30, Std: 1}}
-	actual := []float64{10.5, 25, 30}
-	cov := Coverage(preds, actual, 2)
-	if math.Abs(cov-2.0/3.0) > 1e-12 {
-		t.Fatalf("coverage = %v, want 2/3", cov)
-	}
-	if Coverage(nil, nil, 2) != 0 {
-		t.Fatal("empty coverage should be 0")
-	}
-}
-
 func TestUncertaintyGrowsWithNoise(t *testing.T) {
 	// Train two identical models on low- and high-noise series; the MC
 	// dropout predictive std should be larger under high noise on average.
@@ -186,19 +174,6 @@ func TestUncertaintyGrowsWithNoise(t *testing.T) {
 	}
 	if highStd <= lowStd {
 		t.Fatalf("expected higher uncertainty under noise: low %v high %v", lowStd, highStd)
-	}
-}
-
-func TestPredictSeriesAlignment(t *testing.T) {
-	series := sineSeries(80, 2, 9)
-	cfg := smallConfig(1, 0)
-	cfg.EncoderEpochs, cfg.PredEpochs = 3, 5 // speed only
-	noFeat := func(i int) []float64 { return nil }
-	m := New(cfg)
-	m.Train(BuildSamples(series, 8, cfg.Horizon, noFeat, noFeat))
-	preds := m.PredictSeries(series, 8, noFeat, noFeat)
-	if len(preds) != len(series)-8 {
-		t.Fatalf("got %d predictions, want %d", len(preds), len(series)-8)
 	}
 }
 

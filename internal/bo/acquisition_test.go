@@ -98,10 +98,10 @@ func TestBatchDiversity(t *testing.T) {
 	}
 }
 
-// TestCandidatePoolPrunesInfeasible: after observing a clear feasibility
+// TestCandidateFilterPrunesInfeasible: after observing a clear feasibility
 // boundary, the candidate pool should be dominated by likely-feasible
 // points.
-func TestCandidatePoolPrunesInfeasible(t *testing.T) {
+func TestCandidateFilterPrunesInfeasible(t *testing.T) {
 	e := New(Options{Dim: 1, QoS: 1, Seed: 7})
 	// latency = 2 - 1.8x: feasible only for x > ~0.55.
 	var obs []Observation

@@ -57,52 +57,37 @@ const (
 	EI
 )
 
-// KernelKind selects the GP covariance family for both surrogates.
-type KernelKind int
-
+// Fixed engine parameters.
 const (
-	// KernelMatern52 is the paper's Matérn-5/2 kernel (default).
-	KernelMatern52 KernelKind = iota
-	// KernelRBF is the squared-exponential ablation kernel.
-	KernelRBF
+	// fantasySamples is the QMC sample count for the acquisition integral
+	// (per-sample fantasy incumbents).
+	fantasySamples = 128
+	// candidatePoolSize is the number of Sobol candidate points scored per
+	// suggestion round.
+	candidatePoolSize = 128
+	// feasibilityFloor prunes candidates whose probability of meeting QoS is
+	// below this value, provided at least one candidate passes.
+	feasibilityFloor = 0.25
+	// noiseVar is the fixed observation-noise variance (standardized units)
+	// of the GP surrogates.
+	noiseVar = 0.01
 )
 
-func (k KernelKind) build(dim int) gp.Kernel {
-	if k == KernelRBF {
-		return gp.NewRBF(dim)
-	}
-	return gp.NewMatern52(dim)
-}
-
-// Options is the single construction surface of the engine: model choice,
-// acquisition, batch shape, sliding window, refit schedule and cache
-// toggles. Zero values are replaced by the paper's defaults in New.
+// Options is the single construction surface of the engine: acquisition,
+// batch shape, anomaly screen, sliding window and refit schedule. Zero
+// values are replaced by the paper's defaults in New.
 type Options struct {
 	Dim int     // dimensionality of the normalized config space
 	QoS float64 // end-to-end latency constraint
 
-	// Kernel selects the surrogate covariance family (default Matérn-5/2).
-	Kernel KernelKind
 	// Acquisition selects NEI (default) or plain EI.
 	Acquisition Acquisition
 
 	BatchSize int // candidates sampled per iteration (paper: 3)
 	Bootstrap int // random configs before the model kicks in
-	// FantasySamples is the QMC sample count for the acquisition integral
-	// (per-sample fantasy incumbents).
-	FantasySamples int
-	// CandidatePool is the number of Sobol candidate points scored per
-	// suggestion round.
-	CandidatePool int
-	// FeasibilityFloor prunes candidates whose probability of meeting QoS
-	// is below this value, provided at least one candidate passes.
-	FeasibilityFloor float64
 	// AnomalyZ is the leave-one-out z-score beyond which an observation is
 	// labeled an anomaly (paper: 95% interval, z = 1.96).
 	AnomalyZ float64
-	// NoiseVar is the fixed observation-noise variance (standardized
-	// units) of the GP surrogates.
-	NoiseVar float64
 	// DisableAnomalyDetection turns off outlier pruning (AquaLite).
 	DisableAnomalyDetection bool
 
@@ -129,24 +114,12 @@ func (o Options) withDefaults() Options {
 	if o.Bootstrap <= 0 {
 		o.Bootstrap = 5
 	}
-	if o.FantasySamples <= 0 {
-		o.FantasySamples = 128
-	}
-	if o.CandidatePool <= 0 {
-		o.CandidatePool = 128
-	}
-	if o.FeasibilityFloor <= 0 {
-		o.FeasibilityFloor = 0.25
-	}
 	if o.AnomalyZ <= 0 {
 		// Wider than the paper's 95% interval: the screen rejects points
 		// before they enter the fit, so a tight gate would also discard
 		// genuinely surprising (good) discoveries. Interference outliers
 		// in FaaS are multiples of the signal and still exceed this.
 		o.AnomalyZ = 3.5
-	}
-	if o.NoiseVar <= 0 {
-		o.NoiseVar = 0.01
 	}
 	if o.ChangeBurst <= 0 {
 		o.ChangeBurst = 6
@@ -167,10 +140,10 @@ type Engine struct {
 
 	costGP *gp.GP
 	latGP  *gp.GP
+	// fitted reports that the surrogates are conditioned and their windows
+	// mirror the engine's clean observation set, so posteriors are usable
+	// and incremental updates are valid.
 	fitted bool
-	// synced reports that the GPs' windows mirror the engine's clean
-	// observation set, so incremental updates are valid.
-	synced bool
 	// Robust scales of the leave-one-out residuals, refreshed on refit.
 	costResidScale float64
 	latResidScale  float64
@@ -190,8 +163,8 @@ func New(opts Options) *Engine {
 		panic("bo: Dim must be positive")
 	}
 	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed), tracer: telemetry.Nop{}}
-	e.costGP = gp.New(opts.Kernel.build(opts.Dim), opts.NoiseVar)
-	e.latGP = gp.New(opts.Kernel.build(opts.Dim), opts.NoiseVar)
+	e.costGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
+	e.latGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
 	return e
 }
 
@@ -315,7 +288,7 @@ type candidate struct {
 // empty the pool). Each surviving candidate keeps its latency posterior
 // for reuse in selectBatch.
 func (e *Engine) candidatePool() []candidate {
-	n := e.cfg.CandidatePool
+	n := candidatePoolSize
 	if byDim := 32 * e.cfg.Dim; byDim > n {
 		n = byDim
 	}
@@ -342,7 +315,7 @@ func (e *Engine) candidatePool() []candidate {
 		lsd := math.Sqrt(lv + 1e-12)
 		feas := stats.NormalCDF((e.cfg.QoS - lm) / lsd)
 		all[i] = candidate{x: x, lm: lm, lsd: lsd, feasible: feas}
-		if feas >= e.cfg.FeasibilityFloor {
+		if feas >= feasibilityFloor {
 			kept = append(kept, all[i])
 		}
 	}
@@ -391,7 +364,7 @@ func (e *Engine) cleanObservations() []Observation {
 // (and the fantasy incumbent updates) only compare precomputed values
 // instead of re-deriving them per slot.
 func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
-	S := e.cfg.FantasySamples
+	const S = fantasySamples
 	// Per-sample incumbent best over observed points (feasible preferred).
 	best := e.sampleIncumbents(S)
 
@@ -506,8 +479,7 @@ func (e *Engine) analyticEI(cm, csd, lm, lsd float64, best []float64) float64 {
 // feasible points (falling back to overall minimum when no sampled point is
 // feasible). Under EI it returns the deterministic observed feasible best
 // replicated once. The joint posterior over window points reuses the GPs'
-// cached train-kernel matrices — no kernel re-evaluation — unless the cache
-// is disabled.
+// cached train-kernel matrices — no kernel re-evaluation.
 func (e *Engine) sampleIncumbents(S int) []float64 {
 	clean := e.cleanObservations()
 	if e.cfg.Acquisition == EI {
@@ -539,20 +511,11 @@ func (e *Engine) sampleIncumbents(S int) []float64 {
 	}
 	sobC := qmc.NewScrambledSobol(m, e.rng.Split())
 	sobL := qmc.NewScrambledSobol(m, e.rng.Split())
-	var costDraws, latDraws [][]float64
-	if !e.synced {
-		xs := make([][]float64, 0, m)
-		for _, o := range clean[len(clean)-m:] {
-			xs = append(xs, o.X)
-		}
-		costDraws = e.costGP.SampleJoint(xs, sobC.NormalSample(S))
-		latDraws = e.latGP.SampleJoint(xs, sobL.NormalSample(S))
-	} else {
-		// The GP windows mirror the clean set, so the most recent m window
-		// points are exactly clean[len-m:] — served from the kernel cache.
-		costDraws = e.costGP.SampleJointRecent(m, sobC.NormalSample(S))
-		latDraws = e.latGP.SampleJointRecent(m, sobL.NormalSample(S))
-	}
+	// Suggest only gets here fitted: the GP windows mirror the clean set, so
+	// the most recent m window points are exactly clean[len-m:] — served from
+	// the kernel cache.
+	costDraws := e.costGP.SampleJointRecent(m, sobC.NormalSample(S))
+	latDraws := e.latGP.SampleJointRecent(m, sobL.NormalSample(S))
 	best := make([]float64, S)
 	for s := 0; s < S; s++ {
 		bf, bAny := math.Inf(1), math.Inf(1)
@@ -670,10 +633,9 @@ func (e *Engine) refit(batch []Observation, flags []bool, droppedClean int) {
 	clean := e.cleanObservations()
 	if len(clean) < 2 {
 		e.fitted = false
-		e.synced = false
 		return
 	}
-	if !e.synced {
+	if !e.fitted {
 		if !e.rebuild(clean) {
 			return
 		}
@@ -702,7 +664,6 @@ func (e *Engine) refit(batch []Observation, flags []bool, droppedClean int) {
 		e.sinceRefit = 0
 	}
 	e.fitted = true
-	e.synced = true
 	// Refresh the robust residual scales used by anomaly screening.
 	// Leave-one-out residuals are required here: in-sample residuals of
 	// a near-interpolating GP are ~0 and would flag everything. The
@@ -735,7 +696,6 @@ func (e *Engine) rebuild(clean []Observation) bool {
 	}
 	if e.costGP.Fit(xs, costs) != nil || e.latGP.Fit(xs, lats) != nil {
 		e.fitted = false
-		e.synced = false
 		return false
 	}
 	return true
@@ -774,7 +734,6 @@ func (e *Engine) maybeHandleChange() bool {
 	e.anomalous = make([]bool, len(e.obs))
 	e.changeEvents++
 	e.fitted = false
-	e.synced = false
 	return true
 }
 
@@ -784,23 +743,6 @@ func (e *Engine) BestFeasible() (x []float64, cost float64, ok bool) {
 	best := math.Inf(1)
 	for i, o := range e.obs {
 		if e.anomalous[i] || o.Latency > e.cfg.QoS {
-			continue
-		}
-		if o.Cost < best {
-			best = o.Cost
-			x = o.X
-			ok = true
-		}
-	}
-	return x, best, ok
-}
-
-// BestAny returns the lowest-cost non-anomalous observation regardless of
-// feasibility (used as a fallback when nothing meets QoS yet).
-func (e *Engine) BestAny() (x []float64, cost float64, ok bool) {
-	best := math.Inf(1)
-	for i, o := range e.obs {
-		if e.anomalous[i] {
 			continue
 		}
 		if o.Cost < best {

@@ -233,9 +233,6 @@ func TestBestFeasibleFallback(t *testing.T) {
 	if _, _, ok := e.BestFeasible(); ok {
 		t.Fatal("BestFeasible should report no feasible point")
 	}
-	if _, c, ok := e.BestAny(); !ok || c != 2 {
-		t.Fatalf("BestAny = (%v, %v)", c, ok)
-	}
 }
 
 func TestCLITEConvergesOnSmoothProblem(t *testing.T) {
@@ -278,7 +275,7 @@ func TestEngineBadDimPanics(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	e := New(Options{Dim: 1})
 	cfg := e.Options()
-	if cfg.BatchSize != 3 || cfg.FantasySamples != 128 || cfg.AnomalyZ != 3.5 {
+	if cfg.BatchSize != 3 || cfg.Bootstrap != 5 || cfg.AnomalyZ != 3.5 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	// RefitEveryK defaults to ceil(5/BatchSize): the historical

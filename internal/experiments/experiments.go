@@ -87,31 +87,15 @@ func (s Scale) aquatopePolicy(lite bool) *pool.Aquatope {
 		MaxTrainSamples: 500}
 }
 
-// workloadArchetype describes one function's trace pattern in the
-// cold-start ensemble, echoing the Azure mixture: mostly semi-periodic
-// rare functions, some episodic diurnal ones, a few dense seasonal ones.
-type workloadArchetype int
-
-const (
-	archPeriodic workloadArchetype = iota
-	archEpisodic
-	archDense
-)
-
-// ensembleTrace synthesizes the i-th ensemble member's trace. The mixture
-// is dominated by episodic workloads — short demand surges (tens of
-// invocations per minute for a few minutes) separated by long quiet gaps —
-// the minute-scale intermittency of the Azure traces that makes both
-// keep-alive cold starts and keep-alive memory waste large, with
-// semi-periodic (cron-like) members mixed in.
+// ensembleTrace synthesizes the i-th ensemble member's trace, echoing the
+// Azure mixture: two of every three members are semi-periodic (cron-like)
+// rare functions, the third is episodic — short demand surges (tens of
+// invocations per minute for a few minutes) separated by long quiet gaps,
+// the minute-scale intermittency that makes both keep-alive cold starts and
+// keep-alive memory waste large.
 func ensembleTrace(i, traceMin int, seed int64) *trace.Trace {
 	rng := stats.NewRNG(seed + int64(i)*101)
-	arch := archPeriodic
-	if i%3 == 2 {
-		arch = archEpisodic
-	}
-	switch arch {
-	case archPeriodic:
+	if i%3 != 2 {
 		return trace.SynthesizePeriodic(trace.PeriodicGenConfig{
 			DurationMin: traceMin,
 			PeriodMin:   rng.Uniform(18, 45),
@@ -122,22 +106,21 @@ func ensembleTrace(i, traceMin int, seed int64) *trace.Trace {
 			StartMinute: rng.Intn(trace.MinutesPerWeek),
 			Seed:        rng.Int63(),
 		})
-	default:
-		// Short Poisson-timed bursts: every invocation of a burst arrives
-		// within the cold window, so reactive policies pay full ramps.
-		return trace.Synthesize(trace.GenConfig{
-			DurationMin:          traceMin,
-			MeanRatePerMin:       rng.Uniform(0.05, 0.2),
-			Diurnal:              rng.Uniform(0.5, 0.8),
-			CV:                   rng.Uniform(1.5, 3),
-			BurstEpisodesPerHour: rng.Uniform(1, 3),
-			BurstDurationMin:     rng.Uniform(0.3, 1),
-			BurstMultiplier:      rng.Uniform(60, 150),
-			TriggerType:          rng.Intn(trace.NumTriggerTypes),
-			StartMinute:          rng.Intn(trace.MinutesPerWeek),
-			Seed:                 rng.Int63(),
-		})
 	}
+	// Short Poisson-timed bursts: every invocation of a burst arrives
+	// within the cold window, so reactive policies pay full ramps.
+	return trace.Synthesize(trace.GenConfig{
+		DurationMin:          traceMin,
+		MeanRatePerMin:       rng.Uniform(0.05, 0.2),
+		Diurnal:              rng.Uniform(0.5, 0.8),
+		CV:                   rng.Uniform(1.5, 3),
+		BurstEpisodesPerHour: rng.Uniform(1, 3),
+		BurstDurationMin:     rng.Uniform(0.3, 1),
+		BurstMultiplier:      rng.Uniform(60, 150),
+		TriggerType:          rng.Intn(trace.NumTriggerTypes),
+		StartMinute:          rng.Intn(trace.MinutesPerWeek),
+		Seed:                 rng.Int63(),
+	})
 }
 
 // ensembleModel returns the i-th ensemble member's performance profile.

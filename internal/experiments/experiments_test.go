@@ -175,13 +175,3 @@ func TestEnsembleTraceDeterminism(t *testing.T) {
 		t.Log("warning: adjacent ensemble members have equal arrival counts")
 	}
 }
-
-func TestRecoverySamples(t *testing.T) {
-	r := Fig16Result{Performance: []float64{90, 90, 20, 40, 85}, ChangePoints: []int{2}}
-	if got := r.RecoverySamples(80); got != 2 {
-		t.Fatalf("recovery = %d, want 2", got)
-	}
-	if got := r.RecoverySamples(99); got != -1 {
-		t.Fatalf("unreached threshold should be -1, got %d", got)
-	}
-}

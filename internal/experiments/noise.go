@@ -9,7 +9,6 @@ import (
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
 	"aquatope/internal/resource"
-	"aquatope/internal/stats"
 )
 
 // Fig15Result reports robustness to irregular system noise: execution cost
@@ -273,20 +272,3 @@ func Fig16(s Scale) Fig16Result {
 	})
 	return out[0]
 }
-
-// RecoverySamples returns how many samples after the change point the
-// performance needed to get back to the given threshold (%), or -1.
-func (r Fig16Result) RecoverySamples(threshold float64) int {
-	if len(r.ChangePoints) == 0 {
-		return -1
-	}
-	cp := r.ChangePoints[0]
-	for i := cp; i < len(r.Performance); i++ {
-		if r.Performance[i] >= threshold {
-			return i - cp
-		}
-	}
-	return -1
-}
-
-var _ = stats.Mean // reserved for aggregate variants

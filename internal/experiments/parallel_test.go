@@ -118,9 +118,8 @@ func TestRegistryLineup(t *testing.T) {
 	if len(all) != 18 {
 		t.Fatalf("registered experiments = %d, want 18", len(all))
 	}
-	ids := IDs()
-	if ids[0] != "table1" || ids[len(ids)-1] != "arena" {
-		t.Fatalf("registration order wrong: %v", ids)
+	if first, last := all[0].ID(), all[len(all)-1].ID(); first != "table1" || last != "arena" {
+		t.Fatalf("registration order wrong: %s … %s", first, last)
 	}
 	seen := make(map[string]bool)
 	for _, e := range all {

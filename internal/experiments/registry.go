@@ -82,17 +82,6 @@ func All() []Experiment {
 	return append([]Experiment(nil), regular...)
 }
 
-// IDs returns the registered experiment ids in registration order.
-func IDs() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	ids := make([]string, len(regular))
-	for i, e := range regular {
-		ids[i] = e.ID()
-	}
-	return ids
-}
-
 // ResultJSON is the mechanical export of one experiment result: the flat
 // header/rows view for diffing plus the full structured result under Data.
 type ResultJSON struct {

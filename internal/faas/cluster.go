@@ -269,15 +269,6 @@ func (c *Cluster) SetResourceConfig(name string, cfg ResourceConfig) error {
 	return nil
 }
 
-// ResourceConfigOf returns the function's current configuration.
-func (c *Cluster) ResourceConfigOf(name string) (ResourceConfig, bool) {
-	fn, ok := c.fns[name]
-	if !ok {
-		return ResourceConfig{}, false
-	}
-	return fn.cfg, true
-}
-
 // SetKeepAlive sets the idle-container keep-alive duration for a function.
 func (c *Cluster) SetKeepAlive(name string, seconds float64) error {
 	fn, ok := c.fns[name]

@@ -292,9 +292,8 @@ func TestColdStartRate(t *testing.T) {
 	if r := m.ColdStartRate(); math.Abs(r-0.25) > 1e-12 {
 		t.Fatalf("rate = %v, want 0.25", r)
 	}
-	m.Reset()
-	if m.Invocations() != 0 || m.ColdStartRate() != 0 {
-		t.Fatal("reset failed")
+	if NewMetrics().ColdStartRate() != 0 {
+		t.Fatal("rate with no invocations should be 0")
 	}
 }
 
@@ -336,9 +335,6 @@ func TestUnknownFunctionErrors(t *testing.T) {
 	}
 	if err := cl.SetResourceConfig("nope", ResourceConfig{CPU: 1, MemoryMB: 1}); err == nil {
 		t.Fatal("expected error")
-	}
-	if _, ok := cl.ResourceConfigOf("nope"); ok {
-		t.Fatal("expected missing config")
 	}
 }
 

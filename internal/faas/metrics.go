@@ -134,9 +134,6 @@ func (m *Metrics) MemTime() float64 { return m.memTime.Value() }
 // memory held by containers whether busy or idle.
 func (m *Metrics) ProvisionedMemTime() float64 { return m.provisionedMem.Value() }
 
-// ContainersCreated returns the number of containers provisioned.
-func (m *Metrics) ContainersCreated() int { return int(m.containersCreated.Value()) }
-
 // ContainersKilled returns the number of containers terminated.
 func (m *Metrics) ContainersKilled() int { return int(m.containersKilled.Value()) }
 
@@ -182,24 +179,3 @@ func (m *Metrics) ColdStartRate() float64 {
 
 // LatencyHistogram returns the end-to-end invocation latency histogram.
 func (m *Metrics) LatencyHistogram() *telemetry.Histogram { return m.latency }
-
-// Reset clears all counters and histograms, preserving the registry binding.
-func (m *Metrics) Reset() {
-	m.coldStarts.Reset()
-	m.warmStarts.Reset()
-	m.failed.Reset()
-	m.timedOut.Reset()
-	m.shed.Reset()
-	m.breakerOpens.Reset()
-	m.breakerCloses.Reset()
-	m.initFailures.Reset()
-	m.invokerCrashes.Reset()
-	m.cpuTime.Reset()
-	m.memTime.Reset()
-	m.provisionedMem.Reset()
-	m.containersCreated.Reset()
-	m.containersKilled.Reset()
-	m.latency.Reset()
-	m.execTime.Reset()
-	m.waitTime.Reset()
-}

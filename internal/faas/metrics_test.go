@@ -95,27 +95,6 @@ func TestMetricsColdStartRateEdges(t *testing.T) {
 	}
 }
 
-func TestMetricsReset(t *testing.T) {
-	m := NewMetrics()
-	m.record(InvocationResult{ColdStart: true, ExecTime: 1, CPU: 1, MemoryMB: 512})
-	m.containerCreated()
-	m.containerDied(512, 5)
-	m.Reset()
-	if m.Invocations() != 0 || m.ColdStarts() != 0 || m.ContainersCreated() != 0 ||
-		m.ContainersKilled() != 0 || m.CPUTime() != 0 || m.MemTime() != 0 ||
-		m.ProvisionedMemTime() != 0 {
-		t.Fatal("Reset left residual state")
-	}
-	if m.LatencyHistogram().Count() != 0 {
-		t.Fatal("Reset left histogram observations")
-	}
-	// The registry binding survives: new records land in the same snapshot.
-	m.record(InvocationResult{ColdStart: false})
-	if m.Registry().Snapshot().Counters["faas.warm_starts"] != 1 {
-		t.Fatal("registry binding lost after Reset")
-	}
-}
-
 func TestMetricsSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetricsOn(reg)

@@ -33,11 +33,8 @@ func ExampleGP_leaveOneOut() {
 	if err := g.Fit(X, y); err != nil {
 		panic(err)
 	}
-	mean, _, err := g.LeaveOneOut(5)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("held-out prediction far below 42: %v\n", mean < 20)
+	means, _ := g.LeaveOneOutAll()
+	fmt.Printf("held-out prediction far below 42: %v\n", means[5] < 20)
 	// Output:
 	// held-out prediction far below 42: true
 }

@@ -23,7 +23,7 @@ import (
 // (FitHyperparameters, SetWindow rebuilds) — never by target updates, since
 // the kernel matrix depends only on the inputs.
 type GP struct {
-	Kernel Kernel
+	Kernel *Matern52
 	// Noise is the observation noise variance in standardized target
 	// units, added to the kernel diagonal.
 	Noise float64
@@ -45,8 +45,6 @@ type GP struct {
 	// allocation-free: cross-covariances, the evict rank-1 vector, and the
 	// triangular-solve intermediate of restandardize.
 	kbuf, vbuf, solveTmp []float64
-
-	fullRefit bool // true => Observe/Forget rebuild from scratch (ablation)
 }
 
 // growBuf returns buf resized to n, reusing its backing array when possible.
@@ -58,7 +56,7 @@ func growBuf(buf []float64, n int) []float64 {
 }
 
 // New returns a GP with the given kernel and fixed noise variance.
-func New(k Kernel, noise float64) *GP {
+func New(k *Matern52, noise float64) *GP {
 	if noise < 1e-9 {
 		noise = 1e-9
 	}
@@ -82,11 +80,6 @@ func (g *GP) SetWindow(n int) {
 	}
 }
 
-// SetFullRefit disables the incremental up/downdate path: every Observe and
-// Forget rebuilds the factorization from scratch. This exists for ablation
-// and debugging; the incremental path is the default.
-func (g *GP) SetFullRefit(v bool) { g.fullRefit = v }
-
 // Window returns the observations currently conditioning the posterior, in
 // window order with targets in original units. The returned slices are
 // views; callers must not modify them.
@@ -104,12 +97,7 @@ func (g *GP) Observe(x []float64, y float64) error {
 		g.forget(false)
 	}
 	n := len(g.x)
-	if g.fullRefit || (n > 0 && g.chol == nil) {
-		g.x = append(g.x, x)
-		g.yRaw = append(g.yRaw, y)
-		return g.refactor()
-	}
-	if n == 0 {
+	if n == 0 || g.chol == nil {
 		g.x = append(g.x, x)
 		g.yRaw = append(g.yRaw, y)
 		return g.refactor()
@@ -153,7 +141,7 @@ func (g *GP) forget(restandardize bool) {
 		g.jitter = 0
 		return
 	}
-	if g.fullRefit || g.chol == nil {
+	if g.chol == nil {
 		_ = g.refactor()
 		return
 	}
@@ -191,7 +179,7 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 
 // refactor rebuilds the kernel-matrix cache and factorization from the
 // current window. It is the only O(n³) path; Observe/Forget reach it solely
-// through jitter escalation, hyperparameter refits, or SetFullRefit.
+// through jitter escalation or hyperparameter refits.
 func (g *GP) refactor() error {
 	n := len(g.x)
 	km := linalg.NewMatrix(n, n)
@@ -333,16 +321,10 @@ func (g *GP) PosteriorBatchRecent(m int) (mean []float64, cov *linalg.Matrix) {
 	return mean, cov
 }
 
-// SampleJoint draws nSamples correlated function values at the batch points
-// using the joint posterior and externally supplied standard-normal draws
-// (e.g. from a Sobol sequence): draws[s] must have length len(xs).
-func (g *GP) SampleJoint(xs [][]float64, draws [][]float64) [][]float64 {
-	mean, cov := g.PosteriorBatch(xs)
-	return sampleWithCov(mean, cov, draws)
-}
-
 // SampleJointRecent draws correlated function values at the most recent m
-// window points via the cached-kernel batch posterior.
+// window points via the cached-kernel batch posterior, using externally
+// supplied standard-normal draws (e.g. from a Sobol sequence): each draws[s]
+// must have length m.
 func (g *GP) SampleJointRecent(m int, draws [][]float64) [][]float64 {
 	mean, cov := g.PosteriorBatchRecent(m)
 	return sampleWithCov(mean, cov, draws)
@@ -450,27 +432,15 @@ func (g *GP) FitHyperparameters(rng *stats.RNG, restarts int) {
 	_ = g.refactor()
 }
 
-// LeaveOneOut returns the posterior mean and variance at x[i] of a GP
-// trained on all observations except index i — the diagnostic model the
-// paper uses for anomaly detection. It uses the closed-form identities
-// (Rasmussen & Williams eqs. 5.10–5.12) on the existing factor: O(n²), no
-// refit. The variance is the latent (noise-free) LOO variance in original
-// units, matching Posterior's convention.
-func (g *GP) LeaveOneOut(i int) (mean, variance float64, err error) {
-	if i < 0 || i >= len(g.x) {
-		return 0, 0, errors.New("gp: leave-one-out index out of range")
-	}
-	if g.chol == nil {
-		return 0, 0, errors.New("gp: leave-one-out before fit")
-	}
-	ci := cholInverseDiagAt(g.chol, i)
-	return g.looFrom(i, ci)
-}
-
-// LeaveOneOutAll returns LOO means and latent variances for every window
-// point in one pass — the residual yardstick anomaly screening refreshes on
-// each refit. O(n³)/3 total via the factor's inverse diagonal, versus the
-// O(n⁴) of refitting n leave-one-out models.
+// LeaveOneOutAll returns, for every window point i, the posterior mean and
+// variance at x[i] of a GP trained on all observations except i — the
+// diagnostic model the paper uses for anomaly detection, and the residual
+// yardstick anomaly screening refreshes on each refit. It uses the
+// closed-form identities (Rasmussen & Williams eqs. 5.10–5.12) on the
+// existing factor: O(n³)/3 total via the factor's inverse diagonal, versus
+// the O(n⁴) of refitting n leave-one-out models. The variances are the latent
+// (noise-free) LOO variances in original units, matching Posterior's
+// convention.
 func (g *GP) LeaveOneOutAll() (means, variances []float64) {
 	n := len(g.x)
 	means = make([]float64, n)
@@ -478,47 +448,18 @@ func (g *GP) LeaveOneOutAll() (means, variances []float64) {
 	if n == 0 || g.chol == nil {
 		return means, variances
 	}
-	diag := linalg.CholInverseDiag(g.chol)
-	for i := 0; i < n; i++ {
-		means[i], variances[i], _ = g.looFrom(i, diag[i])
+	// μ₋ᵢ = yᵢ − αᵢ/(K⁻¹)ᵢᵢ and σ²₋ᵢ = 1/(K⁻¹)ᵢᵢ − noise on the standardized
+	// scale; a degenerate precision entry leaves that point at (0, 0).
+	for i, ci := range linalg.CholInverseDiag(g.chol) {
+		if ci <= 0 || math.IsNaN(ci) {
+			continue
+		}
+		muStd := g.y[i] - g.alpha[i]/ci
+		varStd := 1/ci - g.Noise
+		if varStd < 0 {
+			varStd = 0
+		}
+		means[i], variances[i] = muStd*g.yStd+g.yMean, varStd*g.yStd*g.yStd
 	}
 	return means, variances
-}
-
-// looFrom converts one precision-diagonal entry into original-unit LOO
-// mean/variance: μ₋ᵢ = yᵢ − αᵢ/(K⁻¹)ᵢᵢ, σ²₋ᵢ = 1/(K⁻¹)ᵢᵢ − noise.
-func (g *GP) looFrom(i int, ci float64) (mean, variance float64, err error) {
-	if ci <= 0 || math.IsNaN(ci) {
-		return 0, 0, errors.New("gp: degenerate leave-one-out precision")
-	}
-	muStd := g.y[i] - g.alpha[i]/ci
-	varStd := 1/ci - g.Noise
-	if varStd < 0 {
-		varStd = 0
-	}
-	return muStd*g.yStd + g.yMean, varStd * g.yStd * g.yStd, nil
-}
-
-// cholInverseDiagAt returns diag(A⁻¹)ᵢ for a single index via one truncated
-// forward substitution — O(n²).
-func cholInverseDiagAt(l *linalg.Matrix, i int) float64 {
-	n := l.Rows
-	t := make([]float64, n)
-	t[i] = 1 / l.At(i, i)
-	s2 := t[i] * t[i]
-	for j := i + 1; j < n; j++ {
-		lj := l.Row(j)
-		var s float64
-		for k := i; k < j; k++ {
-			s -= lj[k] * t[k]
-		}
-		t[j] = s / lj[j]
-		s2 += t[j] * t[j]
-	}
-	return s2
-}
-
-// TrainingPoint returns observation i in original units.
-func (g *GP) TrainingPoint(i int) ([]float64, float64) {
-	return g.x[i], g.yRaw[i]
 }

@@ -9,17 +9,6 @@ import (
 	"math"
 )
 
-// Kernel is a positive-definite covariance function over R^d.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-	// Hyperparameters returns the current log-scale parameters
-	// (lengthscales first, output variance last).
-	Hyperparameters() []float64
-	// SetHyperparameters installs log-scale parameters (same layout).
-	SetHyperparameters(h []float64)
-}
-
 // scaledDist returns the ARD-scaled Euclidean distance between a and b.
 func scaledDist(a, b, lengthscales []float64) float64 {
 	var s float64
@@ -47,14 +36,15 @@ func NewMatern52(dim int) *Matern52 {
 	return &Matern52{Lengthscales: ls, Variance: 1}
 }
 
-// Eval implements Kernel.
+// Eval returns k(a, b).
 func (k *Matern52) Eval(a, b []float64) float64 {
 	r := scaledDist(a, b, k.Lengthscales)
 	s5r := math.Sqrt(5) * r
 	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
 
-// Hyperparameters implements Kernel: log lengthscales then log variance.
+// Hyperparameters returns the current log-scale parameters: log
+// lengthscales first, log output variance last.
 func (k *Matern52) Hyperparameters() []float64 {
 	h := make([]float64, len(k.Lengthscales)+1)
 	for i, l := range k.Lengthscales {
@@ -64,47 +54,8 @@ func (k *Matern52) Hyperparameters() []float64 {
 	return h
 }
 
-// SetHyperparameters implements Kernel.
+// SetHyperparameters installs log-scale parameters (same layout).
 func (k *Matern52) SetHyperparameters(h []float64) {
-	for i := range k.Lengthscales {
-		k.Lengthscales[i] = math.Exp(h[i])
-	}
-	k.Variance = math.Exp(h[len(h)-1])
-}
-
-// RBF is the squared-exponential kernel, available for ablations.
-type RBF struct {
-	Lengthscales []float64
-	Variance     float64
-}
-
-// NewRBF returns an RBF kernel with unit lengthscales and variance.
-func NewRBF(dim int) *RBF {
-	ls := make([]float64, dim)
-	for i := range ls {
-		ls[i] = 1
-	}
-	return &RBF{Lengthscales: ls, Variance: 1}
-}
-
-// Eval implements Kernel.
-func (k *RBF) Eval(a, b []float64) float64 {
-	r := scaledDist(a, b, k.Lengthscales)
-	return k.Variance * math.Exp(-r*r/2)
-}
-
-// Hyperparameters implements Kernel.
-func (k *RBF) Hyperparameters() []float64 {
-	h := make([]float64, len(k.Lengthscales)+1)
-	for i, l := range k.Lengthscales {
-		h[i] = math.Log(l)
-	}
-	h[len(h)-1] = math.Log(k.Variance)
-	return h
-}
-
-// SetHyperparameters implements Kernel.
-func (k *RBF) SetHyperparameters(h []float64) {
 	for i := range k.Lengthscales {
 		k.Lengthscales[i] = math.Exp(h[i])
 	}

@@ -70,13 +70,15 @@ func TestWindow1IncrementalMatchesColdProperty(t *testing.T) {
 // including when the pre-drop factorization had escalated to a non-zero
 // jitter.
 func TestDropToEmptyThenObserveEqualsColdFit(t *testing.T) {
-	g := New(NewRBF(1), 0.01)
-	// Two nearly identical points force jitter escalation.
-	if err := g.Fit([][]float64{{0.5}, {0.5 + 1e-13}}, []float64{1, 1}); err != nil {
+	g := New(NewMatern52(1), 0)
+	// A duplicated point with no observation noise makes the kernel matrix
+	// singular, which forces jitter escalation.
+	g.Noise = 0
+	if err := g.Fit([][]float64{{0.5}, {0.5}}, []float64{1, 1}); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
 	if g.jitter == 0 {
-		t.Skip("degenerate fit did not escalate jitter; edge not exercised")
+		t.Fatal("degenerate fit did not escalate jitter; edge not exercised")
 	}
 	g.Forget()
 	g.Forget()
@@ -100,9 +102,13 @@ func TestDropToEmptyThenObserveEqualsColdFit(t *testing.T) {
 	}
 
 	// Same contract via the empty-Fit path.
-	g2 := New(NewRBF(1), 0.01)
-	if err := g2.Fit([][]float64{{0.1}, {0.1 + 1e-13}}, []float64{2, 2}); err != nil {
+	g2 := New(NewMatern52(1), 0)
+	g2.Noise = 0
+	if err := g2.Fit([][]float64{{0.1}, {0.1}}, []float64{2, 2}); err != nil {
 		t.Fatalf("fit: %v", err)
+	}
+	if g2.jitter == 0 {
+		t.Fatal("degenerate fit did not escalate jitter; edge not exercised")
 	}
 	if err := g2.Fit(nil, nil); err != nil {
 		t.Fatalf("empty fit: %v", err)

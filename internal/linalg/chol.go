@@ -8,17 +8,20 @@ import "math"
 // and shrinks from the front when the window slides. Recomputing the factor
 // from scratch is O(n³) per update; the two primitives here keep it O(n²):
 //
-//   - ExtendCholesky appends one row/column: the new off-diagonal row is a
-//     forward substitution L·ℓ = k and the new diagonal is the square root
-//     of the Schur complement. Because tryCholesky computes row n of L by
-//     exactly the same operations in the same order, an extended factor is
-//     bitwise identical to a cold factorization of the extended matrix
-//     (when the cold path succeeds at the same jitter level).
+//   - ExtendCholeskyInPlace appends one row/column: the new off-diagonal
+//     row is a forward substitution L·ℓ = k and the new diagonal is the
+//     square root of the Schur complement. Because tryCholesky computes row
+//     n of L by exactly the same operations in the same order, an extended
+//     factor is bitwise identical to a cold factorization of the extended
+//     matrix (when the cold path succeeds at the same jitter level).
 //
-//   - DropLeadingCholesky removes row/column 0: writing the factor in block
-//     form L = [[l₁₁, 0], [l₂₁, L₂₂]] gives A[1:,1:] = l₂₁l₂₁ᵀ + L₂₂L₂₂ᵀ,
-//     so the trailing block needs only a rank-1 *update* (the numerically
-//     benign direction) with the deleted column as the vector.
+//   - DropLeadingCholeskyInPlace removes row/column 0: writing the factor in
+//     block form L = [[l₁₁, 0], [l₂₁, L₂₂]] gives A[1:,1:] = l₂₁l₂₁ᵀ +
+//     L₂₂L₂₂ᵀ, so the trailing block needs only a rank-1 *update* (the
+//     numerically benign direction) with the deleted column as the vector.
+//
+// Both mutate the factor inside its own backing array, so a sliding window at
+// steady state never allocates.
 //
 // Rank1Update is the shared kernel: the classic LINPACK-style sweep of
 // scaled Givens rotations, O(n²), stable for updates (downdates — which can
@@ -50,65 +53,25 @@ func CholeskyJitter(a *Matrix) (*Matrix, float64, error) {
 	return nil, 0, ErrNotPSD
 }
 
-// ExtendCholesky returns the (n+1)×(n+1) Cholesky factor of the matrix
+// ExtendCholeskyInPlace turns l = chol(A + jitter·I) (n×n) into the
+// (n+1)×(n+1) Cholesky factor of the matrix
 //
 //	[ A  k ]
 //	[ kᵀ d ]
 //
-// given L = chol(A + jitter·I) (n×n), the cross column k = A[0:n, n], and
-// the new diagonal entry d (jitter is re-applied to d for consistency).
-// It runs in O(n²). ok is false when the Schur complement is not positive —
-// the caller should fall back to a cold factorization with jitter
-// escalation. L is not modified.
+// given the cross column k = A[0:n, n] and the new diagonal entry d (jitter
+// is re-applied to d for consistency), in O(n²). The factor is restructured
+// for the wider stride inside its own backing array, growing it only when
+// capacity runs out. It returns false when the Schur complement is not
+// positive; the factor has then been restructured and is no longer valid —
+// the caller must refactor from scratch with jitter escalation, which is
+// what the failure demands anyway.
 //
 // Extending an empty factor (n == 0) ignores jitter: there is no existing
 // factorization to stay consistent with, and a cold factorization of a 1×1
 // matrix starts at jitter 0 — applying a stale caller-side jitter here
 // would silently diverge from the cold path (the window-size-1 edge of a
 // sliding window that just dropped to empty).
-func ExtendCholesky(l *Matrix, k []float64, d, jitter float64) (*Matrix, bool) {
-	n := l.Rows
-	if len(k) != n {
-		panic("linalg: extend length mismatch")
-	}
-	if n == 0 {
-		jitter = 0
-	}
-	out := NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(out.Row(i)[:n], l.Row(i)[:n])
-	}
-	// New row by forward substitution, mirroring tryCholesky's update of
-	// row n against rows 0..n-1 (same operations, same order).
-	row := out.Row(n)
-	for j := 0; j < n; j++ {
-		s := k[j]
-		lj := l.Row(j)
-		for t := 0; t < j; t++ {
-			s -= row[t] * lj[t]
-		}
-		row[j] = s / lj[j]
-	}
-	dd := d + jitter
-	for t := 0; t < n; t++ {
-		dd -= row[t] * row[t]
-	}
-	if dd <= 0 || math.IsNaN(dd) {
-		return nil, false
-	}
-	row[n] = math.Sqrt(dd)
-	return out, true
-}
-
-// ExtendCholeskyInPlace is ExtendCholesky mutating l itself: the factor is
-// restructured for the wider stride inside its own backing array (growing it
-// only when capacity runs out, so a sliding window at steady state never
-// allocates) and the new row is computed exactly as ExtendCholesky would,
-// producing a bitwise-identical factor. On ok=false the factor has been
-// restructured and is no longer valid — the caller must refactor from
-// scratch, which is what the failure demands anyway. Like ExtendCholesky,
-// extending an empty factor ignores jitter to match a cold 1×1
-// factorization.
 func ExtendCholeskyInPlace(l *Matrix, k []float64, d, jitter float64) bool {
 	n := l.Rows
 	if len(k) != n {
@@ -134,6 +97,8 @@ func ExtendCholeskyInPlace(l *Matrix, k []float64, d, jitter float64) bool {
 		l.Data[i*(n+1)+n] = 0
 	}
 	l.Rows, l.Cols = n+1, n+1
+	// New row by forward substitution, mirroring tryCholesky's update of
+	// row n against rows 0..n-1 (same operations, same order).
 	row := l.Row(n)
 	for j := 0; j < n; j++ {
 		s := k[j]
@@ -154,28 +119,12 @@ func ExtendCholeskyInPlace(l *Matrix, k []float64, d, jitter float64) bool {
 	return true
 }
 
-// DropLeadingCholesky returns the (n-1)×(n-1) Cholesky factor of A[1:,1:]
-// given L = chol(A) (n×n), in O(n²). L is not modified.
-func DropLeadingCholesky(l *Matrix) *Matrix {
-	n := l.Rows
-	if n == 0 {
-		panic("linalg: drop from empty factor")
-	}
-	out := NewMatrix(n-1, n-1)
-	v := make([]float64, n-1)
-	for i := 1; i < n; i++ {
-		copy(out.Row(i - 1)[:i], l.Row(i)[1:i+1])
-		v[i-1] = l.At(i, 0)
-	}
-	Rank1Update(out, v)
-	return out
-}
-
-// DropLeadingCholeskyInPlace is DropLeadingCholesky mutating l itself, with
-// v as caller-provided scratch (length ≥ n-1, overwritten). The trailing
-// block is compacted to the narrower stride inside the same backing array —
-// every destination precedes its source — then rank-1-updated, producing a
-// factor bitwise-identical to the allocating variant with zero allocations.
+// DropLeadingCholeskyInPlace turns l = chol(A) (n×n) into the (n-1)×(n-1)
+// Cholesky factor of A[1:,1:] in O(n²) with zero allocations, using v as
+// caller-provided scratch (length ≥ n-1, overwritten). The trailing block is
+// compacted to the narrower stride inside the same backing array — every
+// destination precedes its source — then rank-1-updated with the deleted
+// column.
 func DropLeadingCholeskyInPlace(l *Matrix, v []float64) {
 	n := l.Rows
 	if n == 0 {

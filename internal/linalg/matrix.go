@@ -24,30 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -94,44 +70,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				oi[j] += a * bk[j]
 			}
 		}
-	}
-	return out
-}
-
-// MulVec returns m*x for a vector x of length m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic("linalg: mulvec shape mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		var s float64
-		for j, v := range x {
-			s += mi[j] * v
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Add returns m+b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s*m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
 	}
 	return out
 }
@@ -190,37 +128,16 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 
 // SolveLower solves L y = b for lower-triangular L.
 func SolveLower(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic("linalg: solve length mismatch")
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		li := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= li[k] * y[k]
-		}
-		y[i] = s / li[i]
-	}
+	y := make([]float64, l.Rows)
+	SolveLowerInto(l, b, y)
 	return y
 }
 
 // SolveUpperT solves Lᵀ x = y for lower-triangular L (i.e. an upper
 // triangular solve against the transpose without materializing it).
 func SolveUpperT(l *Matrix, y []float64) []float64 {
-	n := l.Rows
-	if len(y) != n {
-		panic("linalg: solve length mismatch")
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
+	x := make([]float64, l.Rows)
+	SolveUpperTInto(l, y, x)
 	return x
 }
 

@@ -10,9 +10,26 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mat builds a rows×cols matrix from its entries in row-major order.
+func mat(rows, cols int, data ...float64) *Matrix {
+	if len(data) != rows*cols {
+		panic("mat: wrong number of entries")
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+// mulVec returns a·x by Dot over rows.
+func mulVec(a *Matrix, x []float64) []float64 {
+	out := make([]float64, a.Rows)
+	for i := range out {
+		out[i] = Dot(a.Row(i), x)
+	}
+	return out
+}
+
 func TestMulIdentity(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	i := Identity(2)
+	a := mat(2, 2, 1, 2, 3, 4)
+	i := mat(2, 2, 1, 0, 0, 1)
 	p := a.Mul(i)
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 2; c++ {
@@ -24,10 +41,10 @@ func TestMulIdentity(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
+	a := mat(2, 3, 1, 2, 3, 4, 5, 6)
+	b := mat(3, 2, 7, 8, 9, 10, 11, 12)
 	p := a.Mul(b)
-	want := FromRows([][]float64{{58, 64}, {139, 154}})
+	want := mat(2, 2, 58, 64, 139, 154)
 	for r := 0; r < 2; r++ {
 		for c := 0; c < 2; c++ {
 			if p.At(r, c) != want.At(r, c) {
@@ -46,27 +63,11 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	y := a.MulVec([]float64{1, 1})
-	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MulVec = %v", y)
-	}
-}
-
 func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := mat(2, 3, 1, 2, 3, 4, 5, 6)
 	at := a.T()
 	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Fatalf("transpose wrong: %+v", at)
-	}
-}
-
-func TestAddScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	s := a.Add(a.Scale(2))
-	if s.At(1, 1) != 12 || s.At(0, 0) != 3 {
-		t.Fatalf("Add/Scale wrong: %+v", s)
 	}
 }
 
@@ -77,7 +78,7 @@ func TestDot(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := mat(2, 2, 1, 2, 3, 4)
 	c := a.Clone()
 	c.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -86,16 +87,16 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestCholeskyKnown(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
+	a := mat(3, 3,
+		4, 12, -16,
+		12, 37, -43,
+		-16, -43, 98,
+	)
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := FromRows([][]float64{{2, 0, 0}, {6, 1, 0}, {-8, 5, 3}})
+	want := mat(3, 3, 2, 0, 0, 6, 1, 0, -8, 5, 3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if !approx(l.At(i, j), want.At(i, j), 1e-9) {
@@ -112,7 +113,7 @@ func TestCholeskyRejectsNonSquare(t *testing.T) {
 }
 
 func TestCholeskyRejectsNegativeDefinite(t *testing.T) {
-	a := FromRows([][]float64{{-1, 0}, {0, -1}})
+	a := mat(2, 2, -1, 0, 0, -1)
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("expected ErrNotPSD")
 	}
@@ -120,7 +121,7 @@ func TestCholeskyRejectsNegativeDefinite(t *testing.T) {
 
 func TestCholeskyJitterRecoversSemiDefinite(t *testing.T) {
 	// Rank-1 PSD matrix (singular): jitter should rescue it.
-	a := FromRows([][]float64{{1, 1}, {1, 1}})
+	a := mat(2, 2, 1, 1, 1, 1)
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatalf("jitter failed to rescue PSD matrix: %v", err)
@@ -137,18 +138,18 @@ func TestCholeskyJitterRecoversSemiDefinite(t *testing.T) {
 }
 
 func TestCholSolve(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
+	a := mat(3, 3,
+		4, 12, -16,
+		12, 37, -43,
+		-16, -43, 98,
+	)
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := CholSolve(l, []float64{1, 2, 3})
 	// Verify A x = b.
-	b := a.MulVec(x)
+	b := mulVec(a, x)
 	want := []float64{1, 2, 3}
 	for i := range b {
 		if !approx(b[i], want[i], 1e-8) {
@@ -158,7 +159,7 @@ func TestCholSolve(t *testing.T) {
 }
 
 func TestLogDetFromChol(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
+	a := mat(2, 2, 4, 0, 0, 9)
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestLogDetFromChol(t *testing.T) {
 }
 
 func TestSolveLowerUpper(t *testing.T) {
-	l := FromRows([][]float64{{2, 0}, {1, 3}})
+	l := mat(2, 2, 2, 0, 1, 3)
 	y := SolveLower(l, []float64{4, 10})
 	if !approx(y[0], 2, 1e-12) || !approx(y[1], 8.0/3.0, 1e-12) {
 		t.Fatalf("SolveLower = %v", y)
@@ -177,7 +178,7 @@ func TestSolveLowerUpper(t *testing.T) {
 	x := SolveUpperT(l, y)
 	// Check L Lᵀ x = b.
 	a := l.Mul(l.T())
-	b := a.MulVec(x)
+	b := mulVec(a, x)
 	if !approx(b[0], 4, 1e-9) || !approx(b[1], 10, 1e-9) {
 		t.Fatalf("round-trip b = %v", b)
 	}
@@ -206,7 +207,7 @@ func TestPropertyCholeskySolvesSPD(t *testing.T) {
 			return false
 		}
 		x := CholSolve(l, b)
-		ax := a.MulVec(x)
+		ax := mulVec(a, x)
 		for i := range b {
 			if !approx(ax[i], b[i], 1e-6) {
 				return false

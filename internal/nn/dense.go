@@ -124,29 +124,9 @@ func (d *Dense) Backward(dy []float64) []float64 {
 // units are scaled by 1/(1-rate) so inference needs no rescaling.
 type DropoutMask []float64
 
-// NewDropoutMask samples a mask of the given size with drop probability
-// rate. A rate of 0 returns an all-ones mask.
-func NewDropoutMask(size int, rate float64, rng *stats.RNG) DropoutMask {
-	m := make(DropoutMask, size)
-	if rate <= 0 {
-		for i := range m {
-			m[i] = 1
-		}
-		return m
-	}
-	keep := 1 - rate
-	for i := range m {
-		if rng.Float64() < keep {
-			m[i] = 1 / keep
-		}
-	}
-	return m
-}
-
 // ResampleDropoutMask refills m in place with a fresh mask of the given
-// size, growing the buffer only when needed. It consumes exactly the same
-// RNG draws as NewDropoutMask, so swapping one for the other is
-// stream-preserving.
+// size and drop probability rate, growing the buffer only when needed (a nil
+// m allocates one). A rate of 0 gives an all-ones mask and draws nothing.
 func ResampleDropoutMask(m DropoutMask, size int, rate float64, rng *stats.RNG) DropoutMask {
 	if cap(m) < size {
 		m = make(DropoutMask, size)

@@ -282,7 +282,7 @@ func TestLSTMLearnsToMemorize(t *testing.T) {
 
 func TestDropoutMask(t *testing.T) {
 	rng := stats.NewRNG(10)
-	m := NewDropoutMask(1000, 0.5, rng)
+	m := ResampleDropoutMask(nil, 1000, 0.5, rng)
 	zero, kept := 0, 0
 	for _, v := range m {
 		switch v {
@@ -298,7 +298,7 @@ func TestDropoutMask(t *testing.T) {
 		t.Fatalf("drop count %d not near 500", zero)
 	}
 	// Rate 0 returns identity mask.
-	m0 := NewDropoutMask(5, 0, rng)
+	m0 := ResampleDropoutMask(nil, 5, 0, rng)
 	for _, v := range m0 {
 		if v != 1 {
 			t.Fatal("rate-0 mask should be all ones")

@@ -32,9 +32,6 @@ func SnapshotPolicy(enc *checkpoint.Encoder, p Policy) {
 	case *IceBreaker:
 		enc.String("icebreaker")
 		enc.F64s(p.fitted)
-	case *PredictorPolicy:
-		enc.String("predictor:" + p.Label)
-		enc.F64s(p.fitted)
 	case *Aquatope:
 		enc.String("aquatope")
 		enc.Int(p.offset)

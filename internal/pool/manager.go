@@ -364,22 +364,3 @@ func DemandSeries(arrivals []float64, serviceSec float64, minutes int) []float64
 	}
 	return out
 }
-
-// Smooth applies a short trailing moving average, stabilizing noisy demand
-// series before policy training.
-func Smooth(xs []float64, window int) []float64 {
-	if window <= 1 {
-		return append([]float64(nil), xs...)
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := math.Min(float64(window), float64(i+1))
-		out[i] = sum / n
-	}
-	return out
-}

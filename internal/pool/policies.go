@@ -254,38 +254,6 @@ func (p *IceBreaker) Decide(history []float64, _ int) Decision {
 
 // ---------------------------------------------------------------------------
 
-// PredictorPolicy adapts any timeseries.Predictor into a pool policy
-// (used for the ARIMA and vanilla-LSTM rows of Table 1).
-type PredictorPolicy struct {
-	Label     string
-	Predictor timeseries.Predictor
-	fitted    []float64
-}
-
-// Name implements Policy.
-func (p *PredictorPolicy) Name() string { return p.Label }
-
-// Fit implements Policy.
-func (p *PredictorPolicy) Fit(data FitData) {
-	p.Predictor.Fit(data.Demand)
-	p.fitted = append([]float64(nil), data.Demand...)
-}
-
-// Decide implements Policy.
-func (p *PredictorPolicy) Decide(history []float64, _ int) Decision {
-	if len(history) == 0 {
-		return Decision{Target: 0, KeepAlive: 120}
-	}
-	pred := p.Predictor.Forecast(history[len(history)-1:])
-	t := 0.0
-	if len(pred) > 0 {
-		t = pred[len(pred)-1]
-	}
-	return Decision{Target: int(math.Ceil(t)), KeepAlive: 120, Predicted: t}
-}
-
-// ---------------------------------------------------------------------------
-
 // Aquatope is the paper's dynamic pre-warmed container pool (§4): the
 // hybrid Bayesian LSTM encoder-decoder + MLP model predicts next-window
 // demand with uncertainty, and the pool is sized at the predictive mean
@@ -300,14 +268,6 @@ type Aquatope struct {
 	Window int
 	// HeadroomZ scales the uncertainty headroom (default 1.0).
 	HeadroomZ float64
-	// Lookahead is the forward window (minutes) whose peak demand the
-	// model is trained to predict: the pool must cover the next interval's
-	// peak, not the instantaneous count (default 4).
-	Lookahead int
-	// CapWindowMin caps the pool target at the maximum demand observed
-	// over this trailing window (default 180 min): uncertainty headroom
-	// never holds more containers than the workload has recently needed.
-	CapWindowMin int
 	// MaxTrainSamples subsamples the training set to bound training time
 	// (0 = use everything). The most recent samples are kept; earlier
 	// ones are dropped uniformly.
@@ -335,12 +295,16 @@ func (p *Aquatope) window() int {
 	return p.Window
 }
 
-func (p *Aquatope) lookahead() int {
-	if p.Lookahead <= 0 {
-		return 4
-	}
-	return p.Lookahead
-}
+const (
+	// lookaheadMin is the forward window (minutes) whose peak demand the
+	// model is trained to predict: the pool must cover the next interval's
+	// peak, not the instantaneous count.
+	lookaheadMin = 4
+	// capWindowMin caps the pool target at the maximum demand observed over
+	// this trailing window: uncertainty headroom never holds more containers
+	// than the workload has recently needed.
+	capWindowMin = 180
+)
 
 // recencyFeatures derives phase information from the demand series up to
 // (and excluding) index i: log-scaled minutes since the last activity, the
@@ -421,12 +385,12 @@ func (p *Aquatope) Fit(data FitData) {
 	}
 	cfg.ExtDim = len(feat(0)) + NumRecencyFeatures
 	p.model = bayesnn.New(cfg)
-	// Train against the forward-peak demand (see Lookahead): the decoder
+	// Train against the forward-peak demand (see lookaheadMin): the decoder
 	// reconstructs the raw series while the prediction target is the peak
 	// the pool must cover. External features combine calendar/trigger
 	// context with recency-derived phase information.
 	w := p.window()
-	peaks := forwardMax(data.Demand, p.lookahead())
+	peaks := forwardMax(data.Demand, lookaheadMin)
 	var samples []bayesnn.Sample
 	for i := w; i+cfg.Horizon <= len(data.Demand); i++ {
 		hist := make([][]float64, w)
@@ -498,12 +462,8 @@ func (p *Aquatope) Decide(history []float64, minute int) Decision {
 	}
 	// Cap at the recent historical peak: headroom should cover recurring
 	// bursts, not hold more than the workload has ever needed lately.
-	capWin := p.CapWindowMin
-	if capWin <= 0 {
-		capWin = 180
-	}
 	peak := 0.0
-	for i := len(history) - 1; i >= 0 && i >= len(history)-capWin; i-- {
+	for i := len(history) - 1; i >= 0 && i >= len(history)-capWindowMin; i-- {
 		if history[i] > peak {
 			peak = history[i]
 		}

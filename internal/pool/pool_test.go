@@ -209,17 +209,6 @@ func TestDemandSeries(t *testing.T) {
 	}
 }
 
-func TestSmooth(t *testing.T) {
-	out := Smooth([]float64{0, 10, 20}, 2)
-	if out[0] != 0 || out[1] != 5 || out[2] != 15 {
-		t.Fatalf("smooth = %v", out)
-	}
-	same := Smooth([]float64{1, 2}, 1)
-	if same[0] != 1 || same[1] != 2 {
-		t.Fatal("window 1 should copy")
-	}
-}
-
 func TestAquatopeVsLiteUncertainty(t *testing.T) {
 	// On a bursty trace the uncertainty headroom should not increase cold
 	// starts relative to AquaLite (usually it strictly reduces them).

@@ -56,9 +56,7 @@ type BOManager struct {
 }
 
 // NewBO returns a manager driving the Aquatope engine with explicit
-// options; Dim is derived from the space and need not be set. This is the
-// declarative entry point for arena configs that tune the engine's window
-// or refit schedule.
+// options; Dim is derived from the space and need not be set.
 func NewBO(label string, space *Space, prof *Profiler, opts bo.Options) *BOManager {
 	opts.Dim = space.Dim()
 	return &BOManager{Label: label, Space: space, Profiler: prof, Opt: bo.New(opts)}

@@ -27,17 +27,6 @@ func TestSpaceDecodeEncode(t *testing.T) {
 	if f1.CPU != DefaultCPUOptions[len(DefaultCPUOptions)-1] {
 		t.Fatalf("f1 = %+v", f1)
 	}
-	// Encode/Decode round trip preserves the configuration.
-	x := s.Encode(cfgs)
-	cfgs2, err := s.Decode(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fn, c := range cfgs {
-		if cfgs2[fn] != c {
-			t.Fatalf("round trip changed %s: %+v vs %+v", fn, c, cfgs2[fn])
-		}
-	}
 }
 
 func TestSpaceDimMismatch(t *testing.T) {
@@ -49,7 +38,7 @@ func TestSpaceDimMismatch(t *testing.T) {
 
 func TestSpaceWithConcurrency(t *testing.T) {
 	s := NewSpace(chainApp())
-	s.Concurrency = DefaultConcurrencyOptions
+	s.Concurrency = []int{4, 8, 16, 32}
 	if s.Dim() != 6 {
 		t.Fatalf("dim = %d", s.Dim())
 	}
@@ -58,7 +47,7 @@ func TestSpaceWithConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cfgs {
-		if c.Concurrency != DefaultConcurrencyOptions[0] {
+		if c.Concurrency != 4 {
 			t.Fatalf("concurrency = %d", c.Concurrency)
 		}
 	}
@@ -260,15 +249,6 @@ func TestBOManagerEngineAccessor(t *testing.T) {
 func TestSnapIdxBounds(t *testing.T) {
 	if snapIdx(-0.5, 4) != 0 || snapIdx(1.5, 4) != 3 || snapIdx(0.49, 2) != 0 || snapIdx(0.51, 2) != 1 {
 		t.Fatal("snapIdx boundaries wrong")
-	}
-}
-
-func TestNearestIdx(t *testing.T) {
-	if nearestIdx([]float64{1, 2, 4}, 2.9) != 1 || nearestIdx([]float64{1, 2, 4}, 3.1) != 2 {
-		t.Fatal("nearestIdx wrong")
-	}
-	if nearestIntIdx([]int{4, 8, 16}, 10) != 1 {
-		t.Fatal("nearestIntIdx wrong")
 	}
 }
 

@@ -21,9 +21,6 @@ var DefaultCPUOptions = []float64{0.25, 0.5, 1, 2, 4}
 // DefaultMemOptions are the per-function memory limits explored (MB).
 var DefaultMemOptions = []float64{128, 256, 512, 1024, 2048, 4096}
 
-// DefaultConcurrencyOptions are per-function concurrency caps.
-var DefaultConcurrencyOptions = []int{4, 8, 16, 32}
-
 // Space maps [0,1]^Dim vectors to per-function resource configurations.
 type Space struct {
 	Functions   []string
@@ -84,47 +81,7 @@ func (s *Space) Decode(x []float64) (map[string]faas.ResourceConfig, error) {
 	return out, nil
 }
 
-// Encode maps per-function configurations back to the (bin-center)
-// normalized vector.
-func (s *Space) Encode(cfgs map[string]faas.ResourceConfig) []float64 {
-	k := s.dimsPerFunction()
-	x := make([]float64, s.Dim())
-	for i, fn := range s.Functions {
-		cfg := cfgs[fn]
-		x[i*k] = binCenter(nearestIdx(s.CPUOptions, cfg.CPU), len(s.CPUOptions))
-		x[i*k+1] = binCenter(nearestIdx(s.MemOptions, cfg.MemoryMB), len(s.MemOptions))
-		if k == 3 {
-			x[i*k+2] = binCenter(nearestIntIdx(s.Concurrency, cfg.Concurrency), len(s.Concurrency))
-		}
-	}
-	return x
-}
-
 func binCenter(i, n int) float64 { return (float64(i) + 0.5) / float64(n) }
-
-func nearestIdx(opts []float64, v float64) int {
-	best, bd := 0, math.Inf(1)
-	for i, o := range opts {
-		if d := math.Abs(o - v); d < bd {
-			best, bd = i, d
-		}
-	}
-	return best
-}
-
-func nearestIntIdx(opts []int, v int) int {
-	best, bd := 0, math.MaxInt
-	for i, o := range opts {
-		d := o - v
-		if d < 0 {
-			d = -d
-		}
-		if d < bd {
-			best, bd = i, d
-		}
-	}
-	return best
-}
 
 // GridSize returns the total number of distinct configurations.
 func (s *Space) GridSize() int {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"aquatope/internal/bo"
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
 	"aquatope/internal/trace"
@@ -17,10 +16,7 @@ func init() {
 				desc: Describe("aquatope"),
 				pool: &bnnPool{name: "aquatope", opts: o},
 				conf: &managerConf{name: "aquatope", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-					b := o.BO
-					b.QoS = qos
-					b.Seed = seed
-					return resource.NewBO("aquatope", space, prof, b)
+					return resource.NewAquatope(space, prof, qos, seed)
 				}},
 			}
 		})
@@ -33,12 +29,7 @@ func init() {
 				desc: Describe("aqualite"),
 				pool: &bnnPool{name: "aqualite", opts: o},
 				conf: &managerConf{name: "aqualite", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-					b := o.BO
-					b.QoS = qos
-					b.Seed = seed
-					b.Acquisition = bo.EI
-					b.DisableAnomalyDetection = true
-					return resource.NewBO("aqualite", space, prof, b)
+					return resource.NewAquaLite(space, prof, qos, seed)
 				}},
 			}
 		})

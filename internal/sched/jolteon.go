@@ -18,14 +18,24 @@ func init() {
 				name: "jolteon",
 				desc: Describe("jolteon"),
 				pool: &policyPool{name: "jolteon", meter: o.Meter, build: func() pool.Policy {
-					return &quantilePolicy{risk: o.risk()}
+					return &quantilePolicy{risk: jolteonRisk}
 				}},
 				conf: &managerConf{name: "jolteon", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
-					return newJolteonManager(space, prof, qos, o.risk(), o.samplesPerCandidate())
+					return newJolteonManager(space, prof, qos)
 				}},
 			}
 		})
 }
+
+const (
+	// jolteonRisk is the tail probability of jolteon's probabilistic bounds:
+	// pools are sized at the (1-risk) demand quantile and a configuration is
+	// accepted while its modeled P(latency > QoS) <= risk — a P95 bound.
+	jolteonRisk = 0.05
+	// jolteonSamples is how many profiler samples jolteon draws per candidate
+	// configuration to estimate the latency distribution.
+	jolteonSamples = 3
+)
 
 // lambdaMemRatioMB is AWS Lambda's memory-per-vCPU coupling (1792 MB per
 // full vCPU): jolteon tunes one knob — vCPUs — and derives memory from it,
@@ -119,13 +129,13 @@ type jolteonManager struct {
 }
 
 // newJolteonManager anchors every function at the top of the vCPU ladder.
-func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos, risk float64, k int) *jolteonManager {
+func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos float64) *jolteonManager {
 	m := &jolteonManager{
 		space:  space,
 		prof:   prof,
 		qos:    qos,
-		risk:   risk,
-		k:      k,
+		risk:   jolteonRisk,
+		k:      jolteonSamples,
 		tracer: telemetry.Nop{},
 		level:  make([]int, len(space.Functions)),
 		done:   make([]bool, len(space.Functions)),

@@ -79,40 +79,10 @@ type Options struct {
 	MaxTrainSamples int
 	// Lite drops the uncertainty headroom (the AquaLite ablation).
 	Lite bool
-	// Risk is the tail probability for probabilistic-bound schedulers:
-	// jolteon sizes pools at the (1-Risk) demand quantile and accepts
-	// configurations whose modeled P(latency > QoS) <= Risk (default
-	// 0.05, i.e. a P95 bound).
-	Risk float64
-	// SamplesPerCandidate is how many profiler samples jolteon draws per
-	// candidate configuration to estimate the latency distribution
-	// (default 3).
-	SamplesPerCandidate int
-	// BO declaratively tunes the customized-BO engine behind the
-	// aquatope/aqualite configurator: kernel, acquisition, batch shape,
-	// sliding window and refit-every-k schedule. Dim, QoS
-	// and Seed are filled per application; the zero value reproduces the
-	// engine defaults (and aqualite still forces EI + no anomaly pruning
-	// on top of it).
-	BO bo.Options
 	// Meter, when non-nil, accrues deterministic decision-work accounting
 	// for this scheduler instance (the arena's per-decision latency
 	// column).
 	Meter *Meter
-}
-
-func (o Options) risk() float64 {
-	if o.Risk <= 0 || o.Risk >= 1 {
-		return 0.05
-	}
-	return o.Risk
-}
-
-func (o Options) samplesPerCandidate() int {
-	if o.SamplesPerCandidate <= 0 {
-		return 3
-	}
-	return o.SamplesPerCandidate
 }
 
 // ---------------------------------------------------------------------------
@@ -199,11 +169,7 @@ func meterPolicy(p pool.Policy, m *Meter) pool.Policy {
 	}
 	evals := 1.0
 	if aq, ok := p.(*pool.Aquatope); ok && !aq.Lite {
-		mc := aq.ModelConfig.MCSamples
-		if mc <= 0 {
-			mc = 15
-		}
-		evals = float64(mc)
+		evals = float64(aq.ModelConfig.MCSamples) // bnnPool always sets it ≥ 1
 	}
 	return meteredPolicy{Policy: p, meter: m, evals: evals}
 }

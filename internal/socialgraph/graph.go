@@ -96,15 +96,6 @@ func (g *Graph) Followers(user int) int {
 	return len(g.adj[user])
 }
 
-// Neighbors returns the adjacency list of a user (shared slice; do not
-// modify).
-func (g *Graph) Neighbors(user int) []int {
-	if user < 0 || user >= len(g.adj) {
-		return nil
-	}
-	return g.adj[user]
-}
-
 // SampleUser returns a uniformly random user.
 func (g *Graph) SampleUser(rng *stats.RNG) int { return rng.Intn(len(g.adj)) }
 

@@ -15,7 +15,7 @@ func drawMix(g *RNG, n int) []float64 {
 		out = append(out, g.Normal(1, 2))
 		out = append(out, g.Exponential(0.5))
 		out = append(out, float64(g.Poisson(3)), float64(g.Intn(17)))
-		out = append(out, g.Pareto(1, 1.5), g.LogNormal(0, 1))
+		out = append(out, g.Uniform(1, 1.5), g.LogNormal(0, 1))
 	}
 	return out
 }

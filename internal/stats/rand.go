@@ -107,15 +107,6 @@ func (g *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Pareto returns a bounded Pareto sample with shape alpha and minimum xm.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()

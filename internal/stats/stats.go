@@ -36,20 +36,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// SampleVariance returns the Bessel-corrected sample variance.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -61,17 +47,6 @@ func CV(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the largest element of xs, or -Inf for an empty slice.
@@ -149,39 +124,6 @@ func SMAPE(actual, predicted []float64) float64 {
 	return s / float64(n) * 100
 }
 
-// MAE returns the mean absolute error between actual and predicted.
-func MAE(actual, predicted []float64) float64 {
-	n := len(actual)
-	if len(predicted) < n {
-		n = len(predicted)
-	}
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += math.Abs(actual[i] - predicted[i])
-	}
-	return s / float64(n)
-}
-
-// RMSE returns the root mean squared error between actual and predicted.
-func RMSE(actual, predicted []float64) float64 {
-	n := len(actual)
-	if len(predicted) < n {
-		n = len(predicted)
-	}
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		d := actual[i] - predicted[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n))
-}
-
 // NormalCDF returns the standard normal cumulative distribution function at x.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
@@ -245,15 +187,4 @@ func Standardize(xs []float64) (scaled []float64, mean, std float64) {
 		scaled[i] = (x - mean) / std
 	}
 	return scaled, mean, std
-}
-
-// Clamp restricts x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -30,13 +30,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("SampleVariance = %v, want 2.5", got)
-	}
-}
-
 func TestCV(t *testing.T) {
 	if got := CV([]float64{5, 5, 5, 5}); got != 0 {
 		t.Fatalf("CV constant = %v, want 0", got)
@@ -52,11 +45,11 @@ func TestCV(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 11 {
-		t.Fatalf("Min/Max/Sum got %v/%v/%v", Min(xs), Max(xs), Sum(xs))
+	if Max(xs) != 7 || Sum(xs) != 11 {
+		t.Fatalf("Max/Sum got %v/%v", Max(xs), Sum(xs))
 	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty Min/Max should be +/-Inf")
+	if !math.IsInf(Max(nil), -1) {
+		t.Fatal("empty Max should be -Inf")
 	}
 }
 
@@ -111,17 +104,6 @@ func TestSMAPEBounds(t *testing.T) {
 	}
 }
 
-func TestMAERMSE(t *testing.T) {
-	a := []float64{1, 2, 3}
-	p := []float64{2, 2, 5}
-	if got := MAE(a, p); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("MAE = %v, want 1", got)
-	}
-	if got := RMSE(a, p); !almostEqual(got, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Fatalf("RMSE = %v", got)
-	}
-}
-
 func TestNormalCDFQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999} {
 		x := NormalQuantile(p)
@@ -164,12 +146,6 @@ func TestStandardize(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("constant scaled = %v, want 0", v)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp broken")
 	}
 }
 
@@ -227,15 +203,6 @@ func TestRNGPoisson(t *testing.T) {
 	}
 	if g.Poisson(0) != 0 || g.Poisson(-1) != 0 {
 		t.Fatal("nonpositive mean should return 0")
-	}
-}
-
-func TestRNGPareto(t *testing.T) {
-	g := NewRNG(4)
-	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("pareto sample %v below xm", v)
-		}
 	}
 }
 

@@ -112,16 +112,6 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-// Reset zeroes the counter. Nil-safe.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.v = 0
-	c.mu.Unlock()
-}
-
 // Gauge is a last-value metric.
 type Gauge struct {
 	mu sync.Mutex
@@ -146,16 +136,6 @@ func (g *Gauge) Value() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.v
-}
-
-// Reset zeroes the gauge. Nil-safe.
-func (g *Gauge) Reset() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.v = 0
-	g.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -344,20 +324,4 @@ func (h *Histogram) bucketBounds(b int) (lo, hi float64) {
 		hi = math.Max(h.max, lo)
 	}
 	return lo, hi
-}
-
-// Reset clears all observations, keeping the bucket layout. Nil-safe.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.count = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-	h.mu.Unlock()
 }

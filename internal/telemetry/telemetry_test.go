@@ -151,12 +151,8 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if s.Overflow != 1 {
 		t.Fatalf("overflow = %d, want 1", s.Overflow)
 	}
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("reset failed")
-	}
 	h.Observe(math.NaN())
-	if h.Count() != 0 {
+	if h.Count() != 3 {
 		t.Fatal("NaN should be dropped")
 	}
 }
@@ -191,11 +187,8 @@ func TestRegistryHandlesAndNilSafety(t *testing.T) {
 	var h *Histogram
 	c.Add(1)
 	c.Inc()
-	c.Reset()
 	g.Set(2)
-	g.Reset()
 	h.Observe(3)
-	h.Reset()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 || h.Sum() != 0 || h.Mean() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}

@@ -163,14 +163,15 @@ type PeriodicGenConfig struct {
 	JitterFrac float64
 	// ClumpMean is the mean number of invocations per clump (≥1).
 	ClumpMean float64
-	// ClumpSpreadSec spreads a clump's invocations over this window.
-	ClumpSpreadSec float64
 	// Diurnal in [0,1) thins nighttime clumps.
 	Diurnal     float64
 	TriggerType int
 	StartMinute int
 	Seed        int64
 }
+
+// clumpSpreadSec is the window a clump's invocations are spread over.
+const clumpSpreadSec = 20
 
 // SynthesizePeriodic generates a semi-periodic trace: clumps of invocations
 // separated by jittered periods, optionally thinned at night.
@@ -189,10 +190,6 @@ func SynthesizePeriodic(cfg PeriodicGenConfig) *Trace {
 	if clump < 1 {
 		clump = 1
 	}
-	spread := cfg.ClumpSpreadSec
-	if spread <= 0 {
-		spread = 20
-	}
 	rng := stats.NewRNG(cfg.Seed)
 	tr := &Trace{DurationMin: cfg.DurationMin, TriggerType: cfg.TriggerType, StartMinute: cfg.StartMinute}
 	horizon := float64(cfg.DurationMin) * 60
@@ -207,7 +204,7 @@ func SynthesizePeriodic(cfg PeriodicGenConfig) *Trace {
 		if keep {
 			n := 1 + rng.Poisson(clump-1)
 			for k := 0; k < n; k++ {
-				at := t + rng.Uniform(0, spread)
+				at := t + rng.Uniform(0, clumpSpreadSec)
 				if at < horizon {
 					tr.Arrivals = append(tr.Arrivals, at)
 				}
@@ -312,30 +309,6 @@ func AzureLikeEnsemble(n, durationMin int, seed int64) []*Trace {
 			Seed:           rng.Int63(),
 		})
 	}
-	return out
-}
-
-// ScaleRate returns a copy of the trace with arrivals thinned or
-// replicated so the mean rate is multiplied by factor (§7.2 scales traces
-// so cluster CPU utilization stays below 70%).
-func (t *Trace) ScaleRate(factor float64, seed int64) *Trace {
-	rng := stats.NewRNG(seed)
-	out := &Trace{DurationMin: t.DurationMin, TriggerType: t.TriggerType, StartMinute: t.StartMinute}
-	if factor <= 0 {
-		return out
-	}
-	whole := int(factor)
-	frac := factor - float64(whole)
-	for _, a := range t.Arrivals {
-		for k := 0; k < whole; k++ {
-			// Jitter replicas slightly to avoid exact ties.
-			out.Arrivals = append(out.Arrivals, a+rng.Uniform(0, 0.2)*float64(k))
-		}
-		if rng.Bernoulli(frac) {
-			out.Arrivals = append(out.Arrivals, a)
-		}
-	}
-	sortFloats(out.Arrivals)
 	return out
 }
 

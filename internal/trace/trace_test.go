@@ -149,26 +149,6 @@ func TestAzureLikeEnsembleHeterogeneity(t *testing.T) {
 	}
 }
 
-func TestScaleRate(t *testing.T) {
-	tr := Synthesize(GenConfig{DurationMin: 100, MeanRatePerMin: 10, CV: 1, Seed: 10})
-	double := tr.ScaleRate(2, 1)
-	ratio := float64(len(double.Arrivals)) / float64(len(tr.Arrivals))
-	if math.Abs(ratio-2) > 0.2 {
-		t.Fatalf("scale 2 ratio = %v", ratio)
-	}
-	half := tr.ScaleRate(0.5, 2)
-	ratio = float64(len(half.Arrivals)) / float64(len(tr.Arrivals))
-	if math.Abs(ratio-0.5) > 0.15 {
-		t.Fatalf("scale 0.5 ratio = %v", ratio)
-	}
-	if !sort.Float64sAreSorted(double.Arrivals) {
-		t.Fatal("scaled arrivals not sorted")
-	}
-	if len(tr.ScaleRate(0, 3).Arrivals) != 0 {
-		t.Fatal("scale 0 should empty the trace")
-	}
-}
-
 func TestInterArrivalCVDegenerate(t *testing.T) {
 	tr := &Trace{Arrivals: []float64{1, 2}}
 	if tr.InterArrivalCV() != 0 {

@@ -119,19 +119,6 @@ func NewDAG(name string, stages []Stage) (*DAG, error) {
 // Stages returns the DAG's stages.
 func (d *DAG) Stages() []Stage { return append([]Stage(nil), d.stages...) }
 
-// Functions returns the distinct function names used, in stage order.
-func (d *DAG) Functions() []string {
-	seen := make(map[string]bool, len(d.stages))
-	out := make([]string, 0, len(d.stages))
-	for _, s := range d.stages {
-		if !seen[s.Function] {
-			seen[s.Function] = true
-			out = append(out, s.Function)
-		}
-	}
-	return out
-}
-
 // Chain builds a linear workflow f1 -> f2 -> ... over the given functions.
 func Chain(name string, functions ...string) *DAG {
 	stages := make([]Stage, len(functions))

@@ -34,22 +34,17 @@ func TestChainTopology(t *testing.T) {
 	if len(d.Stages()) != 3 {
 		t.Fatalf("stages = %d", len(d.Stages()))
 	}
-	fns := d.Functions()
-	if len(fns) != 3 || fns[0] != "f1" || fns[2] != "f3" {
-		t.Fatalf("functions = %v", fns)
+	if st := d.Stages(); st[0].Function != "f1" || st[2].Function != "f3" {
+		t.Fatalf("stages = %v", st)
 	}
 }
 
-// TestDAGQueryAllocations pins the hotalloc sweep fix: Functions and
-// StageNames preallocate their result slices (len(stages) and
-// len(PerStage) are exact caps), so each is a single allocation instead
-// of a geometric append-growth chain. These run per executed workflow in
-// reporting paths, so the bound matters at fleet scale.
+// TestDAGQueryAllocations pins the hotalloc sweep fix: StageNames
+// preallocates its result slice (len(PerStage) is an exact cap), so it is a
+// single allocation instead of a geometric append-growth chain. It runs per
+// executed workflow in reporting paths, so the bound matters at fleet scale.
 func TestDAGQueryAllocations(t *testing.T) {
 	d := Chain("c", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
-	if got := testing.AllocsPerRun(200, func() { _ = d.Functions() }); got > 2 {
-		t.Errorf("Functions allocates %.0f times per call, want <= 2 (preallocated result)", got)
-	}
 	per := make(map[string][]faas.InvocationResult)
 	for _, s := range d.Stages() {
 		per[s.Name] = nil
