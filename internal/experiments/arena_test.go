@@ -33,7 +33,8 @@ func captureArena(t *testing.T, parallel int) (ArenaResult, string, []byte, []by
 // byte-identical tables, span dumps and metric snapshots across all four
 // schedulers and all three workload regimes.
 func TestArenaParallelDeterminism(t *testing.T) {
-	_, table1, spans1, metrics1 := captureArena(t, 1)
+	r1, table1, spans1, metrics1 := captureArena(t, 1)
+	checkGolden(t, "arena", r1)
 	_, table8, spans8, metrics8 := captureArena(t, 8)
 	if table1 != table8 {
 		t.Errorf("tables diverge between -parallel 1 and 8:\n%s\nvs\n%s", table1, table8)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,8 +11,42 @@ import (
 // tiny keeps CI fast; validity-scale runs live in cmd/aquabench.
 var tiny = Scale{TraceMin: 480, TrainMin: 300, Ensemble: 2, Repeats: 1, SearchBudget: 12, ModelEpochs: 3, Seed: 2}
 
+// deeper is tiny with enough search repetitions and budget that the
+// head-to-head sweeps (Fig. 14/15) find feasible picks — at tiny's single
+// 12-sample repetition their golden tables would pin mostly NaN.
+var deeper = Scale{TraceMin: 480, TrainMin: 300, Ensemble: 2, Repeats: 3, SearchBudget: 24, ModelEpochs: 3, Seed: 2}
+
+// checkGolden compares an experiment's rendered table and its Rows header
+// to the committed testdata/<id>.golden, so a harness refactor that moves a
+// number fails the test that already runs the harness. Regenerate with
+// UPDATE_GOLDEN=1 go test ./internal/experiments/.
+func checkGolden(t *testing.T, id string, r Result) {
+	t.Helper()
+	header, _ := r.Rows()
+	got := r.Table() + "rows: " + strings.Join(header, " | ") + "\n"
+	path := filepath.Join("testdata", id+".golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its golden table (regenerate with UPDATE_GOLDEN=1 if intended)\ngot:\n%s\nwant:\n%s",
+			id, got, want)
+	}
+}
+
 func TestTable1Shape(t *testing.T) {
 	r := Table1(tiny)
+	checkGolden(t, "table1", r)
 	if len(r.Order) != 5 { // keepalive, arima, holtwinters, lstm, aquatope
 		t.Fatalf("order = %v", r.Order)
 	}
@@ -27,6 +63,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	r := Fig9(tiny)
+	checkGolden(t, "fig9", r)
 	if len(r.Order) != 6 {
 		t.Fatalf("policies = %v", r.Order)
 	}
@@ -45,6 +82,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	r := Fig10(tiny)
+	checkGolden(t, "fig10", r)
 	if len(r.CVs) != 5 || len(r.IceBrk) != 5 || len(r.Aquatope) != 5 {
 		t.Fatal("cv sweep size wrong")
 	}
@@ -58,6 +96,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	r := Fig11(tiny)
+	checkGolden(t, "fig11", r)
 	if len(r.ActualGB) == 0 || len(r.ActualGB) != len(r.AquatopeGB) || len(r.ActualGB) != len(r.AquaLiteGB) {
 		t.Fatal("series misaligned")
 	}
@@ -69,6 +108,7 @@ func TestFig11Shape(t *testing.T) {
 func TestFig12Shape(t *testing.T) {
 	s := tiny
 	r := Fig12(s)
+	checkGolden(t, "fig12", r)
 	if len(r.Apps) != 5 {
 		t.Fatalf("apps = %v", r.Apps)
 	}
@@ -89,6 +129,7 @@ func TestFig12Shape(t *testing.T) {
 
 func TestFig13Shape(t *testing.T) {
 	r := Fig13(tiny)
+	checkGolden(t, "fig13", r)
 	for _, app := range r.Apps {
 		for mgr, v := range r.CPUPct[app] {
 			if v < 0 || math.IsNaN(v) {
@@ -99,18 +140,21 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	a := Fig14a(tiny)
+	a := Fig14a(deeper)
+	checkGolden(t, "fig14a", a)
 	if len(a.Labels) != 3 {
 		t.Fatalf("14a labels = %v", a.Labels)
 	}
-	b := Fig14b(tiny)
+	b := Fig14b(deeper)
+	checkGolden(t, "fig14b", b)
 	if len(b.Labels) != 3 {
 		t.Fatalf("14b labels = %v", b.Labels)
 	}
 }
 
 func TestFig15Shape(t *testing.T) {
-	r := Fig15(tiny)
+	r := Fig15(deeper)
+	checkGolden(t, "fig15", r)
 	if len(r.Levels) != 5 {
 		t.Fatalf("levels = %v", r.Levels)
 	}
@@ -118,6 +162,7 @@ func TestFig15Shape(t *testing.T) {
 
 func TestFig16Shape(t *testing.T) {
 	r := Fig16(tiny)
+	checkGolden(t, "fig16", r)
 	if len(r.Performance) == 0 {
 		t.Fatal("no trajectory")
 	}
@@ -133,6 +178,7 @@ func TestFig16Shape(t *testing.T) {
 
 func TestFig17Shape(t *testing.T) {
 	r := Fig17(tiny)
+	checkGolden(t, "fig17", r)
 	if r.FullCPU <= 0 || r.RMOnlyCPU <= 0 {
 		t.Fatalf("cpu times: %+v", r)
 	}
@@ -140,6 +186,7 @@ func TestFig17Shape(t *testing.T) {
 
 func TestFig18Shape(t *testing.T) {
 	r := Fig18(tiny)
+	checkGolden(t, "fig18", r)
 	if len(r.Order) != 3 {
 		t.Fatal("framework lineup wrong")
 	}
@@ -149,6 +196,43 @@ func TestFig18Shape(t *testing.T) {
 		}
 		if r.CPUTime[name] <= 0 {
 			t.Fatalf("%s cpu time %v", name, r.CPUTime[name])
+		}
+	}
+}
+
+func TestAblationShape(t *testing.T) {
+	// Between tiny and micro: the smallest scale at which every sweep
+	// still separates its rows, so the golden tables pin something.
+	s := Scale{TraceMin: 360, TrainMin: 240, Repeats: 3, SearchBudget: 24, ModelEpochs: 2, Seed: 2}
+	b := AblationBatchSize(s)
+	checkGolden(t, "ablation-batch", b)
+	if len(b.Q) != 3 || len(b.CostPct) != 3 || len(b.Iterations) != 3 {
+		t.Fatalf("batch sweep misaligned: %+v", b)
+	}
+	h := AblationHeadroom(s)
+	checkGolden(t, "ablation-headroom", h)
+	if len(h.Z) != 5 || len(h.ColdRate) != 5 || len(h.MemGBs) != 5 {
+		t.Fatalf("headroom sweep size wrong: %+v", h)
+	}
+	m := AblationMCSamples(s)
+	checkGolden(t, "ablation-mc", m)
+	if len(m.T) != 4 || len(m.ColdRate) != 4 || len(m.MemGBs) != 4 {
+		t.Fatalf("MC sweep size wrong: %+v", m)
+	}
+}
+
+func TestChaosShape(t *testing.T) {
+	r := Chaos(tiny)
+	checkGolden(t, "chaos", r)
+	for _, rate := range r.Rates {
+		for _, p := range r.Policies {
+			k := chaosKey(rate, p)
+			if v := r.Violation[k]; v < 0 || v > 1 {
+				t.Fatalf("%s violation %v", k, v)
+			}
+			if p == "none" && (r.Retries[k] != 0 || r.Hedges[k] != 0) {
+				t.Fatalf("%s: policy none retried or hedged", k)
+			}
 		}
 	}
 }

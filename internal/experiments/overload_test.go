@@ -33,7 +33,8 @@ func captureOverload(t *testing.T, parallel int) (OverloadResult, string, []byte
 // with every protection layer (admission, breakers, budgets, pool guard)
 // enabled.
 func TestOverloadParallelDeterminism(t *testing.T) {
-	_, table1, spans1, metrics1 := captureOverload(t, 1)
+	r1, table1, spans1, metrics1 := captureOverload(t, 1)
+	checkGolden(t, "overload", r1)
 	_, table8, spans8, metrics8 := captureOverload(t, 8)
 	if table1 != table8 {
 		t.Errorf("tables diverge between -parallel 1 and 8:\n%s\nvs\n%s", table1, table8)
