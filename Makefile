@@ -88,7 +88,10 @@ microbench:
 # overload-protection layers (bounded queues, breakers, retry budgets,
 # pool guard) and every registered scheduler (aquatope, jolteon, caerus,
 # naive) stay deterministic and parallel-safe. Timing lines go to
-# stderr, so stdout compares clean.
+# stderr, so stdout compares clean. The chaos sweep runs the same way
+# under -format json: nothing else drives the mechanical export
+# (MarshalResult, every result's Rows and JSON field set) through the
+# binary.
 #
 # It then exercises the trace-analysis pipeline end to end: a short
 # aquatope run dumps spans + metrics, aquatrace analyzes the dump twice
@@ -119,6 +122,9 @@ smoke:
 	$(GO) run ./cmd/aquabench -exp arena -scale quick -parallel 2 > .smoke_arena_p2.txt
 	$(GO) run ./cmd/aquabench -exp arena -scale quick -parallel 1 > .smoke_arena_p1.txt
 	cmp .smoke_arena_p1.txt .smoke_arena_p2.txt
+	$(GO) run ./cmd/aquabench -exp chaos -scale quick -format json -parallel 2 > .smoke_chaos_p2.json
+	$(GO) run ./cmd/aquabench -exp chaos -scale quick -format json -parallel 1 > .smoke_chaos_p1.json
+	cmp .smoke_chaos_p1.json .smoke_chaos_p2.json
 	$(GO) run ./cmd/aquatope -app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
 		-trace-out .smoke_spans.jsonl -metrics-out .smoke_metrics.json > /dev/null
 	$(GO) run ./cmd/aquatrace -trace .smoke_spans.jsonl -metrics .smoke_metrics.json \
@@ -147,6 +153,7 @@ smoke:
 	cmp .smoke_ref_spans.jsonl .smoke_restore_spans.jsonl
 	cmp .smoke_ref_metrics.json .smoke_restore_metrics.json
 	rm -rf .smoke_p1.txt .smoke_p2.txt .smoke_arena_p1.txt .smoke_arena_p2.txt \
+		.smoke_chaos_p1.json .smoke_chaos_p2.json \
 		.smoke_a1.txt .smoke_a2.txt .smoke_spans.jsonl .smoke_metrics.json \
 		.smoke_aquatope .smoke_stream.jsonl .smoke_ck_ref .smoke_ck \
 		.smoke_crash_spans.jsonl .smoke_crash_metrics.json \

@@ -1,5 +1,5 @@
 // Command aquabench regenerates every table and figure of the paper's
-// evaluation (§8) by iterating the experiments registry. Each experiment
+// evaluation (§8) by iterating the experiments lineup. Each experiment
 // prints the same rows/series the paper reports; absolute numbers come from
 // the simulated substrate, so compare shapes and orderings, not raw values
 // (see EXPERIMENTS.md).
@@ -60,7 +60,7 @@ func main() {
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-18s %s\n", e.ID(), e.Title())
+			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -95,7 +95,7 @@ func main() {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; available:\n", *exp)
 			for _, reg := range experiments.All() {
-				fmt.Fprintf(os.Stderr, "  %-18s %s\n", reg.ID(), reg.Title())
+				fmt.Fprintf(os.Stderr, "  %-18s %s\n", reg.ID, reg.Title)
 			}
 			os.Exit(2)
 		}
@@ -114,13 +114,13 @@ func main() {
 		if *format == "json" {
 			jsonResults = append(jsonResults, experiments.MarshalResult(e, r))
 		} else {
-			fmt.Printf("=== %s ===\n", e.Title())
-			fmt.Print(r.Table())
+			fmt.Printf("=== %s ===\n", e.Title)
+			fmt.Print(experiments.Table(r))
 			fmt.Println()
 		}
 		// Timing goes to stderr so stdout stays byte-identical run to run.
 		//aqualint:allow wallclock real elapsed time of the experiment run
-		fmt.Fprintf(os.Stderr, "(%s, scale=%s, workers=%d, %.1fs)\n", e.ID(), *scaleName, workers, time.Since(start).Seconds())
+		fmt.Fprintf(os.Stderr, "(%s, scale=%s, workers=%d, %.1fs)\n", e.ID, *scaleName, workers, time.Since(start).Seconds())
 	}
 
 	if *format == "json" {

@@ -34,7 +34,7 @@ func TestMain(m *testing.M) {
 func TestFlagsAndExitCodes(t *testing.T) {
 	var ids []string
 	for _, e := range experiments.All() {
-		ids = append(ids, e.ID())
+		ids = append(ids, e.ID)
 	}
 	if len(ids) == 0 {
 		t.Fatal("experiment registry is empty")

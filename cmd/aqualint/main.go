@@ -8,7 +8,7 @@
 //	maporder    no order-dependent work inside for-range over a map
 //	droppederr  no silently discarded error results in non-test code
 //	metricname  metric names and span kinds come from the telemetry catalog
-//	seedflow    every RNG constructor seed traces to config/DeriveSeed,
+//	seedflow    every RNG constructor seed traces to the run config,
 //	            never a literal or the wall clock, across helper layers
 //	spanpair    every telemetry.StartSpan is ended on all control-flow
 //	            paths (or deferred / handed off)

@@ -11,72 +11,39 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"aquatope/internal/apps"
-	"aquatope/internal/faas"
-	"aquatope/internal/pool"
-	"aquatope/internal/sim"
-	"aquatope/internal/stats"
+	"aquatope/internal/core"
+	"aquatope/internal/sched"
 	"aquatope/internal/trace"
-	"aquatope/internal/workflow"
 )
 
-// replay runs the video workflow over the trace with the given pool
-// policy; metrics cover the post-training window.
-func replay(app *apps.App, tr *trace.Trace, factory func(fn string) pool.Policy, trainMin int, seed int64) (coldRate float64, memGBs float64, meanLat float64) {
-	eng := sim.NewEngine()
-	cl := faas.NewCluster(eng, faas.Config{Seed: seed})
-	if err := app.Register(cl); err != nil {
-		panic(err)
-	}
-	ex := workflow.NewExecutor(cl)
-	rng := stats.NewRNG(seed)
-	trainCut := float64(trainMin) * 60
+// poolOnly drops a scheduler's configuration half: every function keeps
+// its default configuration and no search runs, so the two replays differ
+// in the pre-warm pool alone.
+type poolOnly struct{ sched.Scheduler }
 
-	var lats []float64
-	var cold, inv int
-	for _, at := range tr.Arrivals {
-		at := at
-		eng.Schedule(at, func() {
-			input := app.Input(rng)
-			widths := app.Widths(rng)
-			_ = ex.Execute(app.DAG, input, widths, func(r workflow.Result) {
-				if r.SubmitTime < trainCut {
-					return
-				}
-				lats = append(lats, r.Latency())
-				cold += r.ColdStarts
-				inv += r.Invocations
-			})
-		})
-	}
+func (poolOnly) Configurator() sched.Configurator { return nil }
 
-	mgr := pool.NewManager(cl)
-	mgr.ApplyAfter = trainCut
-	policies := make(map[string]pool.Policy)
-	for _, fn := range app.FunctionNames() {
-		p := factory(fn)
-		policies[fn] = p
-		mgr.Manage(fn, p, 0)
+// replay runs the video workflow over the trace under the named registry
+// scheduler's pool; the first day trains the pool models and metrics cover
+// the rest.
+func replay(app *apps.App, tr *trace.Trace, system string, o sched.Options) (coldRate, memGBs, meanLat float64) {
+	brain, ok := sched.New(system, o)
+	if !ok {
+		log.Fatalf("scheduler %s is not registered", system)
 	}
-	mgr.Start()
-	eng.Schedule(trainCut, func() {
-		for fn, p := range policies {
-			p.Fit(pool.FitData{
-				Demand: mgr.History(fn),
-				FeatFn: func(i int) []float64 { return tr.Features(i) },
-			})
-		}
+	res, err := core.Run(core.Config{
+		Components: []core.Component{{App: app, Trace: tr}},
+		TrainMin:   1440,
+		Scheduler:  poolOnly{brain},
+		Seed:       1, // one replay seed, so both pools see the identical workload
 	})
-	var provBase float64
-	eng.Schedule(trainCut, func() { provBase = cl.Metrics().ProvisionedMemTime() })
-	eng.RunUntil(float64(tr.DurationMin)*60 + 300)
-	cl.Flush()
-
-	if inv > 0 {
-		coldRate = float64(cold) / float64(inv)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return coldRate, cl.Metrics().ProvisionedMemTime() - provBase, stats.Mean(lats)
+	return res.ColdStartRate(), res.ProvisionedMemGBs, res.PerApp[app.Name].MeanLatency
 }
 
 func main() {
@@ -97,16 +64,12 @@ func main() {
 	})
 	fmt.Printf("trace: %d uploads over %d min\n\n", len(tr.Arrivals), tr.DurationMin)
 
-	keepCold, keepMem, keepLat := replay(app, tr,
-		func(fn string) pool.Policy { return &pool.FixedKeepAlive{Duration: 600} }, 1440, 1) //aqualint:allow seedflow example pins one documented replay seed so both policies see the identical workload
+	keepCold, keepMem, keepLat := replay(app, tr, "keepalive", sched.Options{})
 	fmt.Printf("fixed keep-alive:  cold=%5.1f%%  provisioned=%7.0f GB-s  latency=%.2fs\n",
 		keepCold*100, keepMem, keepLat)
 
-	aquaCold, aquaMem, aquaLat := replay(app, tr, func(fn string) pool.Policy {
-		cfg := pool.DefaultModelConfig(trace.FeatureDim)
-		cfg.EncoderEpochs, cfg.PredEpochs = 6, 18
-		return &pool.Aquatope{ModelConfig: cfg, Window: 40, HeadroomZ: 2.5}
-	}, 1440, 1) //aqualint:allow seedflow example pins one documented replay seed so both policies see the identical workload
+	// Fewer training epochs than the registry default keep the demo quick.
+	aquaCold, aquaMem, aquaLat := replay(app, tr, "aquatope", sched.Options{EncoderEpochs: 6, PredEpochs: 18})
 	fmt.Printf("aquatope pool:     cold=%5.1f%%  provisioned=%7.0f GB-s  latency=%.2fs\n",
 		aquaCold*100, aquaMem, aquaLat)
 

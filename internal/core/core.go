@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"aquatope/internal/apps"
-	"aquatope/internal/bo"
 	"aquatope/internal/chaos"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
@@ -304,11 +303,6 @@ func SearchComponent(cfg Config, i int, seeds [2]int64, tracer telemetry.Tracer)
 	prof.Noise = cfg.ProfileNoise
 	prof.ColdStartFraction = cfg.ColdStartFraction
 	m := cfg.Scheduler.Configurator().Manager(space, prof, a.QoS, seeds[1])
-	if bm, ok := m.(interface{ Engine() *bo.Engine }); ok {
-		if be := bm.Engine(); be != nil {
-			be.SetTracer(tracer)
-		}
-	}
 	if st, ok := m.(interface{ SetTracer(telemetry.Tracer) }); ok {
 		st.SetTracer(tracer)
 	}

@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"aquatope/internal/apps"
 	"aquatope/internal/bo"
 	"aquatope/internal/experiments/runner"
-	"aquatope/internal/faas"
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
+	"aquatope/internal/sched"
 	"aquatope/internal/trace"
 )
 
@@ -22,11 +23,6 @@ type AblationBatchResult struct {
 	Iterations []float64 // search rounds needed to consume the budget
 }
 
-// Table renders the sweep.
-func (r AblationBatchResult) Table() string {
-	return formatTable(r.Rows())
-}
-
 // Rows implements Result.
 func (r AblationBatchResult) Rows() ([]string, [][]string) {
 	rows := make([][]string, len(r.Q))
@@ -36,79 +32,37 @@ func (r AblationBatchResult) Rows() ([]string, [][]string) {
 	return []string{"Batch", "Cost(%Oracle)", "Rounds"}, rows
 }
 
-// ablationBatchRep is one (q, repetition) search outcome.
-type ablationBatchRep struct {
-	cost, rounds float64
-	feasible     bool
-}
-
 // AblationBatchSize runs the Aquatope engine on the ML pipeline with batch
 // sizes 1, 3 and 6 under the same total sample budget. Replications: the
 // oracle solve plus one search per (q, repetition).
 func AblationBatchSize(s Scale) AblationBatchResult {
 	eng := s.engine("ablation-batch")
-	oracles := runner.MustRun(eng, oracleJobs(s, []string{"ml-pipeline"},
-		func(int) *apps.App { return apps.NewMLPipeline() }))
-	if !oracles[0].ok {
+	oracle := solveOracles(s, eng, []string{"ml-pipeline"},
+		func(int) *apps.App { return apps.NewMLPipeline() })[0]
+	if !oracle.ok {
 		return AblationBatchResult{}
 	}
-	oracleCost := oracles[0].cost
 
 	qs := []int{1, 3, 6}
-	var jobs []runner.Job[ablationBatchRep]
-	for _, q := range qs {
-		q := q
-		for rep := 0; rep < s.Repeats; rep++ {
-			rep := rep
-			jobs = append(jobs, runner.Job[ablationBatchRep]{
-				Cell: fmt.Sprintf("q%d", q), Rep: rep,
-				Run: func(runner.Ctx) (ablationBatchRep, error) {
-					a := apps.NewMLPipeline()
-					space := resource.NewSpace(a)
-					seed := s.Seed + int64(rep)*53
-					prof := resource.NewProfiler(a, seed)
-					prof.Noise = profileNoise
-					opt := bo.New(bo.Options{Dim: space.Dim(), QoS: a.QoS, Seed: seed, BatchSize: q})
-					m := &resource.BOManager{Label: "aquatope", Space: space, Profiler: prof, Opt: opt}
-					rounds := 0
-					for m.Samples() < s.SearchBudget {
-						if m.Step() == 0 {
-							break
-						}
-						rounds++
-					}
-					cfg, _, okB := m.Best()
-					if !okB {
-						return ablationBatchRep{}, nil
-					}
-					evalProf := resource.NewProfiler(a, s.Seed+500)
-					c, feasible := evalTrue(evalProf, cfg, a.QoS)
-					return ablationBatchRep{cost: c, rounds: float64(rounds), feasible: feasible}, nil
-				}})
-		}
-	}
-	out := runner.MustRun(eng, jobs)
+	out := runGrid(eng, len(qs), 1, s.Repeats,
+		func(qi, _ int) string { return fmt.Sprintf("q%d", qs[qi]) },
+		func(_ runner.Ctx, qi, _, rep int) (judged, error) {
+			mk := func(sp *resource.Space, p *resource.Profiler, qos float64, seed int64) resource.Manager {
+				return resource.NewBO("aquatope", sp, p, bo.Options{QoS: qos, Seed: seed, BatchSize: qs[qi]})
+			}
+			return s.searchAndJudge(search{app: apps.NewMLPipeline(), mk: mk,
+				seed: s.Seed + int64(rep)*53, noise: profileNoise, reps: 3}), nil
+		})
 
 	res := AblationBatchResult{}
-	ji := 0
-	for _, q := range qs {
-		reps := out[ji : ji+s.Repeats]
-		ji += s.Repeats
-		var sumCost, sumRounds float64
-		n := 0
-		for _, r := range reps {
-			if r.feasible {
-				sumCost += r.cost
-				sumRounds += r.rounds
-				n++
-			}
-		}
-		if n == 0 {
+	for qi, q := range qs {
+		cost, rounds := meanFeasible(out[qi][0])
+		if math.IsNaN(cost) {
 			continue
 		}
 		res.Q = append(res.Q, q)
-		res.CostPct = append(res.CostPct, sumCost/float64(n)/oracleCost*100)
-		res.Iterations = append(res.Iterations, sumRounds/float64(n))
+		res.CostPct = append(res.CostPct, cost/oracle.cost*100)
+		res.Iterations = append(res.Iterations, rounds)
 	}
 	return res
 }
@@ -122,11 +76,6 @@ type AblationHeadroomResult struct {
 	Z        []float64
 	ColdRate []float64
 	MemGBs   []float64
-}
-
-// Table renders the trade-off curve.
-func (r AblationHeadroomResult) Table() string {
-	return formatTable(r.Rows())
 }
 
 // Rows implements Result.
@@ -147,45 +96,40 @@ func ablationTrace(s Scale, seedOffset int64) *trace.Trace {
 	})
 }
 
-// ablationModel is the pool ablations' performance profile.
-func ablationModel() *faas.SyntheticModel {
-	model := faas.DefaultSyntheticModel()
-	model.BaseExecSec = 6
-	model.ColdInitSec = 3
-	return model
-}
-
 // ablationPoolCell is one pool-replay replication's outcome.
 type ablationPoolCell struct {
 	coldRate, memGBs float64
+}
+
+// ablationReplay replays the ablations' periodic trace under the scale's
+// Aquatope pool with one option overridden.
+func ablationReplay(s Scale, seedOffset int64, o sched.Options) ablationPoolCell {
+	r := pool.Run(pool.RunConfig{
+		Trace: ablationTrace(s, seedOffset), TrainMin: s.TrainMin, Model: poolModel(),
+		Resources: poolResources,
+		Policy:    poolBrain("aquatope", o), Seed: s.Seed,
+	})
+	return ablationPoolCell{coldRate: r.ColdRate, memGBs: r.ProvisionedMemGBs}
 }
 
 // AblationHeadroom replays a periodic trace under the Aquatope pool with
 // growing headroom. Each z is one replication.
 func AblationHeadroom(s Scale) AblationHeadroomResult {
 	zs := []float64{0.5, 1, 2, 3, 4}
-	jobs := make([]runner.Job[ablationPoolCell], len(zs))
-	for i, z := range zs {
-		z := z
-		jobs[i] = runner.Job[ablationPoolCell]{Cell: fmt.Sprintf("z%.1f", z),
-			Run: func(runner.Ctx) (ablationPoolCell, error) {
-				p := s.aquatopePolicy(false)
-				p.HeadroomZ = z
-				r := pool.Run(pool.RunConfig{
-					Trace: ablationTrace(s, 31), TrainMin: s.TrainMin, Model: ablationModel(),
-					Resources: faas.ResourceConfig{CPU: 1, MemoryMB: 512},
-					Policy:    p, Seed: s.Seed,
-				})
-				return ablationPoolCell{coldRate: r.ColdRate, memGBs: r.ProvisionedMemGBs}, nil
-			}}
-	}
-	cells := runner.MustRun(s.engine("ablation-headroom"), jobs)
+	cells := runGrid(s.engine("ablation-headroom"), len(zs), 1, 1,
+		func(zi, _ int) string { return fmt.Sprintf("z%.1f", zs[zi]) },
+		func(_ runner.Ctx, zi, _, _ int) (ablationPoolCell, error) {
+			o := s.brainOptions()
+			o.HeadroomZ = zs[zi]
+			return ablationReplay(s, 31, o), nil
+		})
 
 	res := AblationHeadroomResult{}
 	for i, z := range zs {
+		c := cells[i][0][0]
 		res.Z = append(res.Z, z)
-		res.ColdRate = append(res.ColdRate, cells[i].coldRate)
-		res.MemGBs = append(res.MemGBs, cells[i].memGBs)
+		res.ColdRate = append(res.ColdRate, c.coldRate)
+		res.MemGBs = append(res.MemGBs, c.memGBs)
 	}
 	return res
 }
@@ -198,11 +142,6 @@ type AblationMCSamplesResult struct {
 	T        []int
 	ColdRate []float64
 	MemGBs   []float64
-}
-
-// Table renders the sweep.
-func (r AblationMCSamplesResult) Table() string {
-	return formatTable(r.Rows())
 }
 
 // Rows implements Result.
@@ -218,28 +157,20 @@ func (r AblationMCSamplesResult) Rows() ([]string, [][]string) {
 // replication.
 func AblationMCSamples(s Scale) AblationMCSamplesResult {
 	ts := []int{1, 5, 15, 30}
-	jobs := make([]runner.Job[ablationPoolCell], len(ts))
-	for i, T := range ts {
-		T := T
-		jobs[i] = runner.Job[ablationPoolCell]{Cell: fmt.Sprintf("T%d", T),
-			Run: func(runner.Ctx) (ablationPoolCell, error) {
-				p := s.aquatopePolicy(false)
-				p.ModelConfig.MCSamples = T
-				r := pool.Run(pool.RunConfig{
-					Trace: ablationTrace(s, 37), TrainMin: s.TrainMin, Model: ablationModel(),
-					Resources: faas.ResourceConfig{CPU: 1, MemoryMB: 512},
-					Policy:    p, Seed: s.Seed,
-				})
-				return ablationPoolCell{coldRate: r.ColdRate, memGBs: r.ProvisionedMemGBs}, nil
-			}}
-	}
-	cells := runner.MustRun(s.engine("ablation-mc"), jobs)
+	cells := runGrid(s.engine("ablation-mc"), len(ts), 1, 1,
+		func(ti, _ int) string { return fmt.Sprintf("T%d", ts[ti]) },
+		func(_ runner.Ctx, ti, _, _ int) (ablationPoolCell, error) {
+			o := s.brainOptions()
+			o.MCSamples = ts[ti]
+			return ablationReplay(s, 37, o), nil
+		})
 
 	res := AblationMCSamplesResult{}
 	for i, T := range ts {
+		c := cells[i][0][0]
 		res.T = append(res.T, T)
-		res.ColdRate = append(res.ColdRate, cells[i].coldRate)
-		res.MemGBs = append(res.MemGBs, cells[i].memGBs)
+		res.ColdRate = append(res.ColdRate, c.coldRate)
+		res.MemGBs = append(res.MemGBs, c.memGBs)
 	}
 	return res
 }

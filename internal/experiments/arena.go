@@ -11,7 +11,6 @@ import (
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
-	"aquatope/internal/workflow"
 )
 
 // ArenaResult is the scheduler head-to-head: every registered arena
@@ -37,12 +36,7 @@ func arenaKey(workload, scheduler string) string {
 	return workload + "|" + scheduler
 }
 
-// Table renders one row per (workload, scheduler) cell.
-func (r ArenaResult) Table() string {
-	return formatTable(r.Rows())
-}
-
-// Rows implements Result.
+// Rows implements Result: one row per (workload, scheduler) cell.
 func (r ArenaResult) Rows() ([]string, [][]string) {
 	var rows [][]string
 	for _, w := range r.Workloads {
@@ -180,85 +174,66 @@ func Arena(s Scale) ArenaResult {
 	if budget < 6 {
 		budget = 6
 	}
-	var jobs []runner.Job[arenaCell]
-	for _, workload := range res.Workloads {
-		workload := workload
-		for _, schedName := range res.Schedulers {
-			schedName := schedName
-			jobs = append(jobs, runner.Job[arenaCell]{
-				Cell: workload + "/" + schedName,
-				Run: func(ctx runner.Ctx) (arenaCell, error) {
-					app := overloadApp()
-					reg := ctx.Registry
-					if reg == nil {
-						reg = telemetry.NewRegistry()
-					}
-					meter := &sched.Meter{}
-					schd, ok := sched.New(schedName, arenaOptions(meter))
-					if !ok {
-						return arenaCell{}, fmt.Errorf("arena: unknown scheduler %q", schedName)
-					}
-					cfg := core.Config{
-						Components:   []core.Component{{App: app, Trace: arenaTrace(s, workload)}},
-						TrainMin:     trainMin,
-						Scheduler:    schd,
-						SearchBudget: budget,
-						ClusterCfg:   arenaClusterCfg(s, workload),
-						RuntimeNoise: runtimeNoise,
-						Tracer:       ctx.Tracer,
-						Registry:     reg,
-						Seed:         s.Seed,
-					}
-					switch workload {
-					case "chaos":
-						scn, ok := chaos.Builtin("mixed", float64(arenaTraceMinS(s)), s.Seed+43)
-						if !ok {
-							return arenaCell{}, fmt.Errorf("arena: missing chaos scenario")
-						}
-						cfg.Chaos = scn
-						pol := workflow.DefaultRetryPolicy()
-						pol.Timeout = 2 * app.QoS
-						cfg.Resilience = &pol
-					case "overload":
-						pol := workflow.DefaultRetryPolicy()
-						pol.Timeout = 2 * app.QoS
-						pol.RetryBudget = 2
-						pol.RetryBudgetPerSec = 0.05
-						pol.HedgeQueueLimit = 1
-						cfg.Resilience = &pol
-						cfg.PoolGuard = &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3}
-					}
-					out, err := core.Run(cfg)
-					if err != nil {
-						return arenaCell{}, err
-					}
-					wf := out.Workflows()
-					costPerWf := 0.0
-					if wf > 0 {
-						costPerWf = arenaCost(reg) / float64(wf)
-					}
-					return arenaCell{
-						violation: out.QoSViolationRate(),
-						costPerWf: costPerWf,
-						goodput:   out.Goodput(),
-						decisions: meter.Decisions(),
-						decLatMS:  meter.MeanDecisionLatencyS() * 1000,
-					}, nil
-				}})
-		}
-	}
-	cells := runner.MustRun(s.engine("arena"), jobs)
+	cells := runGrid(s.engine("arena"), len(res.Workloads), len(res.Schedulers), 1,
+		func(wi, si int) string { return res.Workloads[wi] + "/" + res.Schedulers[si] },
+		func(ctx runner.Ctx, wi, si, _ int) (arenaCell, error) {
+			workload, schedName := res.Workloads[wi], res.Schedulers[si]
+			app := overloadApp()
+			reg := cellRegistry(ctx)
+			meter := &sched.Meter{}
+			schd, ok := sched.New(schedName, arenaOptions(meter))
+			if !ok {
+				return arenaCell{}, fmt.Errorf("arena: unknown scheduler %q", schedName)
+			}
+			cfg := core.Config{
+				Components:   []core.Component{{App: app, Trace: arenaTrace(s, workload)}},
+				TrainMin:     trainMin,
+				Scheduler:    schd,
+				SearchBudget: budget,
+				ClusterCfg:   arenaClusterCfg(s, workload),
+				RuntimeNoise: runtimeNoise,
+				Tracer:       ctx.Tracer,
+				Registry:     reg,
+				Seed:         s.Seed,
+			}
+			switch workload {
+			case "chaos":
+				scn, ok := chaos.Builtin("mixed", float64(arenaTraceMinS(s)), s.Seed+43)
+				if !ok {
+					return arenaCell{}, fmt.Errorf("arena: missing chaos scenario")
+				}
+				cfg.Chaos = scn
+				cfg.Resilience = retryPolicy(app.QoS, false)
+			case "overload":
+				cfg.Resilience = withBudget(retryPolicy(app.QoS, false))
+				cfg.PoolGuard = &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3}
+			}
+			out, err := core.Run(cfg)
+			if err != nil {
+				return arenaCell{}, err
+			}
+			wf := out.Workflows()
+			costPerWf := 0.0
+			if wf > 0 {
+				costPerWf = arenaCost(reg) / float64(wf)
+			}
+			return arenaCell{
+				violation: out.QoSViolationRate(),
+				costPerWf: costPerWf,
+				goodput:   out.Goodput(),
+				decisions: meter.Decisions(),
+				decLatMS:  meter.MeanDecisionLatencyS() * 1000,
+			}, nil
+		})
 
-	ji := 0
-	for _, workload := range res.Workloads {
-		for _, schedName := range res.Schedulers {
-			k := arenaKey(workload, schedName)
-			res.Violation[k] = cells[ji].violation
-			res.CostPerWf[k] = cells[ji].costPerWf
-			res.Goodput[k] = cells[ji].goodput
-			res.Decisions[k] = cells[ji].decisions
-			res.DecLatMS[k] = cells[ji].decLatMS
-			ji++
+	for wi, workload := range res.Workloads {
+		for si, schedName := range res.Schedulers {
+			k, c := arenaKey(workload, schedName), cells[wi][si][0]
+			res.Violation[k] = c.violation
+			res.CostPerWf[k] = c.costPerWf
+			res.Goodput[k] = c.goodput
+			res.Decisions[k] = c.decisions
+			res.DecLatMS[k] = c.decLatMS
 		}
 	}
 	return res

@@ -26,7 +26,7 @@ func captureArena(t *testing.T, parallel int) (ArenaResult, string, []byte, []by
 	if err := reg.WriteJSON(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	return r, r.Table(), spans.Bytes(), metrics.Bytes()
+	return r, Table(r), spans.Bytes(), metrics.Bytes()
 }
 
 // TestArenaParallelDeterminism: serial and parallel arena runs produce

@@ -31,12 +31,7 @@ func chaosKey(rate float64, policy string) string {
 	return fmt.Sprintf("%.3f|%s", rate, policy)
 }
 
-// Table renders one row per (fault rate, policy) cell.
-func (r ChaosResult) Table() string {
-	return formatTable(r.Rows())
-}
-
-// Rows implements Result.
+// Rows implements Result: one row per (fault rate, policy) cell.
 func (r ChaosResult) Rows() ([]string, [][]string) {
 	var rows [][]string
 	base := make(map[float64]float64)
@@ -112,24 +107,39 @@ func chaosScenario(s Scale, rate float64) chaos.Scenario {
 	}}
 }
 
-// chaosPolicy builds the retry policy for one sweep column. The per-attempt
-// timeout stays well above the QoS: a timeout kills the attempt's container
-// (wedged executions do not come back), so an aggressive deadline near the
-// burst-time latency destroys warm capacity and collapses the cluster.
-// In-deadline recovery of slow attempts comes from the hedge instead, which
-// races a duplicate without killing anything.
+// retryPolicy is the sweeps' resilience column: retries under a per-attempt
+// timeout, plus — with hedge — a duplicate raced at half the QoS and a
+// fourth attempt. The timeout stays well above the QoS: a timeout kills the
+// attempt's container (wedged executions do not come back), so an
+// aggressive deadline near the burst-time latency destroys warm capacity
+// and collapses the cluster. In-deadline recovery of slow attempts comes
+// from the hedge instead, which races a duplicate without killing anything.
+func retryPolicy(qos float64, hedge bool) *workflow.RetryPolicy {
+	p := workflow.DefaultRetryPolicy()
+	p.Timeout = 2 * qos
+	if hedge {
+		p.HedgeDelay = qos / 2
+		p.MaxAttempts = 4
+	}
+	return &p
+}
+
+// withBudget adds the shared retry budget and hedge backpressure, so
+// resilience degrades to fail-fast under saturation.
+func withBudget(p *workflow.RetryPolicy) *workflow.RetryPolicy {
+	p.RetryBudget = 2
+	p.RetryBudgetPerSec = 0.05
+	p.HedgeQueueLimit = 1
+	return p
+}
+
+// chaosPolicy builds the retry policy for one sweep column.
 func chaosPolicy(polName string, qos float64) *workflow.RetryPolicy {
 	switch polName {
 	case "retry":
-		p := workflow.DefaultRetryPolicy()
-		p.Timeout = 2 * qos
-		return &p
+		return retryPolicy(qos, false)
 	case "retry+hedge":
-		p := workflow.DefaultRetryPolicy()
-		p.Timeout = 2 * qos
-		p.HedgeDelay = qos / 2
-		p.MaxAttempts = 4
-		return &p
+		return retryPolicy(qos, true)
 	}
 	return nil
 }
@@ -154,49 +164,39 @@ func Chaos(s Scale) ChaosResult {
 		Retries:   make(map[string]int),
 		Hedges:    make(map[string]int),
 	}
-	var jobs []runner.Job[chaosCell]
-	for _, rate := range res.Rates {
-		rate := rate
-		for _, polName := range res.Policies {
-			polName := polName
-			jobs = append(jobs, runner.Job[chaosCell]{
-				Cell: fmt.Sprintf("rate%.2f/%s", rate, polName),
-				Run: func(runner.Ctx) (chaosCell, error) {
-					app := chaosApp()
-					out, err := core.Run(core.Config{
-						Components:   []core.Component{{App: app, Trace: chaosTrace(s)}},
-						TrainMin:     s.TrainMin,
-						Scheduler:    mustScheduler("keepalive", sched.Options{}),
-						RuntimeNoise: runtimeNoise,
-						Chaos:        chaosScenario(s, rate),
-						Resilience:   chaosPolicy(polName, app.QoS),
-						Seed:         s.Seed,
-					})
-					if err != nil {
-						return chaosCell{}, err
-					}
-					return chaosCell{
-						violation: out.QoSViolationRate(),
-						goodput:   out.Goodput(),
-						cost:      out.CPUTime() + out.MemTime(),
-						retries:   out.Retries(),
-						hedges:    out.Hedges(),
-					}, nil
-				}})
-		}
-	}
-	cells := runner.MustRun(s.engine("chaos"), jobs)
+	cells := runGrid(s.engine("chaos"), len(res.Rates), len(res.Policies), 1,
+		func(ri, pi int) string { return fmt.Sprintf("rate%.2f/%s", res.Rates[ri], res.Policies[pi]) },
+		func(_ runner.Ctx, ri, pi, _ int) (chaosCell, error) {
+			app := chaosApp()
+			out, err := core.Run(core.Config{
+				Components:   []core.Component{{App: app, Trace: chaosTrace(s)}},
+				TrainMin:     s.TrainMin,
+				Scheduler:    mustScheduler("keepalive", sched.Options{}),
+				RuntimeNoise: runtimeNoise,
+				Chaos:        chaosScenario(s, res.Rates[ri]),
+				Resilience:   chaosPolicy(res.Policies[pi], app.QoS),
+				Seed:         s.Seed,
+			})
+			if err != nil {
+				return chaosCell{}, err
+			}
+			return chaosCell{
+				violation: out.QoSViolationRate(),
+				goodput:   out.Goodput(),
+				cost:      out.CPUTime() + out.MemTime(),
+				retries:   out.Retries(),
+				hedges:    out.Hedges(),
+			}, nil
+		})
 
-	ji := 0
-	for _, rate := range res.Rates {
-		for _, polName := range res.Policies {
-			k := chaosKey(rate, polName)
-			res.Violation[k] = cells[ji].violation
-			res.Goodput[k] = cells[ji].goodput
-			res.Cost[k] = cells[ji].cost
-			res.Retries[k] = cells[ji].retries
-			res.Hedges[k] = cells[ji].hedges
-			ji++
+	for ri, rate := range res.Rates {
+		for pi, polName := range res.Policies {
+			k, c := chaosKey(rate, polName), cells[ri][pi][0]
+			res.Violation[k] = c.violation
+			res.Goodput[k] = c.goodput
+			res.Cost[k] = c.cost
+			res.Retries[k] = c.retries
+			res.Hedges[k] = c.hedges
 		}
 	}
 	return res

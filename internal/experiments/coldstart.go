@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aquatope/internal/experiments/runner"
-	"aquatope/internal/faas"
 	"aquatope/internal/pool"
 	"aquatope/internal/trace"
 )
@@ -17,7 +16,7 @@ func (s Scale) coldStartPolicies() []func() pool.Policy {
 		func() pool.Policy { return &pool.Histogram{} },
 		func() pool.Policy { return &pool.FaaSCache{} },
 		func() pool.Policy { return &pool.IceBreaker{} },
-		func() pool.Policy { return s.aquatopePolicy(false) },
+		func() pool.Policy { return poolBrain("aquatope", s.brainOptions()) },
 	}
 }
 
@@ -28,11 +27,6 @@ type Fig9Result struct {
 	ColdRate  map[string]float64
 	MemGBs    map[string]float64
 	RelMemPct map[string]float64 // % of the keep-alive baseline
-}
-
-// Table renders both panels.
-func (r Fig9Result) Table() string {
-	return formatTable(r.Rows())
 }
 
 // Rows implements Result.
@@ -68,7 +62,7 @@ func Fig9(s Scale) Fig9Result {
 						Trace:     ensembleTrace(i, s.TraceMin, s.Seed),
 						TrainMin:  s.TrainMin,
 						Model:     ensembleModel(i, s.Seed),
-						Resources: faas.ResourceConfig{CPU: 1, MemoryMB: 512},
+						Resources: poolResources,
 						Policy:    mk(),
 						Seed:      s.Seed + int64(i),
 					})
@@ -119,11 +113,6 @@ type Fig10Result struct {
 	Aquatope []float64
 }
 
-// Table renders the Fig. 10 series.
-func (r Fig10Result) Table() string {
-	return formatTable(r.Rows())
-}
-
 // Rows implements Result.
 func (r Fig10Result) Rows() ([]string, [][]string) {
 	rows := make([][]string, len(r.CVs))
@@ -164,39 +153,29 @@ func Fig10(s Scale) Fig10Result {
 		mk   func() pool.Policy
 	}{
 		{"icebreaker", func() pool.Policy { return &pool.IceBreaker{} }},
-		{"aquatope", func() pool.Policy { return s.aquatopePolicy(false) }},
+		{"aquatope", func() pool.Policy { return poolBrain("aquatope", s.brainOptions()) }},
 	}
-	var jobs []runner.Job[fig10Cell]
-	for _, cv := range cvs {
-		cv := cv
-		for _, p := range policies {
-			p := p
-			jobs = append(jobs, runner.Job[fig10Cell]{
-				Cell: fmt.Sprintf("cv%.2f/%s", cv, p.name),
-				Run: func(runner.Ctx) (fig10Cell, error) {
-					tr := fig10Trace(s, cv)
-					model := faas.DefaultSyntheticModel()
-					model.BaseExecSec = 6
-					model.ColdInitSec = 3
-					r := pool.Run(pool.RunConfig{
-						Trace:     tr,
-						TrainMin:  s.TrainMin,
-						Model:     model,
-						Resources: faas.ResourceConfig{CPU: 1, MemoryMB: 512},
-						Policy:    p.mk(),
-						Seed:      s.Seed,
-					})
-					return fig10Cell{cv: tr.InterArrivalCV(), coldRate: r.ColdRate}, nil
-				}})
-		}
-	}
-	cells := runner.MustRun(s.engine("fig10"), jobs)
+	cells := runGrid(s.engine("fig10"), len(cvs), len(policies), 1,
+		func(ci, pi int) string { return fmt.Sprintf("cv%.2f/%s", cvs[ci], policies[pi].name) },
+		func(_ runner.Ctx, ci, pi, _ int) (fig10Cell, error) {
+			tr := fig10Trace(s, cvs[ci])
+			r := pool.Run(pool.RunConfig{
+				Trace:     tr,
+				TrainMin:  s.TrainMin,
+				Model:     poolModel(),
+				Resources: poolResources,
+				Policy:    policies[pi].mk(),
+				Seed:      s.Seed,
+			})
+			return fig10Cell{cv: tr.InterArrivalCV(), coldRate: r.ColdRate}, nil
+		})
 
 	res := Fig10Result{}
-	for i := 0; i < len(cells); i += 2 {
-		res.CVs = append(res.CVs, cells[i].cv)
-		res.IceBrk = append(res.IceBrk, cells[i].coldRate)
-		res.Aquatope = append(res.Aquatope, cells[i+1].coldRate)
+	for _, row := range cells {
+		ice, aqua := row[0][0], row[1][0]
+		res.CVs = append(res.CVs, ice.cv)
+		res.IceBrk = append(res.IceBrk, ice.coldRate)
+		res.Aquatope = append(res.Aquatope, aqua.coldRate)
 	}
 	return res
 }
@@ -237,7 +216,7 @@ func (r Fig11Result) Rows() ([]string, [][]string) {
 // records each pool's memory footprint over time alongside the actual
 // demand footprint. The two variants are the two replications.
 func Fig11(s Scale) Fig11Result {
-	run := func(lite bool) pool.RunResult {
+	run := func(brain string) pool.RunResult {
 		tr := trace.Synthesize(trace.GenConfig{
 			DurationMin:          s.TraceMin,
 			MeanRatePerMin:       0.8,
@@ -248,26 +227,22 @@ func Fig11(s Scale) Fig11Result {
 			BurstMultiplier:      8,
 			Seed:                 s.Seed + 7,
 		})
-		model := faas.DefaultSyntheticModel()
-		model.BaseExecSec = 6
-		model.ColdInitSec = 3
 		return pool.Run(pool.RunConfig{
-			Trace: tr, TrainMin: s.TrainMin, Model: model,
-			Resources: faas.ResourceConfig{CPU: 1, MemoryMB: 512},
-			Policy:    s.aquatopePolicy(lite), MemorySeries: true, Seed: s.Seed,
+			Trace: tr, TrainMin: s.TrainMin, Model: poolModel(),
+			Resources: poolResources,
+			Policy:    poolBrain(brain, s.brainOptions()), MemorySeries: true, Seed: s.Seed,
 		})
 	}
 	jobs := []runner.Job[pool.RunResult]{
 		{Cell: "aquatope",
-			Run: func(runner.Ctx) (pool.RunResult, error) { return run(false), nil }},
+			Run: func(runner.Ctx) (pool.RunResult, error) { return run("aquatope"), nil }},
 		{Cell: "aqualite",
-			Run: func(runner.Ctx) (pool.RunResult, error) { return run(true), nil }},
+			Run: func(runner.Ctx) (pool.RunResult, error) { return run("aqualite"), nil }},
 	}
 	out := runner.MustRun(s.engine("fig11"), jobs)
 	full, lite := out[0], out[1]
 
 	// Actual footprint: demand series × container memory.
-	resources := faas.ResourceConfig{CPU: 1, MemoryMB: 512}
 	demand := full.DemandSeries
 	n := len(full.MemorySeriesGB)
 	if len(lite.MemorySeriesGB) < n {
@@ -279,7 +254,7 @@ func Fig11(s Scale) Fig11Result {
 	res := Fig11Result{MinuteOffset: s.TrainMin,
 		AquatopeCold: full.ColdRate, AquaLiteCold: lite.ColdRate}
 	for i := 0; i < n; i++ {
-		res.ActualGB = append(res.ActualGB, demand[i]*resources.MemoryMB/1024)
+		res.ActualGB = append(res.ActualGB, demand[i]*poolResources.MemoryMB/1024)
 		res.AquatopeGB = append(res.AquatopeGB, full.MemorySeriesGB[i])
 		res.AquaLiteGB = append(res.AquaLiteGB, lite.MemorySeriesGB[i])
 	}

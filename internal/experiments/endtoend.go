@@ -25,25 +25,10 @@ func e2eComponents(s Scale) []core.Component {
 // runtimeNoise is the live-platform interference for end-to-end runs.
 var runtimeNoise = faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3}
 
-// mustScheduler builds a registry scheduler; the names are literals of
-// this package, so a miss is a programming error.
-func mustScheduler(name string, o sched.Options) sched.Scheduler {
-	sc, ok := sched.New(name, o)
-	if !ok {
-		panic("experiments: scheduler " + name + " is not registered")
-	}
-	return sc
-}
-
 // aquatopeScheduler returns the registry's aquatope at this scale's model
-// shape — field for field the policy aquatopePolicy builds.
+// shape.
 func (s Scale) aquatopeScheduler() sched.Scheduler {
-	return mustScheduler("aquatope", sched.Options{
-		EncoderEpochs:   s.ModelEpochs,
-		PredEpochs:      3 * s.ModelEpochs,
-		HeadroomZ:       3,
-		MaxTrainSamples: 500,
-	})
+	return mustScheduler("aquatope", s.brainOptions())
 }
 
 // searchedBy pairs one scheduler's pool half with another's configuration
@@ -66,12 +51,7 @@ type Fig17Result struct {
 	RMOnlyCPU, RMOnlyMem float64
 }
 
-// Table renders the comparison (full system = 100%).
-func (r Fig17Result) Table() string {
-	return formatTable(r.Rows())
-}
-
-// Rows implements Result.
+// Rows implements Result (full system = 100%).
 func (r Fig17Result) Rows() ([]string, [][]string) {
 	rows := [][]string{
 		{"Prewarm + Resource Manager", "100%", "100%"},
@@ -215,12 +195,8 @@ type Fig18Result struct {
 	ColdRate  map[string]float64
 }
 
-// Table renders with the autoscaling framework normalized to 100%.
-func (r Fig18Result) Table() string {
-	return formatTable(r.Rows())
-}
-
-// Rows implements Result.
+// Rows implements Result, with the autoscaling framework normalized to
+// 100%.
 func (r Fig18Result) Rows() ([]string, [][]string) {
 	base := r.Order[0]
 	rows := [][]string{}

@@ -1,13 +1,13 @@
 // Package experiments contains one reproducible harness per table and
-// figure of the paper's evaluation (§8), exposed through the Experiment
-// registry (see registry.go). Every harness is parameterized by a Scale so
+// figure of the paper's evaluation (§8), listed in paper order in the
+// Experiment lineup (see registry.go). Every harness is parameterized by a Scale so
 // the same code serves quick CI runs and the full regeneration driven by
 // cmd/aquabench; all randomness is seeded. The independent replications
 // inside each harness run on the parallel replication engine
 // (internal/experiments/runner), which preserves byte-identical same-seed
-// output at any worker count. Each result type carries a Table method that
-// prints the same rows/series the paper reports, plus a Rows method for
-// mechanical (JSON) export.
+// output at any worker count. Each result type carries a Rows method — the
+// flat view behind the JSON export — and Table renders the same rows/series
+// the paper reports.
 package experiments
 
 import (
@@ -17,6 +17,7 @@ import (
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
+	"aquatope/internal/sched"
 	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
@@ -55,7 +56,6 @@ func (s Scale) engine(experiment string) *runner.Engine {
 	return &runner.Engine{
 		Experiment: experiment,
 		Parallel:   s.Parallel,
-		BaseSeed:   s.Seed,
 		Collector:  s.Collector,
 		Registry:   s.Registry,
 	}
@@ -74,17 +74,71 @@ var Full = Scale{
 	Ensemble: 12, Repeats: 10, SearchBudget: 60, ModelEpochs: 15, Seed: 1,
 }
 
-// aquatopePolicy builds the hybrid-Bayesian pool policy at this scale.
-func (s Scale) aquatopePolicy(lite bool) *pool.Aquatope {
-	cfg := pool.DefaultModelConfig(trace.FeatureDim)
-	cfg.EncoderHidden = 20
-	cfg.PredHidden = []int{20, 10}
-	cfg.EncoderEpochs = s.ModelEpochs
-	cfg.PredEpochs = s.ModelEpochs * 3
-	cfg.MCSamples = 12
-	cfg.LR = 0.01
-	return &pool.Aquatope{ModelConfig: cfg, Window: 40, HeadroomZ: 3, Lite: lite,
-		MaxTrainSamples: 500}
+// runGrid runs a rows × cols sweep with reps replications per cell as one
+// batch — submitted cell by cell, row-major, which is also the order
+// telemetry merges in — and hands the results back regrouped: out[row][col]
+// holds that cell's replications in order.
+func runGrid[T any](eng *runner.Engine, rows, cols, reps int, cell func(row, col int) string,
+	run func(ctx runner.Ctx, row, col, rep int) (T, error)) [][][]T {
+	jobs := make([]runner.Job[T], 0, rows*cols*reps)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			for rep := 0; rep < reps; rep++ {
+				i, j, rep := i, j, rep
+				jobs = append(jobs, runner.Job[T]{Cell: cell(i, j), Rep: rep,
+					Run: func(ctx runner.Ctx) (T, error) { return run(ctx, i, j, rep) }})
+			}
+		}
+	}
+	flat := runner.MustRun(eng, jobs)
+	out := make([][][]T, rows)
+	for i := range out {
+		out[i] = make([][]T, cols)
+		for j := range out[i] {
+			out[i][j], flat = flat[:reps], flat[reps:]
+		}
+	}
+	return out
+}
+
+// mustScheduler builds a registry scheduler; the names are literals of
+// this package, so a miss is a programming error.
+func mustScheduler(name string, o sched.Options) sched.Scheduler {
+	sc, ok := sched.New(name, o)
+	if !ok {
+		panic("experiments: scheduler " + name + " is not registered")
+	}
+	return sc
+}
+
+// brainOptions is the one definition of the BNN pool brain at this scale:
+// the registry's model shape with training effort scaled down. The pool
+// experiments and the end-to-end ones both build from it.
+func (s Scale) brainOptions() sched.Options {
+	return sched.Options{
+		EncoderEpochs:   s.ModelEpochs,
+		PredEpochs:      3 * s.ModelEpochs,
+		HeadroomZ:       3,
+		MaxTrainSamples: 500,
+	}
+}
+
+// poolBrain builds the per-function pool policy of the registry's aquatope
+// (or aqualite, its uncertainty-unaware ablation) under o.
+func poolBrain(name string, o sched.Options) pool.Policy {
+	return mustScheduler(name, o).PoolSizer().Policy("")
+}
+
+// poolResources is the container shape every pool replay provisions.
+var poolResources = faas.ResourceConfig{CPU: 1, MemoryMB: 512}
+
+// poolModel is the performance profile the single-function pool replays
+// share (Fig. 10/11 and the pool ablations).
+func poolModel() *faas.SyntheticModel {
+	model := faas.DefaultSyntheticModel()
+	model.BaseExecSec = 6
+	model.ColdInitSec = 3
+	return model
 }
 
 // ensembleTrace synthesizes the i-th ensemble member's trace, echoing the

@@ -23,7 +23,7 @@ var deeper = Scale{TraceMin: 480, TrainMin: 300, Ensemble: 2, Repeats: 3, Search
 func checkGolden(t *testing.T, id string, r Result) {
 	t.Helper()
 	header, _ := r.Rows()
-	got := r.Table() + "rows: " + strings.Join(header, " | ") + "\n"
+	got := Table(r) + "rows: " + strings.Join(header, " | ") + "\n"
 	path := filepath.Join("testdata", id+".golden")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -56,7 +56,7 @@ func TestTable1Shape(t *testing.T) {
 			t.Fatalf("%s SMAPE out of range: %v", name, v)
 		}
 	}
-	if !strings.Contains(r.Table(), "SMAPE") {
+	if !strings.Contains(Table(r), "SMAPE") {
 		t.Fatal("table missing header")
 	}
 }
@@ -100,7 +100,7 @@ func TestFig11Shape(t *testing.T) {
 	if len(r.ActualGB) == 0 || len(r.ActualGB) != len(r.AquatopeGB) || len(r.ActualGB) != len(r.AquaLiteGB) {
 		t.Fatal("series misaligned")
 	}
-	if !strings.Contains(r.Table(), "AquatopeGB") {
+	if !strings.Contains(Table(r), "AquatopeGB") {
 		t.Fatal("table missing series")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"aquatope/internal/apps"
 	"aquatope/internal/bo"
@@ -18,11 +17,6 @@ type Fig15Result struct {
 	CLITE    []float64
 	AquaLite []float64
 	Aquatope []float64
-}
-
-// Table renders the three series.
-func (r Fig15Result) Table() string {
-	return formatTable(r.Rows())
 }
 
 // Rows implements Result.
@@ -47,19 +41,6 @@ func fig15Noise(level int) faas.Noise {
 	}
 }
 
-// fig15Managers is the Fig. 15 lineup (CLITE, noise-unaware AquaLite,
-// noise-aware Aquatope).
-func fig15Managers() map[string]func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-	fac := managerFactories()
-	return map[string]func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager{
-		"clite": fac["clite"],
-		"aqualite": func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-			return resource.NewAquaLite(sp, p, q, seed)
-		},
-		"aquatope": fac["aquatope"],
-	}
-}
-
 // Fig15 injects intermittent background jobs (irregular, non-Gaussian
 // interference) into the ML pipeline's profiling environment at growing
 // intensity, and measures the final cost found by CLITE, AquaLite (noise-
@@ -67,68 +48,26 @@ func fig15Managers() map[string]func(sp *resource.Space, p *resource.Profiler, q
 // replication per (level, manager, repetition) plus the oracle solve.
 func Fig15(s Scale) Fig15Result {
 	eng := s.engine("fig15")
-	oracles := runner.MustRun(eng, oracleJobs(s, []string{"ml-pipeline"},
-		func(int) *apps.App { return apps.NewMLPipeline() }))
-	if !oracles[0].ok {
+	oracle := solveOracles(s, eng, []string{"ml-pipeline"},
+		func(int) *apps.App { return apps.NewMLPipeline() })[0]
+	if !oracle.ok {
 		return Fig15Result{}
 	}
-	oracleCost := oracles[0].cost
 
-	managers := []string{"clite", "aqualite", "aquatope"}
-	var jobs []runner.Job[headToHeadRep]
-	for level := 0; level <= 4; level++ {
-		level := level
-		for _, mgr := range managers {
-			mgr := mgr
-			for rep := 0; rep < s.Repeats; rep++ {
-				rep := rep
-				jobs = append(jobs, runner.Job[headToHeadRep]{
-					Cell: fmt.Sprintf("noise%d/%s", level, mgr), Rep: rep,
-					Run: func(runner.Ctx) (headToHeadRep, error) {
-						a := apps.NewMLPipeline()
-						seed := s.Seed + int64(rep)*91
-						prof := resource.NewProfiler(a, seed)
-						prof.Noise = fig15Noise(level)
-						m := fig15Managers()[mgr](resource.NewSpace(a), prof, a.QoS, seed)
-						resource.Search(m, s.SearchBudget)
-						cfg, _, okB := m.Best()
-						if !okB {
-							return headToHeadRep{}, nil
-						}
-						evalProf := resource.NewProfiler(a, s.Seed+500)
-						c, feasible := evalTrue(evalProf, cfg, a.QoS)
-						return headToHeadRep{cost: c, feasible: feasible}, nil
-					}})
-			}
-		}
-	}
-	out := runner.MustRun(eng, jobs)
+	mgrs := []string{"clite", "aqualite", "aquatope"}
+	out := runGrid(eng, 5, len(mgrs), s.Repeats,
+		func(level, mi int) string { return fmt.Sprintf("noise%d/%s", level, mgrs[mi]) },
+		func(_ runner.Ctx, level, mi, rep int) (judged, error) {
+			return s.searchAndJudge(search{app: apps.NewMLPipeline(), mk: managerByName[mgrs[mi]],
+				seed: s.Seed + int64(rep)*91, noise: fig15Noise(level), reps: 3}), nil
+		})
 
 	res := Fig15Result{}
-	ji := 0
-	for level := 0; level <= 4; level++ {
+	for level, row := range out {
 		res.Levels = append(res.Levels, level)
-		perManager := make(map[string]float64, len(managers))
-		for _, mgr := range managers {
-			reps := out[ji : ji+s.Repeats]
-			ji += s.Repeats
-			var sum float64
-			var n int
-			for _, r := range reps {
-				if r.feasible {
-					sum += r.cost
-					n++
-				}
-			}
-			if n == 0 {
-				perManager[mgr] = math.NaN()
-				continue
-			}
-			perManager[mgr] = sum / float64(n) / oracleCost * 100
-		}
-		res.CLITE = append(res.CLITE, perManager["clite"])
-		res.AquaLite = append(res.AquaLite, perManager["aqualite"])
-		res.Aquatope = append(res.Aquatope, perManager["aquatope"])
+		res.CLITE = append(res.CLITE, pctOfOracle(row[0], oracle))
+		res.AquaLite = append(res.AquaLite, pctOfOracle(row[1], oracle))
+		res.Aquatope = append(res.Aquatope, pctOfOracle(row[2], oracle))
 	}
 	return res
 }
@@ -165,19 +104,6 @@ func (r Fig16Result) Rows() ([]string, [][]string) {
 		rows = append(rows, []string{fmt.Sprintf("%d", i), f0(r.Performance[i]) + "%", mark})
 	}
 	return []string{"Samples", "Perf(%Oracle)", ""}, rows
-}
-
-// fig16Oracle solves the oracle at one input scale.
-func fig16Oracle(s Scale, inputScale float64) (float64, bool) {
-	a := apps.NewVideoProcessing()
-	space := resource.NewSpace(a)
-	p2 := resource.NewProfiler(a, s.Seed)
-	p2.InputScale = inputScale
-	or := resource.NewOracle(space, p2, a.QoS, s.Seed)
-	or.MaxGrid = 1
-	or.Repeats = 3
-	_, c, ok := or.Solve()
-	return c, ok
 }
 
 // fig16Trajectory runs the adaptive search with a mid-run behaviour change.
@@ -244,23 +170,18 @@ func fig16Trajectory(s Scale, oracles map[float64]float64) Fig16Result {
 func Fig16(s Scale) Fig16Result {
 	eng := s.engine("fig16")
 	scales := []float64{1, 3}
-	phase := make([]runner.Job[float64], len(scales))
+	phase := make([]runner.Job[oracleSolution], len(scales))
 	for i, sc := range scales {
 		sc := sc
-		phase[i] = runner.Job[float64]{Cell: fmt.Sprintf("oracle/scale%.0f", sc),
-			Run: func(runner.Ctx) (float64, error) {
-				c, ok := fig16Oracle(s, sc)
-				if !ok {
-					return 0, nil
-				}
-				return c, nil
+		phase[i] = runner.Job[oracleSolution]{Cell: fmt.Sprintf("oracle/scale%.0f", sc),
+			Run: func(runner.Ctx) (oracleSolution, error) {
+				return solveOracle(apps.NewVideoProcessing(), s.Seed, sc), nil
 			}}
 	}
-	solved := runner.MustRun(eng, phase)
 	oracles := make(map[float64]float64, len(scales))
-	for i, sc := range scales {
-		if solved[i] > 0 {
-			oracles[sc] = solved[i]
+	for i, solved := range runner.MustRun(eng, phase) {
+		if solved.ok {
+			oracles[scales[i]] = solved.cost
 		}
 	}
 

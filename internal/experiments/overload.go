@@ -34,12 +34,7 @@ func overloadKey(mult int, policy string) string {
 	return fmt.Sprintf("x%d|%s", mult, policy)
 }
 
-// Table renders one row per (multiplier, policy) cell.
-func (r OverloadResult) Table() string {
-	return formatTable(r.Rows())
-}
-
-// Rows implements Result.
+// Rows implements Result: one row per (multiplier, policy) cell.
 func (r OverloadResult) Rows() ([]string, [][]string) {
 	var rows [][]string
 	for _, mult := range r.Mults {
@@ -136,26 +131,26 @@ func overloadClusterCfg(s Scale) faas.Config {
 
 // overloadPolicy builds the sweep's retry-policy column. "naive" retries
 // and hedges without restraint; "budget" adds the shared retry budget and
-// hedge backpressure so resilience degrades to fail-fast under saturation.
+// hedge backpressure.
 func overloadPolicy(polName string, qos float64) *workflow.RetryPolicy {
 	switch polName {
 	case "naive":
-		p := workflow.DefaultRetryPolicy()
-		p.Timeout = 2 * qos
-		p.HedgeDelay = qos / 2
-		p.MaxAttempts = 4
-		return &p
+		return retryPolicy(qos, true)
 	case "budget":
-		p := workflow.DefaultRetryPolicy()
-		p.Timeout = 2 * qos
-		p.HedgeDelay = qos / 2
-		p.MaxAttempts = 4
-		p.RetryBudget = 2
-		p.RetryBudgetPerSec = 0.05
-		p.HedgeQueueLimit = 1
-		return &p
+		return withBudget(retryPolicy(qos, true))
 	}
 	return nil
+}
+
+// cellRegistry returns the replication's private registry, which doubles as
+// the cell's measurement surface — the platform-level counters live there,
+// not in the workflow results — or a fresh one when the run collects no
+// metrics.
+func cellRegistry(ctx runner.Ctx) *telemetry.Registry {
+	if ctx.Registry != nil {
+		return ctx.Registry
+	}
+	return telemetry.NewRegistry()
 }
 
 // overloadCell is one (multiplier, policy) replication's outcome.
@@ -180,75 +175,59 @@ func Overload(s Scale) OverloadResult {
 		Denied:    make(map[string]int),
 	}
 	_, trainMin := overloadMinutes(s)
-	var jobs []runner.Job[overloadCell]
-	for _, mult := range res.Mults {
-		mult := mult
-		for _, polName := range res.Policies {
-			polName := polName
-			jobs = append(jobs, runner.Job[overloadCell]{
-				Cell: fmt.Sprintf("x%d/%s", mult, polName),
-				Run: func(ctx runner.Ctx) (overloadCell, error) {
-					app := overloadApp()
-					// The replication's private registry doubles as the
-					// cell's measurement surface: the platform-level shed
-					// counters live there, not in the workflow results.
-					reg := ctx.Registry
-					if reg == nil {
-						reg = telemetry.NewRegistry()
-					}
-					out, err := core.Run(core.Config{
-						Components:   []core.Component{{App: app, Trace: overloadTrace(s, mult)}},
-						TrainMin:     trainMin,
-						Scheduler:    mustScheduler("keepalive", sched.Options{}),
-						ClusterCfg:   overloadClusterCfg(s),
-						RuntimeNoise: runtimeNoise,
-						Resilience:   overloadPolicy(polName, app.QoS),
-						PoolGuard:    &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3},
-						Tracer:       ctx.Tracer,
-						Registry:     reg,
-						Seed:         s.Seed,
-					})
-					if err != nil {
-						return overloadCell{}, err
-					}
-					p99 := 0.0
-					for _, a := range out.PerApp {
-						p99 = a.P99
-					}
-					// Platform shed fraction: shed / all invocation outcomes
-					// (cold + warm + failed + timed-out + shed).
-					shed := reg.Counter(telemetry.MetricShedInvocations).Value()
-					attempts := shed +
-						reg.Counter(telemetry.MetricColdStarts).Value() +
-						reg.Counter(telemetry.MetricWarmStarts).Value() +
-						reg.Counter(telemetry.MetricFailedInvocations).Value() +
-						reg.Counter(telemetry.MetricTimedOutInvocations).Value()
-					shedRate := 0.0
-					if attempts > 0 {
-						shedRate = shed / attempts
-					}
-					return overloadCell{
-						goodput:   out.Goodput(),
-						shedRate:  shedRate,
-						p99:       p99,
-						violation: out.QoSViolationRate(),
-						denied:    out.RetriesDenied() + out.HedgesSkipped(),
-					}, nil
-				}})
-		}
-	}
-	cells := runner.MustRun(s.engine("overload"), jobs)
+	cells := runGrid(s.engine("overload"), len(res.Mults), len(res.Policies), 1,
+		func(mi, pi int) string { return fmt.Sprintf("x%d/%s", res.Mults[mi], res.Policies[pi]) },
+		func(ctx runner.Ctx, mi, pi, _ int) (overloadCell, error) {
+			app := overloadApp()
+			reg := cellRegistry(ctx)
+			out, err := core.Run(core.Config{
+				Components:   []core.Component{{App: app, Trace: overloadTrace(s, res.Mults[mi])}},
+				TrainMin:     trainMin,
+				Scheduler:    mustScheduler("keepalive", sched.Options{}),
+				ClusterCfg:   overloadClusterCfg(s),
+				RuntimeNoise: runtimeNoise,
+				Resilience:   overloadPolicy(res.Policies[pi], app.QoS),
+				PoolGuard:    &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3},
+				Tracer:       ctx.Tracer,
+				Registry:     reg,
+				Seed:         s.Seed,
+			})
+			if err != nil {
+				return overloadCell{}, err
+			}
+			p99 := 0.0
+			for _, a := range out.PerApp {
+				p99 = a.P99
+			}
+			// Platform shed fraction: shed / all invocation outcomes
+			// (cold + warm + failed + timed-out + shed).
+			shed := reg.Counter(telemetry.MetricShedInvocations).Value()
+			attempts := shed +
+				reg.Counter(telemetry.MetricColdStarts).Value() +
+				reg.Counter(telemetry.MetricWarmStarts).Value() +
+				reg.Counter(telemetry.MetricFailedInvocations).Value() +
+				reg.Counter(telemetry.MetricTimedOutInvocations).Value()
+			shedRate := 0.0
+			if attempts > 0 {
+				shedRate = shed / attempts
+			}
+			return overloadCell{
+				goodput:   out.Goodput(),
+				shedRate:  shedRate,
+				p99:       p99,
+				violation: out.QoSViolationRate(),
+				denied:    out.RetriesDenied() + out.HedgesSkipped(),
+			}, nil
+		})
 
-	ji := 0
-	for _, mult := range res.Mults {
-		for _, polName := range res.Policies {
-			k := overloadKey(mult, polName)
-			res.Goodput[k] = cells[ji].goodput
-			res.ShedRate[k] = cells[ji].shedRate
-			res.P99[k] = cells[ji].p99
-			res.Violation[k] = cells[ji].violation
-			res.Denied[k] = cells[ji].denied
-			ji++
+	for mi, mult := range res.Mults {
+		for pi, polName := range res.Policies {
+			k, c := overloadKey(mult, polName), cells[mi][pi][0]
+			res.Goodput[k] = c.goodput
+			res.ShedRate[k] = c.shedRate
+			res.P99[k] = c.p99
+			res.Violation[k] = c.violation
+			res.Denied[k] = c.denied
 		}
 	}
 	return res

@@ -25,7 +25,7 @@ func captureOverload(t *testing.T, parallel int) (OverloadResult, string, []byte
 	if err := reg.WriteJSON(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	return r, r.Table(), spans.Bytes(), metrics.Bytes()
+	return r, Table(r), spans.Bytes(), metrics.Bytes()
 }
 
 // TestOverloadParallelDeterminism: serial and parallel runs of the overload

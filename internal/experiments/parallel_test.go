@@ -24,7 +24,7 @@ func captureFig17(t *testing.T, parallel int) (string, []byte, []byte) {
 	reg := telemetry.NewRegistry()
 	s.Collector = col
 	s.Registry = reg
-	table := Fig17(s).Table()
+	table := Table(Fig17(s))
 	var spans, metrics bytes.Buffer
 	if err := col.WriteJSONL(&spans); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFig17FanoutMatchesMonolithic(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Collector = col
 	s.Registry = reg
-	table := Fig17(s).Table()
+	table := Table(Fig17(s))
 
 	refCol := telemetry.NewCollector()
 	refReg := telemetry.NewRegistry()
@@ -82,10 +82,10 @@ func TestFig17FanoutMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTable := Fig17Result{
+	refTable := Table(Fig17Result{
 		FullCPU: full.cpu, FullMem: full.mem,
 		RMOnlyCPU: rmOnly.cpu, RMOnlyMem: rmOnly.mem,
-	}.Table()
+	})
 
 	if table != refTable {
 		t.Errorf("fanned-out table diverges from monolithic reference:\n%s\nvs\n%s", table, refTable)
@@ -116,23 +116,23 @@ func TestFig17FanoutMatchesMonolithic(t *testing.T) {
 func TestRegistryLineup(t *testing.T) {
 	all := All()
 	if len(all) != 18 {
-		t.Fatalf("registered experiments = %d, want 18", len(all))
+		t.Fatalf("lineup has %d experiments, want 18", len(all))
 	}
-	if first, last := all[0].ID(), all[len(all)-1].ID(); first != "table1" || last != "arena" {
-		t.Fatalf("registration order wrong: %s … %s", first, last)
+	if first, last := all[0].ID, all[len(all)-1].ID; first != "table1" || last != "arena" {
+		t.Fatalf("lineup order wrong: %s … %s", first, last)
 	}
 	seen := make(map[string]bool)
 	for _, e := range all {
-		if e.Title() == "" {
-			t.Errorf("experiment %s has no title", e.ID())
+		if e.ID == "" || e.Title == "" || e.Run == nil {
+			t.Errorf("experiment %q is missing its id, title or harness", e.ID)
 		}
-		if seen[e.ID()] {
-			t.Errorf("duplicate id %s", e.ID())
+		if seen[e.ID] {
+			t.Errorf("duplicate id %s", e.ID)
 		}
-		seen[e.ID()] = true
-		got, ok := Get(e.ID())
-		if !ok || got.ID() != e.ID() {
-			t.Errorf("Get(%q) failed", e.ID())
+		seen[e.ID] = true
+		got, ok := Get(e.ID)
+		if !ok || got.ID != e.ID {
+			t.Errorf("Get(%q) failed", e.ID)
 		}
 	}
 	if _, ok := Get("no-such-experiment"); ok {
@@ -140,19 +140,10 @@ func TestRegistryLineup(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register(New("table1", "dup", func(Scale) Result { return Table1Result{} }))
-}
-
 func TestMarshalResult(t *testing.T) {
-	e := New("fake", "Fake experiment", func(Scale) Result {
+	e := Experiment{"fake", "Fake experiment", func(Scale) Result {
 		return Table1Result{Order: []string{"m"}, SMAPE: map[string]float64{"m": 12.34}}
-	})
+	}}
 	r := e.Run(Scale{})
 	out := MarshalResult(e, r)
 	if out.ID != "fake" || out.Title != "Fake experiment" {
@@ -173,7 +164,7 @@ func TestMarshalResult(t *testing.T) {
 	}
 }
 
-// TestAllResultsImplementRows pins that every registered experiment's result
+// TestAllResultsImplementRows pins that every lineup experiment's result
 // type satisfies the structured Result surface with a consistent row width.
 func TestAllResultsImplementRows(t *testing.T) {
 	results := []Result{

@@ -4,9 +4,10 @@
 // fans one batch out across a worker pool while keeping the observable
 // output byte-identical to a serial run:
 //
-//   - every replication gets a private seed from a stable
-//     (experiment, cell, rep) mapping (or an explicitly pinned one), so the
-//     randomness a replication sees never depends on goroutine scheduling;
+//   - every replication seeds itself from values its harness computed
+//     before the batch started (the experiment's seed plus a
+//     per-repetition offset), never from anything a worker shares, so the
+//     randomness it sees never depends on goroutine scheduling;
 //   - every replication records telemetry into its own Collector and
 //     Registry, which the engine merges into the destination in submission
 //     order once the whole batch has finished;
@@ -29,9 +30,6 @@ import (
 
 // Ctx is the per-replication context handed to each job.
 type Ctx struct {
-	// Seed is the replication's private seed: the job's pinned Seed when
-	// set, otherwise DeriveSeed(base, experiment, cell, rep).
-	Seed int64
 	// Tracer receives the replication's spans. It is never nil: when the
 	// engine has no destination collector this is the Nop tracer.
 	Tracer telemetry.Tracer
@@ -43,15 +41,11 @@ type Ctx struct {
 // Job is one independent replication in a batch.
 type Job[T any] struct {
 	// Cell labels the sweep cell this replication belongs to (policy
-	// name, fault rate, app — whatever the experiment sweeps); it feeds
-	// seed derivation and error messages.
+	// name, fault rate, app — whatever the experiment sweeps); with Rep it
+	// labels the replication in error messages.
 	Cell string
 	// Rep is the repetition index within the cell.
 	Rep int
-	// Seed, when non-zero, pins the replication seed instead of deriving
-	// it. The established harnesses pin their historical seed formulas so
-	// published EXPERIMENTS.md numbers stay reproducible.
-	Seed int64
 	// Run executes the replication. It must be self-contained: construct
 	// apps, traces and profilers inside the job (or share only immutable
 	// data), never mutate state owned by another job.
@@ -60,14 +54,11 @@ type Job[T any] struct {
 
 // Engine runs batches of replications for one experiment.
 type Engine struct {
-	// Experiment is the experiment id, used in seed derivation and error
-	// messages.
+	// Experiment is the experiment id, used in error messages.
 	Experiment string
 	// Parallel is the worker count: 0 (or negative) means
 	// runtime.GOMAXPROCS(0), 1 forces a serial run.
 	Parallel int
-	// BaseSeed feeds DeriveSeed for jobs without a pinned seed.
-	BaseSeed int64
 	// Collector, when non-nil, receives every replication's spans, merged
 	// in submission order after the batch completes.
 	Collector *telemetry.Collector
@@ -118,10 +109,7 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				ctx := Ctx{Seed: jobs[i].Seed, Tracer: telemetry.Nop{}}
-				if ctx.Seed == 0 {
-					ctx.Seed = DeriveSeed(e.BaseSeed, e.Experiment, jobs[i].Cell, jobs[i].Rep)
-				}
+				ctx := Ctx{Tracer: telemetry.Nop{}}
 				if collectors != nil {
 					c := telemetry.NewCollector()
 					collectors[i] = c
@@ -141,9 +129,9 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 	close(idx)
 	wg.Wait()
 
-	// Merge per-replication telemetry in submission order: this, plus the
-	// scheduling-independent seeds, is why -parallel 1 and -parallel N
-	// produce byte-identical span streams and metric snapshots.
+	// Merge per-replication telemetry in submission order: this, plus
+	// seeds fixed before the batch started, is why -parallel 1 and
+	// -parallel N produce byte-identical span streams and metric snapshots.
 	for i := 0; i < n; i++ {
 		if collectors != nil {
 			e.Collector.Merge(collectors[i])
@@ -182,39 +170,4 @@ func runOne[T any](job Job[T], ctx Ctx) (result T, err error) {
 		}
 	}()
 	return job.Run(ctx)
-}
-
-// DeriveSeed maps (base, experiment, cell, rep) to a replication seed that
-// is stable across runs and independent of scheduling: FNV-1a over the
-// identifying strings, mixed with the base seed and finalized with
-// splitmix64 so adjacent reps land far apart in seed space. The result is
-// always positive.
-func DeriveSeed(base int64, experiment, cell string, rep int) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // separator: ("ab","c") must differ from ("a","bc")
-		h *= prime64
-	}
-	mix(experiment)
-	mix(cell)
-	x := h ^ (uint64(rep)+1)*0x9E3779B97F4A7C15 ^ uint64(base)*0xD1B54A32D192ED03
-	// splitmix64 finalizer
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	seed := int64(x & 0x7FFFFFFFFFFFFFFF)
-	if seed == 0 {
-		seed = 1
-	}
-	return seed
 }

@@ -11,22 +11,24 @@ import (
 )
 
 // batch builds a deterministic job set whose replications emit spans and
-// metrics derived only from Ctx.Seed, the way a real simulator run does.
+// metrics derived only from a seed their harness fixed up front, the way a
+// real simulator run does.
 func batch(cells, reps int) []Job[int64] {
 	var jobs []Job[int64]
 	for c := 0; c < cells; c++ {
 		for r := 0; r < reps; r++ {
 			cell := fmt.Sprintf("cell%d", c)
 			rep := r
+			seed := int64(5 + 1000*c + 37*r)
 			jobs = append(jobs, Job[int64]{Cell: cell, Rep: rep,
 				Run: func(ctx Ctx) (int64, error) {
 					id := ctx.Tracer.StartSpan(telemetry.KindWorkflow, cell, 0, float64(rep))
 					ctx.Tracer.Point(telemetry.KindRetry, cell, id, float64(rep)+0.5,
-						telemetry.Fields{"seed": float64(ctx.Seed % 1000)})
+						telemetry.Fields{"seed": float64(seed % 1000)})
 					ctx.Tracer.EndSpan(id, float64(rep)+1, nil)
 					ctx.Registry.Counter("runner.test.reps").Inc()
-					ctx.Registry.Histogram("runner.test.seed_mod").Observe(float64(ctx.Seed % 97))
-					return ctx.Seed, nil
+					ctx.Registry.Histogram("runner.test.seed_mod").Observe(float64(seed % 97))
+					return seed, nil
 				}})
 		}
 	}
@@ -39,7 +41,7 @@ func runBatch(t *testing.T, parallel int) ([]int64, string, string) {
 	t.Helper()
 	col := telemetry.NewCollector()
 	reg := telemetry.NewRegistry()
-	e := &Engine{Experiment: "unit", Parallel: parallel, BaseSeed: 5, Collector: col, Registry: reg}
+	e := &Engine{Experiment: "unit", Parallel: parallel, Collector: col, Registry: reg}
 	out, err := Run(e, batch(4, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -69,56 +71,6 @@ func TestRunSchedulingIndependence(t *testing.T) {
 		if m1 != mp {
 			t.Fatalf("parallel=%d metric snapshot differs from serial run", p)
 		}
-	}
-}
-
-func TestRunSeedDerivationAndPinning(t *testing.T) {
-	e := &Engine{Experiment: "seeds", Parallel: 3, BaseSeed: 42}
-	jobs := []Job[int64]{
-		{Cell: "a", Rep: 0, Run: func(ctx Ctx) (int64, error) { return ctx.Seed, nil }},
-		{Cell: "a", Rep: 1, Run: func(ctx Ctx) (int64, error) { return ctx.Seed, nil }},
-		{Cell: "b", Rep: 0, Seed: 1234, Run: func(ctx Ctx) (int64, error) { return ctx.Seed, nil }},
-	}
-	out, err := Run(e, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != DeriveSeed(42, "seeds", "a", 0) || out[1] != DeriveSeed(42, "seeds", "a", 1) {
-		t.Fatalf("derived seeds wrong: %v", out)
-	}
-	if out[0] == out[1] {
-		t.Fatal("adjacent reps derived the same seed")
-	}
-	if out[2] != 1234 {
-		t.Fatalf("pinned seed not honored: %d", out[2])
-	}
-}
-
-func TestDeriveSeedStable(t *testing.T) {
-	a := DeriveSeed(1, "fig9", "keepalive", 0)
-	if a != DeriveSeed(1, "fig9", "keepalive", 0) {
-		t.Fatal("DeriveSeed not deterministic")
-	}
-	distinct := map[int64]string{a: "base"}
-	for _, v := range []struct {
-		base      int64
-		exp, cell string
-		rep       int
-	}{
-		{1, "fig9", "keepalive", 1},
-		{1, "fig9", "autoscale", 0},
-		{1, "fig10", "keepalive", 0},
-		{2, "fig9", "keepalive", 0},
-		{1, "fig9keepalive", "", 0}, // separator: concatenation must not collide
-	} {
-		s := DeriveSeed(v.base, v.exp, v.cell, v.rep)
-		if s <= 0 {
-			t.Fatalf("derived seed not positive: %d", s)
-		}
-		if prev, dup := distinct[s]; dup {
-			t.Fatalf("seed collision between %q and %+v", prev, v)
-		}
-		distinct[s] = fmt.Sprint(v)
 	}
 }
 

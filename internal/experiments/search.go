@@ -17,67 +17,147 @@ func evalApps(seed int64) []*apps.App { return apps.All(seed) }
 // profileNoise is the default platform noise during configuration search.
 var profileNoise = faas.Noise{GaussianStd: 0.15, OutlierRate: 0.02, OutlierScale: 3}
 
-// managerFactories is the Fig. 12/13 lineup.
-func managerFactories() map[string]func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-	return map[string]func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager{
-		"random": func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-			return resource.NewRandom(sp, p, q, seed)
-		},
-		"autoscale": func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-			return resource.NewAutoscale(sp, p, q, seed)
-		},
-		"clite": func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-			return resource.NewCLITE(sp, p, q, seed)
-		},
-		"aquatope": func(sp *resource.Space, p *resource.Profiler, q float64, seed int64) resource.Manager {
-			return resource.NewAquatope(sp, p, q, seed)
-		},
+// managerCtor builds a configuration-search manager over an app's space.
+type managerCtor = func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager
+
+// ctor adapts a constructor that returns its concrete manager type.
+func ctor[M resource.Manager](mk func(*resource.Space, *resource.Profiler, float64, int64) M) managerCtor {
+	return func(sp *resource.Space, p *resource.Profiler, qos float64, seed int64) resource.Manager {
+		return mk(sp, p, qos, seed)
 	}
 }
 
+// managerByName is every manager the search experiments line up.
+var managerByName = map[string]managerCtor{
+	"random":    ctor(resource.NewRandom),
+	"autoscale": ctor(resource.NewAutoscale),
+	"clite":     ctor(resource.NewCLITE),
+	"aqualite":  ctor(resource.NewAquaLite),
+	"aquatope":  ctor(resource.NewAquatope),
+}
+
+// managerOrder is the Fig. 12/13 lineup.
 var managerOrder = []string{"random", "autoscale", "clite", "aquatope"}
 
-// evalTrue re-evaluates a chosen configuration noiselessly and reports
-// whether it truly meets QoS — the managers' own feasibility judgements
-// are made under noise, so a "best feasible" pick can violate in truth.
-func evalTrue(prof *resource.Profiler, cfg map[string]faas.ResourceConfig, qos float64) (cost float64, feasible bool) {
-	cpu, mem, lat := prof.SampleNoiselessComponents(cfg, 3)
-	return prof.CPUWeight*cpu + prof.MemWeight*mem, lat <= qos
+// search is one search-then-judge replication — the unit Figs. 12–15 and
+// the batch ablation repeat: a manager over a noisy profiler, both seeded
+// with the harness's own per-repetition seed, whose pick a fresh noiseless
+// profiler then re-measures.
+type search struct {
+	app     *apps.App
+	mk      managerCtor
+	seed    int64 // the harness's historical s.Seed + rep·k
+	noise   faas.Noise
+	execStd float64 // extra execution-time variability (Fig. 14b)
+	reps    int     // noiseless executions averaged when judging the pick
 }
 
-// solveOracle returns the oracle's cost components for an app.
-func solveOracle(a *apps.App, seed int64) (cfg map[string]faas.ResourceConfig, cost, cpu, mem float64, ok bool) {
-	space := resource.NewSpace(a)
-	prof := resource.NewProfiler(a, seed)
-	or := resource.NewOracle(space, prof, a.QoS, seed)
-	or.MaxGrid = 1 // coordinate descent: tractable on every app
-	or.Repeats = 3
-	cfg, cost, ok = or.Solve()
+// manager builds the replication's manager over its noisy profiler.
+func (c search) manager() resource.Manager {
+	prof := resource.NewProfiler(c.app, c.seed)
+	prof.Noise = c.noise
+	prof.ExecTimeStd = c.execStd
+	return c.mk(resource.NewSpace(c.app), prof, c.app.QoS, c.seed)
+}
+
+// judged is a manager's pick re-measured noiselessly. The managers' own
+// feasibility judgements are made under noise, so a "best feasible" pick
+// can violate in truth.
+type judged struct {
+	cpu, mem, cost  float64
+	rounds          int  // Steps the search took to spend its budget
+	found, feasible bool // the manager had a pick; it truly meets QoS
+}
+
+// judge re-measures a pick with a fresh evaluation profiler (the same seed
+// for every pick of a run, so picks are compared like for like).
+func (s Scale) judge(c search, pick map[string]faas.ResourceConfig) judged {
+	eval := resource.NewProfiler(c.app, s.Seed+500)
+	cpu, mem, lat := eval.SampleNoiselessComponents(pick, c.reps)
+	return judged{cpu: cpu, mem: mem, cost: eval.CPUWeight*cpu + eval.MemWeight*mem,
+		found: true, feasible: lat <= c.app.QoS}
+}
+
+// searchAndJudge spends the scale's sample budget and judges the final pick.
+func (s Scale) searchAndJudge(c search) judged {
+	m := c.manager()
+	_, steps := resource.Search(m, s.SearchBudget)
+	pick, _, ok := m.Best()
 	if !ok {
-		return nil, 0, 0, 0, false
+		return judged{}
 	}
-	cpu, mem, _ = prof.SampleNoiselessComponents(cfg, 4)
-	return cfg, cost, cpu, mem, true
+	j := s.judge(c, pick)
+	j.rounds = len(steps)
+	return j
 }
 
-// oracleSolution is one oracle replication's output.
+// meanFeasible is the search harnesses' cell fold: mean true cost and mean
+// rounds over the replications whose pick truly met QoS, summed in
+// replication order; NaN when none did.
+func meanFeasible(reps []judged) (cost, rounds float64) {
+	var n float64
+	for _, r := range reps {
+		if r.feasible {
+			cost += r.cost
+			rounds += float64(r.rounds)
+			n++
+		}
+	}
+	return cost / n, rounds / n
+}
+
+// pctOfOracle is a cell's mean true cost as a percentage of the oracle's;
+// NaN when no replication was feasible or the oracle found no solution.
+func pctOfOracle(reps []judged, oracle oracleSolution) float64 {
+	if !oracle.ok {
+		return math.NaN()
+	}
+	cost, _ := meanFeasible(reps)
+	return cost / oracle.cost * 100
+}
+
+// oracleSolution is the oracle's optimum for one app.
 type oracleSolution struct {
 	cost, cpu, mem float64
 	ok             bool
 }
 
-// oracleJobs builds one oracle-solve replication per evaluation app.
-func oracleJobs(s Scale, names []string, mk func(i int) *apps.App) []runner.Job[oracleSolution] {
+// solveOracle solves an app's oracle with inputs scaled by inputScale
+// (0 leaves them alone).
+func solveOracle(a *apps.App, seed int64, inputScale float64) oracleSolution {
+	prof := resource.NewProfiler(a, seed)
+	prof.InputScale = inputScale
+	or := resource.NewOracle(resource.NewSpace(a), prof, a.QoS, seed)
+	or.MaxGrid = 1 // coordinate descent: tractable on every app
+	or.Repeats = 3
+	cfg, cost, ok := or.Solve()
+	if !ok {
+		return oracleSolution{}
+	}
+	cpu, mem, _ := prof.SampleNoiselessComponents(cfg, 4)
+	return oracleSolution{cost: cost, cpu: cpu, mem: mem, ok: true}
+}
+
+// solveOracles runs one oracle-solve replication per named app.
+func solveOracles(s Scale, eng *runner.Engine, names []string, mk func(i int) *apps.App) []oracleSolution {
 	jobs := make([]runner.Job[oracleSolution], len(names))
 	for i := range names {
 		i := i
 		jobs[i] = runner.Job[oracleSolution]{Cell: "oracle/" + names[i],
 			Run: func(runner.Ctx) (oracleSolution, error) {
-				_, cost, cpu, mem, ok := solveOracle(mk(i), s.Seed)
-				return oracleSolution{cost: cost, cpu: cpu, mem: mem, ok: ok}, nil
+				return solveOracle(mk(i), s.Seed, 0), nil
 			}}
 	}
-	return jobs
+	return runner.MustRun(eng, jobs)
+}
+
+// evalOracles solves the oracle of each of the five evaluation apps.
+func evalOracles(s Scale, eng *runner.Engine) (names []string, oracles []oracleSolution) {
+	for _, a := range evalApps(s.Seed) {
+		names = append(names, a.Name)
+	}
+	return names, solveOracles(s, eng, names,
+		func(i int) *apps.App { return evalApps(s.Seed)[i] })
 }
 
 // ---------------------------------------------------------------------------
@@ -141,11 +221,8 @@ func fig12Checkpoints(budget int) []int {
 // feasible pick). Values are raw costs; the caller normalizes by oracle.
 func fig12Curve(s Scale, a *apps.App, mgr string, rep int) []float64 {
 	checkpoints := fig12Checkpoints(s.SearchBudget)
-	seed := s.Seed + int64(rep)*37
-	prof := resource.NewProfiler(a, seed)
-	prof.Noise = profileNoise
-	m := managerFactories()[mgr](resource.NewSpace(a), prof, a.QoS, seed)
-	evalProf := resource.NewProfiler(a, s.Seed+500)
+	c := search{app: a, mk: managerByName[mgr], seed: s.Seed + int64(rep)*37, noise: profileNoise, reps: 3}
+	m := c.manager()
 	curve := make([]float64, len(checkpoints))
 	ci := 0
 	bestTrue := math.Inf(1)
@@ -160,8 +237,8 @@ func fig12Curve(s Scale, a *apps.App, mgr string, rep int) []float64 {
 				if key != lastEvaluated {
 					// Count only configurations that truly meet QoS when
 					// re-measured noiselessly.
-					if c, feasible := evalTrue(evalProf, cfg, a.QoS); feasible && c < bestTrue {
-						bestTrue = c
+					if j := s.judge(c, cfg); j.feasible && j.cost < bestTrue {
+						bestTrue = j.cost
 					}
 					lastEvaluated = key
 				}
@@ -180,33 +257,16 @@ func fig12Curve(s Scale, a *apps.App, mgr string, rep int) []float64 {
 // as the search budget grows, for each workflow and manager. Replications:
 // one oracle solve per app, then one search per (app, manager, repetition).
 func Fig12(s Scale) Fig12Result {
-	names := make([]string, 0, 5)
-	for _, a := range evalApps(s.Seed) {
-		names = append(names, a.Name)
-	}
 	eng := s.engine("fig12")
-	oracles := runner.MustRun(eng, oracleJobs(s, names,
-		func(i int) *apps.App { return evalApps(s.Seed)[i] }))
-
-	var jobs []runner.Job[[]float64]
-	for ai := range names {
-		ai := ai
-		if !oracles[ai].ok {
-			continue
-		}
-		for _, mgr := range managerOrder {
-			mgr := mgr
-			for rep := 0; rep < s.Repeats; rep++ {
-				rep := rep
-				jobs = append(jobs, runner.Job[[]float64]{
-					Cell: names[ai] + "/" + mgr, Rep: rep,
-					Run: func(runner.Ctx) ([]float64, error) {
-						return fig12Curve(s, evalApps(s.Seed)[ai], mgr, rep), nil
-					}})
+	names, oracles := evalOracles(s, eng)
+	curves := runGrid(eng, len(names), len(managerOrder), s.Repeats,
+		func(ai, mi int) string { return names[ai] + "/" + managerOrder[mi] },
+		func(_ runner.Ctx, ai, mi, rep int) ([]float64, error) {
+			if !oracles[ai].ok {
+				return nil, nil
 			}
-		}
-	}
-	curves := runner.MustRun(eng, jobs)
+			return fig12Curve(s, evalApps(s.Seed)[ai], managerOrder[mi], rep), nil
+		})
 
 	res := Fig12Result{
 		Apps:     names,
@@ -214,16 +274,14 @@ func Fig12(s Scale) Fig12Result {
 		Curves:   make(map[string]map[string][]float64),
 		OracleAt: make(map[string]float64),
 	}
-	ji := 0
 	for ai, name := range names {
 		if !oracles[ai].ok {
 			continue
 		}
 		res.OracleAt[name] = oracles[ai].cost
 		res.Curves[name] = make(map[string][]float64)
-		for _, mgr := range managerOrder {
-			reps := curves[ji : ji+s.Repeats]
-			ji += s.Repeats
+		for mi, mgr := range managerOrder {
+			reps := curves[ai][mi]
 			// Mean across repetitions, ignoring infinities (no feasible
 			// yet), normalized by the oracle cost.
 			agg := make([]float64, len(res.Budgets))
@@ -305,57 +363,22 @@ func (r Fig13Result) Rows() ([]string, [][]string) {
 	return []string{"App", "Manager", "CPU(%Oracle)", "Mem(%Oracle)", "ViolRate"}, rows
 }
 
-// fig13Rep is one (app, manager, repetition) search outcome, noiselessly
-// re-evaluated with a fresh evaluation profiler.
-type fig13Rep struct {
-	cpu, mem, lat float64
-	found         bool
-}
-
 // Fig13 runs every manager to the full budget on every app (Repeats times)
 // and reports the chosen configuration's noiseless CPU/memory time
 // relative to the oracle. For random search, the best of all repetitions
 // is used, per the paper's methodology.
 func Fig13(s Scale) Fig13Result {
-	names := make([]string, 0, 5)
-	for _, a := range evalApps(s.Seed) {
-		names = append(names, a.Name)
-	}
 	eng := s.engine("fig13")
-	oracles := runner.MustRun(eng, oracleJobs(s, names,
-		func(i int) *apps.App { return evalApps(s.Seed)[i] }))
-
-	var jobs []runner.Job[fig13Rep]
-	for ai := range names {
-		ai := ai
-		if !oracles[ai].ok {
-			continue
-		}
-		for _, mgr := range managerOrder {
-			mgr := mgr
-			for rep := 0; rep < s.Repeats; rep++ {
-				rep := rep
-				jobs = append(jobs, runner.Job[fig13Rep]{
-					Cell: names[ai] + "/" + mgr, Rep: rep,
-					Run: func(runner.Ctx) (fig13Rep, error) {
-						a := evalApps(s.Seed)[ai]
-						seed := s.Seed + int64(rep)*61
-						prof := resource.NewProfiler(a, seed)
-						prof.Noise = profileNoise
-						m := managerFactories()[mgr](resource.NewSpace(a), prof, a.QoS, seed)
-						resource.Search(m, s.SearchBudget)
-						cfg, _, okB := m.Best()
-						if !okB {
-							return fig13Rep{}, nil
-						}
-						evalProf := resource.NewProfiler(a, s.Seed+500)
-						cpu, mem, lat := evalProf.SampleNoiselessComponents(cfg, 4)
-						return fig13Rep{cpu: cpu, mem: mem, lat: lat, found: true}, nil
-					}})
+	names, oracles := evalOracles(s, eng)
+	out := runGrid(eng, len(names), len(managerOrder), s.Repeats,
+		func(ai, mi int) string { return names[ai] + "/" + managerOrder[mi] },
+		func(_ runner.Ctx, ai, mi, rep int) (judged, error) {
+			if !oracles[ai].ok {
+				return judged{}, nil
 			}
-		}
-	}
-	out := runner.MustRun(eng, jobs)
+			return s.searchAndJudge(search{app: evalApps(s.Seed)[ai], mk: managerByName[managerOrder[mi]],
+				seed: s.Seed + int64(rep)*61, noise: profileNoise, reps: 4}), nil
+		})
 
 	res := Fig13Result{
 		Apps:          names,
@@ -363,7 +386,6 @@ func Fig13(s Scale) Fig13Result {
 		MemPct:        make(map[string]map[string]float64),
 		ViolationRate: make(map[string]map[string]float64),
 	}
-	ji := 0
 	for ai, name := range names {
 		if !oracles[ai].ok {
 			continue
@@ -371,18 +393,17 @@ func Fig13(s Scale) Fig13Result {
 		res.CPUPct[name] = make(map[string]float64)
 		res.MemPct[name] = make(map[string]float64)
 		res.ViolationRate[name] = make(map[string]float64)
-		for _, mgr := range managerOrder {
-			reps := out[ji : ji+s.Repeats]
-			ji += s.Repeats
+		for mi, mgr := range managerOrder {
+			reps := out[ai][mi]
 			var cpus, mems []float64
 			viol := 0
 			if mgr == "random" {
 				// Paper: best of all random trials.
 				best := math.Inf(1)
-				var pick fig13Rep
+				var pick judged
 				for _, r := range reps {
-					if r.found && r.lat <= qosOf(s, ai) && r.cpu+r.mem < best {
-						best = r.cpu + r.mem
+					if r.feasible && r.cost < best {
+						best = r.cost
 						pick = r
 					}
 				}
@@ -394,7 +415,7 @@ func Fig13(s Scale) Fig13Result {
 					if !r.found {
 						continue
 					}
-					if r.lat > qosOf(s, ai) {
+					if !r.feasible {
 						// A truly-violating pick does not contribute a
 						// cost sample (the paper's managers all meet
 						// QoS); it is reported through the violation
@@ -416,11 +437,6 @@ func Fig13(s Scale) Fig13Result {
 	return res
 }
 
-// qosOf returns the i-th evaluation app's QoS target.
-func qosOf(s Scale, i int) float64 {
-	return evalApps(s.Seed)[i].QoS
-}
-
 // ---------------------------------------------------------------------------
 
 // Fig14Result compares CLITE and Aquatope as the workflow gets harder:
@@ -429,11 +445,6 @@ type Fig14Result struct {
 	Labels   []string
 	CLITE    []float64 // % oracle
 	Aquatope []float64
-}
-
-// Table renders the comparison.
-func (r Fig14Result) Table() string {
-	return formatTable(r.Rows())
 }
 
 // Rows implements Result.
@@ -452,12 +463,6 @@ type fig14Case struct {
 	execStd float64
 }
 
-// headToHeadRep is one (case, manager, repetition) outcome.
-type headToHeadRep struct {
-	cost     float64
-	feasible bool
-}
-
 // headToHead runs CLITE and Aquatope over the sweep cases and returns
 // their final %-oracle costs (mean over repetitions). Replications: one
 // oracle per case plus one search per (case, manager, repetition).
@@ -467,63 +472,21 @@ func headToHead(s Scale, experiment string, cases []fig14Case) Fig14Result {
 	for i, c := range cases {
 		labels[i] = c.label
 	}
-	oracles := runner.MustRun(eng, oracleJobs(s, labels,
-		func(i int) *apps.App { return cases[i].mkApp() }))
+	oracles := solveOracles(s, eng, labels,
+		func(i int) *apps.App { return cases[i].mkApp() })
 
-	managers := []string{"clite", "aquatope"}
-	var jobs []runner.Job[headToHeadRep]
-	for ci := range cases {
-		ci := ci
-		for _, mgr := range managers {
-			mgr := mgr
-			for rep := 0; rep < s.Repeats; rep++ {
-				rep := rep
-				jobs = append(jobs, runner.Job[headToHeadRep]{
-					Cell: cases[ci].label + "/" + mgr, Rep: rep,
-					Run: func(runner.Ctx) (headToHeadRep, error) {
-						a := cases[ci].mkApp()
-						seed := s.Seed + int64(rep)*73
-						prof := resource.NewProfiler(a, seed)
-						prof.Noise = profileNoise
-						prof.ExecTimeStd = cases[ci].execStd
-						m := managerFactories()[mgr](resource.NewSpace(a), prof, a.QoS, seed)
-						resource.Search(m, s.SearchBudget)
-						cfg, _, okB := m.Best()
-						if !okB {
-							return headToHeadRep{}, nil
-						}
-						evalProf := resource.NewProfiler(a, s.Seed+500)
-						c, feasible := evalTrue(evalProf, cfg, a.QoS)
-						return headToHeadRep{cost: c, feasible: feasible}, nil
-					}})
-			}
-		}
-	}
-	out := runner.MustRun(eng, jobs)
+	mgrs := []string{"clite", "aquatope"}
+	out := runGrid(eng, len(cases), len(mgrs), s.Repeats,
+		func(ci, mi int) string { return labels[ci] + "/" + mgrs[mi] },
+		func(_ runner.Ctx, ci, mi, rep int) (judged, error) {
+			return s.searchAndJudge(search{app: cases[ci].mkApp(), mk: managerByName[mgrs[mi]],
+				seed: s.Seed + int64(rep)*73, noise: profileNoise, execStd: cases[ci].execStd, reps: 3}), nil
+		})
 
 	res := Fig14Result{Labels: labels}
-	ji := 0
 	for ci := range cases {
-		perManager := make(map[string]float64, len(managers))
-		for _, mgr := range managers {
-			reps := out[ji : ji+s.Repeats]
-			ji += s.Repeats
-			var sum float64
-			var n int
-			for _, r := range reps {
-				if r.feasible {
-					sum += r.cost
-					n++
-				}
-			}
-			if n == 0 || !oracles[ci].ok {
-				perManager[mgr] = math.NaN()
-				continue
-			}
-			perManager[mgr] = sum / float64(n) / oracles[ci].cost * 100
-		}
-		res.CLITE = append(res.CLITE, perManager["clite"])
-		res.Aquatope = append(res.Aquatope, perManager["aquatope"])
+		res.CLITE = append(res.CLITE, pctOfOracle(out[ci][0], oracles[ci]))
+		res.Aquatope = append(res.Aquatope, pctOfOracle(out[ci][1], oracles[ci]))
 	}
 	return res
 }

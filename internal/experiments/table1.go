@@ -16,11 +16,6 @@ type Table1Result struct {
 	Order []string
 }
 
-// Table renders the result like the paper's Table 1.
-func (r Table1Result) Table() string {
-	return formatTable(r.Rows())
-}
-
 // Rows implements Result.
 func (r Table1Result) Rows() ([]string, [][]string) {
 	rows := make([][]string, 0, len(r.Order))

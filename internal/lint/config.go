@@ -93,9 +93,9 @@ func DefaultConfig() Config {
 			Exclude: []string{"aquatope/internal/telemetry"},
 		},
 		// seedflow proves every seed reaching an RNG constructor comes from
-		// configuration or runner.DeriveSeed. internal/stats is the
-		// constructor layer itself (its params are the seed plumbing), and
-		// the examples are demos that pin a documented seed on purpose.
+		// the run configuration. internal/stats is the constructor layer
+		// itself (its params are the seed plumbing), and the examples are
+		// demos that pin a documented seed on purpose.
 		"seedflow": {
 			Include: []string{"..."},
 			Exclude: []string{"aquatope/internal/stats"},

@@ -11,7 +11,7 @@ import (
 var seedflowAnalyzer = &Analyzer{
 	Name: "seedflow",
 	Doc: "interprocedural taint check that every seed reaching an RNG " +
-		"constructor originates from configuration or runner.DeriveSeed, " +
+		"constructor originates from the run configuration, " +
 		"never from a literal or the wall clock — even through helper " +
 		"layers",
 	NeedsTypes: true,
@@ -45,7 +45,7 @@ func runSeedflow(prog *Program, pkg *Package, file *File, rule Rule, report Repo
 		// Direct constructor call: stats.NewRNG(seed).
 		if idx, ok := constructorSeedArg(info, call, catalog); ok && idx < len(call.Args) {
 			if reason := taintedSeed(prog, pkg, owner, call.Args[idx], 0, nil); reason != "" {
-				report(call.Args[idx].Pos(), "%s seeds an RNG constructor; derive the seed from the run configuration or runner.DeriveSeed instead", reason)
+				report(call.Args[idx].Pos(), "%s seeds an RNG constructor; derive the seed from the run configuration instead", reason)
 			}
 			return
 		}
@@ -77,7 +77,7 @@ func runSeedflow(prog *Program, pkg *Package, file *File, rule Rule, report Repo
 				}
 			}
 			if tainted {
-				report(at.Pos(), "%s flows into an RNG constructor through %s; derive the seed from the run configuration or runner.DeriveSeed instead", reason, shortFunc(name))
+				report(at.Pos(), "%s flows into an RNG constructor through %s; derive the seed from the run configuration instead", reason, shortFunc(name))
 				return
 			}
 		}
@@ -353,8 +353,7 @@ func localInit(fn *ProgFunc, obj types.Object) ast.Expr {
 // when it is tainted: a compile-time constant, a wall-clock read, a
 // single-assignment local bound to a tainted expression, or a call to a
 // helper that always returns a tainted value. Clean sources — function
-// parameters, config fields, channel/flag reads, DeriveSeed results —
-// return "".
+// parameters, config fields, channel/flag reads — return "".
 func taintedSeed(prog *Program, pkg *Package, owner *ProgFunc, expr ast.Expr, depth int, seen map[types.Object]bool) string {
 	if depth > 6 {
 		return ""

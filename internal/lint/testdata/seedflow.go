@@ -2,7 +2,7 @@
 // constructor catalog (Rule.Sinks) at this fixture package, so NewRNG
 // below plays the role of stats.NewRNG: parameter 0 is the seed, and
 // every value reaching it must trace back to a clean source (a caller
-// parameter standing in for configuration / runner.DeriveSeed).
+// parameter standing in for the run configuration).
 package fixture
 
 type seedRNG struct{ state int64 }

@@ -206,36 +206,20 @@ func (p *FaaSCache) Decide(history []float64, minute int) Decision {
 // forecast of the invocation pattern (Roy et al., ASPLOS'22) and shuts
 // them down right after the predicted demand passes.
 type IceBreaker struct {
-	// Harmonics defaults to 8, Window to 256 minutes.
-	Harmonics int
-	Window    int
-	model     *timeseries.Fourier
-	fitted    []float64
+	fitted []float64
 }
 
 // Name implements Policy.
 func (p *IceBreaker) Name() string { return "icebreaker" }
 
-// Fit implements Policy.
+// Fit implements Policy: Decide refits a Fourier model over the rolling
+// window every call, so fitting only records the training demand.
 func (p *IceBreaker) Fit(data FitData) {
-	h := p.Harmonics
-	if h <= 0 {
-		h = 8
-	}
-	w := p.Window
-	if w <= 0 {
-		w = 256
-	}
-	p.model = timeseries.NewFourier(h, w)
-	p.model.Fit(data.Demand)
 	p.fitted = append([]float64(nil), data.Demand...)
 }
 
 // Decide implements Policy.
 func (p *IceBreaker) Decide(history []float64, _ int) Decision {
-	if p.model == nil {
-		p.model = timeseries.NewFourier(8, 256)
-	}
 	full := append(append([]float64(nil), p.fitted...), history...)
 	var pred float64
 	if len(full) > 8 {

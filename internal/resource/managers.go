@@ -6,6 +6,7 @@ import (
 	"aquatope/internal/bo"
 	"aquatope/internal/faas"
 	"aquatope/internal/stats"
+	"aquatope/internal/telemetry"
 )
 
 // Manager searches an app's configuration space for the cheapest
@@ -122,11 +123,12 @@ func (m *BOManager) Best() (map[string]faas.ResourceConfig, float64, bool) {
 	return cfgs, cost, true
 }
 
-// Engine exposes the underlying Aquatope engine when present (for
-// retraining statistics), or nil.
-func (m *BOManager) Engine() *bo.Engine {
-	e, _ := m.Opt.(*bo.Engine)
-	return e
+// SetTracer forwards the tracer to the underlying Aquatope engine (its
+// bo.iteration and bo.decision points); the other optimizers emit nothing.
+func (m *BOManager) SetTracer(t telemetry.Tracer) {
+	if e, ok := m.Opt.(*bo.Engine); ok {
+		e.SetTracer(t)
+	}
 }
 
 // ---------------------------------------------------------------------------

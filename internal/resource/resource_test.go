@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aquatope/internal/apps"
+	"aquatope/internal/telemetry"
 )
 
 func chainApp() *apps.App { return apps.NewChain(2) }
@@ -238,11 +239,17 @@ func TestBOManagerEngineAccessor(t *testing.T) {
 	a := chainApp()
 	p := NewProfiler(a, 12)
 	s := NewSpace(a)
-	if NewAquatope(s, p, 1, 1).Engine() == nil {
-		t.Fatal("aquatope manager should expose its engine")
+	spans := func(m *BOManager) int {
+		col := telemetry.NewCollector()
+		m.SetTracer(col)
+		m.Step()
+		return col.Len()
 	}
-	if NewCLITE(s, p, 1, 1).Engine() != nil {
-		t.Fatal("CLITE manager has no aquatope engine")
+	if spans(NewAquatope(s, p, 1, 1)) == 0 {
+		t.Fatal("aquatope manager should forward the tracer to its engine")
+	}
+	if n := spans(NewCLITE(s, p, 1, 1)); n != 0 {
+		t.Fatalf("CLITE manager has no aquatope engine, yet traced %d points", n)
 	}
 }
 

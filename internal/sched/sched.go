@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 
-	"aquatope/internal/bo"
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
 	"aquatope/internal/telemetry"
@@ -188,8 +187,8 @@ func (p *policyPool) Name() string { return p.name }
 func (p *policyPool) Policy(string) pool.Policy { return meterPolicy(p.build(), p.meter) }
 
 // meteredManager counts Step calls and profiled configurations on the
-// scheduler's meter. It forwards the optional Engine/SetTracer hooks so
-// core's telemetry wiring sees through the wrapper.
+// scheduler's meter. It forwards the optional SetTracer hook so core's
+// telemetry wiring sees through the wrapper.
 type meteredManager struct {
 	resource.Manager
 	meter *Meter
@@ -206,17 +205,9 @@ func (m meteredManager) Step() int {
 	return n
 }
 
-// Engine forwards the BO-engine accessor core uses to wire tracing,
-// so metering a BOManager does not hide its engine.
-func (m meteredManager) Engine() *bo.Engine {
-	if e, ok := m.Manager.(interface{ Engine() *bo.Engine }); ok {
-		return e.Engine()
-	}
-	return nil
-}
-
-// SetTracer forwards the tracer hook non-BO configurators use to emit
-// sched.decision explain records.
+// SetTracer forwards the tracer hook configurators use to emit their
+// explain records (bo.decision from the BO engine, sched.decision from
+// everything else).
 func (m meteredManager) SetTracer(t telemetry.Tracer) {
 	if st, ok := m.Manager.(interface{ SetTracer(telemetry.Tracer) }); ok {
 		st.SetTracer(t)
