@@ -18,7 +18,6 @@ import (
 	"aquatope/internal/apps"
 	"aquatope/internal/chaos"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
 	"aquatope/internal/resource"
 	"aquatope/internal/sched"
 	"aquatope/internal/stats"
@@ -77,9 +76,9 @@ type Config struct {
 	// live run (nil = fire-once).
 	Resilience *workflow.RetryPolicy
 	// PoolGuard enables degraded-mode fallback on the pool manager: under
-	// heavy admission shedding or blown-out model uncertainty, pre-warm
-	// targets switch to a conservative recent-peak rule (nil = off).
-	PoolGuard *pool.Guard
+	// heavy admission shedding, pre-warm targets switch to a conservative
+	// recent-peak rule.
+	PoolGuard bool
 	Seed      int64
 }
 

@@ -39,7 +39,6 @@ func fastBrain(t *testing.T) sched.Scheduler {
 		EncoderEpochs: 4,
 		PredEpochs:    10,
 		MCSamples:     6,
-		LR:            0.01,
 		Window:        20,
 		HeadroomZ:     2,
 	})

@@ -7,7 +7,6 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
@@ -84,7 +83,6 @@ func arenaOptions(m *sched.Meter) sched.Options {
 		EncoderEpochs: 4,
 		PredEpochs:    10,
 		MCSamples:     6,
-		LR:            0.01,
 		Window:        16,
 		HeadroomZ:     2,
 		Meter:         m,
@@ -206,7 +204,7 @@ func Arena(s Scale) ArenaResult {
 				cfg.Resilience = retryPolicy(app.QoS, false)
 			case "overload":
 				cfg.Resilience = withBudget(retryPolicy(app.QoS, false))
-				cfg.PoolGuard = &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3}
+				cfg.PoolGuard = true
 			}
 			out, err := core.Run(cfg)
 			if err != nil {

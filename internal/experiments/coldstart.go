@@ -11,7 +11,7 @@ import (
 // coldStartPolicies returns the Fig. 9 policy lineup, freshly constructed.
 func (s Scale) coldStartPolicies() []func() pool.Policy {
 	return []func() pool.Policy{
-		func() pool.Policy { return &pool.FixedKeepAlive{Duration: 600} },
+		func() pool.Policy { return &pool.FixedKeepAlive{} },
 		func() pool.Policy { return &pool.Autoscale{} },
 		func() pool.Policy { return &pool.Histogram{} },
 		func() pool.Policy { return &pool.FaaSCache{} },

@@ -7,7 +7,6 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
@@ -187,7 +186,7 @@ func Overload(s Scale) OverloadResult {
 				ClusterCfg:   overloadClusterCfg(s),
 				RuntimeNoise: runtimeNoise,
 				Resilience:   overloadPolicy(res.Policies[pi], app.QoS),
-				PoolGuard:    &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3},
+				PoolGuard:    true,
 				Tracer:       ctx.Tracer,
 				Registry:     reg,
 				Seed:         s.Seed,

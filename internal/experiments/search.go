@@ -74,7 +74,7 @@ type judged struct {
 func (s Scale) judge(c search, pick map[string]faas.ResourceConfig) judged {
 	eval := resource.NewProfiler(c.app, s.Seed+500)
 	cpu, mem, lat := eval.SampleNoiselessComponents(pick, c.reps)
-	return judged{cpu: cpu, mem: mem, cost: eval.CPUWeight*cpu + eval.MemWeight*mem,
+	return judged{cpu: cpu, mem: mem, cost: resource.Cost(cpu, mem),
 		found: true, feasible: lat <= c.app.QoS}
 }
 

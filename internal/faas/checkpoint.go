@@ -72,7 +72,7 @@ func (c *Cluster) Snapshot(enc *checkpoint.Encoder) {
 			enc.Bool(true)
 			b := iv.breaker
 			enc.Int(int(b.state))
-			enc.Bools(b.ring)
+			enc.Bools(b.ring[:])
 			enc.Int(b.next)
 			enc.Int(b.n)
 			enc.Int(b.errs)

@@ -162,9 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueLimit < 0 {
 		c.QueueLimit = 0
 	}
-	if c.Breaker.Enabled {
-		c.Breaker = c.Breaker.withDefaults()
-	}
 	return c
 }
 
@@ -215,7 +212,7 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 			containers:       make(map[*container]struct{}),
 		}
 		if cfg.Breaker.Enabled {
-			iv.breaker = &breaker{ring: make([]bool, cfg.Breaker.Window)}
+			iv.breaker = &breaker{}
 		}
 		c.invokers = append(c.invokers, iv)
 	}

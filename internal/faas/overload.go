@@ -17,10 +17,6 @@ const (
 	// AdmitRejectNew sheds the arriving invocation (default; classic
 	// bounded-queue tail drop).
 	AdmitRejectNew AdmissionPolicy = iota
-	// AdmitShedOldest sheds the head of the queue — the invocation that
-	// has already waited longest and is therefore closest to its deadline
-	// — and admits the newcomer (head drop).
-	AdmitShedOldest
 	// AdmitDeadlineAware first sheds queued invocations whose remaining
 	// deadline budget is already unmeetable given the function's observed
 	// service time (they would time out anyway; shedding them early frees
@@ -34,8 +30,6 @@ func (a AdmissionPolicy) String() string {
 	switch a {
 	case AdmitRejectNew:
 		return "reject-new"
-	case AdmitShedOldest:
-		return "shed-oldest"
 	case AdmitDeadlineAware:
 		return "deadline-aware"
 	default:
@@ -43,50 +37,35 @@ func (a AdmissionPolicy) String() string {
 	}
 }
 
-// BreakerConfig parameterizes the per-invoker circuit breakers. A breaker
-// watches the terminal outcomes of invocations that ran on its invoker over
-// a sliding window; when the error rate crosses the threshold the breaker
+// BreakerConfig arms the per-invoker circuit breakers. A breaker watches
+// the terminal outcomes of invocations that ran on its invoker over a
+// sliding window; when the error rate crosses the threshold the breaker
 // opens and pickInvoker routes new containers elsewhere until a cool-down
 // elapses, after which a half-open probe phase readmits the invoker
-// gradually. Zero-valued config (Enabled=false) costs nothing and keeps
+// gradually. The zero value (Enabled=false) costs nothing and keeps
 // byte-identical output with pre-breaker builds.
 type BreakerConfig struct {
 	// Enabled turns the breakers on.
 	Enabled bool
-	// Window is the outcome ring-buffer size per invoker (default 20).
-	Window int
-	// ErrorThreshold is the error-rate fraction that opens the breaker
-	// (default 0.5).
-	ErrorThreshold float64
-	// MinSamples gates opening until the window holds at least this many
-	// outcomes (default 8), so one early failure cannot open a breaker.
-	MinSamples int
-	// OpenSec is the cool-down before an open breaker admits half-open
-	// probes (default 30).
-	OpenSec float64
-	// HalfOpenProbes is the number of consecutive successes required to
-	// close a half-open breaker (default 3); any failure reopens it.
-	HalfOpenProbes int
 }
 
-func (b BreakerConfig) withDefaults() BreakerConfig {
-	if b.Window <= 0 {
-		b.Window = 20
-	}
-	if b.ErrorThreshold <= 0 {
-		b.ErrorThreshold = 0.5
-	}
-	if b.MinSamples <= 0 {
-		b.MinSamples = 8
-	}
-	if b.OpenSec <= 0 {
-		b.OpenSec = 30
-	}
-	if b.HalfOpenProbes <= 0 {
-		b.HalfOpenProbes = 3
-	}
-	return b
-}
+// The breakers' constants.
+const (
+	// breakerWindow is the outcome ring-buffer size per invoker.
+	breakerWindow = 20
+	// breakerErrorRate is the windowed error-rate fraction that opens a
+	// breaker.
+	breakerErrorRate = 0.5
+	// breakerMinSamples gates opening until the window holds this many
+	// outcomes, so one early failure cannot open a breaker.
+	breakerMinSamples = 8
+	// breakerOpenSec is the cool-down before an open breaker admits
+	// half-open probes.
+	breakerOpenSec = 30
+	// breakerProbes is the number of consecutive successes that close a
+	// half-open breaker; any failure reopens it.
+	breakerProbes = 3
+)
 
 // breakerState is the classic circuit-breaker state machine.
 type breakerState int
@@ -113,12 +92,13 @@ func (s breakerState) String() string {
 // breaker tracks one invoker's recent outcome window and gate state.
 type breaker struct {
 	state breakerState
-	// ring holds the last cfg.Window outcomes (true = error).
-	ring []bool
+	// ring holds the last breakerWindow outcomes (true = error).
+	ring [breakerWindow]bool
 	next int
 	n    int
 	errs int
-	// openedAt is when the breaker last opened (half-open after OpenSec).
+	// openedAt is when the breaker last opened (half-open after
+	// breakerOpenSec).
 	openedAt float64
 	// probeOK counts consecutive half-open successes.
 	probeOK int
@@ -134,10 +114,7 @@ func (b *breaker) errRate() float64 {
 
 // observe pushes one outcome into the window.
 func (b *breaker) observe(isErr bool) {
-	if len(b.ring) == 0 {
-		return
-	}
-	if b.n == len(b.ring) {
+	if b.n == breakerWindow {
 		if b.ring[b.next] {
 			b.errs--
 		}
@@ -148,7 +125,7 @@ func (b *breaker) observe(isErr bool) {
 	if isErr {
 		b.errs++
 	}
-	b.next = (b.next + 1) % len(b.ring)
+	b.next = (b.next + 1) % breakerWindow
 }
 
 // clearWindow empties the outcome ring — called on every open/close
@@ -194,7 +171,7 @@ func (c *Cluster) breakerAllows(iv *Invoker) bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if c.eng.Now()-b.openedAt >= c.cfg.Breaker.OpenSec {
+		if c.eng.Now()-b.openedAt >= breakerOpenSec {
 			b.state = breakerHalfOpen
 			b.probeOK = 0
 			c.breakerEvent(iv, breakerHalfOpen, b.errRate())
@@ -216,7 +193,7 @@ func (c *Cluster) noteInvokerOutcome(iv *Invoker, isErr bool) {
 	b.observe(isErr)
 	switch b.state {
 	case breakerClosed:
-		if b.n >= c.cfg.Breaker.MinSamples && b.errRate() >= c.cfg.Breaker.ErrorThreshold {
+		if b.n >= breakerMinSamples && b.errRate() >= breakerErrorRate {
 			rate := b.errRate()
 			b.state = breakerOpen
 			b.openedAt = c.eng.Now()
@@ -233,7 +210,7 @@ func (c *Cluster) noteInvokerOutcome(iv *Invoker, isErr bool) {
 			c.breakerEvent(iv, breakerOpen, rate)
 		} else {
 			b.probeOK++
-			if b.probeOK >= c.cfg.Breaker.HalfOpenProbes {
+			if b.probeOK >= breakerProbes {
 				b.state = breakerClosed
 				b.probeOK = 0
 				b.clearWindow()
@@ -262,23 +239,11 @@ func (c *Cluster) admit(fn *function, p *pendingInvocation) bool {
 	if limit <= 0 || len(fn.queue) < limit {
 		return true
 	}
-	switch c.cfg.Admission {
-	case AdmitShedOldest:
-		victim := fn.queue[0]
-		fn.queue = fn.queue[1:]
-		c.queued--
-		c.shed(fn, victim, "shed-oldest")
+	if c.cfg.Admission == AdmitDeadlineAware && c.shedDoomed(fn) > 0 {
 		return true
-	case AdmitDeadlineAware:
-		if c.shedDoomed(fn) > 0 {
-			return true
-		}
-		c.shed(fn, p, "queue-full")
-		return false
-	default: // AdmitRejectNew
-		c.shed(fn, p, "queue-full")
-		return false
 	}
+	c.shed(fn, p, "queue-full")
+	return false
 }
 
 // shedDoomed sheds queued invocations whose deadline cannot be met anymore

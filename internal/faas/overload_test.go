@@ -66,48 +66,6 @@ func TestQueueLimitRejectNew(t *testing.T) {
 	}
 }
 
-func TestAdmissionShedOldest(t *testing.T) {
-	eng, cl := overloadCluster(t, 2, AdmitShedOldest)
-	type tagged struct {
-		tag int
-		res InvocationResult
-	}
-	var results []tagged
-	invoke := func(tag int) {
-		if err := cl.Invoke("f", 1, func(r InvocationResult) {
-			results = append(results, tagged{tag, r})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		invoke(i)
-	}
-	// 0 runs; 1,2 queue; 3 arrives → 1 (oldest queued) shed, 3 admitted;
-	// 4 arrives → 2 shed, 4 admitted.
-	if len(results) != 2 {
-		t.Fatalf("early sheds = %d, want 2", len(results))
-	}
-	for i, want := range []int{1, 2} {
-		if results[i].tag != want || results[i].res.Outcome != OutcomeShed ||
-			results[i].res.FailureReason != "shed-oldest" {
-			t.Fatalf("shed %d = tag %d (%s), want tag %d", i, results[i].tag,
-				results[i].res.FailureReason, want)
-		}
-	}
-	stepUntil(t, eng, cl, 100)
-	var okTags []int
-	for _, r := range results {
-		if r.res.OK() {
-			okTags = append(okTags, r.tag)
-		}
-	}
-	// FIFO among survivors: 0 then 3 then 4.
-	if len(okTags) != 3 || okTags[0] != 0 || okTags[1] != 3 || okTags[2] != 4 {
-		t.Fatalf("completion order %v, want [0 3 4]", okTags)
-	}
-}
-
 func TestAdmissionDeadlineAware(t *testing.T) {
 	eng, cl := overloadCluster(t, 2, AdmitDeadlineAware)
 	var results []InvocationResult
@@ -163,38 +121,40 @@ func TestBreakerStateMachine(t *testing.T) {
 	cl := NewCluster(eng, Config{
 		Invokers: 1, CPUPerInvoker: 8, MemoryPerInvokerMB: 4096,
 		DefaultKeepAlive: 300, Seed: 1,
-		Breaker: BreakerConfig{Enabled: true, Window: 8, ErrorThreshold: 0.5,
-			MinSamples: 4, OpenSec: 30, HalfOpenProbes: 2},
+		Breaker: BreakerConfig{Enabled: true},
 	})
 	register(t, cl, "f", &testModel{init: 0.5, exec: 1}, ResourceConfig{CPU: 1, MemoryMB: 256})
 	if got := cl.BreakerState(0); got != "closed" {
 		t.Fatalf("initial state %q", got)
 	}
-	// Every execution killed: errors accumulate until the breaker opens.
+	// Every execution killed: errors accumulate until the window holds
+	// breakerMinSamples of them, and then the breaker opens.
 	cl.SetFaultRates(FaultRates{ExecKill: 1})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		at := float64(i) * 3
 		eng.Schedule(at, func() { _ = cl.Invoke("f", 1, nil) })
-	}
-	stepUntil(t, eng, cl, 20)
-	if got := cl.BreakerState(0); got != "open" {
-		t.Fatalf("state after failures = %q, want open", got)
+		stepUntil(t, eng, cl, at+2.9)
+		if want := i == breakerMinSamples-1; (cl.BreakerState(0) == "open") != want {
+			t.Fatalf("after %d failures the breaker is %q", i+1, cl.BreakerState(0))
+		}
 	}
 	if cl.Metrics().BreakerOpens() != 1 {
 		t.Fatalf("breaker opens = %d, want 1", cl.Metrics().BreakerOpens())
 	}
 	// While open, the sole invoker is gated: new work queues instead of
-	// spawning.
-	depthBefore := cl.QueueDepth("f")
-	_ = cl.Invoke("f", 1, nil)
-	if cl.QueueDepth("f") != depthBefore+1 {
-		t.Fatal("open breaker should force queuing")
+	// spawning — one invocation for each probe the half-open state needs.
+	for i := 0; i < breakerProbes; i++ {
+		depthBefore := cl.QueueDepth("f")
+		_ = cl.Invoke("f", 1, nil)
+		if cl.QueueDepth("f") != depthBefore+1 {
+			t.Fatal("open breaker should force queuing")
+		}
 	}
 	// Past the cool-down the breaker half-opens and probes; with faults
 	// cleared, consecutive successes close it and the queue drains.
 	cl.SetFaultRates(FaultRates{})
 	var completed int
-	eng.Schedule(60, func() {
+	eng.Schedule(eng.Now()+breakerOpenSec, func() {
 		_ = cl.Invoke("f", 1, func(r InvocationResult) {
 			if r.OK() {
 				completed++
@@ -208,41 +168,34 @@ func TestBreakerStateMachine(t *testing.T) {
 	if cl.Metrics().BreakerCloses() != 1 {
 		t.Fatalf("breaker closes = %d, want 1", cl.Metrics().BreakerCloses())
 	}
-	if completed != 1 {
-		t.Fatalf("post-recovery invocation did not complete")
+	if completed != 1 || cl.QueueDepth("f") != 0 {
+		t.Fatalf("post-recovery invocation completed %d times, %d left queued", completed, cl.QueueDepth("f"))
 	}
 }
 
 func TestBreakerResetOnRecover(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := NewCluster(eng, Config{
-		Invokers: 2, CPUPerInvoker: 8, MemoryPerInvokerMB: 4096, Seed: 1,
-		Breaker: BreakerConfig{Enabled: true, Window: 4, ErrorThreshold: 0.5,
-			MinSamples: 2, OpenSec: 1e6, HalfOpenProbes: 2},
+		Invokers: 2, CPUPerInvoker: breakerMinSamples, MemoryPerInvokerMB: 4096, Seed: 1,
+		Breaker: BreakerConfig{Enabled: true},
 	})
 	register(t, cl, "f", &testModel{init: 0.5, exec: 5}, ResourceConfig{CPU: 1, MemoryMB: 256})
-	// Run work, then crash the hosting invoker: the aborts feed its breaker
-	// until it opens.
-	for i := 0; i < 4; i++ {
+	// Fill both invokers, then crash one: its breakerMinSamples aborted
+	// invocations feed its breaker until it opens.
+	for i := 0; i < 2*breakerMinSamples; i++ {
 		_ = cl.Invoke("f", 1, nil)
 	}
 	stepUntil(t, eng, cl, 2)
-	host := -1
-	for _, iv := range cl.Invokers() {
-		if iv.MemoryInUseMB() > 0 {
-			host = iv.ID
-		}
+	if n := cl.Invokers()[0].MemoryInUseMB() / 256; n != breakerMinSamples {
+		t.Fatalf("invoker 0 hosts %v invocations, want %d", n, breakerMinSamples)
 	}
-	if host < 0 {
-		t.Fatal("no hosting invoker")
-	}
-	cl.CrashInvoker(host)
-	if got := cl.BreakerState(host); got != "open" {
+	cl.CrashInvoker(0)
+	if got := cl.BreakerState(0); got != "open" {
 		t.Fatalf("state after crash = %q, want open", got)
 	}
-	// Recovery resets the breaker without waiting out OpenSec.
-	cl.RecoverInvoker(host)
-	if got := cl.BreakerState(host); got != "closed" {
+	// Recovery resets the breaker without waiting out breakerOpenSec.
+	cl.RecoverInvoker(0)
+	if got := cl.BreakerState(0); got != "closed" {
 		t.Fatalf("state after recover = %q, want closed", got)
 	}
 }
@@ -294,34 +247,6 @@ func TestShedReentrancy(t *testing.T) {
 	}
 }
 
-// TestShedOldestReentrancy drives the same family through the shed-oldest
-// path: the victim's callback resubmits while admit is mid-mutation.
-func TestShedOldestReentrancy(t *testing.T) {
-	eng, cl := overloadCluster(t, 1, AdmitShedOldest)
-	deliveries := 0
-	submitted := 0
-	var submit func()
-	submit = func() {
-		submitted++
-		_ = cl.Invoke("f", 1, func(r InvocationResult) {
-			deliveries++
-			if r.Outcome == OutcomeShed && submitted < 6 {
-				submit() // evicts the current head, possibly cascading
-			}
-		})
-	}
-	for i := 0; i < 3 && submitted < 6; i++ {
-		submit()
-	}
-	stepUntil(t, eng, cl, 200)
-	if deliveries != submitted {
-		t.Fatalf("deliveries = %d, submitted = %d", deliveries, submitted)
-	}
-	if d := cl.Demand("f"); d != 0 {
-		t.Fatalf("final demand = %d, want 0", d)
-	}
-}
-
 // TestPropertyDemandAccounting asserts Demand == submitted − settled (every
 // invocation is queued, in flight, or delivered — never double-counted,
 // never lost) and the queue bound holds, across random fault/overload
@@ -329,12 +254,10 @@ func TestShedOldestReentrancy(t *testing.T) {
 func TestPropertyDemandAccounting(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		eng := sim.NewEngine()
-		adm := AdmissionPolicy(int(seed&3) % 3)
 		cl := NewCluster(eng, Config{
 			Invokers: 2, CPUPerInvoker: 4, MemoryPerInvokerMB: 1024,
-			DefaultKeepAlive: 30, QueueLimit: 3, Admission: adm, Seed: seed,
-			Breaker: BreakerConfig{Enabled: seed%2 == 0, Window: 6,
-				ErrorThreshold: 0.5, MinSamples: 3, OpenSec: 10, HalfOpenProbes: 2},
+			DefaultKeepAlive: 30, QueueLimit: 3, Admission: AdmissionPolicy(seed >> 1 & 1), Seed: seed,
+			Breaker: BreakerConfig{Enabled: seed&1 == 0},
 		})
 		m := DefaultSyntheticModel()
 		m.BaseExecSec = 0.5

@@ -124,7 +124,7 @@ type InvocationResult struct {
 	Outcome Outcome
 	// FailureReason names the fault for non-success outcomes
 	// ("init-failure", "container-kill", "invoker-crash", "timeout",
-	// "queue-full", "shed-oldest", "deadline-unmeetable").
+	// "queue-full", "deadline-unmeetable").
 	FailureReason string
 	// Attempt is the caller's retry attempt index (0 = first try),
 	// threaded through InvokeOptions for telemetry.

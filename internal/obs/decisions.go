@@ -107,6 +107,8 @@ func buildAudit(spans []telemetry.Span) ([]DecisionRecord, DecisionSummary) {
 			sum.ModeSwitches++
 			why := fmt.Sprintf("recovered to model-driven sizing (sheds %.0f)", sp.Fields["sheds"])
 			if sp.Fields["mode"] == 1 {
+				// Trigger 2 is the guard's removed uncertainty trip wire;
+				// dumps written by older binaries still carry it.
 				trigger := "model uncertainty above calibration bound"
 				if sp.Fields["trigger"] == 1 {
 					trigger = fmt.Sprintf("admission shed %.0f invocations in one interval", sp.Fields["sheds"])

@@ -9,7 +9,6 @@ import (
 	"aquatope/internal/core"
 	"aquatope/internal/faas"
 	"aquatope/internal/obs"
-	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
@@ -75,7 +74,7 @@ func e2eRun(t *testing.T) ([]telemetry.Span, *telemetry.Snapshot) {
 		},
 		RuntimeNoise: faas.Noise{GaussianStd: 0.1, OutlierRate: 0.01, OutlierScale: 3},
 		Resilience:   &pol,
-		PoolGuard:    &pool.Guard{ShedThreshold: 30, RecoverIntervals: 3},
+		PoolGuard:    true,
 		Tracer:       col,
 		Registry:     reg,
 		Seed:         42,

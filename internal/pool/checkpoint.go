@@ -50,10 +50,10 @@ func SnapshotPolicy(enc *checkpoint.Encoder, p Policy) {
 // are replay-derived.
 func (m *Manager) Snapshot(enc *checkpoint.Encoder) {
 	enc.String("pool.manager")
-	enc.F64(m.IntervalSec)
-	enc.Int(m.SamplesPerInterval)
+	enc.F64(IntervalSec)
+	enc.Int(samplesPerInterval)
 	enc.F64(m.ApplyAfter)
-	enc.F64(m.RewarmDelaySec)
+	enc.F64(rewarmDelaySec)
 	enc.Bool(m.started)
 	enc.Bool(m.degraded)
 	enc.Int(m.cleanTicks)

@@ -56,12 +56,13 @@ type Policy interface {
 
 // ---------------------------------------------------------------------------
 
-// FixedKeepAlive is the provider default: keep a container for a fixed time
-// after its last invocation and never pre-warm.
-type FixedKeepAlive struct {
-	// Duration defaults to 600s (the 10-minute industry norm).
-	Duration float64
-}
+// FixedKeepAlive is the provider default: keep a container for
+// fixedKeepAliveSec after its last invocation and never pre-warm.
+type FixedKeepAlive struct{}
+
+// fixedKeepAliveSec is the providers' idle-container lifetime: the
+// 10-minute industry norm.
+const fixedKeepAliveSec = 600
 
 // Name implements Policy.
 func (p *FixedKeepAlive) Name() string { return "keepalive" }
@@ -71,11 +72,7 @@ func (p *FixedKeepAlive) Fit(FitData) {}
 
 // Decide implements Policy.
 func (p *FixedKeepAlive) Decide([]float64, int) Decision {
-	d := p.Duration
-	if d <= 0 {
-		d = 600
-	}
-	return Decision{Target: -1, KeepAlive: d}
+	return Decision{Target: -1, KeepAlive: fixedKeepAliveSec}
 }
 
 // ---------------------------------------------------------------------------
@@ -85,12 +82,15 @@ func (p *FixedKeepAlive) Decide([]float64, int) Decision {
 // when utilization is low. Being reactive, it lags rapid load fluctuation
 // (§8.1).
 type Autoscale struct {
-	// UpFactor multiplies observed demand on scale-up (default 1.5).
-	UpFactor float64
-	// DownStep is the multiplicative decay on scale-down (default 0.9).
-	DownStep float64
-	prev     float64
+	prev float64
 }
+
+const (
+	// autoscaleUp multiplies observed demand on scale-up.
+	autoscaleUp = 1.5
+	// autoscaleDown is the multiplicative decay on scale-down.
+	autoscaleDown = 0.9
+)
 
 // Name implements Policy.
 func (p *Autoscale) Name() string { return "autoscale" }
@@ -100,23 +100,15 @@ func (p *Autoscale) Fit(FitData) {}
 
 // Decide implements Policy.
 func (p *Autoscale) Decide(history []float64, _ int) Decision {
-	up := p.UpFactor
-	if up <= 0 {
-		up = 1.5
-	}
-	down := p.DownStep
-	if down <= 0 {
-		down = 0.9
-	}
 	var demand float64
 	if len(history) > 0 {
 		demand = history[len(history)-1]
 	}
 	target := p.prev
 	if demand >= p.prev {
-		target = demand * up // large step up
+		target = demand * autoscaleUp // large step up
 	} else {
-		target = p.prev * down // small step down
+		target = p.prev * autoscaleDown // small step down
 		if target < demand {
 			target = demand
 		}
@@ -132,13 +124,16 @@ func (p *Autoscale) Decide(history []float64, _ int) Decision {
 // its 99th percentile, so most invocations land on a warm container without
 // holding memory far past the typical gap.
 type Histogram struct {
-	// Percentile defaults to 99.
-	Percentile float64
-	// BoundSec caps the keep-alive (default 2 hours, per the paper's
-	// 4-hour practical bound scaled to our shorter traces).
-	BoundSec float64
-	gaps     []float64
+	gaps []float64
 }
+
+const (
+	// histogramPercentile is the inter-arrival percentile kept alive.
+	histogramPercentile = 99
+	// histogramBoundSec caps the keep-alive at 2 hours: the paper's 4-hour
+	// practical bound scaled to our shorter traces.
+	histogramBoundSec = 7200
+)
 
 // Name implements Policy.
 func (p *Histogram) Name() string { return "histogram" }
@@ -153,23 +148,15 @@ func (p *Histogram) Fit(data FitData) {
 
 // Decide implements Policy.
 func (p *Histogram) Decide([]float64, int) Decision {
-	pct := p.Percentile
-	if pct <= 0 {
-		pct = 99
-	}
-	bound := p.BoundSec
-	if bound <= 0 {
-		bound = 7200
-	}
 	ka := 600.0
 	if len(p.gaps) > 4 {
-		ka = stats.Percentile(p.gaps, pct)
+		ka = stats.Percentile(p.gaps, histogramPercentile)
 	}
 	if ka < 60 {
 		ka = 60
 	}
-	if ka > bound {
-		ka = bound
+	if ka > histogramBoundSec {
+		ka = histogramBoundSec
 	}
 	return Decision{Target: -1, KeepAlive: ka}
 }
@@ -245,12 +232,11 @@ func (p *IceBreaker) Decide(history []float64, _ int) Decision {
 // With Lite=true the uncertainty term is dropped (the AquaLite ablation of
 // Fig. 11).
 type Aquatope struct {
-	// Model configuration; zero value uses a compact default sized for
-	// minute-scale traces.
+	// ModelConfig is the hybrid model's shape; Fit sets its ExtDim.
 	ModelConfig bayesnn.Config
-	// Window is the encoder history length in minutes (default 24).
+	// Window is the encoder history length in minutes.
 	Window int
-	// HeadroomZ scales the uncertainty headroom (default 1.0).
+	// HeadroomZ scales the uncertainty headroom.
 	HeadroomZ float64
 	// MaxTrainSamples subsamples the training set to bound training time
 	// (0 = use everything). The most recent samples are kept; earlier
@@ -270,13 +256,6 @@ func (p *Aquatope) Name() string {
 		return "aqualite"
 	}
 	return "aquatope"
-}
-
-func (p *Aquatope) window() int {
-	if p.Window <= 0 {
-		return 24
-	}
-	return p.Window
 }
 
 const (
@@ -340,21 +319,6 @@ func forwardMax(xs []float64, k int) []float64 {
 	return out
 }
 
-// DefaultModelConfig returns a compact hybrid-model configuration suitable
-// for minute-scale pool prediction.
-func DefaultModelConfig(featDim int) bayesnn.Config {
-	cfg := bayesnn.DefaultConfig(1+featDim, featDim)
-	cfg.EncoderHidden = 24
-	cfg.DecoderHidden = 8
-	cfg.EncoderLayers = 1
-	cfg.PredHidden = []int{24, 12}
-	cfg.EncoderEpochs = 15
-	cfg.PredEpochs = 40
-	cfg.MCSamples = 15
-	cfg.HeteroscedasticCounts = true
-	return cfg
-}
-
 // Fit implements Policy: trains the hybrid model on the demand history.
 func (p *Aquatope) Fit(data FitData) {
 	feat := data.FeatFn
@@ -364,16 +328,13 @@ func (p *Aquatope) Fit(data FitData) {
 	p.featFn = feat
 	p.offset = len(data.Demand)
 	cfg := p.ModelConfig
-	if cfg.Input == 0 {
-		cfg = DefaultModelConfig(len(feat(0)))
-	}
 	cfg.ExtDim = len(feat(0)) + NumRecencyFeatures
 	p.model = bayesnn.New(cfg)
 	// Train against the forward-peak demand (see lookaheadMin): the decoder
 	// reconstructs the raw series while the prediction target is the peak
 	// the pool must cover. External features combine calendar/trigger
 	// context with recency-derived phase information.
-	w := p.window()
+	w := p.Window
 	peaks := forwardMax(data.Demand, lookaheadMin)
 	var samples []bayesnn.Sample
 	for i := w; i+cfg.Horizon <= len(data.Demand); i++ {
@@ -410,7 +371,7 @@ func (p *Aquatope) Fit(data FitData) {
 
 // Decide implements Policy.
 func (p *Aquatope) Decide(history []float64, minute int) Decision {
-	w := p.window()
+	w := p.Window
 	if p.model == nil || !p.model.Trained() || len(history) < w {
 		// Cold model: fall back to last demand.
 		t := 0.0
@@ -431,11 +392,7 @@ func (p *Aquatope) Decide(history []float64, minute int) Decision {
 		predicted = target
 	} else {
 		pred := p.model.Predict(hist, ext)
-		z := p.HeadroomZ
-		if z <= 0 {
-			z = 1
-		}
-		target = pred.UpperBound(z)
+		target = pred.UpperBound(p.HeadroomZ)
 		predicted = pred.Mean
 		headroom = target - pred.Mean
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"aquatope/internal/bayesnn"
 	"aquatope/internal/faas"
 	"aquatope/internal/trace"
 )
@@ -27,13 +28,14 @@ func fastModel() *faas.SyntheticModel {
 
 // aquatopeFast returns an Aquatope policy with a small, fast model.
 func aquatopeFast(lite bool) *Aquatope {
-	cfg := DefaultModelConfig(trace.FeatureDim)
-	cfg.EncoderHidden = 12
+	cfg := bayesnn.DefaultConfig(1+trace.FeatureDim, trace.FeatureDim)
+	cfg.EncoderHidden, cfg.DecoderHidden, cfg.EncoderLayers = 12, 8, 1
 	cfg.PredHidden = []int{12, 8}
 	cfg.EncoderEpochs = 8
 	cfg.PredEpochs = 20
 	cfg.MCSamples = 10
 	cfg.LR = 0.01
+	cfg.HeteroscedasticCounts = true
 	return &Aquatope{ModelConfig: cfg, Window: 32, HeadroomZ: 2, Lite: lite}
 }
 
@@ -51,7 +53,7 @@ func runPolicy(t *testing.T, p Policy, tr *trace.Trace) RunResult {
 
 func TestFixedKeepAliveBaseline(t *testing.T) {
 	tr := testTrace(1.5, 2)
-	res := runPolicy(t, &FixedKeepAlive{Duration: 600}, tr)
+	res := runPolicy(t, &FixedKeepAlive{}, tr)
 	if res.Invocations == 0 {
 		t.Fatal("no invocations in test window")
 	}
@@ -88,7 +90,7 @@ func runPolicySparse(t *testing.T, p Policy, tr *trace.Trace) RunResult {
 
 func TestAquatopeBeatsKeepAliveOnColdStarts(t *testing.T) {
 	tr := periodicTrace(3)
-	keep := runPolicySparse(t, &FixedKeepAlive{Duration: 600}, tr)
+	keep := runPolicySparse(t, &FixedKeepAlive{}, tr)
 	aqua := runPolicySparse(t, aquatopeFast(false), tr)
 	if aqua.ColdRate >= keep.ColdRate {
 		t.Fatalf("aquatope cold %.3f should beat keep-alive %.3f", aqua.ColdRate, keep.ColdRate)
@@ -244,7 +246,7 @@ func TestMemorySeriesRecorded(t *testing.T) {
 		TrainMin:     150,
 		Model:        fastModel(),
 		Resources:    faas.ResourceConfig{CPU: 1, MemoryMB: 512},
-		Policy:       &FixedKeepAlive{Duration: 300},
+		Policy:       &FixedKeepAlive{},
 		MemorySeries: true,
 		Seed:         2,
 	})

@@ -26,7 +26,7 @@ func (rewarmModel) ExecTime(faas.ResourceConfig, bool, float64, *stats.RNG) floa
 func (rewarmModel) BaseMemoryMB() float64 { return 64 }
 
 // TestRewarmAfterInvokerCrash: when an invoker crash wipes part of the warm
-// pool, the manager re-asserts its last pre-warm target after RewarmDelaySec
+// pool, the manager re-asserts its last pre-warm target after rewarmDelaySec
 // instead of waiting for the next adjustment tick.
 func TestRewarmAfterInvokerCrash(t *testing.T) {
 	eng := sim.NewEngine()
@@ -35,8 +35,6 @@ func TestRewarmAfterInvokerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(cl)
-	m.IntervalSec = 60
-	m.RewarmDelaySec = 1
 	m.Manage("f", &constTarget{n: 4}, 0)
 	m.Start()
 

@@ -46,7 +46,7 @@ func TestRunGolden(t *testing.T) {
 		{9, "histogram", RunResult{ColdStarts: 6, WarmStarts: 607, Invocations: 613, ColdRate: 0.009787928221859706, ProvisionedMemGBs: 7090.864690562429, MeanLatency: 3.340670872807806}, "91:7d716df9c53936a2", "90:0ab3d3ed0baea084"},
 	}
 	for _, g := range golden {
-		var p Policy = &FixedKeepAlive{Duration: 600}
+		var p Policy = &FixedKeepAlive{}
 		if g.policy == "histogram" {
 			p = &Histogram{}
 		}

@@ -26,8 +26,6 @@ type Profiler struct {
 	// where the resource manager runs without the pre-warmed pool and
 	// must average over cold and warm behaviour.
 	ColdStartFraction float64
-	// CPUWeight and MemWeight set the linear cost model (§5.1).
-	CPUWeight, MemWeight float64
 	// ExecTimeStd adds extra relative execution-time variability (the
 	// Fig. 14b knob).
 	ExecTimeStd float64
@@ -42,15 +40,18 @@ type Profiler struct {
 
 // NewProfiler returns a profiler for the app with the paper's defaults.
 func NewProfiler(a *apps.App, seed int64) *Profiler {
-	return &Profiler{App: a, Repeats: 3, CPUWeight: 1, MemWeight: 1,
-		rng: stats.NewRNG(seed), seed: seed}
+	return &Profiler{App: a, Repeats: 3, rng: stats.NewRNG(seed), seed: seed}
 }
+
+// Cost is the linear cost model of §5.1 over one request's CPU time
+// (core-s) and memory time (GB-s), weighted 1:1 as everywhere here.
+func Cost(cpu, mem float64) float64 { return cpu + mem }
 
 // Sample profiles one configuration and returns the mean per-request cost
 // and the mean end-to-end latency.
 func (p *Profiler) Sample(cfgs map[string]faas.ResourceConfig) (cost, latency float64) {
 	cpu, mem, lat := p.SampleComponents(cfgs)
-	return p.CPUWeight*cpu + p.MemWeight*mem, lat
+	return Cost(cpu, mem), lat
 }
 
 // SampleComponents profiles one configuration and returns the mean
@@ -130,7 +131,7 @@ func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64) (cpu
 // the Oracle's evaluator.
 func (p *Profiler) SampleNoiseless(cfgs map[string]faas.ResourceConfig, reps int) (cost, latency float64) {
 	cpu, mem, lat := p.SampleNoiselessComponents(cfgs, reps)
-	return p.CPUWeight*cpu + p.MemWeight*mem, lat
+	return Cost(cpu, mem), lat
 }
 
 // SampleNoiselessComponents is SampleNoiseless with CPU and memory time

@@ -11,26 +11,9 @@ import (
 	"aquatope/internal/telemetry"
 )
 
-func init() {
-	Register("caerus",
-		"static baseline: Caerus-style work-proportional CPU allocation per stage + Orion-style BFS best-fit over the memory grid, fixed 10-minute keep-alive pools",
-		func(o Options) Scheduler {
-			return &scheduler{
-				name: "caerus",
-				desc: Describe("caerus"),
-				pool: keepAlivePool("caerus", o.Meter),
-				conf: &managerConf{name: "caerus", meter: o.Meter, build: newCaerusManager},
-			}
-		})
-}
-
-// keepAlivePool is the provider-default pool half shared by the static
-// schedulers: no pre-warm target, a fixed 10-minute idle lifetime.
-func keepAlivePool(name string, m *Meter) PoolSizer {
-	return &policyPool{name: name, meter: m, build: func() pool.Policy {
-		return &pool.FixedKeepAlive{Duration: 600}
-	}}
-}
+// keepAlive is the provider-default pool policy the static schedulers
+// share: no pre-warm target, a fixed 10-minute idle lifetime.
+func keepAlive() pool.Policy { return &pool.FixedKeepAlive{} }
 
 // ---------------------------------------------------------------------------
 

@@ -20,7 +20,6 @@ func conformanceOptions(m *sched.Meter) sched.Options {
 		EncoderEpochs: 2,
 		PredEpochs:    4,
 		MCSamples:     4,
-		LR:            0.01,
 		Window:        16,
 		HeadroomZ:     2,
 		Meter:         m,

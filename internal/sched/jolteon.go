@@ -10,23 +10,6 @@ import (
 	"aquatope/internal/telemetry"
 )
 
-func init() {
-	Register("jolteon",
-		"probabilistic-bound solver: per-stage latency distributions from repeated profiler samples, greedy step-down on a vCPU ladder with Lambda-style memory coupling, accept while the P(1-risk) latency bound holds",
-		func(o Options) Scheduler {
-			return &scheduler{
-				name: "jolteon",
-				desc: Describe("jolteon"),
-				pool: &policyPool{name: "jolteon", meter: o.Meter, build: func() pool.Policy {
-					return &quantilePolicy{risk: jolteonRisk}
-				}},
-				conf: &managerConf{name: "jolteon", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
-					return newJolteonManager(space, prof, qos)
-				}},
-			}
-		})
-}
-
 const (
 	// jolteonRisk is the tail probability of jolteon's probabilistic bounds:
 	// pools are sized at the (1-risk) demand quantile and a configuration is
@@ -129,7 +112,8 @@ type jolteonManager struct {
 }
 
 // newJolteonManager anchors every function at the top of the vCPU ladder.
-func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos float64) *jolteonManager {
+// The solver is deterministic given its samples, so the seed goes unused.
+func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) *jolteonManager {
 	m := &jolteonManager{
 		space:  space,
 		prof:   prof,

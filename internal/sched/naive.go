@@ -9,21 +9,6 @@ import (
 	"aquatope/internal/telemetry"
 )
 
-func init() {
-	Register("naive",
-		"peak-provisioned baseline: every function at the maximum CPU/memory configuration, pools pinned to the all-time demand peak with an hour-long keep-alive",
-		func(o Options) Scheduler {
-			return &scheduler{
-				name: "naive",
-				desc: Describe("naive"),
-				pool: &policyPool{name: "naive", meter: o.Meter, build: func() pool.Policy { return &peakPolicy{} }},
-				conf: &managerConf{name: "naive", meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) resource.Manager {
-					return &naiveManager{space: space, prof: prof, qos: qos, tracer: telemetry.Nop{}}
-				}},
-			}
-		})
-}
-
 // peakPolicy pins a function's pre-warm target at the highest demand ever
 // observed — the never-cold, never-cheap upper bound.
 type peakPolicy struct{}
@@ -59,6 +44,12 @@ type naiveManager struct {
 	best    map[string]faas.ResourceConfig
 	bestC   float64
 	haveB   bool
+}
+
+// newNaiveManager prices the top of the grid; it draws nothing, so the
+// seed goes unused.
+func newNaiveManager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) *naiveManager {
+	return &naiveManager{space: space, prof: prof, qos: qos, tracer: telemetry.Nop{}}
 }
 
 // Name implements resource.Manager.

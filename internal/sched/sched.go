@@ -13,15 +13,13 @@
 // must emit one explain record per decision: pool decisions surface as
 // pool.decision points through pool.Manager, configuration decisions as
 // bo.decision (the BO engine) or sched.decision (everything else) points,
-// all auditable by cmd/aquatrace. The paper's own baselines (baselines.go)
-// are the exception on the configuration side; the conformance suite names
-// each exemption.
+// all auditable by cmd/aquatrace. The paper's own baselines are the
+// exception on the configuration side (see lineup); the conformance suite
+// names each exemption.
 package sched
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
@@ -58,26 +56,22 @@ type Scheduler interface {
 }
 
 // Options parameterizes a scheduler built from the registry. The zero
-// value reproduces cmd/aquatope's defaults; experiments shrink the model
-// knobs to fit their scale.
+// value is cmd/aquatope's brain; experiments, tests, examples and the
+// benchmark shrink the BNN pool policy of aquatope/aqualite to their scale.
+// A zero field keeps the live shape aquatopePolicy defines (encoder 20,
+// pred [20 10], epochs 8/24, 12 MC passes, window 40, headroom 2.5).
 type Options struct {
-	// Pool model shape for the aquatope/aqualite BNN policy. Zero values
-	// take the cmd/aquatope defaults (encoder 20, pred [20 10], epochs
-	// 8/24, 12 MC passes, LR 0.01).
 	EncoderHidden int
 	PredHidden    []int
 	EncoderEpochs int
 	PredEpochs    int
 	MCSamples     int
-	LR            float64
-	// Window is the BNN encoder history length in minutes (default 40).
+	// Window is the BNN encoder history length in minutes.
 	Window int
-	// HeadroomZ scales the BNN uncertainty headroom (default 2.5).
+	// HeadroomZ scales the BNN uncertainty headroom.
 	HeadroomZ float64
 	// MaxTrainSamples bounds BNN training-set size (0 = everything).
 	MaxTrainSamples int
-	// Lite drops the uncertainty headroom (the AquaLite ablation).
-	Lite bool
 	// Meter, when non-nil, accrues deterministic decision-work accounting
 	// for this scheduler instance (the arena's per-decision latency
 	// column).
@@ -168,13 +162,13 @@ func meterPolicy(p pool.Policy, m *Meter) pool.Policy {
 	}
 	evals := 1.0
 	if aq, ok := p.(*pool.Aquatope); ok && !aq.Lite {
-		evals = float64(aq.ModelConfig.MCSamples) // bnnPool always sets it ≥ 1
+		evals = float64(aq.ModelConfig.MCSamples) // aquatopePolicy always sets it ≥ 1
 	}
 	return meteredPolicy{Policy: p, meter: m, evals: evals}
 }
 
-// policyPool is the PoolSizer of every scheduler whose per-function policy
-// needs nothing but a constructor.
+// policyPool is the PoolSizer of every registered scheduler: a per-function
+// policy constructor, metered when the scheduler has a meter.
 type policyPool struct {
 	name  string
 	meter *Meter
@@ -236,54 +230,94 @@ func (c *managerConf) Manager(space *resource.Space, prof *resource.Profiler, qo
 // ---------------------------------------------------------------------------
 // Registry.
 
-type buildFunc func(Options) Scheduler
-
-type registration struct {
+// lineup is the scheduler registry: each scheduler's name, its one-line
+// description and how its two halves are built from Options. New, Names and
+// Describe scan it. The frameworks the paper evaluates against (autoscale,
+// icebreaker+clite, keepalive; §7.4, §8.3) predate the explain-record
+// contract: their pool halves are audited through pool.Manager's
+// pool.decision points like every policy, their configuration halves emit
+// nothing. The pool and configurator names are part of Options.Digest.
+var lineup = []struct {
 	name, desc string
-	build      buildFunc
+	build      func(Options) (PoolSizer, Configurator)
+}{
+	{"aquatope",
+		"hybrid Bayesian-LSTM pool sizing with uncertainty headroom + customized-BO container tuning (the paper's brain)",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("aquatope", o, func() pool.Policy { return aquatopePolicy(o, false) }),
+				configured("aquatope", o, resource.NewAquatope)
+		}},
+	{"aqualite",
+		"uncertainty-unaware ablation of aquatope: same BNN/BO machinery without headroom or anomaly pruning",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("aqualite", o, func() pool.Policy { return aquatopePolicy(o, true) }),
+				configured("aqualite", o, resource.NewAquaLite)
+		}},
+	{"autoscale",
+		"reactive baseline: feedback pool scaling (up fast near capacity, down slowly on low utilization) + a resource manager that scales every function up together on a QoS miss and down on slack",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("autoscale", o, func() pool.Policy { return &pool.Autoscale{} }),
+				configured("autoscale", o, resource.NewAutoscale)
+		}},
+	{"icebreaker+clite",
+		"best prior combination: IceBreaker's Fourier-forecast pre-warming + CLITE's penalized-score Bayesian optimization",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("icebreaker", o, func() pool.Policy { return &pool.IceBreaker{} }),
+				configured("clite", o, resource.NewCLITE)
+		}},
+	{"keepalive",
+		"provider default: fixed 10-minute keep-alive pools, every application at its default configuration",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("keepalive", o, keepAlive), nil
+		}},
+	{"caerus",
+		"static baseline: Caerus-style work-proportional CPU allocation per stage + Orion-style BFS best-fit over the memory grid, fixed 10-minute keep-alive pools",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("caerus", o, keepAlive), configured("caerus", o, newCaerusManager)
+		}},
+	{"jolteon",
+		"probabilistic-bound solver: per-stage latency distributions from repeated profiler samples, greedy step-down on a vCPU ladder with Lambda-style memory coupling, accept while the P(1-risk) latency bound holds",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("jolteon", o, func() pool.Policy { return &quantilePolicy{risk: jolteonRisk} }),
+				configured("jolteon", o, newJolteonManager)
+		}},
+	{"naive",
+		"peak-provisioned baseline: every function at the maximum CPU/memory configuration, pools pinned to the all-time demand peak with an hour-long keep-alive",
+		func(o Options) (PoolSizer, Configurator) {
+			return pooled("naive", o, func() pool.Policy { return &peakPolicy{} }),
+				configured("naive", o, newNaiveManager)
+		}},
 }
 
-var (
-	regMu  sync.Mutex
-	regs   []registration
-	byName = make(map[string]registration)
-)
+// pooled is a pool half: one policy per function from build.
+func pooled(name string, o Options, build func() pool.Policy) PoolSizer {
+	return &policyPool{name: name, meter: o.Meter, build: build}
+}
 
-// Register adds a scheduler builder to the package registry. Like the
-// experiments registry it panics on an empty or duplicate name:
-// registration is an init-time programming contract.
-func Register(name, desc string, build func(Options) Scheduler) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" {
-		panic("sched: Register with empty name")
-	}
-	if _, dup := byName[name]; dup {
-		panic(fmt.Sprintf("sched: duplicate scheduler %q", name))
-	}
-	r := registration{name: name, desc: desc, build: build}
-	byName[name] = r
-	regs = append(regs, r)
+// configured is a configuration half: one resource manager per application
+// from build.
+func configured[M resource.Manager](name string, o Options, build func(*resource.Space, *resource.Profiler, float64, int64) M) Configurator {
+	return &managerConf{name: name, meter: o.Meter, build: func(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
+		return build(space, prof, qos, seed)
+	}}
 }
 
 // New builds the scheduler registered under name with the given options.
 func New(name string, o Options) (Scheduler, bool) {
-	regMu.Lock()
-	r, ok := byName[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, false
+	for _, e := range lineup {
+		if e.name == name {
+			p, c := e.build(o)
+			return &scheduler{name: e.name, desc: e.desc, pool: p, conf: c}, true
+		}
 	}
-	return r.build(o), true
+	return nil, false
 }
 
 // Names returns the registered scheduler names in sorted order.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(regs))
-	for _, r := range regs {
-		out = append(out, r.name)
+	out := make([]string, 0, len(lineup))
+	for _, e := range lineup {
+		out = append(out, e.name)
 	}
 	sort.Strings(out)
 	return out
@@ -291,12 +325,15 @@ func Names() []string {
 
 // Describe returns the one-line description registered under name.
 func Describe(name string) string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return byName[name].desc
+	for _, e := range lineup {
+		if e.name == name {
+			return e.desc
+		}
+	}
+	return ""
 }
 
-// scheduler is the concrete Scheduler the builders return.
+// scheduler is the concrete Scheduler New returns.
 type scheduler struct {
 	name, desc string
 	pool       PoolSizer

@@ -8,7 +8,6 @@ import (
 	"aquatope/internal/apps"
 	"aquatope/internal/chaos"
 	"aquatope/internal/faas"
-	"aquatope/internal/pool"
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/workflow"
@@ -100,18 +99,17 @@ func digestBase(t *testing.T) Options {
 		ColdStartFraction: 0.25,
 		ClusterCfg: faas.Config{
 			Invokers: 4, CPUPerInvoker: 8, MemoryPerInvokerMB: 4096, DefaultKeepAlive: 300,
-			Noise: noise, QueueLimit: 8, Admission: faas.AdmitShedOldest,
-			Breaker:  faas.BreakerConfig{Enabled: true, Window: 10, ErrorThreshold: 0.4, MinSamples: 4, OpenSec: 20, HalfOpenProbes: 2},
+			Noise: noise, QueueLimit: 8, Admission: faas.AdmitDeadlineAware,
+			Breaker:  faas.BreakerConfig{Enabled: true},
 			Registry: telemetry.NewRegistry(), Seed: 9,
 		},
 		Chosen:   map[string]map[string]faas.ResourceConfig{"chain2": {"chain2-f0": {CPU: 1, MemoryMB: 512}}},
 		Chaos:    scn,
 		ArmCrash: true,
 		Resilience: &workflow.RetryPolicy{
-			MaxAttempts: 3, Timeout: 10, InitialBackoff: 0.5, BackoffFactor: 2, MaxBackoff: 8, JitterFrac: 0.2,
-			HedgeDelay: 5, RetryBudget: 2, RetryBudgetPerSec: 0.05, HedgeQueueLimit: 2,
+			MaxAttempts: 3, Timeout: 10, HedgeDelay: 5, RetryBudget: 2, RetryBudgetPerSec: 0.05, HedgeQueueLimit: 2,
 		},
-		PoolGuard:     &pool.Guard{ShedThreshold: 5, UncertaintyFrac: 3, PeakWindowMin: 10, RecoverIntervals: 2},
+		PoolGuard:     true,
 		Tracer:        telemetry.NewCollector(),
 		Registry:      telemetry.NewRegistry(),
 		CheckpointDir: "ck",
@@ -121,7 +119,7 @@ func digestBase(t *testing.T) Options {
 }
 
 // TestDigestCoversEveryOption walks serve.Options — and the faas.Config,
-// workflow.RetryPolicy, pool.Guard, chaos.Fault and noise structs beneath
+// workflow.RetryPolicy, chaos.Fault and noise structs beneath
 // it — by reflection, changes one field at a time and requires a different
 // digest, unless the field is on digestExcluded with its reason. A field
 // added later fails here until someone decides which side it is on.

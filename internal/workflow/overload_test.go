@@ -22,7 +22,7 @@ func TestRetryBudgetFailFast(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl.SetFaultRates(faas.FaultRates{InitFailure: 1}) // permanent
-		p := RetryPolicy{MaxAttempts: 3, InitialBackoff: 0.1, BackoffFactor: 2, RetryBudget: budget}
+		p := RetryPolicy{MaxAttempts: 3, RetryBudget: budget}
 		ex := NewExecutor(cl)
 		ex.Policy = &p
 		var res *Result
@@ -70,34 +70,48 @@ func TestRetryBudgetFailFast(t *testing.T) {
 }
 
 // TestRetryBudgetRefill: a refilling bucket readmits retries after enough
-// simulated time passes, so a later transient fault is still absorbed.
+// simulated time passes, so a later transient fault is still absorbed. The
+// budget holds one token. The first stage's first attempt dies in init and
+// spends it; the second stage's first attempt is killed two seconds later.
+// Only the refill pays for that second retry — without it the workflow
+// fails fast.
 func TestRetryBudgetRefill(t *testing.T) {
-	eng := sim.NewEngine()
-	cl := faas.NewCluster(eng, faas.Config{Invokers: 2, CPUPerInvoker: 8, MemoryPerInvokerMB: 4096, Seed: 1})
-	m := faas.DefaultSyntheticModel()
-	if err := cl.RegisterFunction(faas.FunctionSpec{Name: "f", Model: m}, faas.ResourceConfig{CPU: 1, MemoryMB: 512}); err != nil {
-		t.Fatal(err)
+	run := func(refill float64) *Result {
+		eng := sim.NewEngine()
+		cl := faas.NewCluster(eng, faas.Config{Invokers: 2, CPUPerInvoker: 8, MemoryPerInvokerMB: 4096, Seed: 1})
+		m := faas.DefaultSyntheticModel()
+		m.JitterStd = 0 // init 1.5 s, cold exec 0.8 s, warm exec 0.5 s
+		if err := cl.RegisterFunction(faas.FunctionSpec{Name: "f", Model: m}, faas.ResourceConfig{CPU: 1, MemoryMB: 512}); err != nil {
+			t.Fatal(err)
+		}
+		// The container spawned at t=0 is doomed; it dies at 1.5 s and the
+		// retry, issued after backoff(0)·(1±backoffJitter), finishes the
+		// first stage between 4.2 and 4.4 s on a fresh container.
+		cl.SetFaultRates(faas.FaultRates{InitFailure: 1})
+		eng.Schedule(1, func() { cl.SetFaultRates(faas.FaultRates{}) })
+		// The second stage starts warm in that window and is killed; its
+		// retry, at least backoffInitial·(1-backoffJitter) = 0.4 s later,
+		// comes after the kill window closes.
+		eng.Schedule(4, func() { cl.SetFaultRates(faas.FaultRates{ExecKill: 1}) })
+		eng.Schedule(4.5, func() { cl.SetFaultRates(faas.FaultRates{}) })
+		p := RetryPolicy{MaxAttempts: 4, RetryBudget: 1, RetryBudgetPerSec: refill}
+		ex := NewExecutor(cl)
+		ex.Policy = &p
+		var res *Result
+		if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
+			t.Fatal(err)
+		}
+		runChecked(t, eng, cl)
+		if res == nil {
+			t.Fatal("workflow never completed")
+		}
+		return res
 	}
-	// Inits fail until t=2, then clear: the first attempt needs one retry.
-	cl.SetFaultRates(faas.FaultRates{InitFailure: 1})
-	eng.Schedule(2, func() { cl.SetFaultRates(faas.FaultRates{}) })
-	p := RetryPolicy{MaxAttempts: 4, InitialBackoff: 1.5, BackoffFactor: 2,
-		RetryBudget: 1, RetryBudgetPerSec: 0.5}
-	ex := NewExecutor(cl)
-	ex.Policy = &p
-	var res *Result
-	if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
-		t.Fatal(err)
+	if res := run(0.5); res.Failed || res.Retries != 2 || res.RetriesDenied != 0 {
+		t.Fatalf("refilled budget should absorb both transient faults: %+v", *res)
 	}
-	runChecked(t, eng, cl)
-	if res == nil {
-		t.Fatal("workflow never completed")
-	}
-	if res.Failed {
-		t.Fatalf("refilled budget should absorb the transient fault: %+v", *res)
-	}
-	if res.Retries == 0 {
-		t.Fatal("no retries recorded")
+	if res := run(0); !res.Failed || res.Retries != 1 || res.RetriesDenied != 1 {
+		t.Fatalf("without refill the second fault should fail fast: %+v", *res)
 	}
 }
 
@@ -121,8 +135,7 @@ func TestHedgeBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := RetryPolicy{MaxAttempts: 2, InitialBackoff: 0.1, BackoffFactor: 2,
-		HedgeDelay: 0.5, HedgeQueueLimit: 1}
+	p := RetryPolicy{MaxAttempts: 2, HedgeDelay: 0.5, HedgeQueueLimit: 1}
 	ex := NewExecutor(cl)
 	ex.Policy = &p
 	var res *Result

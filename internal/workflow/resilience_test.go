@@ -178,7 +178,7 @@ func TestFailFastSkipsDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.SetFaultRates(faas.FaultRates{InitFailure: 1}) // permanent: retries cannot help
-	p := RetryPolicy{MaxAttempts: 2, InitialBackoff: 0.1, BackoffFactor: 2}
+	p := RetryPolicy{MaxAttempts: 2}
 	ex := NewExecutor(cl)
 	ex.Policy = &p
 	var res *Result

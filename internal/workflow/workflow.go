@@ -163,15 +163,6 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Timeout is the per-attempt deadline in seconds (0 = none).
 	Timeout float64
-	// InitialBackoff is the delay before the first retry; each further
-	// retry multiplies it by BackoffFactor, capped at MaxBackoff.
-	InitialBackoff float64
-	BackoffFactor  float64
-	MaxBackoff     float64
-	// JitterFrac spreads each backoff uniformly in ±JitterFrac around its
-	// nominal value, drawn from the executor's seeded RNG so same-seed
-	// runs schedule identical retries.
-	JitterFrac float64
 	// HedgeDelay, when positive, issues one duplicate of a still-pending
 	// first attempt after this many seconds (tail-latency hedging). The
 	// first terminal success wins; the hedge counts against MaxAttempts.
@@ -192,17 +183,21 @@ type RetryPolicy struct {
 	HedgeQueueLimit int
 }
 
+// The retry backoff: retry k (0-based) waits backoffInitial·backoffFactor^k
+// seconds, capped at backoffMax, spread uniformly by ±backoffJitter of
+// itself with draws from the executor's seeded RNG, so same-seed runs
+// schedule identical retries.
+const (
+	backoffInitial = 0.5
+	backoffFactor  = 2
+	backoffMax     = 8
+	backoffJitter  = 0.2
+)
+
 // DefaultRetryPolicy returns a conservative production-style policy: three
-// attempts, 0.5 s initial backoff doubling to a 8 s cap, 20% jitter, no
-// per-attempt timeout and no hedging (enable per workload).
+// attempts, no per-attempt timeout and no hedging (enable per workload).
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    3,
-		InitialBackoff: 0.5,
-		BackoffFactor:  2,
-		MaxBackoff:     8,
-		JitterFrac:     0.2,
-	}
+	return RetryPolicy{MaxAttempts: 3}
 }
 
 func (p RetryPolicy) maxAttempts() int {
@@ -213,20 +208,8 @@ func (p RetryPolicy) maxAttempts() int {
 }
 
 // backoff returns the nominal delay before retry number k (0-based).
-func (p RetryPolicy) backoff(k int) float64 {
-	b := p.InitialBackoff
-	if b <= 0 {
-		return 0
-	}
-	f := p.BackoffFactor
-	if f < 1 {
-		f = 1
-	}
-	b *= math.Pow(f, float64(k))
-	if p.MaxBackoff > 0 && b > p.MaxBackoff {
-		b = p.MaxBackoff
-	}
-	return b
+func backoff(k int) float64 {
+	return math.Min(backoffInitial*math.Pow(backoffFactor, float64(k)), backoffMax)
 }
 
 // Result reports one end-to-end workflow execution.
@@ -325,15 +308,13 @@ type Executor struct {
 // NewExecutor returns an executor bound to a cluster.
 func NewExecutor(c *faas.Cluster) *Executor { return &Executor{Cluster: c} }
 
-// jitter returns a multiplicative jitter factor in [1-frac, 1+frac].
-func (e *Executor) jitter(frac float64) float64 {
-	if frac <= 0 {
-		return 1
-	}
+// jitter returns a multiplicative backoff jitter factor in
+// [1-backoffJitter, 1+backoffJitter].
+func (e *Executor) jitter() float64 {
 	if e.rng == nil {
 		e.rng = stats.NewRNG(e.Seed)
 	}
-	return 1 + frac*(2*e.rng.Float64()-1)
+	return 1 + backoffJitter*(2*e.rng.Float64()-1)
 }
 
 // execution is one workflow request in flight: the DAG walk, the per-stage
@@ -613,18 +594,18 @@ func (c *call) onTerminal(r faas.InvocationResult) {
 			k := c.retries
 			c.retries++
 			x.res.Retries++
-			backoff := x.pol.backoff(k) * x.e.jitter(x.pol.JitterFrac)
+			delay := backoff(k) * x.e.jitter()
 			if tr.Enabled() {
 				c.retryPoint(telemetry.Fields{
 					"attempt":   float64(c.issued),
-					"backoff_s": backoff,
+					"backoff_s": delay,
 					"outcome":   float64(r.Outcome),
 					"hedge":     0,
 				})
 			}
 			c.issued++ // commit the slot before the timer fires
 			c.outstanding++
-			x.e.Cluster.Engine().After(backoff, c.retry)
+			x.e.Cluster.Engine().After(delay, c.retry)
 			return
 		}
 		// Budget exhausted: degrade to fail-fast instead of
