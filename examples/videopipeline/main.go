@@ -73,7 +73,20 @@ func main() {
 	fmt.Printf("aquatope pool:     cold=%5.1f%%  provisioned=%7.0f GB-s  latency=%.2fs\n",
 		aquaCold*100, aquaMem, aquaLat)
 
-	fmt.Println("\nwith six dependent stages, one missed container cascades into")
-	fmt.Println("multi-stage cold starts (§2.2); the predictive pool keeps the")
-	fmt.Println("whole pipeline warm just ahead of each upload burst.")
+	// With six dependent stages one missed container cascades into
+	// multi-stage cold starts (§2.2), so the cold-start rate is the number to
+	// read first; the verdict is the measured one, whichever way it goes.
+	fmt.Printf("\nagainst fixed keep-alive the predictive pool's cold-start rate is %s,\n", than(aquaCold, keepCold))
+	fmt.Printf("its provisioned memory %s and its mean latency %s.\n", than(aquaMem, keepMem), than(aquaLat, keepLat))
+}
+
+// than says how a compares with b.
+func than(a, b float64) string {
+	switch {
+	case a < b:
+		return "lower"
+	case a > b:
+		return "higher"
+	}
+	return "the same"
 }
