@@ -1,32 +1,25 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck lint orphans test bench pairs identity microbench smoke
+.PHONY: verify build vet fmtcheck lint test bench pairs identity microbench smoke
 
-# Tier-1 gate: build everything, vet, check formatting, lint the
-# determinism invariants, check that no internal package is orphaned, and
-# run the full test suite with the race detector. CI and pre-commit both run this target. The race detector is
+# Tier-1 gate: build everything, vet, check formatting, lint (the
+# determinism invariants, and no code or option nothing runs), and run the
+# full test suite with the race detector. CI and pre-commit both run this
+# target. The race detector is
 # ~10x slower than a plain run and the experiment harnesses are
 # end-to-end simulations, so the suite needs more than go test's default
 # 10-minute budget on small machines.
-verify: build vet fmtcheck lint orphans
+verify: build vet fmtcheck lint
 	$(GO) test -race -timeout 45m ./...
 
 # aqualint machine-checks the simulator's determinism invariants
 # (DESIGN.md §8): no wall-clock time, no global randomness, no
-# order-dependent map iteration, no silently dropped errors.
+# order-dependent map iteration, no silently dropped errors. Its unreached
+# and onevalue checks fail on an internal package, identifier or field
+# nothing reachable from cmd/*, bench or examples/* uses, and on an option
+# non-test code sets to one value only.
 lint:
 	$(GO) run ./cmd/aqualint ./...
-
-# orphans fails when a package under internal/ is one no binary reaches:
-# everything there exists to be run by cmd/*, bench or examples/*, and a
-# package only its own tests import is dead weight that still has to be
-# maintained.
-orphans:
-	@reached=$$($(GO) list -deps ./cmd/... ./bench ./examples/...) || exit 1; \
-	out=$$($(GO) list ./internal/... | while read -r p; do \
-		echo "$$reached" | grep -Fxq "$$p" || echo "$$p"; done); \
-	if [ -n "$$out" ]; then \
-		echo "internal packages no binary (cmd/*, bench, examples/*) imports:"; echo "$$out"; exit 1; fi
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -87,8 +80,14 @@ pairs:
 # every EXPS experiment through aquabench at quick scale with dumps. Then
 # each output file is cmp'd against the other side's: any difference names
 # the file and exits 1. Between them these runs reach every overload,
-# retry, pool and scheduler option. A PR that documents drift fails this by
-# design, so it is not part of verify or CI.
+# retry, pool and scheduler option. Last comes the kill-restore leg: the
+# parent binary records a stream, serves it uninterrupted, then serves it
+# again with the scripted controller kill armed (exit 137, checkpoints
+# left behind); the change binary restores from that crash directory, and
+# its span and metric dumps must cmp equal to the parent's uninterrupted
+# run. It fails whenever the config digest or the checkpoint format moves.
+# A PR that documents drift fails this by design, so it is not part of
+# verify or CI.
 #
 #	make identity PARENT=<rev>
 SYSTEMS ?= aquatope aqualite autoscale caerus icebreaker+clite jolteon keepalive naive
@@ -119,6 +118,21 @@ identity:
 	for f in $$(cat "$$tmp/parent/files"); do \
 		if cmp -s "$$tmp/parent/out/$$f" "$$tmp/change/out/$$f"; then echo "same     $$f"; \
 		else echo "DIFFERS  $$f"; rc=1; fi; \
+	done; \
+	kr="$$tmp/kr"; mkdir "$$kr"; flags="-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 -chaos kill-restore"; \
+	echo "parent: aquatope -serve $$flags, uninterrupted and then killed"; \
+	"$$tmp/parent/aquatope" -app chain -minutes 20 -seed 3 -emit-stream "$$kr/stream.jsonl" > /dev/null; \
+	"$$tmp/parent/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ref" $$flags -ignore-crash \
+		-trace-out "$$kr/ref.spans.jsonl" -metrics-out "$$kr/ref.metrics.json" > /dev/null 2>&1; \
+	code=0; "$$tmp/parent/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ck" $$flags \
+		-trace-out "$$kr/crash.spans.jsonl" -metrics-out "$$kr/crash.metrics.json" > /dev/null 2>&1 || code=$$?; \
+	[ $$code -eq 137 ] || { echo "identity: the parent's killed serve run exited $$code, not 137"; exit 1; }; \
+	echo "change: aquatope -serve -restore <the parent's crash directory>"; \
+	"$$tmp/change/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ck" -restore "$$kr/ck" $$flags \
+		-trace-out "$$kr/restore.spans.jsonl" -metrics-out "$$kr/restore.metrics.json" > /dev/null || rc=1; \
+	for f in spans.jsonl metrics.json; do \
+		if cmp -s "$$kr/ref.$$f" "$$kr/restore.$$f"; then echo "same     kill-restore.$$f"; \
+		else echo "DIFFERS  kill-restore.$$f"; rc=1; fi; \
 	done; exit $$rc
 
 microbench:

@@ -1,7 +1,7 @@
 // Command aqualint machine-checks the repository's determinism and
-// simulation-safety invariants (DESIGN.md §8, §13). It is a
-// self-contained static analyzer over go/ast + go/types with nine
-// checks:
+// simulation-safety invariants and keeps the tree free of dead code and
+// one-valued options (DESIGN.md §8). It is a self-contained static
+// analyzer over go/ast + go/types with eight checks:
 //
 //	wallclock   no time.Now/Since/Sleep/timers in simulation-driven code
 //	globalrand  no math/rand outside internal/stats (seeded RNGs only)
@@ -10,11 +10,14 @@
 //	metricname  metric names and span kinds come from the telemetry catalog
 //	seedflow    every RNG constructor seed traces to the run config,
 //	            never a literal or the wall clock, across helper layers
-//	spanpair    every telemetry.StartSpan is ended on all control-flow
-//	            paths (or deferred / handed off)
-//	sharedmut   no unguarded writes to variables captured by goroutine
-//	            or replication-job closures
-//	hotalloc    advisory allocation hygiene in hot-path per-event loops
+//	unreached   every exported identifier, method and field under
+//	            internal/ is used by code a main package reaches, and every
+//	            internal package is reached at all
+//	onevalue    every field of a *Config, *Options or *Policy struct is
+//	            written with more than one value by non-test code
+//
+// unreached and onevalue judge the whole program, so they report only
+// when the load includes a main package (./... from the repository root).
 //
 // Suppress a finding on one line with an explained escape hatch:
 //

@@ -15,6 +15,15 @@ import (
 	"aquatope/internal/stats"
 )
 
+// dropoutRate is the MC-dropout rate of the encoder and the prediction MLP:
+// dropout stays on at prediction time, so every forward pass samples the
+// approximate posterior.
+const dropoutRate = 0.1
+
+// spikeWeight up-weights samples with large targets during phase 2,
+// countering the zero-dominated class imbalance of sparse demand series.
+const spikeWeight = 1
+
 // Config controls the model architecture and training schedule. The zero
 // value is not usable; call DefaultConfig and override fields as needed.
 type Config struct {
@@ -24,8 +33,9 @@ type Config struct {
 	EncoderLayers int   // paper: 2 (stacked)
 	PredHidden    []int // hidden sizes of the 3-layer tanh prediction MLP
 	ExtDim        int   // external feature dimension
-	Horizon       int   // decoder reconstruction horizon k
-	DropoutRate   float64
+	// Horizon is the decoder reconstruction horizon k.
+	//aqualint:allow onevalue bench/adapter.go reads it to size its samples; ROADMAP item 9 opens bench/
+	Horizon       int
 	MCSamples     int // T forward passes for the predictive distribution
 	LR            float64
 	EncoderEpochs int
@@ -35,16 +45,8 @@ type Config struct {
 	// reconstruction pretraining alone leaves the latent underinformative;
 	// fine-tuning recovers the paper's accuracy at our smaller data scale
 	// (see DESIGN.md).
+	//aqualint:allow onevalue bench/adapter.go reads it to count training FLOPs; ROADMAP item 9 opens bench/
 	FineTuneEncoder bool
-	// SpikeWeight up-weights samples with large targets during phase 2,
-	// countering the zero-dominated class imbalance of sparse demand
-	// series. 0 disables.
-	SpikeWeight float64
-	// PredictDelta regresses the difference between the target and the
-	// last history count instead of the absolute value. Residual learning
-	// anchors the model at the persistence forecast and lets it learn
-	// corrections — disable for targets not on the count scale.
-	PredictDelta bool
 	// HeteroscedasticCounts models the aleatoric variance as proportional
 	// to the predicted count (Poisson-like dispersion) instead of a
 	// global constant, so the uncertainty headroom collapses in predicted-
@@ -63,14 +65,11 @@ func DefaultConfig(input, extDim int) Config {
 		PredHidden:      []int{32, 16},
 		ExtDim:          extDim,
 		Horizon:         4,
-		DropoutRate:     0.1,
 		MCSamples:       20,
 		LR:              0.005,
 		EncoderEpochs:   30,
 		PredEpochs:      60,
 		FineTuneEncoder: true,
-		SpikeWeight:     1,
-		PredictDelta:    true,
 		Seed:            1,
 	}
 }
@@ -142,7 +141,7 @@ func New(cfg Config) *Model {
 	m.decOut = nn.NewDense("decOut", cfg.DecoderHidden, 1, nn.Identity, rng)
 	sizes := append([]int{cfg.EncoderHidden + cfg.ExtDim}, cfg.PredHidden...)
 	sizes = append(sizes, 1)
-	m.pred = nn.NewMLP("pred", sizes, nn.Tanh, cfg.DropoutRate, rng)
+	m.pred = nn.NewMLP("pred", sizes, nn.Tanh, dropoutRate, rng)
 	return m
 }
 
@@ -160,8 +159,8 @@ func (m *Model) encoderMasks() (mxs, mhs []nn.DropoutMask) {
 		m.maskH = append(m.maskH, nil)
 	}
 	for i, l := range m.encoder.Layers {
-		m.maskX[i] = nn.ResampleDropoutMask(m.maskX[i], l.In, m.cfg.DropoutRate, m.rng)
-		m.maskH[i] = nn.ResampleDropoutMask(m.maskH[i], l.Hidden, m.cfg.DropoutRate, m.rng)
+		m.maskX[i] = nn.ResampleDropoutMask(m.maskX[i], l.In, dropoutRate, m.rng)
+		m.maskH[i] = nn.ResampleDropoutMask(m.maskH[i], l.Hidden, dropoutRate, m.rng)
 	}
 	n := len(m.encoder.Layers)
 	return m.maskX[:n], m.maskH[:n]
@@ -171,7 +170,7 @@ func (m *Model) encoderMasks() (mxs, mhs []nn.DropoutMask) {
 // When train is true, variational dropout masks are applied.
 func (m *Model) encode(history [][]float64, train bool) []float64 {
 	var mxs, mhs []nn.DropoutMask
-	if train && m.cfg.DropoutRate > 0 {
+	if train {
 		mxs, mhs = m.encoderMasks()
 	}
 	m.encoder.ForwardSeq(history, mxs, mhs)
@@ -274,13 +273,11 @@ func lastCount(history [][]float64) float64 {
 	return history[len(history)-1][0]
 }
 
-// target converts a sample's absolute target to the regression target
-// (delta from the persistence forecast when PredictDelta is set).
+// target converts a sample's absolute target to the regression target: its
+// difference from the last history count. Residual learning anchors the
+// model at the persistence forecast and lets it learn corrections.
 func (m *Model) target(s Sample) float64 {
-	if m.cfg.PredictDelta {
-		return s.Target - lastCount(s.History)
-	}
-	return s.Target
+	return s.Target - lastCount(s.History)
 }
 
 // scaleHistory standardizes the count channel (feature 0) of a history
@@ -399,12 +396,9 @@ func (m *Model) trainPredictionNetwork(samples []Sample, scaled [][][]float64) {
 	exts := make([][]float64, len(samples))
 	ys := make([]float64, len(samples))
 	for i, s := range samples {
-		weights[i] = 1
 		ys[i] = m.scaleY(m.target(s))
 		exts[i] = m.scaleExt(s.External)
-		if m.cfg.SpikeWeight > 0 {
-			weights[i] += m.cfg.SpikeWeight * math.Abs(ys[i])
-		}
+		weights[i] = 1 + spikeWeight*math.Abs(ys[i])
 	}
 	tgt := []float64{0}
 	for epoch := 0; epoch < m.cfg.PredEpochs; epoch++ {
@@ -444,19 +438,13 @@ func (p Prediction) UpperBound(z float64) float64 { return p.Mean + z*p.Std }
 // passes with dropout active (MC dropout approximate Bayesian inference).
 func (m *Model) Predict(history [][]float64, external []float64) Prediction {
 	scaled := m.scaleHistory(history)
-	m.pred.Train = m.cfg.DropoutRate > 0
+	m.pred.Train = true
 	T := m.cfg.MCSamples
-	if m.cfg.DropoutRate == 0 {
-		T = 1
-	}
 	ext := m.scaleExt(external)
-	base := 0.0
-	if m.cfg.PredictDelta {
-		base = lastCount(history)
-	}
+	base := lastCount(history)
 	outs := make([]float64, T)
 	for t := 0; t < T; t++ {
-		z := m.encode(scaled, m.cfg.DropoutRate > 0)
+		z := m.encode(scaled, true)
 		y := m.pred.Forward(m.concatInto(z, ext))[0]
 		outs[t] = base + m.unscaleY(y)
 	}
@@ -491,11 +479,7 @@ func (m *Model) predictDetScaled(scaled [][]float64, history [][]float64, extern
 	m.pred.Train = false
 	z := m.encode(scaled, false)
 	y := m.pred.Forward(m.concatInto(z, m.scaleExt(external)))[0]
-	base := 0.0
-	if m.cfg.PredictDelta {
-		base = lastCount(history)
-	}
-	return base + m.unscaleY(y)
+	return lastCount(history) + m.unscaleY(y)
 }
 
 // BuildSamples converts a scalar series into supervised samples with the

@@ -7,9 +7,9 @@ import (
 	"aquatope/internal/stats"
 )
 
-// TestPredictDeltaAnchorsAtPersistence: an untrained-ish model with
-// PredictDelta should predict near the last observed count rather than
-// near zero.
+// TestPredictDeltaAnchorsAtPersistence: an untrained-ish model, which
+// regresses deltas from the last count, should predict near the last
+// observed count rather than near zero.
 func TestPredictDeltaAnchorsAtPersistence(t *testing.T) {
 	cfg := DefaultConfig(1, 0)
 	cfg.EncoderHidden = 6
@@ -58,7 +58,6 @@ func TestHeteroscedasticUncertaintyScalesWithMean(t *testing.T) {
 	cfg.MCSamples = 8
 	cfg.Horizon = 2
 	cfg.HeteroscedasticCounts = true
-	cfg.PredictDelta = false
 	m := New(cfg)
 	g := stats.NewRNG(2)
 	// Two regimes keyed by the external feature: quiet (0) and busy (~9

@@ -51,6 +51,7 @@ type Acquisition int
 const (
 	// NEI is constrained noisy expected improvement with QMC integration
 	// (the Aquatope default).
+	//aqualint:allow unreached names Acquisition's zero value, the acquisition New uses by default
 	NEI Acquisition = iota
 	// EI is classic expected improvement assuming noiseless observations
 	// (used by the AquaLite ablation).
@@ -71,6 +72,13 @@ const (
 	// noiseVar is the fixed observation-noise variance (standardized units)
 	// of the GP surrogates.
 	noiseVar = 0.01
+	// bootstrap is the number of clean random configurations before the
+	// model kicks in.
+	bootstrap = 5
+	// changeBurst: if this many consecutive recent observations are all
+	// anomalous, the engine declares a behaviour change and drops history
+	// older than the burst (incremental retraining, §5.3).
+	changeBurst = 6
 )
 
 // Options is the single construction surface of the engine: acquisition,
@@ -84,7 +92,6 @@ type Options struct {
 	Acquisition Acquisition
 
 	BatchSize int // candidates sampled per iteration (paper: 3)
-	Bootstrap int // random configs before the model kicks in
 	// AnomalyZ is the leave-one-out z-score beyond which an observation is
 	// labeled an anomaly (paper: 95% interval, z = 1.96).
 	AnomalyZ float64
@@ -94,10 +101,6 @@ type Options struct {
 	// Window keeps only the most recent N observations (0 = keep all);
 	// older points are evicted from the surrogates by rank-1 downdates.
 	Window int
-	// ChangeBurst: if this many consecutive recent observations are all
-	// anomalous, the engine declares a behaviour change and drops history
-	// older than the burst (incremental retraining, §5.3).
-	ChangeBurst int
 	// RefitEveryK refits GP hyperparameters (a full refactorization) every
 	// K window updates — i.e. every K Observe batches. 0 picks the default
 	// ceil(5/BatchSize), reproducing the historical every-5-observations
@@ -111,18 +114,12 @@ func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 3
 	}
-	if o.Bootstrap <= 0 {
-		o.Bootstrap = 5
-	}
 	if o.AnomalyZ <= 0 {
 		// Wider than the paper's 95% interval: the screen rejects points
 		// before they enter the fit, so a tight gate would also discard
 		// genuinely surprising (good) discoveries. Interference outliers
 		// in FaaS are multiples of the signal and still exceed this.
 		o.AnomalyZ = 3.5
-	}
-	if o.ChangeBurst <= 0 {
-		o.ChangeBurst = 6
 	}
 	if o.RefitEveryK <= 0 {
 		o.RefitEveryK = (5 + o.BatchSize - 1) / o.BatchSize
@@ -172,13 +169,12 @@ func New(opts Options) *Engine {
 // per Observe call. A nil tracer restores the no-op default.
 func (e *Engine) SetTracer(t telemetry.Tracer) { e.tracer = telemetry.OrNop(t) }
 
-// Options returns the engine options (after defaulting).
-func (e *Engine) Options() Options { return e.cfg }
-
 // NumObservations returns the number of recorded observations.
 func (e *Engine) NumObservations() int { return len(e.obs) }
 
 // NumAnomalies returns how many observations are currently flagged.
+//
+//aqualint:allow unreached test observer: TestAnomalyDetectionFlagsInjectedOutlier counts flagged points through it
 func (e *Engine) NumAnomalies() int {
 	n := 0
 	for _, a := range e.anomalous {
@@ -197,7 +193,7 @@ func (e *Engine) ChangeEvents() int { return e.changeEvents }
 // the configured acquisition greedily per batch slot.
 func (e *Engine) Suggest() [][]float64 {
 	q := e.cfg.BatchSize
-	if e.countClean() < e.cfg.Bootstrap || !e.fitted {
+	if e.countClean() < bootstrap || !e.fitted {
 		batch := e.randomBatch(q)
 		e.traceDecision(batch, true, 0)
 		return batch
@@ -716,12 +712,12 @@ func madScale(resid []float64) float64 {
 }
 
 // maybeHandleChange implements incremental retraining: when the most recent
-// ChangeBurst observations are all anomalous, the workload's behaviour has
+// changeBurst observations are all anomalous, the workload's behaviour has
 // likely changed (new inputs, function update); the engine drops older
 // history and un-flags the burst so the model re-learns from fresh samples.
 // It reports whether a reset occurred (the surrogates must then be rebuilt).
 func (e *Engine) maybeHandleChange() bool {
-	k := e.cfg.ChangeBurst
+	k := changeBurst
 	if len(e.obs) < k {
 		return false
 	}

@@ -148,7 +148,7 @@ func TestAnomalyDetectionFlagsInjectedOutlier(t *testing.T) {
 }
 
 func TestChangeDetectionResetsHistory(t *testing.T) {
-	e := New(Options{Dim: 1, QoS: 10, Seed: 9, ChangeBurst: 4, Bootstrap: 3})
+	e := New(Options{Dim: 1, QoS: 10, Seed: 9})
 	rng := stats.NewRNG(10)
 	// Phase 1: smooth function.
 	for i := 0; i < 8; i++ {
@@ -274,8 +274,8 @@ func TestEngineBadDimPanics(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	e := New(Options{Dim: 1})
-	cfg := e.Options()
-	if cfg.BatchSize != 3 || cfg.Bootstrap != 5 || cfg.AnomalyZ != 3.5 {
+	cfg := e.cfg
+	if cfg.BatchSize != 3 || cfg.AnomalyZ != 3.5 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	// RefitEveryK defaults to ceil(5/BatchSize): the historical
@@ -283,7 +283,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if cfg.RefitEveryK != 2 {
 		t.Fatalf("RefitEveryK default = %d, want 2", cfg.RefitEveryK)
 	}
-	if q1 := New(Options{Dim: 1, BatchSize: 1}).Options(); q1.RefitEveryK != 5 {
+	if q1 := New(Options{Dim: 1, BatchSize: 1}).cfg; q1.RefitEveryK != 5 {
 		t.Fatalf("RefitEveryK (q=1) = %d, want 5", q1.RefitEveryK)
 	}
 }

@@ -44,6 +44,8 @@ type File struct {
 }
 
 // Section returns the named section's bytes.
+//
+//aqualint:allow unreached test observer: checkpoint and serve tests read sections by name through it
 func (f *File) Section(name string) ([]byte, bool) {
 	for _, s := range f.Sections {
 		if s.Name == name {

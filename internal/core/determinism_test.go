@@ -71,6 +71,7 @@ func TestFullPipelineDeterministicUnderChaos(t *testing.T) {
 	if res1.Retries()+res1.Hedges() == 0 {
 		t.Fatal("resilience layer enabled but no retries or hedges occurred")
 	}
+	assertNoOpenSpans(t, col1.Spans())
 
 	var s1, s2 bytes.Buffer
 	if err := col1.WriteJSONL(&s1); err != nil {
@@ -170,6 +171,7 @@ func TestOverloadPipelineDeterministic(t *testing.T) {
 	if modes == 0 {
 		t.Fatal("pool guard armed but never entered degraded mode — guard untested")
 	}
+	assertNoOpenSpans(t, col1.Spans())
 
 	var s1, s2 bytes.Buffer
 	if err := col1.WriteJSONL(&s1); err != nil {
@@ -198,6 +200,25 @@ func TestOverloadPipelineDeterministic(t *testing.T) {
 	if res1.Goodput() != res2.Goodput() || res1.ShedViolations() != res2.ShedViolations() {
 		t.Errorf("summary metrics diverged: goodput %v vs %v, shed violations %v vs %v",
 			res1.Goodput(), res2.Goodput(), res1.ShedViolations(), res2.ShedViolations())
+	}
+}
+
+// assertNoOpenSpans fails the test when a finished run left an invocation,
+// stage or workflow span open: work that never settled. Every EndSpan on
+// these kinds writes fields, so an open span is one whose Fields are nil.
+func assertNoOpenSpans(t *testing.T, spans []telemetry.Span) {
+	t.Helper()
+	var open []telemetry.Span
+	for _, s := range spans {
+		switch s.Kind {
+		case telemetry.KindInvocation, telemetry.KindStage, telemetry.KindWorkflow:
+			if s.Fields == nil {
+				open = append(open, s)
+			}
+		}
+	}
+	if len(open) > 0 {
+		t.Errorf("%d spans left open at the end of the run; first: %+v", len(open), open[0])
 	}
 }
 

@@ -116,7 +116,7 @@ func fig16Trajectory(s Scale, oracles map[float64]float64) Fig16Result {
 	prof.Noise = faas.Noise{GaussianStd: 0.1}
 
 	eng := bo.New(bo.Options{Dim: space.Dim(), QoS: a.QoS, Seed: s.Seed,
-		Window: 40, ChangeBurst: 6, AnomalyZ: 2.5})
+		Window: 40, AnomalyZ: 2.5})
 	evalProf := resource.NewProfiler(a, s.Seed+500)
 
 	totalSamples := 3 * s.SearchBudget

@@ -66,6 +66,8 @@ type Invoker struct {
 }
 
 // MemoryInUseMB returns the memory currently claimed by containers.
+//
+//aqualint:allow unreached test observer: faas fault, overload and property tests and pool's rewarm test read it
 func (iv *Invoker) MemoryInUseMB() float64 { return iv.memUsedMB }
 
 // function is the cluster-side state of a registered function.
@@ -418,6 +420,12 @@ func (c *Cluster) dispatch(fn *function, p *pendingInvocation, requeue bool) boo
 	// 3. New container → cold start.
 	ct := c.spawnContainer(fn, false)
 	if ct == nil {
+		if !c.everFits(fn.cfg.MemoryMB) {
+			// No invoker could hold the container even empty: queued, the
+			// invocation would wait forever.
+			c.shed(fn, p, "unplaceable")
+			return false
+		}
 		// No capacity anywhere: queue until a container dies.
 		c.enqueue(fn, p, requeue)
 		return false
@@ -539,6 +547,17 @@ func (c *Cluster) pickInvoker(memMB float64) *Invoker {
 		}
 	}
 	return best
+}
+
+// everFits reports whether some invoker's capacity holds a memMB container,
+// whatever it hosts now and whether or not it is up.
+func (c *Cluster) everFits(memMB float64) bool {
+	for _, iv := range c.invokers {
+		if iv.MemoryCapacityMB >= memMB {
+			return true
+		}
+	}
+	return false
 }
 
 // evictOneIdle terminates the cluster-wide LRU idle container. It returns

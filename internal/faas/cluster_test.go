@@ -23,7 +23,6 @@ func (m *testModel) ExecTime(cfg ResourceConfig, cold bool, inputSize float64, r
 	}
 	return t
 }
-func (m *testModel) BaseMemoryMB() float64 { return 64 }
 
 func newTestCluster(t *testing.T) (*sim.Engine, *Cluster) {
 	t.Helper()
@@ -179,8 +178,8 @@ func TestKeepAliveTerminatesIdleContainers(t *testing.T) {
 	if idle != 0 {
 		t.Fatalf("idle after keep-alive = %d, want 0", idle)
 	}
-	if cl.Metrics().ContainersKilled() != 1 {
-		t.Fatalf("killed = %d, want 1", cl.Metrics().ContainersKilled())
+	if cl.Metrics().containersKilled.Value() != 1 {
+		t.Fatalf("killed = %v, want 1", cl.Metrics().containersKilled.Value())
 	}
 }
 
@@ -270,11 +269,11 @@ func TestMetricsAccounting(t *testing.T) {
 		t.Fatalf("counts wrong: %+v", m)
 	}
 	// exec = 2/2 = 1s at CPU 2 → CPU time 2 core-s; mem 1GB × 1s = 1 GB-s.
-	if math.Abs(m.CPUTime()-2) > 1e-9 {
-		t.Fatalf("CPUTime = %v, want 2", m.CPUTime())
+	if math.Abs(m.cpuTime.Value()-2) > 1e-9 {
+		t.Fatalf("CPUTime = %v, want 2", m.cpuTime.Value())
 	}
-	if math.Abs(m.MemTime()-1) > 1e-9 {
-		t.Fatalf("MemTime = %v, want 1", m.MemTime())
+	if math.Abs(m.memTime.Value()-1) > 1e-9 {
+		t.Fatalf("MemTime = %v, want 1", m.memTime.Value())
 	}
 	cl.Flush()
 	// Provisioned: container born t=0, flushed at end (t=2): 1GB × 2s.
@@ -284,7 +283,7 @@ func TestMetricsAccounting(t *testing.T) {
 }
 
 func TestColdStartRate(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsOn(nil)
 	m.record(InvocationResult{ColdStart: true})
 	m.record(InvocationResult{ColdStart: false})
 	m.record(InvocationResult{ColdStart: false})
@@ -292,7 +291,7 @@ func TestColdStartRate(t *testing.T) {
 	if r := m.ColdStartRate(); math.Abs(r-0.25) > 1e-12 {
 		t.Fatalf("rate = %v, want 0.25", r)
 	}
-	if NewMetrics().ColdStartRate() != 0 {
+	if NewMetricsOn(nil).ColdStartRate() != 0 {
 		t.Fatal("rate with no invocations should be 0")
 	}
 }
@@ -413,9 +412,6 @@ func TestSyntheticModelShape(t *testing.T) {
 	}
 	if tCold <= tWarm {
 		t.Fatal("cold execution should be slower")
-	}
-	if m.BaseMemoryMB() != m.MemKneeMB {
-		t.Fatal("BaseMemoryMB should be the knee")
 	}
 }
 

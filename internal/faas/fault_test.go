@@ -30,8 +30,8 @@ func TestInvokerCrashFailsInFlight(t *testing.T) {
 	if r.ExecTime != 2 { // started at t=1, killed at t=3
 		t.Fatalf("partial exec = %v, want 2", r.ExecTime)
 	}
-	if cl.Metrics().FailedInvocations() != 1 || cl.Metrics().InvokerCrashes() != 2 {
-		t.Fatalf("metrics: failed=%d crashes=%d", cl.Metrics().FailedInvocations(), cl.Metrics().InvokerCrashes())
+	if cl.Metrics().failed.Value() != 1 || cl.Metrics().invokerCrashes.Value() != 2 {
+		t.Fatalf("metrics: failed=%v crashes=%v", cl.Metrics().failed.Value(), cl.Metrics().invokerCrashes.Value())
 	}
 
 	// Both invokers down: a new invocation queues but cannot run.
@@ -90,7 +90,7 @@ func TestInitFailure(t *testing.T) {
 	if res.Outcome != OutcomeFailed || res.FailureReason != "init-failure" {
 		t.Fatalf("outcome = %v (%q), want failed/init-failure", res.Outcome, res.FailureReason)
 	}
-	if cl.Metrics().InitFailures() == 0 {
+	if cl.Metrics().initFailures.Value() == 0 {
 		t.Fatal("init failure not counted")
 	}
 }
@@ -135,7 +135,7 @@ func TestInvokeTimeout(t *testing.T) {
 	if res.EndTime != 3 {
 		t.Fatalf("timed out at %v, want 3", res.EndTime)
 	}
-	if cl.Metrics().TimedOutInvocations() != 1 {
+	if cl.Metrics().timedOut.Value() != 1 {
 		t.Fatal("timeout not counted")
 	}
 	// A later invocation succeeds normally.

@@ -7,6 +7,8 @@ import "fmt"
 // total, and fnList against fnOrder and fns — and reports the first
 // mismatch. It is the oracle tests step the engine against; nothing on a
 // run's path calls it.
+//
+//aqualint:allow unreached test oracle: faas and workflow property tests recompute every maintained index through it
 func (c *Cluster) CheckIndexes() error {
 	if len(c.fnList) != len(c.fnOrder) {
 		return fmt.Errorf("faas: fnList has %d functions, fnOrder %d", len(c.fnList), len(c.fnOrder))

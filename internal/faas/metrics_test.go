@@ -8,7 +8,7 @@ import (
 )
 
 func TestMetricsRecord(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsOn(nil)
 	m.record(InvocationResult{
 		ColdStart: true, SubmitTime: 0, StartTime: 1, EndTime: 3,
 		WaitTime: 1, ExecTime: 2, CPU: 2, MemoryMB: 1024,
@@ -21,13 +21,13 @@ func TestMetricsRecord(t *testing.T) {
 		t.Fatalf("counts: cold=%d warm=%d", m.ColdStarts(), m.WarmStarts())
 	}
 	// CPU time: 2×2 + 2×1 = 6 core-s; mem time: 1GB×2 + 1GB×1 = 3 GB-s.
-	if math.Abs(m.CPUTime()-6) > 1e-9 {
-		t.Fatalf("CPUTime = %v, want 6", m.CPUTime())
+	if math.Abs(m.cpuTime.Value()-6) > 1e-9 {
+		t.Fatalf("CPUTime = %v, want 6", m.cpuTime.Value())
 	}
-	if math.Abs(m.MemTime()-3) > 1e-9 {
-		t.Fatalf("MemTime = %v, want 3", m.MemTime())
+	if math.Abs(m.memTime.Value()-3) > 1e-9 {
+		t.Fatalf("MemTime = %v, want 3", m.memTime.Value())
 	}
-	h := m.LatencyHistogram()
+	h := m.latency
 	if h.Count() != 2 {
 		t.Fatalf("latency histogram count = %d, want 2", h.Count())
 	}
@@ -41,7 +41,7 @@ func TestMetricsRecord(t *testing.T) {
 // after any number of results it holds what it held after none, so a
 // serving run's memory does not grow with its invocation history.
 func TestMetricsRetainNothing(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsOn(nil)
 	r := InvocationResult{
 		Function: "f", SubmitTime: 1, StartTime: 1.5, EndTime: 3,
 		WaitTime: 0.5, ExecTime: 1.5, CPU: 1, MemoryMB: 512,
@@ -58,14 +58,14 @@ func TestMetricsRetainNothing(t *testing.T) {
 }
 
 func TestMetricsContainerDiedGBs(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsOn(nil)
 	// 2048 MB alive for 10 s → 2 GB × 10 s = 20 GB-s.
 	m.containerDied(2048, 10)
 	if math.Abs(m.ProvisionedMemTime()-20) > 1e-9 {
 		t.Fatalf("ProvisionedMemTime = %v, want 20", m.ProvisionedMemTime())
 	}
-	if m.ContainersKilled() != 1 {
-		t.Fatalf("ContainersKilled = %d, want 1", m.ContainersKilled())
+	if m.containersKilled.Value() != 1 {
+		t.Fatalf("ContainersKilled = %v, want 1", m.containersKilled.Value())
 	}
 	// Zero and negative lifetimes add no memory-time but still count the kill.
 	m.containerDied(2048, 0)
@@ -73,13 +73,13 @@ func TestMetricsContainerDiedGBs(t *testing.T) {
 	if math.Abs(m.ProvisionedMemTime()-20) > 1e-9 {
 		t.Fatalf("non-positive lifetime added memory-time: %v", m.ProvisionedMemTime())
 	}
-	if m.ContainersKilled() != 3 {
-		t.Fatalf("ContainersKilled = %d, want 3", m.ContainersKilled())
+	if m.containersKilled.Value() != 3 {
+		t.Fatalf("ContainersKilled = %v, want 3", m.containersKilled.Value())
 	}
 }
 
 func TestMetricsColdStartRateEdges(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetricsOn(nil)
 	if r := m.ColdStartRate(); r != 0 {
 		t.Fatalf("empty rate = %v, want 0", r)
 	}

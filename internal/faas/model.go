@@ -78,6 +78,3 @@ func (m *SyntheticModel) ExecTime(cfg ResourceConfig, cold bool, inputSize float
 	}
 	return t
 }
-
-// BaseMemoryMB implements PerfModel.
-func (m *SyntheticModel) BaseMemoryMB() float64 { return m.MemKneeMB }

@@ -46,6 +46,7 @@ func (a AdmissionPolicy) String() string {
 // byte-identical output with pre-breaker builds.
 type BreakerConfig struct {
 	// Enabled turns the breakers on.
+	//aqualint:allow onevalue bench/adapter.go arms breakers through it and serve's digest prints it; ROADMAP item 9(f) owns the field
 	Enabled bool
 }
 
@@ -220,15 +221,6 @@ func (c *Cluster) noteInvokerOutcome(iv *Invoker, isErr bool) {
 	}
 }
 
-// BreakerState returns the named state of an invoker's breaker ("closed"
-// when breakers are disabled or the invoker is unknown).
-func (c *Cluster) BreakerState(invoker int) string {
-	if !c.cfg.Breaker.Enabled || invoker < 0 || invoker >= len(c.invokers) {
-		return breakerClosed.String()
-	}
-	return c.invokers[invoker].breaker.state.String()
-}
-
 // admit applies the function's admission policy to a newly arriving
 // invocation. It returns true when the newcomer may be enqueued; when it
 // returns false the newcomer has already been shed (terminal result
@@ -259,7 +251,7 @@ func (c *Cluster) shedDoomed(fn *function) int {
 	var victims []*pendingInvocation
 	for _, q := range fn.queue {
 		if q.timeout > 0 && q.submitAt+q.timeout < now+est {
-			victims = append(victims, q) //aqualint:allow hotalloc most scans shed nothing; the nil slice costs zero then, preallocating len(queue) would cost every scan
+			victims = append(victims, q) // nil until a first victim: most scans shed nothing
 		} else {
 			kept = append(kept, q)
 		}

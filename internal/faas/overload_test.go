@@ -124,7 +124,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		Breaker: BreakerConfig{Enabled: true},
 	})
 	register(t, cl, "f", &testModel{init: 0.5, exec: 1}, ResourceConfig{CPU: 1, MemoryMB: 256})
-	if got := cl.BreakerState(0); got != "closed" {
+	if got := cl.invokers[0].breaker.state.String(); got != "closed" {
 		t.Fatalf("initial state %q", got)
 	}
 	// Every execution killed: errors accumulate until the window holds
@@ -134,12 +134,12 @@ func TestBreakerStateMachine(t *testing.T) {
 		at := float64(i) * 3
 		eng.Schedule(at, func() { _ = cl.Invoke("f", 1, nil) })
 		stepUntil(t, eng, cl, at+2.9)
-		if want := i == breakerMinSamples-1; (cl.BreakerState(0) == "open") != want {
-			t.Fatalf("after %d failures the breaker is %q", i+1, cl.BreakerState(0))
+		if want := i == breakerMinSamples-1; (cl.invokers[0].breaker.state.String() == "open") != want {
+			t.Fatalf("after %d failures the breaker is %q", i+1, cl.invokers[0].breaker.state.String())
 		}
 	}
-	if cl.Metrics().BreakerOpens() != 1 {
-		t.Fatalf("breaker opens = %d, want 1", cl.Metrics().BreakerOpens())
+	if cl.Metrics().breakerOpens.Value() != 1 {
+		t.Fatalf("breaker opens = %v, want 1", cl.Metrics().breakerOpens.Value())
 	}
 	// While open, the sole invoker is gated: new work queues instead of
 	// spawning — one invocation for each probe the half-open state needs.
@@ -162,11 +162,11 @@ func TestBreakerStateMachine(t *testing.T) {
 		})
 	})
 	stepUntil(t, eng, cl, 300)
-	if got := cl.BreakerState(0); got != "closed" {
+	if got := cl.invokers[0].breaker.state.String(); got != "closed" {
 		t.Fatalf("state after recovery = %q, want closed", got)
 	}
-	if cl.Metrics().BreakerCloses() != 1 {
-		t.Fatalf("breaker closes = %d, want 1", cl.Metrics().BreakerCloses())
+	if cl.Metrics().breakerCloses.Value() != 1 {
+		t.Fatalf("breaker closes = %v, want 1", cl.Metrics().breakerCloses.Value())
 	}
 	if completed != 1 || cl.QueueDepth("f") != 0 {
 		t.Fatalf("post-recovery invocation completed %d times, %d left queued", completed, cl.QueueDepth("f"))
@@ -190,12 +190,12 @@ func TestBreakerResetOnRecover(t *testing.T) {
 		t.Fatalf("invoker 0 hosts %v invocations, want %d", n, breakerMinSamples)
 	}
 	cl.CrashInvoker(0)
-	if got := cl.BreakerState(0); got != "open" {
+	if got := cl.invokers[0].breaker.state.String(); got != "open" {
 		t.Fatalf("state after crash = %q, want open", got)
 	}
 	// Recovery resets the breaker without waiting out breakerOpenSec.
 	cl.RecoverInvoker(0)
-	if got := cl.BreakerState(0); got != "closed" {
+	if got := cl.invokers[0].breaker.state.String(); got != "closed" {
 		t.Fatalf("state after recover = %q, want closed", got)
 	}
 }
@@ -336,5 +336,24 @@ func TestDrainQueueFIFO(t *testing.T) {
 		if tag != i {
 			t.Fatalf("completion order %v, want ascending", order)
 		}
+	}
+}
+
+// TestUnplaceableInvocationIsShed: a function configured larger than any
+// invoker can ever hold is shed on arrival, not queued forever behind
+// capacity that will never free.
+func TestUnplaceableInvocationIsShed(t *testing.T) {
+	eng, cl := newTestCluster(t)
+	register(t, cl, "big", &testModel{init: 1, exec: 1}, ResourceConfig{CPU: 1, MemoryMB: 8192})
+	var res []InvocationResult
+	if err := cl.Invoke("big", 1, func(r InvocationResult) { res = append(res, r) }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(100)
+	if len(res) != 1 || res[0].Outcome != OutcomeShed || res[0].FailureReason != "unplaceable" {
+		t.Fatalf("results %+v, want one shed with reason unplaceable", res)
+	}
+	if cl.QueueDepth("big") != 0 {
+		t.Fatalf("queue depth %d, want 0", cl.QueueDepth("big"))
 	}
 }

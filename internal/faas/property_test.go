@@ -135,7 +135,7 @@ func TestPropertyProvisionedMemCoversBusyTime(t *testing.T) {
 		cl.Flush()
 		checkIndexes(t, cl)
 		met := cl.Metrics()
-		return met.ProvisionedMemTime() >= met.MemTime()-1e-9
+		return met.ProvisionedMemTime() >= met.memTime.Value()-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

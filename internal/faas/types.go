@@ -57,9 +57,6 @@ type PerfModel interface {
 	// context — SDK clients, models, connections — so cold runs are
 	// slower even after initialization, §2.2).
 	ExecTime(cfg ResourceConfig, cold bool, inputSize float64, rng *stats.RNG) float64
-	// BaseMemoryMB returns the function's minimum viable memory footprint;
-	// configurations below it thrash and time out.
-	BaseMemoryMB() float64
 }
 
 // FunctionSpec registers a function with the cluster.
@@ -124,7 +121,7 @@ type InvocationResult struct {
 	Outcome Outcome
 	// FailureReason names the fault for non-success outcomes
 	// ("init-failure", "container-kill", "invoker-crash", "timeout",
-	// "queue-full", "deadline-unmeetable").
+	// "queue-full", "deadline-unmeetable", "unplaceable").
 	FailureReason string
 	// Attempt is the caller's retry attempt index (0 = first try),
 	// threaded through InvokeOptions for telemetry.

@@ -65,8 +65,8 @@ func BenchmarkFitWindow(b *testing.B) {
 }
 
 // TestObserveCheaperThanFit pins the redesign's economics: a steady-state
-// incremental Observe must allocate well below half of what a cold
-// window refit does. Allocation counts are deterministic, so this guards
+// incremental Observe allocates nothing, and so well below half of what a
+// cold window refit does. Allocation counts are deterministic, so this guards
 // the O(n²)-vs-O(n³) gap without a flaky wall-clock assertion (the time
 // ratio is tracked by the two benchmarks above).
 func TestObserveCheaperThanFit(t *testing.T) {
@@ -90,6 +90,9 @@ func TestObserveCheaperThanFit(t *testing.T) {
 		}
 	})
 
+	if obs != 0 {
+		t.Fatalf("steady-state Observe allocates %v, budget 0", obs)
+	}
 	if obs >= fit/2 {
 		t.Fatalf("steady-state Observe allocates %.0f objects vs %.0f for a cold window refit; want < half", obs, fit)
 	}

@@ -63,9 +63,6 @@ func New(k *Matern52, noise float64) *GP {
 	return &GP{Kernel: k, Noise: noise, yStd: 1}
 }
 
-// Len returns the number of observations conditioning the posterior.
-func (g *GP) Len() int { return len(g.x) }
-
 // SetWindow installs the sliding-window capacity: Observe evicts the oldest
 // observation once the window is full. 0 restores unbounded retention. If
 // the current window already exceeds the new capacity the oldest points are
@@ -79,11 +76,6 @@ func (g *GP) SetWindow(n int) {
 		g.Forget()
 	}
 }
-
-// Window returns the observations currently conditioning the posterior, in
-// window order with targets in original units. The returned slices are
-// views; callers must not modify them.
-func (g *GP) Window() (X [][]float64, y []float64) { return g.x, g.yRaw }
 
 // Observe appends one observation to the window, evicting the oldest first
 // when the window is at capacity. The Cholesky factor is extended in O(n²);
@@ -251,6 +243,8 @@ func (g *GP) Posterior(x []float64) (mean, variance float64) {
 // PosteriorBatch returns the joint predictive mean vector and covariance
 // matrix over a batch of points, in original units. The joint posterior is
 // what lets the acquisition integrate over correlated fantasy outcomes.
+//
+//aqualint:allow unreached test oracle: the batch-recent and joint-sampling tests compare against it
 func (g *GP) PosteriorBatch(xs [][]float64) (mean []float64, cov *linalg.Matrix) {
 	q := len(xs)
 	mean = make([]float64, q)

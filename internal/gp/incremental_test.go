@@ -12,7 +12,7 @@ import (
 // the cold refactor() reference the incremental path must match.
 func cloneCold(t *testing.T, g *GP) *GP {
 	t.Helper()
-	X, y := g.Window()
+	X, y := g.x, g.yRaw
 	cold := New(g.Kernel, g.Noise)
 	cold.Noise = g.Noise // New floors the noise; a reference must share g's exactly
 	if len(X) == 0 {
@@ -72,7 +72,7 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 		for steps < 220 {
 			op := rng.Float64()
 			switch {
-			case op < 0.65 || g.Len() == 0:
+			case op < 0.65 || len(g.x) == 0:
 				x := make([]float64, dim)
 				for d := range x {
 					x[d] = rng.Float64()
@@ -90,18 +90,18 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 					h[i] += rng.Uniform(-0.2, 0.2)
 				}
 				g.Kernel.SetHyperparameters(h)
-				X, y := g.Window()
+				X, y := g.x, g.yRaw
 				if err := g.Fit(X, y); err != nil {
 					t.Fatalf("refit: %v", err)
 				}
 			}
 			steps++
-			if g.Len() < 1 {
+			if len(g.x) < 1 {
 				continue
 			}
 			cold := cloneCold(t, g)
 			if d := maxFactorDiff(g, cold); d > 1e-9 {
-				t.Fatalf("step %d (n=%d): factor diverged by %g", steps, g.Len(), d)
+				t.Fatalf("step %d (n=%d): factor diverged by %g", steps, len(g.x), d)
 			}
 			im, iv := g.Posterior(probe)
 			cm, cv := cold.Posterior(probe)
@@ -160,15 +160,15 @@ func TestWindowEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Len() != 5 {
-		t.Fatalf("window len = %d, want 5", g.Len())
+	if len(g.x) != 5 {
+		t.Fatalf("window len = %d, want 5", len(g.x))
 	}
-	X, y := g.Window()
+	X, y := g.x, g.yRaw
 	if X[0][0] != 0.4 || y[0] != 4 {
 		t.Fatalf("oldest retained = (%v, %v), want (0.4, 4)", X[0][0], y[0])
 	}
 	g.Forget()
-	if _, y := g.Window(); y[0] != 5 {
+	if y := g.yRaw; y[0] != 5 {
 		t.Fatalf("Forget did not evict the oldest")
 	}
 }
@@ -187,7 +187,7 @@ func TestLeaveOneOutAllMatchesSingle(t *testing.T) {
 		}
 	}
 	means, vars := g.LeaveOneOutAll()
-	X, y := g.Window()
+	X, y := g.x, g.yRaw
 	for i := range X {
 		Xo := append(append([][]float64(nil), X[:i]...), X[i+1:]...)
 		yo := append(append([]float64(nil), y[:i]...), y[i+1:]...)

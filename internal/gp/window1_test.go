@@ -23,7 +23,7 @@ func TestWindow1IncrementalMatchesColdProperty(t *testing.T) {
 	for steps < 240 || checks < 200 {
 		op := rng.Float64()
 		switch {
-		case op < 0.7 || g.Len() == 0:
+		case op < 0.7 || len(g.x) == 0:
 			x := []float64{rng.Float64(), rng.Float64()}
 			if err := g.Observe(x, math.Cos(3*x[0])+rng.Normal(0, 0.1)); err != nil {
 				t.Fatalf("observe: %v", err)
@@ -36,13 +36,13 @@ func TestWindow1IncrementalMatchesColdProperty(t *testing.T) {
 				h[i] += rng.Uniform(-0.2, 0.2)
 			}
 			g.Kernel.SetHyperparameters(h)
-			X, y := g.Window()
+			X, y := g.x, g.yRaw
 			if err := g.Fit(X, y); err != nil {
 				t.Fatalf("refit: %v", err)
 			}
 		}
 		steps++
-		if g.Len() < 1 {
+		if len(g.x) < 1 {
 			if g.jitter != 0 {
 				t.Fatalf("step %d: empty GP holds stale jitter %g", steps, g.jitter)
 			}
@@ -82,8 +82,8 @@ func TestDropToEmptyThenObserveEqualsColdFit(t *testing.T) {
 	}
 	g.Forget()
 	g.Forget()
-	if g.Len() != 0 {
-		t.Fatalf("window not empty: %d", g.Len())
+	if len(g.x) != 0 {
+		t.Fatalf("window not empty: %d", len(g.x))
 	}
 	if g.jitter != 0 {
 		t.Fatalf("drop-to-empty left stale jitter %g", g.jitter)

@@ -16,7 +16,7 @@ type Rule struct {
 	Tests bool
 	// Sinks overrides the package paths maporder treats as
 	// order-sensitive emission targets (default: the telemetry package
-	// and fmt). Ignored by other checks.
+	// and fmt), and the catalog metricname and seedflow check against.
 	Sinks []string
 }
 
@@ -100,25 +100,10 @@ func DefaultConfig() Config {
 			Include: []string{"..."},
 			Exclude: []string{"aquatope/internal/stats"},
 		},
-		// spanpair's span-lifecycle CFG check and sharedmut's captured-write
-		// check apply to all compiled files.
-		"spanpair":  {Include: []string{"..."}},
-		"sharedmut": {Include: []string{"..."}},
-		// hotalloc is scoped to the per-event hot path: the simulator core,
-		// the FaaS substrate, the workflow executor, and — since the
-		// incremental-GP engine made per-candidate cost dominated by
-		// allocation — the BO stack (linalg primitives, GP posteriors, the
-		// engine's candidate loops). Reports elsewhere (CLI table
-		// formatting, experiment harnesses) would be noise.
-		"hotalloc": {
-			Include: []string{
-				"aquatope/internal/sim/...",
-				"aquatope/internal/faas/...",
-				"aquatope/internal/workflow/...",
-				"aquatope/internal/linalg/...",
-				"aquatope/internal/gp/...",
-				"aquatope/internal/bo/...",
-			},
-		},
+		// unreached and onevalue report declarations under internal/: the
+		// binaries, the benchmark and the examples are the roots and
+		// callers they measure those against, not code they judge.
+		"unreached": {Include: []string{"aquatope/internal/..."}},
+		"onevalue":  {Include: []string{"aquatope/internal/..."}},
 	}}
 }

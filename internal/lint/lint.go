@@ -2,9 +2,11 @@
 // checker, built only on the standard library's go/ast + go/types, that
 // machine-checks the repository's determinism and simulation-safety
 // invariants. The simulator's evaluation rests on same-seed runs being
-// byte-identical; the four analyzers here turn the conventions that keep
-// that true — virtual time only, seeded RNGs only, no order-dependent map
-// iteration, no silently dropped errors — into compiler-grade checks (see
+// byte-identical; six analyzers turn the conventions that keep that true —
+// virtual time only, seeded RNGs only, no order-dependent map iteration,
+// no silently dropped errors, catalogued metric names, seeds from the run
+// configuration — into compiler-grade checks. Two more, unreached and
+// onevalue, keep the tree free of code and options nothing runs (see
 // DESIGN.md §8).
 //
 // Findings can be suppressed per line with an explanation:
@@ -80,9 +82,8 @@ func Analyzers() []*Analyzer {
 		droppederrAnalyzer,
 		metricnameAnalyzer,
 		seedflowAnalyzer,
-		spanpairAnalyzer,
-		sharedmutAnalyzer,
-		hotallocAnalyzer,
+		unreachedAnalyzer,
+		onevalueAnalyzer,
 	}
 }
 

@@ -104,35 +104,31 @@ func TestSeedflowFixture(t *testing.T) {
 	checkFixture(t, "seedflow.go", "seedflow", true, Rule{Sinks: []string{"fixture/seedflow"}})
 }
 
-func TestSpanpairFixture(t *testing.T) {
-	checkFixture(t, "spanpair.go", "spanpair", true, Rule{Sinks: []string{"fixture/spanpair"}})
+func TestUnreachedFixture(t *testing.T) {
+	checkFixture(t, "unreached.go", "unreached", true, Rule{})
 }
 
-func TestSharedmutFixture(t *testing.T) {
-	checkFixture(t, "sharedmut.go", "sharedmut", true, Rule{Sinks: []string{"fixture/sharedmut"}})
+func TestOnevalueFixture(t *testing.T) {
+	checkFixture(t, "onevalue.go", "onevalue", true, Rule{})
 }
 
-func TestHotallocFixture(t *testing.T) {
-	checkFixture(t, "hotalloc.go", "hotalloc", true, Rule{})
-}
-
-// TestSpanpairCatchesEarlyReturnLeak pins the motivating bug shape for
-// the spanpair analyzer: a span started at the top of a function and
-// leaked by an early return must be reported, and the finding must name
-// the leaking return's line so the fix is mechanical.
-func TestSpanpairCatchesEarlyReturnLeak(t *testing.T) {
-	pkg := parseFixture(t, "spanpair.go", "fixture/spanpair", true)
-	findings := Run([]*Package{pkg}, Config{Checks: map[string]Rule{
-		"spanpair": {Sinks: []string{"fixture/spanpair"}},
-	}})
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f.Message, "not ended on every path") && strings.Contains(f.Message, "the return at line") {
-			found = true
-		}
+// TestUnreachedReportsOrphanPackage: a package no main package reaches is
+// one finding at its package clause; a load without a main package is not
+// a whole program, so the check stays silent on it.
+func TestUnreachedReportsOrphanPackage(t *testing.T) {
+	main := parseFixture(t, "unreached.go", "fixture/unreached", true)
+	orphan := parseSource(t, "fixture/orphan", "package orphan\n\nfunc Helper() int { return 1 }\n")
+	orphan.Info = newTypesInfo()
+	if _, err := (&types.Config{}).Check("fixture/orphan", orphan.Fset, []*ast.File{orphan.Files[0].AST}, orphan.Info); err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("no early-return span-leak finding naming the return line; got %v", findings)
+	cfg := Config{Checks: map[string]Rule{"unreached": {Include: []string{"fixture/orphan"}}}}
+	findings := Run([]*Package{main, orphan}, cfg)
+	if len(findings) != 1 || findings[0].Pos.Line != 1 || !strings.Contains(findings[0].Message, "package fixture/orphan") {
+		t.Fatalf("want one finding at the orphan's package clause, got %v", findings)
+	}
+	if findings := Run([]*Package{orphan}, cfg); len(findings) != 0 {
+		t.Fatalf("a load without a main package must not be judged, got %v", findings)
 	}
 }
 
@@ -221,9 +217,6 @@ func ok(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func TestDefaultConfigCoversSched(t *testing.T) {
 	cfg := DefaultConfig()
 	for check, rule := range cfg.Checks {
-		if check == "hotalloc" {
-			continue // hotalloc is deliberately scoped to the sim/faas/workflow hot path
-		}
 		if !rule.appliesTo("aquatope/internal/sched") {
 			t.Errorf("check %s does not cover aquatope/internal/sched", check)
 		}

@@ -2,15 +2,19 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 )
 
 // Program is the whole loaded package set plus the whole-program indices
-// the interprocedural analyzers (seedflow) share: a function index keyed
-// by the fully qualified name of each declared function, and a reverse
-// call index from callee to every resolved call site. Per-file syntactic
-// analyzers ignore it.
+// the interprocedural analyzers share: a function index keyed by the fully
+// qualified name of each declared function and a reverse call index from
+// callee to every resolved call site (seedflow); and a declaration index
+// keyed by objKey, with the reachability (unreached) and option writes
+// (onevalue) computed over it on first use. Per-file syntactic analyzers
+// ignore it.
 //
 // Functions are keyed by their types.Func FullName (e.g.
 // "aquatope/internal/stats.NewRNG", "(*aquatope/internal/faas.Cluster).Invoke")
@@ -33,6 +37,10 @@ type Program struct {
 
 	// seedCache memoizes seedflow's param-group fixpoint per sink config.
 	seedCache map[string]map[string][][]int
+
+	decls   map[string]*progDecl // objKey -> declaration, built by declIndex
+	reach   *reachability
+	options map[string]*fieldWrites
 }
 
 // ProgFunc is one function declaration in the program.
@@ -146,6 +154,15 @@ func (p *Program) indexCall(pkg *Package, file *File, call *ast.CallExpr, caller
 // method; "" for builtins, conversions, func-typed variables and anything
 // else without a *types.Func object.
 func calleeFullName(info *types.Info, call *ast.CallExpr) string {
+	if fn := calleeObject(info, call); fn != nil {
+		return fn.FullName()
+	}
+	return ""
+}
+
+// calleeObject is the declared function or method a call resolves to; nil
+// for builtins, conversions and func-typed values.
+func calleeObject(info *types.Info, call *ast.CallExpr) *types.Func {
 	fun := ast.Unparen(call.Fun)
 	// Unwrap generic instantiations: f[T](x).
 	switch x := fun.(type) {
@@ -161,8 +178,136 @@ func calleeFullName(info *types.Info, call *ast.CallExpr) string {
 	case *ast.SelectorExpr:
 		obj = info.Uses[x.Sel]
 	}
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.FullName()
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// objKey names a declared object by its file, line and name. The gc export
+// data keeps each object's file and line (not its column), so the object a
+// package declares from source and the same object its importers see
+// through export data share a key, as Funcs' FullName keys do for
+// functions; unlike FullName it also names struct fields.
+func objKey(fset *token.FileSet, obj types.Object) string {
+	pos := fset.Position(obj.Pos())
+	return pos.Filename + ":" + strconv.Itoa(pos.Line) + ":" + obj.Name()
+}
+
+// progDecl is one package-level declaration, method or struct field of a
+// type-checked package.
+type progDecl struct {
+	Pkg  *Package
+	Node ast.Node // *ast.FuncDecl, *ast.TypeSpec or *ast.ValueSpec; nil for a field
+	Recv string   // a method's receiver type key; "" otherwise
+	Name string
+}
+
+// declIndex maps the objKey of every declaration in the program's
+// compiled files to where it is declared.
+func (p *Program) declIndex() map[string]*progDecl {
+	if p.decls != nil {
+		return p.decls
+	}
+	p.decls = make(map[string]*progDecl)
+	for _, pkg := range p.Pkgs {
+		if pkg.Info == nil {
+			continue
+		}
+		add := func(id *ast.Ident, node ast.Node, recv string) {
+			if obj := pkg.Info.Defs[id]; obj != nil && id.Name != "_" {
+				p.decls[objKey(pkg.Fset, obj)] = &progDecl{Pkg: pkg, Node: node, Recv: recv, Name: id.Name}
+			}
+		}
+		for _, file := range pkg.Files {
+			if file.Test {
+				continue
+			}
+			for _, d := range file.AST.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					add(d.Name, d, recvKey(pkg, d))
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s, "")
+							for _, f := range structFields(s) {
+								for _, name := range f.Names {
+									add(name, nil, "")
+								}
+							}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								add(name, s, "")
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return p.decls
+}
+
+// recvKey is the objKey of a method's receiver type name; "" for a
+// function.
+func recvKey(pkg *Package, fd *ast.FuncDecl) string {
+	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return ""
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if named := namedOf(recv.Type()); named != nil {
+			return objKey(pkg.Fset, named.Obj())
+		}
 	}
 	return ""
+}
+
+// namedOf strips one pointer and returns the named type, generic origin
+// included; nil when t is not named.
+func namedOf(t types.Type) *types.Named {
+	if named, ok := deref(t).(*types.Named); ok {
+		return named.Origin()
+	}
+	return nil
+}
+
+func deref(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
+}
+
+// structFields returns the field list of a struct type declaration; nil
+// for any other type.
+func structFields(ts *ast.TypeSpec) []*ast.Field {
+	if st, ok := ts.Type.(*ast.StructType); ok {
+		return st.Fields.List
+	}
+	return nil
+}
+
+// mainPackages returns the program's loaded main packages, the roots the
+// whole-program checks measure everything else from. Without one the load
+// is not a whole program and those checks stay silent.
+func (p *Program) mainPackages() []*Package {
+	var mains []*Package
+	for _, pkg := range p.Pkgs {
+		if pkg.Info != nil && firstFile(pkg).AST.Name.Name == "main" {
+			mains = append(mains, pkg)
+		}
+	}
+	return mains
+}
+
+// firstFile is a typed package's first compiled file: where a finding
+// about the package as a whole is reported.
+func firstFile(pkg *Package) *File {
+	for _, f := range pkg.Files {
+		if !f.Test {
+			return f
+		}
+	}
+	return nil
 }

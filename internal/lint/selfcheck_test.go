@@ -8,8 +8,7 @@ import (
 )
 
 // TestSelfCheck asserts the default policy enables every registered
-// analyzer — all nine checks — and that each one actually applies to the
-// simulator core, so TestRepoIsLintClean below genuinely exercises the
+// analyzer and that each one actually applies to the simulator core, so TestRepoIsLintClean below genuinely exercises the
 // full registry repo-wide rather than a stale subset.
 func TestSelfCheck(t *testing.T) {
 	cfg := DefaultConfig()
@@ -19,8 +18,7 @@ func TestSelfCheck(t *testing.T) {
 			t.Errorf("analyzer %s is not enabled in DefaultConfig", az.Name)
 			continue
 		}
-		// internal/sim is inside every check's scope, including the
-		// hot-path-scoped hotalloc.
+		// internal/sim is inside every check's scope.
 		if !rule.appliesTo("aquatope/internal/sim") {
 			t.Errorf("check %s does not cover aquatope/internal/sim", az.Name)
 		}

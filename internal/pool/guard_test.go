@@ -66,7 +66,7 @@ func TestGuardTripsOnSheds(t *testing.T) {
 		eng.Schedule(at, func() { _ = cl.Invoke("f", 1, nil) })
 	}
 	eng.RunUntil(61)
-	if !mgr.Degraded() {
+	if !mgr.degraded {
 		t.Fatalf("guard did not trip: sheds=%d", cl.Metrics().ShedInvocations())
 	}
 	pts := modePoints(col)
@@ -91,11 +91,11 @@ func TestGuardTripsOnSheds(t *testing.T) {
 	// No further sheds: one clean tick short of guardRecoverIntervals the
 	// guard holds; the next restores model-driven mode with a mode=0 point.
 	eng.RunUntil(61 + (guardRecoverIntervals-1)*60)
-	if !mgr.Degraded() {
+	if !mgr.degraded {
 		t.Fatal("guard recovered before guardRecoverIntervals clean ticks")
 	}
 	eng.RunUntil(61 + guardRecoverIntervals*60)
-	if mgr.Degraded() {
+	if mgr.degraded {
 		t.Fatal("guard did not recover after clean intervals")
 	}
 	pts = modePoints(col)
@@ -124,7 +124,7 @@ func TestGuardNilIsInert(t *testing.T) {
 	mgr.Manage("f", pol, 0)
 	mgr.Start()
 	eng.RunUntil(61)
-	if mgr.Degraded() {
+	if mgr.degraded {
 		t.Fatal("guard tripped while off")
 	}
 	if pts := modePoints(col); len(pts) != 0 {

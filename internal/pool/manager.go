@@ -271,9 +271,6 @@ func (m *Manager) peakTarget(e *entry) int {
 	return int(math.Ceil(peak))
 }
 
-// Degraded reports whether the manager is currently in degraded mode.
-func (m *Manager) Degraded() bool { return m.degraded }
-
 // DemandSeries computes the per-minute concurrent-demand series implied by
 // a set of arrivals with a given mean service time — the training signal
 // for predictive policies. It counts, for each minute, the peak number of

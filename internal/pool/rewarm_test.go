@@ -23,7 +23,6 @@ func (rewarmModel) InitTime(faas.ResourceConfig, *stats.RNG) float64 { return 1 
 func (rewarmModel) ExecTime(faas.ResourceConfig, bool, float64, *stats.RNG) float64 {
 	return 1
 }
-func (rewarmModel) BaseMemoryMB() float64 { return 64 }
 
 // TestRewarmAfterInvokerCrash: when an invoker crash wipes part of the warm
 // pool, the manager re-asserts its last pre-warm target after rewarmDelaySec

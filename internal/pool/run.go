@@ -19,8 +19,6 @@ type RunConfig struct {
 	Resources faas.ResourceConfig
 	// Policy manages the pool during the test window.
 	Policy Policy
-	// ClusterCfg overrides the platform configuration.
-	ClusterCfg faas.Config
 	// MemorySeries, when true, records the per-minute pre-warmed pool
 	// memory footprint during the test window (Fig. 11).
 	MemorySeries bool
@@ -57,11 +55,7 @@ func Run(cfg RunConfig) RunResult {
 		cfg.Resources = faas.ResourceConfig{CPU: 1, MemoryMB: 512}
 	}
 	eng := sim.NewEngine()
-	ccfg := cfg.ClusterCfg
-	if ccfg.Seed == 0 {
-		ccfg.Seed = cfg.Seed
-	}
-	cl := faas.NewCluster(eng, ccfg)
+	cl := faas.NewCluster(eng, faas.Config{Seed: cfg.Seed})
 	const fnName = "fn"
 	if err := cl.RegisterFunction(faas.FunctionSpec{Name: fnName, Model: cfg.Model, TriggerType: cfg.Trace.TriggerType}, cfg.Resources); err != nil {
 		panic(err)

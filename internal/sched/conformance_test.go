@@ -75,7 +75,7 @@ func TestConformanceDeterminism(t *testing.T) {
 	for _, name := range sched.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			_, _, spans1, metrics1 := runConformance(t, name, 7)
+			_, spans, spans1, metrics1 := runConformance(t, name, 7)
 			_, _, spans2, metrics2 := runConformance(t, name, 7)
 			if !bytes.Equal(spans1, spans2) {
 				t.Errorf("span dumps diverge across same-seed runs (%d vs %d bytes)", len(spans1), len(spans2))
@@ -85,6 +85,16 @@ func TestConformanceDeterminism(t *testing.T) {
 			}
 			if len(spans1) == 0 {
 				t.Error("no spans emitted")
+			}
+			// Every EndSpan on these kinds writes fields, so a span whose
+			// Fields are nil is work the finished run never settled.
+			for _, s := range spans {
+				switch s.Kind {
+				case telemetry.KindInvocation, telemetry.KindStage, telemetry.KindWorkflow:
+					if s.Fields == nil {
+						t.Fatalf("a %s span was left open at the end of the run: %+v", s.Kind, s)
+					}
+				}
 			}
 		})
 	}

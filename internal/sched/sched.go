@@ -50,7 +50,6 @@ type Configurator interface {
 // a nil Configurator keeps each application's default configuration.
 type Scheduler interface {
 	Name() string
-	Description() string
 	PoolSizer() PoolSizer
 	Configurator() Configurator
 }
@@ -230,59 +229,72 @@ func (c *managerConf) Manager(space *resource.Space, prof *resource.Profiler, qo
 // ---------------------------------------------------------------------------
 // Registry.
 
-// lineup is the scheduler registry: each scheduler's name, its one-line
-// description and how its two halves are built from Options. New, Names and
-// Describe scan it. The frameworks the paper evaluates against (autoscale,
-// icebreaker+clite, keepalive; §7.4, §8.3) predate the explain-record
-// contract: their pool halves are audited through pool.Manager's
-// pool.decision points like every policy, their configuration halves emit
-// nothing. The pool and configurator names are part of Options.Digest.
+// lineup is the scheduler registry: each scheduler's name and how its two
+// halves are built from Options. New and Names scan it. The frameworks the
+// paper evaluates against (autoscale, icebreaker+clite, keepalive; §7.4,
+// §8.3) predate the explain-record contract: their pool halves are audited
+// through pool.Manager's pool.decision points like every policy, their
+// configuration halves emit nothing. The pool and configurator names are
+// part of Options.Digest.
 var lineup = []struct {
-	name, desc string
-	build      func(Options) (PoolSizer, Configurator)
+	name  string
+	build func(Options) (PoolSizer, Configurator)
 }{
+	// Hybrid Bayesian-LSTM pool sizing with uncertainty headroom +
+	// customized-BO container tuning (the paper's brain).
 	{"aquatope",
-		"hybrid Bayesian-LSTM pool sizing with uncertainty headroom + customized-BO container tuning (the paper's brain)",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("aquatope", o, func() pool.Policy { return aquatopePolicy(o, false) }),
 				configured("aquatope", o, resource.NewAquatope)
 		}},
+	// Uncertainty-unaware ablation of aquatope: same BNN/BO machinery
+	// without headroom or anomaly pruning.
 	{"aqualite",
-		"uncertainty-unaware ablation of aquatope: same BNN/BO machinery without headroom or anomaly pruning",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("aqualite", o, func() pool.Policy { return aquatopePolicy(o, true) }),
 				configured("aqualite", o, resource.NewAquaLite)
 		}},
+	// Reactive baseline: feedback pool scaling (up fast near capacity, down
+	// slowly on low utilization) + a resource manager that scales every
+	// function up together on a QoS miss and down on slack.
 	{"autoscale",
-		"reactive baseline: feedback pool scaling (up fast near capacity, down slowly on low utilization) + a resource manager that scales every function up together on a QoS miss and down on slack",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("autoscale", o, func() pool.Policy { return &pool.Autoscale{} }),
 				configured("autoscale", o, resource.NewAutoscale)
 		}},
+	// Best prior combination: IceBreaker's Fourier-forecast pre-warming +
+	// CLITE's penalized-score Bayesian optimization.
 	{"icebreaker+clite",
-		"best prior combination: IceBreaker's Fourier-forecast pre-warming + CLITE's penalized-score Bayesian optimization",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("icebreaker", o, func() pool.Policy { return &pool.IceBreaker{} }),
 				configured("clite", o, resource.NewCLITE)
 		}},
+	// Provider default: fixed 10-minute keep-alive pools, every application
+	// at its default configuration.
 	{"keepalive",
-		"provider default: fixed 10-minute keep-alive pools, every application at its default configuration",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("keepalive", o, keepAlive), nil
 		}},
+	// Static baseline: Caerus-style work-proportional CPU allocation per
+	// stage + Orion-style BFS best-fit over the memory grid, fixed 10-minute
+	// keep-alive pools.
 	{"caerus",
-		"static baseline: Caerus-style work-proportional CPU allocation per stage + Orion-style BFS best-fit over the memory grid, fixed 10-minute keep-alive pools",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("caerus", o, keepAlive), configured("caerus", o, newCaerusManager)
 		}},
+	// Probabilistic-bound solver: per-stage latency distributions from
+	// repeated profiler samples, greedy step-down on a vCPU ladder with
+	// Lambda-style memory coupling, accept while the P(1-risk) latency bound
+	// holds.
 	{"jolteon",
-		"probabilistic-bound solver: per-stage latency distributions from repeated profiler samples, greedy step-down on a vCPU ladder with Lambda-style memory coupling, accept while the P(1-risk) latency bound holds",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("jolteon", o, func() pool.Policy { return &quantilePolicy{risk: jolteonRisk} }),
 				configured("jolteon", o, newJolteonManager)
 		}},
+	// Peak-provisioned baseline: every function at the maximum CPU/memory
+	// configuration, pools pinned to the all-time demand peak with an hour-
+	// long keep-alive.
 	{"naive",
-		"peak-provisioned baseline: every function at the maximum CPU/memory configuration, pools pinned to the all-time demand peak with an hour-long keep-alive",
 		func(o Options) (PoolSizer, Configurator) {
 			return pooled("naive", o, func() pool.Policy { return &peakPolicy{} }),
 				configured("naive", o, newNaiveManager)
@@ -307,7 +319,7 @@ func New(name string, o Options) (Scheduler, bool) {
 	for _, e := range lineup {
 		if e.name == name {
 			p, c := e.build(o)
-			return &scheduler{name: e.name, desc: e.desc, pool: p, conf: c}, true
+			return &scheduler{name: e.name, pool: p, conf: c}, true
 		}
 	}
 	return nil, false
@@ -323,24 +335,13 @@ func Names() []string {
 	return out
 }
 
-// Describe returns the one-line description registered under name.
-func Describe(name string) string {
-	for _, e := range lineup {
-		if e.name == name {
-			return e.desc
-		}
-	}
-	return ""
-}
-
 // scheduler is the concrete Scheduler New returns.
 type scheduler struct {
-	name, desc string
-	pool       PoolSizer
-	conf       Configurator
+	name string
+	pool PoolSizer
+	conf Configurator
 }
 
 func (s *scheduler) Name() string               { return s.name }
-func (s *scheduler) Description() string        { return s.desc }
 func (s *scheduler) PoolSizer() PoolSizer       { return s.pool }
 func (s *scheduler) Configurator() Configurator { return s.conf }

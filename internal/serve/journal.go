@@ -83,9 +83,6 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Count returns the number of records appended (including re-seeded ones).
-func (j *Journal) Count() int { return j.pos.Count() }
-
 // Offset returns the byte length of the journal including buffered writes.
 func (j *Journal) Offset() int64 { return j.off }
 

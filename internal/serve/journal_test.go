@@ -48,8 +48,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Count() != len(recs) || j2.Offset() != off {
-		t.Fatalf("append reopen: count %d offset %d, want %d %d", j2.Count(), j2.Offset(), len(recs), off)
+	if j2.pos.Count() != len(recs) || j2.Offset() != off {
+		t.Fatalf("append reopen: count %d offset %d, want %d %d", j2.pos.Count(), j2.Offset(), len(recs), off)
 	}
 	if !bytes.Equal(j2.PrefixSHA256(), sha) {
 		t.Fatal("append reopen: hash stream diverged")

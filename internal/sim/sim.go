@@ -42,12 +42,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // entry is one queue slot. The (at, seq) key sits beside the pointer so
 // sifting compares without touching the events themselves.
 type entry struct {
@@ -142,12 +136,11 @@ func (e *Engine) SetMetrics(reg *telemetry.Registry) {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.events }
-
 // Pending returns the number of live scheduled events: canceled events are
 // excluded even while they still occupy the queue, so gauges built on this
 // reflect real outstanding work.
+//
+//aqualint:allow unreached test observer: sim, chaos and workflow tests read outstanding work through it
 func (e *Engine) Pending() int { return e.live }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past

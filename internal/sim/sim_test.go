@@ -71,20 +71,17 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() should be true")
+	if !ev.canceled {
+		t.Fatal("the event should be canceled")
 	}
-	if e.Processed() != 0 {
-		t.Fatalf("Processed = %v, want 0", e.Processed())
+	if e.events != 0 {
+		t.Fatalf("events = %v, want 0", e.events)
 	}
 }
 
 func TestCancelNilSafe(t *testing.T) {
 	var ev *Event
 	ev.Cancel() // must not panic
-	if ev.Canceled() {
-		t.Fatal("nil event reports canceled")
-	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
@@ -142,8 +139,8 @@ func TestRunUntilSkipsCanceledHead(t *testing.T) {
 func TestEventAt(t *testing.T) {
 	e := NewEngine()
 	ev := e.Schedule(7, func() {})
-	if ev.At() != 7 {
-		t.Fatalf("At = %v, want 7", ev.At())
+	if ev.at != 7 {
+		t.Fatalf("At = %v, want 7", ev.at)
 	}
 }
 
@@ -184,8 +181,8 @@ func TestNestedScheduling(t *testing.T) {
 	if e.Now() != 99 {
 		t.Fatalf("Now = %v, want 99", e.Now())
 	}
-	if e.Processed() != 100 {
-		t.Fatalf("Processed = %v", e.Processed())
+	if e.events != 100 {
+		t.Fatalf("events = %v", e.events)
 	}
 }
 

@@ -49,17 +49,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Max returns the largest element of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64

@@ -233,6 +233,8 @@ func (h *Histogram) bucketIndex(v float64) int {
 }
 
 // Count returns the number of observations (0 on nil).
+//
+//aqualint:allow unreached test observer: telemetry and faas metrics tests read it
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
@@ -250,19 +252,6 @@ func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
-}
-
-// Mean returns the arithmetic mean (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear interpolation

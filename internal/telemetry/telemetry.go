@@ -86,9 +86,6 @@ type Span struct {
 	Fields Fields  `json:"fields,omitempty"`
 }
 
-// Duration returns the span's length in simulated seconds.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
 // Tracer receives telemetry callbacks from instrumented subsystems. All
 // times are simulation seconds except where a subsystem has no clock (the
 // BO engine uses its iteration index).

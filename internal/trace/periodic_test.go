@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestBurstEpisodesRaiseRateLocally(t *testing.T) {
 	}
 	// The busiest minute of the bursty trace should far exceed the
 	// busiest minute of the base trace.
-	if stats.Max(burst.Counts()) < 2*stats.Max(base.Counts()) {
-		t.Fatalf("burst peak %v vs base peak %v", stats.Max(burst.Counts()), stats.Max(base.Counts()))
+	if slices.Max(burst.Counts()) < 2*slices.Max(base.Counts()) {
+		t.Fatalf("burst peak %v vs base peak %v", slices.Max(burst.Counts()), slices.Max(base.Counts()))
 	}
 }

@@ -15,7 +15,6 @@ func (m constModel) InitTime(faas.ResourceConfig, *stats.RNG) float64 { return 0
 func (m constModel) ExecTime(_ faas.ResourceConfig, _ bool, in float64, _ *stats.RNG) float64 {
 	return m.exec * in
 }
-func (m constModel) BaseMemoryMB() float64 { return 64 }
 
 // ExampleExecutor_Execute builds a fan-out workflow and runs one request
 // end to end on the simulated platform.

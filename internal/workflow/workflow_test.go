@@ -15,7 +15,6 @@ func (m *fixedModel) InitTime(cfg faas.ResourceConfig, rng *stats.RNG) float64 {
 func (m *fixedModel) ExecTime(cfg faas.ResourceConfig, cold bool, inputSize float64, rng *stats.RNG) float64 {
 	return m.exec * inputSize
 }
-func (m *fixedModel) BaseMemoryMB() float64 { return 64 }
 
 func setup(t *testing.T, fns map[string]*fixedModel) (*sim.Engine, *faas.Cluster, *Executor) {
 	t.Helper()
