@@ -54,12 +54,13 @@ func main() {
 	for i := 0; i < 200; i++ {
 		widths := app.Widths(rng)
 		input := app.Input(rng)
-		var res *workflow.Result
-		if err := ex.Execute(app.DAG, input, widths, func(r workflow.Result) { res = &r }); err != nil {
+		// The Result is valid only inside the callback, so record it there.
+		if err := ex.Execute(app.DAG, input, widths, func(r workflow.Result) {
+			posts = append(posts, post{widths["hometimeline"], r.Latency(), r.Cost(1, 1)})
+		}); err != nil {
 			panic(err)
 		}
 		eng.Run()
-		posts = append(posts, post{widths["hometimeline"], res.Latency(), res.Cost(1, 1)})
 	}
 
 	sort.Slice(posts, func(i, j int) bool { return posts[i].width < posts[j].width })

@@ -20,12 +20,22 @@ func deploy(t *testing.T, a *App) (*sim.Engine, *faas.Cluster, *workflow.Executo
 	return eng, cl, workflow.NewExecutor(cl)
 }
 
+// runOnce executes one request of a and returns its Result, with PerStage
+// copied inside the callback: the executor reuses its own after done.
 func runOnce(t *testing.T, a *App, seed int64) workflow.Result {
 	t.Helper()
 	eng, _, ex := deploy(t, a)
 	rng := stats.NewRNG(seed)
 	var res *workflow.Result
-	if err := ex.Execute(a.DAG, a.Input(rng), a.Widths(rng), func(r workflow.Result) { res = &r }); err != nil {
+	keep := func(r workflow.Result) {
+		per := make(map[string][]faas.InvocationResult, len(r.PerStage))
+		for name, rs := range r.PerStage {
+			per[name] = append([]faas.InvocationResult(nil), rs...)
+		}
+		r.PerStage = per
+		res = &r
+	}
+	if err := ex.Execute(a.DAG, a.Input(rng), a.Widths(rng), keep); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

@@ -96,7 +96,11 @@ type function struct {
 	nextContainerID int
 }
 
+// pendingInvocation is one attempt from submission to its terminal result.
+// Records are recycled through the cluster's free list (acquirePending,
+// releasePending).
 type pendingInvocation struct {
+	fn        *function
 	inputSize float64
 	submitAt  float64
 	done      func(InvocationResult)
@@ -119,6 +123,14 @@ type pendingInvocation struct {
 	// settled marks a delivered terminal result; late container events
 	// (a reserved container finishing init after a timeout) check it.
 	settled bool
+	// warming marks a warm-wait event armed for the record: it is reserved
+	// on a container still initializing, and the event still refers to it
+	// after a timeout settles it, so the record is released when the event
+	// fires, not on delivery.
+	warming bool
+	// onTimeout and onWarm are the deadline and warm-wait callbacks, bound
+	// once per record, so arming either timer allocates only its event.
+	onTimeout, onWarm func()
 }
 
 // Config configures a Cluster.
@@ -191,6 +203,11 @@ type Cluster struct {
 	faults        FaultRates
 	faultRNG      *stats.RNG
 	onInvokerDown []func(invoker int)
+
+	// free holds delivered invocation records no event refers to any more,
+	// last released first; InvokeOpts reuses them. It is a plain slice so
+	// reuse follows the event sequence alone, and it is not snapshotted.
+	free []*pendingInvocation
 }
 
 // NewCluster builds a cluster on the given simulation engine.
@@ -369,19 +386,65 @@ func (c *Cluster) InvokeOpts(name string, opts InvokeOptions, done func(Invocati
 	if !ok {
 		return fmt.Errorf("faas: unknown function %q", name)
 	}
-	p := &pendingInvocation{
-		inputSize: opts.InputSize,
-		submitAt:  c.eng.Now(),
-		done:      done,
-		attempt:   opts.Attempt,
-		timeout:   opts.Timeout,
-	}
+	p := c.acquirePending()
+	p.fn = fn
+	p.inputSize = opts.InputSize
+	p.submitAt = c.eng.Now()
+	p.done = done
+	p.attempt = opts.Attempt
+	p.timeout = opts.Timeout
 	p.span = c.tracer.StartSpan(telemetry.KindInvocation, name, opts.Parent, p.submitAt)
 	if opts.Timeout > 0 {
-		p.timeoutEv = c.eng.After(opts.Timeout, func() { c.timeoutPending(fn, p) })
+		p.timeoutEv = c.eng.After(opts.Timeout, p.onTimeout)
 	}
 	c.dispatch(fn, p, false)
 	return nil
+}
+
+// acquirePending takes the last released invocation record off the free
+// list and clears it but for its bound callbacks, or makes one and binds
+// them.
+func (c *Cluster) acquirePending() *pendingInvocation {
+	n := len(c.free)
+	if n == 0 {
+		p := &pendingInvocation{}
+		p.onTimeout = func() { c.timeoutPending(p.fn, p) }
+		p.onWarm = func() { c.warmWaitDone(p) }
+		return p
+	}
+	p := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	*p = pendingInvocation{onTimeout: p.onTimeout, onWarm: p.onWarm}
+	return p
+}
+
+// releasePending returns a delivered record to the free list. It keeps its
+// state until reuse, so CheckIndexes can tell a record released too early;
+// only the caller's callback is dropped.
+func (c *Cluster) releasePending(p *pendingInvocation) {
+	p.done = nil
+	c.free = append(c.free, p)
+}
+
+// waitWarm reserves ct for p and arms the warm-wait event that runs p on
+// it once initialization completes.
+func (c *Cluster) waitWarm(ct *container, p *pendingInvocation, wait float64) {
+	p.ct = ct
+	p.warming = true
+	c.eng.After(wait, p.onWarm)
+}
+
+// warmWaitDone is the warm-wait event (pendingInvocation.onWarm). A record
+// that timed out while it waited was delivered already and is released
+// here, the last place that refers to it.
+func (c *Cluster) warmWaitDone(p *pendingInvocation) {
+	p.warming = false
+	settled := p.settled
+	c.runOn(p.ct, p, true)
+	if settled {
+		c.releasePending(p)
+	}
 }
 
 // dispatch places an invocation on a container or queues it. requeue marks
@@ -409,12 +472,11 @@ func (c *Cluster) dispatch(fn *function, p *pendingInvocation, requeue bool) boo
 		ct := fn.warming[len(fn.warming)-1]
 		fn.warming = fn.warming[:len(fn.warming)-1]
 		fn.inFlight++
-		p.ct = ct
 		wait := ct.warmAt - c.eng.Now()
 		if wait < 0 {
 			wait = 0
 		}
-		c.eng.After(wait, func() { c.runOn(ct, p, true) })
+		c.waitWarm(ct, p, wait)
 		return true
 	}
 	// 3. New container → cold start.
@@ -433,9 +495,7 @@ func (c *Cluster) dispatch(fn *function, p *pendingInvocation, requeue bool) boo
 	// Reserve it immediately.
 	fn.warming = fn.warming[:len(fn.warming)-1]
 	fn.inFlight++
-	p.ct = ct
-	wait := ct.warmAt - c.eng.Now()
-	c.eng.After(wait, func() { c.runOn(ct, p, true) })
+	c.waitWarm(ct, p, ct.warmAt-c.eng.Now())
 	return true
 }
 
@@ -769,7 +829,8 @@ func (c *Cluster) failPending(fn *function, p *pendingInvocation, outcome Outcom
 }
 
 // deliver finalizes one invocation: cancels its deadline, records metrics,
-// ends its span and invokes the caller's callback.
+// ends its span and invokes the caller's callback. Then the record goes back
+// to the free list, unless a warm-wait event still refers to it.
 func (c *Cluster) deliver(p *pendingInvocation, res InvocationResult, ct *container) {
 	p.settled = true
 	if p.timeoutEv != nil {
@@ -804,6 +865,9 @@ func (c *Cluster) deliver(p *pendingInvocation, res InvocationResult, ct *contai
 	}
 	if p.done != nil {
 		p.done(res)
+	}
+	if !p.warming {
+		c.releasePending(p)
 	}
 }
 

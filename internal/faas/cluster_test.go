@@ -72,9 +72,9 @@ func TestColdThenWarmStart(t *testing.T) {
 }
 
 // TestWarmInvokeAllocBudget: with the tracer off, one warm invocation costs
-// its pending record, its completion event and the keep-alive event armed
-// when the container goes idle again — the callbacks of both events are
-// bound once per container.
+// exactly its completion event and the keep-alive event armed when the
+// container goes idle again. The callbacks of both events are bound once per
+// container, and the invocation record comes off the cluster's free list.
 func TestWarmInvokeAllocBudget(t *testing.T) {
 	eng, cl := newTestCluster(t)
 	register(t, cl, "f", &testModel{init: 1, exec: 0.05}, ResourceConfig{CPU: 1, MemoryMB: 128})
@@ -86,8 +86,8 @@ func TestWarmInvokeAllocBudget(t *testing.T) {
 	}
 	run()
 	run() // the cold start, then one warm pass
-	if got := testing.AllocsPerRun(500, run); got > 3 {
-		t.Fatalf("warm Invoke allocates %v, budget 3", got)
+	if got := testing.AllocsPerRun(500, run); got != 2 {
+		t.Fatalf("warm Invoke allocates %v, want exactly 2", got)
 	}
 }
 

@@ -147,6 +147,42 @@ func TestInvokeTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutWhileWarmingKeepsRecord: an invocation that times out while
+// reserved on a warming container is delivered at its deadline, but its
+// warm-wait event still refers to its record until the container finishes
+// initializing. Released on delivery, the record would serve the next
+// invocation, and that event would then run the newcomer on a container
+// still warming.
+func TestTimeoutWhileWarmingKeepsRecord(t *testing.T) {
+	eng, cl := newTestCluster(t)
+	register(t, cl, "f", &testModel{init: 10, exec: 1}, ResourceConfig{CPU: 1, MemoryMB: 128})
+	var timedOut, next *InvocationResult
+	if err := cl.InvokeOpts("f", InvokeOptions{InputSize: 1, Timeout: 2}, func(r InvocationResult) { timedOut = &r }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Schedule(3, func() {
+		// The first container is reserved, so this one cold-starts its own,
+		// warm at t=13.
+		if err := cl.Invoke("f", 1, func(r InvocationResult) { next = &r }); err != nil {
+			t.Error(err)
+		}
+	})
+	stepUntil(t, eng, cl, 12)
+	if timedOut == nil || timedOut.Outcome != OutcomeTimedOut || timedOut.EndTime != 2 {
+		t.Fatalf("reserved invocation = %+v, want timed out at t=2", timedOut)
+	}
+	if next != nil {
+		t.Fatalf("second invocation finished at t=%v, before its container was warm", next.EndTime)
+	}
+	if idle, _, _ := cl.WarmCount("f"); idle != 1 {
+		t.Fatalf("at t=12: %d idle containers, want the timed-out reservation's", idle)
+	}
+	stepUntil(t, eng, cl, 50)
+	if next == nil || !next.OK() || next.StartTime != 13 || next.EndTime != 14 || !next.ColdStart {
+		t.Fatalf("second invocation = %+v, want a cold run from t=13 to t=14", next)
+	}
+}
+
 // TestQueuedTimeout: a deadline expiring while the invocation still waits in
 // the queue fails it without it ever running.
 func TestQueuedTimeout(t *testing.T) {

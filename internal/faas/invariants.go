@@ -5,18 +5,38 @@ import "fmt"
 // CheckIndexes recomputes, by the scans they replace, everything the cluster
 // maintains incrementally — each invoker's idle-container count, the queued
 // total, and fnList against fnOrder and fns — and reports the first
-// mismatch. It is the oracle tests step the engine against; nothing on a
-// run's path calls it.
+// mismatch. It also checks the free list of invocation records: each free
+// record is listed once, and none is in a queue, running in a container or
+// reserved on a warming one. It is the oracle tests step the engine against;
+// nothing on a run's path calls it.
 //
 //aqualint:allow unreached test oracle: faas and workflow property tests recompute every maintained index through it
 func (c *Cluster) CheckIndexes() error {
 	if len(c.fnList) != len(c.fnOrder) {
 		return fmt.Errorf("faas: fnList has %d functions, fnOrder %d", len(c.fnList), len(c.fnOrder))
 	}
+	free := make(map[*pendingInvocation]bool, len(c.free))
+	for _, p := range c.free {
+		if free[p] {
+			return fmt.Errorf("faas: invocation record on the free list twice")
+		}
+		if !p.settled {
+			return fmt.Errorf("faas: free invocation record was never delivered")
+		}
+		if p.warming {
+			return fmt.Errorf("faas: free invocation record is reserved on a warming container")
+		}
+		free[p] = true
+	}
 	queued := 0
 	for i, name := range c.fnOrder {
 		if c.fnList[i] != c.fns[name] {
 			return fmt.Errorf("faas: fnList[%d] is not function %q", i, name)
+		}
+		for _, p := range c.fnList[i].queue {
+			if free[p] {
+				return fmt.Errorf("faas: free invocation record queued for %q", name)
+			}
 		}
 		queued += len(c.fnList[i].queue)
 	}
@@ -28,6 +48,9 @@ func (c *Cluster) CheckIndexes() error {
 		for ct := range iv.containers {
 			if ct.state == stateIdle {
 				idle++
+			}
+			if ct.running != nil && free[ct.running] {
+				return fmt.Errorf("faas: free invocation record running on invoker %d", iv.ID)
 			}
 		}
 		if idle != iv.idleN {

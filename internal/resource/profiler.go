@@ -116,15 +116,15 @@ func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64) (cpu
 	}
 
 	ex := workflow.NewExecutor(cl)
-	var res *workflow.Result
-	if err := ex.Execute(p.App.DAG, input, widths, func(r workflow.Result) { res = &r }); err != nil {
+	// The Result is valid only inside the callback, so read it there.
+	cpu, mem, latency = math.Inf(1), math.Inf(1), math.Inf(1)
+	if err := ex.Execute(p.App.DAG, input, widths, func(r workflow.Result) {
+		cpu, mem, latency = r.CPUTime(), r.MemTime(), r.Latency()
+	}); err != nil {
 		panic(err)
 	}
 	eng.Run()
-	if res == nil {
-		return math.Inf(1), math.Inf(1), math.Inf(1)
-	}
-	return res.CPUTime(), res.MemTime(), res.Latency()
+	return cpu, mem, latency
 }
 
 // SampleNoiseless profiles with interference disabled and extra repeats —

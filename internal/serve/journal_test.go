@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,6 +97,79 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if fi.Size() != durable {
 		t.Fatalf("file not physically truncated: %d bytes, want %d", fi.Size(), durable)
 	}
+}
+
+// FuzzLoadJournal drives arbitrary bytes through LoadJournal as a journal
+// file — restore's input boundary. The contract under fuzz: LoadJournal
+// never panics; when it accepts a file it returns the file's
+// newline-terminated prefix, the file now holds exactly that prefix (the
+// torn tail truncated), so OpenJournalAppend accepts it; and the records
+// it returns, appended to a fresh journal, load back unchanged and as the
+// same bytes. The committed corpus in testdata/fuzz/FuzzLoadJournal holds
+// a valid journal, a torn tail, a file that is all torn tail, an empty
+// file, blank and CRLF lines, a bad line mid-file, -0 and huge timestamps
+// and odd strings.
+func FuzzLoadJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, kept, err := LoadJournal(path)
+		if err != nil {
+			return
+		}
+		if n := bytes.LastIndexByte(data, '\n') + 1; !bytes.Equal(kept, data[:n]) {
+			t.Fatalf("kept %q of %q, want its first %d bytes", kept, data, n)
+		}
+		if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, kept) {
+			t.Fatalf("file holds %q after load (err %v), want %q", onDisk, err, kept)
+		}
+		j, err := OpenJournalAppend(path)
+		if err != nil {
+			t.Fatalf("append reopen after load: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		first := writeJournal(t, filepath.Join(dir, "first.jsonl"), recs)
+		again, written, err := LoadJournal(first)
+		if err != nil {
+			t.Fatalf("loading a written journal: %v", err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("%d records re-read as %d", len(recs), len(again))
+		}
+		for i, r := range recs {
+			if again[i].App != r.App || math.Float64bits(again[i].T) != math.Float64bits(r.T) {
+				t.Fatalf("record %d: %+v re-read as %+v", i, r, again[i])
+			}
+		}
+		second := writeJournal(t, filepath.Join(dir, "second.jsonl"), again)
+		if rewritten, err := os.ReadFile(second); err != nil || !bytes.Equal(rewritten, written) {
+			t.Fatalf("second write %q (err %v) differs from the first %q", rewritten, err, written)
+		}
+	})
+}
+
+// writeJournal appends recs to a fresh journal at path and returns path.
+func writeJournal(t *testing.T, path string, recs []Record) string {
+	t.Helper()
+	j, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatalf("appending accepted record %+v: %v", r, err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestStoppedRunFinalCheckpointRestores covers the SIGINT path: a stop

@@ -29,7 +29,7 @@ func TestRetryBudgetFailFast(t *testing.T) {
 		if err := ex.Execute(Chain("c", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 			t.Fatal(err)
 		}
-		runChecked(t, eng, cl)
+		runChecked(t, ex)
 		if res == nil {
 			t.Fatal("workflow never completed")
 		}
@@ -101,7 +101,7 @@ func TestRetryBudgetRefill(t *testing.T) {
 		if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 			t.Fatal(err)
 		}
-		runChecked(t, eng, cl)
+		runChecked(t, ex)
 		if res == nil {
 			t.Fatal("workflow never completed")
 		}
@@ -142,7 +142,7 @@ func TestHedgeBackpressure(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	runChecked(t, eng, cl)
+	runChecked(t, ex)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}
@@ -176,7 +176,7 @@ func TestHedgeBackpressure(t *testing.T) {
 	if err := ex2.Execute(Chain("c", "f"), 1, nil, func(r Result) { res2 = &r }); err != nil {
 		t.Fatal(err)
 	}
-	runChecked(t, eng2, cl2)
+	runChecked(t, ex2)
 	if res2 == nil || res2.Hedges == 0 {
 		t.Fatalf("control run should hedge: %+v", res2)
 	}
@@ -206,7 +206,7 @@ func TestShedStageAttribution(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	runChecked(t, eng, cl)
+	runChecked(t, ex)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}

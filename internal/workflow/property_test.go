@@ -34,13 +34,17 @@ func randomDAG(nStages int, rng *stats.RNG) *DAG {
 
 func stageName(i int) string { return string(rune('a' + i)) }
 
-// runChecked is eng.Run() with the cluster's index oracle run after every
-// event, so the counters faas maintains are checked on the retry, shed,
-// timeout and crash paths these tests drive.
-func runChecked(t testing.TB, eng *sim.Engine, cl *faas.Cluster) {
+// runChecked runs ex's engine dry with the cluster's index oracle and the
+// executor's free-list oracle run after every event, so the counters faas
+// maintains and the records both layers recycle are checked on the retry,
+// hedge, shed, timeout and crash paths these tests drive.
+func runChecked(t testing.TB, ex *Executor) {
 	t.Helper()
-	for eng.Step() {
-		if err := cl.CheckIndexes(); err != nil {
+	for ex.Cluster.Engine().Step() {
+		if err := ex.Cluster.CheckIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.CheckFree(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,10 +67,10 @@ func TestPropertyWorkflowCompletesAndLatencyBounds(t *testing.T) {
 		d := randomDAG(nStages, rng)
 		ex := NewExecutor(cl)
 		var res *Result
-		if err := ex.Execute(d, 1, nil, func(r Result) { res = &r }); err != nil {
+		if err := ex.Execute(d, 1, nil, keep(&res)); err != nil {
 			return false
 		}
-		runChecked(t, eng, cl)
+		runChecked(t, ex)
 		if res == nil {
 			return false
 		}
@@ -105,8 +109,8 @@ func TestPropertyCostAdditivity(t *testing.T) {
 		d := randomDAG(4, rng)
 		ex := NewExecutor(cl)
 		var res *Result
-		ex.Execute(d, 1, nil, func(r Result) { res = &r })
-		runChecked(t, eng, cl)
+		ex.Execute(d, 1, nil, keep(&res))
+		runChecked(t, ex)
 		if res == nil {
 			return false
 		}

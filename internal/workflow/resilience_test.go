@@ -41,7 +41,8 @@ func faultCluster(seed int64, rng *stats.RNG) (*sim.Engine, *faas.Cluster) {
 // once, the engine fully drains), retries never violate DAG ordering (no
 // recorded stage invocation is submitted before every dependency's settling
 // invocation ended), and successful workflows record one result per stage
-// instance.
+// instance. Three staggered requests share the executor, so later ones run
+// on records earlier ones released, and runChecked checks each release.
 func TestPropertyResilienceTerminatesAndOrders(t *testing.T) {
 	f := func(seed int64, sizeRaw, polRaw uint8) bool {
 		nStages := int(sizeRaw)%6 + 1
@@ -66,61 +67,124 @@ func TestPropertyResilienceTerminatesAndOrders(t *testing.T) {
 			p.HedgeDelay = 0.5 + rng.Float64()*2
 			ex.Policy = &p
 		}
-		calls := 0
-		var res *Result
-		if err := ex.Execute(d, 1, nil, func(r Result) { calls++; res = &r }); err != nil {
-			return false
+		const requests = 3
+		var calls [requests]int
+		var results [requests]*Result
+		for k := 0; k < requests; k++ {
+			k, at := k, 0.0
+			if k > 0 {
+				at = rng.Uniform(0, 20)
+			}
+			kept := keep(&results[k])
+			eng.Schedule(at, func() {
+				if err := ex.Execute(d, 1, nil, func(r Result) { calls[k]++; kept(r) }); err != nil {
+					t.Error(err)
+				}
+			})
 		}
-		runChecked(t, eng, cl)
-		if calls != 1 || res == nil {
-			t.Logf("seed %d: done fired %d times", seed, calls)
-			return false
-		}
+		runChecked(t, ex)
 		if eng.Pending() != 0 {
 			t.Logf("seed %d: %d events stuck after drain", seed, eng.Pending())
 			return false
 		}
-		// A clean workflow records one settling result per stage instance;
-		// a failed one may have skipped stages but must count them.
-		total := 0
-		for _, rs := range res.PerStage {
-			total += len(rs)
-		}
-		if total != res.Invocations {
-			t.Logf("seed %d: %d recorded vs %d invocations", seed, total, res.Invocations)
-			return false
-		}
-		if !res.Failed && res.SkippedStages != 0 {
-			t.Logf("seed %d: skipped stages without failure", seed)
-			return false
-		}
-		// DAG ordering: every recorded invocation of a stage was submitted
-		// no earlier than the end of each dependency's settling invocations.
-		for _, st := range d.Stages() {
-			mine := res.PerStage[st.Name]
-			if len(mine) == 0 {
-				continue // skipped stage
+		for k, res := range results {
+			if calls[k] != 1 || res == nil {
+				t.Logf("seed %d: request %d: done fired %d times", seed, k, calls[k])
+				return false
 			}
-			var minSubmit float64
-			for i, ir := range mine {
-				if i == 0 || ir.SubmitTime < minSubmit {
-					minSubmit = ir.SubmitTime
-				}
-			}
-			for _, dep := range st.Deps {
-				for _, ir := range res.PerStage[dep] {
-					if ir.EndTime > minSubmit+1e-9 {
-						t.Logf("seed %d: stage %s submitted at %v before dep %s ended at %v",
-							seed, st.Name, minSubmit, dep, ir.EndTime)
-						return false
-					}
-				}
+			if !resultConsistent(t, seed, d, res) {
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resultConsistent checks one settled request of d: one recorded result per
+// counted invocation, skipped stages only after a failure, and no stage
+// invocation submitted before every dependency's settling invocation ended.
+func resultConsistent(t *testing.T, seed int64, d *DAG, res *Result) bool {
+	// A clean workflow records one settling result per stage instance;
+	// a failed one may have skipped stages but must count them.
+	total := 0
+	for _, rs := range res.PerStage {
+		total += len(rs)
+	}
+	if total != res.Invocations {
+		t.Logf("seed %d: %d recorded vs %d invocations", seed, total, res.Invocations)
+		return false
+	}
+	if !res.Failed && res.SkippedStages != 0 {
+		t.Logf("seed %d: skipped stages without failure", seed)
+		return false
+	}
+	// DAG ordering: every recorded invocation of a stage was submitted
+	// no earlier than the end of each dependency's settling invocations.
+	for _, st := range d.Stages() {
+		mine := res.PerStage[st.Name]
+		if len(mine) == 0 {
+			continue // skipped stage
+		}
+		var minSubmit float64
+		for i, ir := range mine {
+			if i == 0 || ir.SubmitTime < minSubmit {
+				minSubmit = ir.SubmitTime
+			}
+		}
+		for _, dep := range st.Deps {
+			for _, ir := range res.PerStage[dep] {
+				if ir.EndTime > minSubmit+1e-9 {
+					t.Logf("seed %d: stage %s submitted at %v before dep %s ended at %v",
+						seed, st.Name, minSubmit, dep, ir.EndTime)
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestHedgeLoserAfterSettleKeepsRecord: a hedged request settles on its
+// first attempt while the hedge is still running, and a second request
+// arrives in between. The first request's execution is not quiescent until
+// the loser returns, so the second gets a fresh one; released at settle, its
+// call slot would take the loser's result as its own. A third request after
+// the loser returned runs on a released execution.
+func TestHedgeLoserAfterSettleKeepsRecord(t *testing.T) {
+	eng, _, ex := setup(t, map[string]*fixedModel{"f": {init: 5, exec: 1}})
+	ex.Policy = &RetryPolicy{MaxAttempts: 2, HedgeDelay: 1}
+	d := Chain("c", "f")
+	var first, second, third *Result
+	// First attempt: cold from t=0 to t=6. Hedge: its own container from t=1,
+	// warm at t=6, done at t=7.
+	if err := ex.Execute(d, 1, nil, keep(&first)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Schedule(6.5, func() { ex.Execute(d, 1, nil, keep(&second)) })
+	eng.Schedule(8, func() { ex.Execute(d, 1, nil, keep(&third)) })
+	runChecked(t, ex)
+	if first == nil || first.Hedges != 1 || first.EndTime != 6 {
+		t.Fatalf("first request = %+v, want one hedge and the first attempt's end at t=6", first)
+	}
+	for _, tc := range []struct {
+		name     string
+		res      *Result
+		from, to float64
+	}{{"second", second, 6.5, 7.5}, {"third", third, 8, 9}} {
+		if tc.res == nil {
+			t.Fatalf("%s request never completed", tc.name)
+		}
+		rs := tc.res.PerStage["s0"]
+		if tc.res.Failed || len(rs) != 1 || rs[0].SubmitTime != tc.from || tc.res.EndTime != tc.to {
+			t.Fatalf("%s request = %+v with results %+v, want its own warm run from t=%v to t=%v",
+				tc.name, tc.res, rs, tc.from, tc.to)
+		}
+	}
+	if len(ex.free) != 2 {
+		t.Fatalf("%d executions free after three requests, want 2", len(ex.free))
 	}
 }
 
@@ -147,7 +211,7 @@ func TestRetryRecoversInitFailure(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	runChecked(t, eng, cl)
+	runChecked(t, ex)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}
@@ -185,7 +249,7 @@ func TestFailFastSkipsDownstream(t *testing.T) {
 	if err := ex.Execute(Chain("c", "f", "f", "f"), 1, nil, func(r Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
-	runChecked(t, eng, cl)
+	runChecked(t, ex)
 	if res == nil {
 		t.Fatal("workflow never completed")
 	}

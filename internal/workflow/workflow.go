@@ -212,13 +212,19 @@ func backoff(k int) float64 {
 	return math.Min(backoffInitial*math.Pow(backoffFactor, float64(k)), backoffMax)
 }
 
-// Result reports one end-to-end workflow execution.
+// Result reports one end-to-end workflow execution. The Result an Executor
+// hands to its done callback, and the PerStage slices in it, are valid only
+// until done returns: the executor then reuses the request's storage for
+// the next one, and clears PerStage when it does, so a caller that kept the
+// Result sees an empty map rather than another request's results. Read or
+// copy what you need inside the callback.
 type Result struct {
 	Workflow   string
 	SubmitTime float64
 	EndTime    float64
 	// PerStage holds the terminal invocation result of every stage
 	// instance (the settling attempt: the winner under retries/hedging).
+	// On a Result handed to done it is the executor's, reused after done.
 	PerStage map[string][]faas.InvocationResult
 	// ColdStarts counts cold-started invocations across stages.
 	ColdStarts int
@@ -303,6 +309,12 @@ type Executor struct {
 	Seed int64
 
 	rng *stats.RNG
+	// free holds quiescent executions for reuse, last released first. A
+	// record keeps its stage table, result and call arrays, PerStage map and
+	// bound callbacks, so a warm request allocates none of them. It is a
+	// plain slice, not a sync.Pool, so which record serves which request is
+	// a function of the event sequence alone.
+	free []*execution
 }
 
 // NewExecutor returns an executor bound to a cluster.
@@ -332,11 +344,20 @@ type execution struct {
 	res         Result
 	span        telemetry.SpanID
 	stages      []stageRun
+	// results backs every stage's result window; perStage is the Result's
+	// PerStage map. Both outlive the request, as do stages and calls.
+	results  []faas.InvocationResult
+	perStage map[string][]faas.InvocationResult
 	// calls has one slot per stage instance, handed out in launch order.
 	calls      []call
 	nextCall   int
 	stagesLeft int
 	finished   bool
+	// depth counts the execution's frames on the stack: Execute and the
+	// callbacks the cluster and engine fire, which nest when an attempt
+	// settles synchronously. Only the outermost frame releases the record,
+	// so no frame of it runs on after a later request has taken it over.
+	depth int
 	// tokens is the retry budget, one bucket for the whole execution, last
 	// refilled at tokensAt; tokens < 0 means unbudgeted (legacy behaviour).
 	tokens, tokensAt float64
@@ -365,13 +386,19 @@ type call struct {
 	outstanding int // attempts in flight or scheduled
 	retries     int
 	hedgeEv     *sim.Event
-	// done is onTerminal, bound once so re-issuing allocates nothing.
-	done func(faas.InvocationResult)
+	// done, fireRetry and fireHedge are onTerminal, retry and hedge, bound
+	// once per slot so neither re-issuing nor arming a timer allocates a
+	// callback.
+	done                 func(faas.InvocationResult)
+	fireRetry, fireHedge func()
 }
 
 // Execute submits one workflow request with the given input size. Width
 // overrides (may be nil) replace stage widths per request — e.g. a social
-// post fanning out to each follower. done receives the completed Result.
+// post fanning out to each follower. done receives the completed Result,
+// which is valid only until done returns (see Result): once the request is
+// quiescent — no attempt outstanding, no hedge timer armed — its storage
+// serves a later Execute.
 func (e *Executor) Execute(d *DAG, inputSize float64, widths map[string]int, done func(Result)) error {
 	// Validate functions exist before launching anything.
 	for i := range d.stages {
@@ -381,13 +408,13 @@ func (e *Executor) Execute(d *DAG, inputSize float64, widths map[string]int, don
 	}
 	n := len(d.stages)
 	now := e.Cluster.Engine().Now()
-	x := &execution{
-		e: e, d: d, tr: e.Cluster.Tracer(), pol: e.Policy, maxAttempts: 1,
-		inputSize: inputSize, done: done,
-		res:    Result{Workflow: d.Name, SubmitTime: now, sorted: d.sortedNames},
-		stages: make([]stageRun, n), stagesLeft: n,
-		tokens: -1, tokensAt: now,
-	}
+	x := e.acquire()
+	x.d, x.tr, x.pol, x.maxAttempts, x.timeout = d, e.Cluster.Tracer(), e.Policy, 1, 0
+	x.inputSize, x.done = inputSize, done
+	x.res = Result{Workflow: d.Name, SubmitTime: now, sorted: d.sortedNames}
+	x.stages = resize(x.stages, n)
+	x.nextCall, x.stagesLeft, x.finished = 0, n, false
+	x.tokens, x.tokensAt = -1, now
 	if pol := x.pol; pol != nil {
 		x.maxAttempts, x.timeout = pol.maxAttempts(), pol.Timeout
 		if pol.RetryBudget > 0 {
@@ -403,24 +430,67 @@ func (e *Executor) Execute(d *DAG, inputSize float64, widths map[string]int, don
 		if ov, ok := widths[st.Name]; ok && ov > 0 {
 			w = ov
 		}
-		x.stages[i].deps, x.stages[i].width = len(st.Deps), w
+		x.stages[i] = stageRun{deps: len(st.Deps), width: w}
 		total += w
 	}
-	results := make([]faas.InvocationResult, total)
-	x.calls = make([]call, total)
+	x.results = resize(x.results, total)
+	x.calls = resize(x.calls, total)
 	off := 0
 	for i := range x.stages {
 		w := x.stages[i].width
-		x.stages[i].results = results[off : off : off+w]
+		x.stages[i].results = x.results[off : off : off+w]
 		off += w
 	}
 	x.span = x.tr.StartSpan(telemetry.KindWorkflow, d.Name, 0, now)
+	x.depth++
 	for i := range d.stages {
 		if len(d.stages[i].Deps) == 0 {
 			x.launch(i)
 		}
 	}
+	x.exit()
 	return nil
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+// Callers overwrite every element they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// acquire takes the last released execution off the free list, or makes
+// one.
+func (e *Executor) acquire() *execution {
+	n := len(e.free)
+	if n == 0 {
+		return &execution{e: e}
+	}
+	x := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return x
+}
+
+// exit closes one of the execution's frames. The outermost frame of a
+// quiescent execution — finished, so every call settled and no hedge timer
+// is armed, and no attempt outstanding, hedge losers and scheduled retries
+// included — clears PerStage and returns the record to the free list.
+func (x *execution) exit() {
+	x.depth--
+	if x.depth > 0 || !x.finished {
+		return
+	}
+	for i := range x.calls[:x.nextCall] {
+		if x.calls[i].outstanding > 0 {
+			return
+		}
+	}
+	clear(x.perStage)
+	x.done = nil
+	x.e.free = append(x.e.free, x)
 }
 
 func (x *execution) now() float64 { return x.e.Cluster.Engine().Now() }
@@ -465,8 +535,11 @@ func (x *execution) launch(i int) {
 	for k := 0; k < s.width; k++ {
 		c := &x.calls[x.nextCall]
 		x.nextCall++
-		c.x, c.stage = x, i
-		c.done = c.onTerminal
+		if c.x == nil {
+			c.x = x
+			c.done, c.fireRetry, c.fireHedge = c.onTerminal, c.retry, c.hedge
+		}
+		c.stage, c.settled, c.issued, c.outstanding, c.retries = i, false, 0, 0, 0
 		c.run()
 	}
 }
@@ -491,12 +564,15 @@ func (x *execution) finishStage(i int) {
 	if x.stagesLeft == 0 && !x.finished {
 		x.finished = true
 		x.res.EndTime = x.now()
-		x.res.PerStage = make(map[string][]faas.InvocationResult, len(x.stages))
+		if x.perStage == nil {
+			x.perStage = make(map[string][]faas.InvocationResult, len(x.stages))
+		}
 		for j := range x.stages {
 			if rs := x.stages[j].results; len(rs) > 0 {
-				x.res.PerStage[x.d.stages[j].Name] = rs
+				x.perStage[x.d.stages[j].Name] = rs
 			}
 		}
+		x.res.PerStage = x.perStage
 		if x.span != 0 {
 			tr.EndSpan(x.span, x.res.EndTime, telemetry.Fields{
 				"invocations": float64(x.res.Invocations),
@@ -537,7 +613,7 @@ func (c *call) run() {
 	// A shed (or budget-denied) first attempt can settle the call
 	// synchronously inside issue(); arming a hedge then would leak it.
 	if pol := c.x.pol; pol != nil && pol.HedgeDelay > 0 && c.x.maxAttempts > 1 && !c.settled {
-		c.hedgeEv = c.x.e.Cluster.Engine().After(pol.HedgeDelay, c.hedge)
+		c.hedgeEv = c.x.e.Cluster.Engine().After(pol.HedgeDelay, c.fireHedge)
 	}
 }
 
@@ -576,6 +652,8 @@ func (c *call) retryPoint(f telemetry.Fields) {
 
 func (c *call) onTerminal(r faas.InvocationResult) {
 	x := c.x
+	x.depth++
+	defer x.exit()
 	c.outstanding--
 	if r.Outcome == faas.OutcomeShed {
 		x.res.Sheds++
@@ -605,7 +683,7 @@ func (c *call) onTerminal(r faas.InvocationResult) {
 			}
 			c.issued++ // commit the slot before the timer fires
 			c.outstanding++
-			x.e.Cluster.Engine().After(delay, c.retry)
+			x.e.Cluster.Engine().After(delay, c.fireRetry)
 			return
 		}
 		// Budget exhausted: degrade to fail-fast instead of
@@ -628,6 +706,8 @@ func (c *call) onTerminal(r faas.InvocationResult) {
 
 // retry is the backoff timer: it turns the committed slot into an attempt.
 func (c *call) retry() {
+	c.x.depth++
+	defer c.x.exit()
 	c.outstanding--
 	if c.settled {
 		return
@@ -640,6 +720,8 @@ func (c *call) retry() {
 // first attempt unless backpressure or the retry budget says no.
 func (c *call) hedge() {
 	x, tr := c.x, c.x.tr
+	x.depth++
+	defer x.exit()
 	c.hedgeEv = nil
 	if c.settled || c.issued >= x.maxAttempts || c.outstanding == 0 {
 		return

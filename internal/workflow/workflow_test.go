@@ -28,6 +28,20 @@ func setup(t *testing.T, fns map[string]*fixedModel) (*sim.Engine, *faas.Cluster
 	return eng, cl, NewExecutor(cl)
 }
 
+// keep returns a done callback that stores in *dst a copy of the Result
+// whose PerStage outlives the callback: the one done receives is the
+// executor's, cleared once the request is quiescent.
+func keep(dst **Result) func(Result) {
+	return func(r Result) {
+		per := make(map[string][]faas.InvocationResult, len(r.PerStage))
+		for name, rs := range r.PerStage {
+			per[name] = append([]faas.InvocationResult(nil), rs...)
+		}
+		r.PerStage = per
+		*dst = &r
+	}
+}
+
 func TestChainTopology(t *testing.T) {
 	d := Chain("c", "f1", "f2", "f3")
 	if len(d.Stages()) != 3 {
@@ -55,11 +69,11 @@ func TestDAGQueryAllocations(t *testing.T) {
 }
 
 // TestWarmExecuteAllocBudget pins what one warm chain3 request costs end to
-// end (workflow, faas and sim) without a resilience policy or tracer: per
-// execution its state, stage table, result array, call array and the
-// two-part PerStage map; per stage one bound callback; per invocation the
-// pending record and the completion and keep-alive events. That is 18; the
-// budget leaves 2 of slack.
+// end (workflow, faas and sim) without a resilience policy or tracer:
+// exactly the completion and keep-alive events of each invocation, 6 in all.
+// The execution with its stage table, result and call arrays, PerStage map
+// and bound callbacks comes off the executor's free list, and each
+// invocation record off the cluster's.
 func TestWarmExecuteAllocBudget(t *testing.T) {
 	eng, _, ex := setup(t, map[string]*fixedModel{
 		"f1": {exec: 1}, "f2": {exec: 1}, "f3": {exec: 1},
@@ -73,8 +87,33 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 		eng.RunUntil(eng.Now() + 60)
 	}
 	run() // cold starts
-	if got := testing.AllocsPerRun(200, run); got > 20 {
-		t.Fatalf("warm chain3 Execute allocates %v, budget 20", got)
+	if got := testing.AllocsPerRun(200, run); got != 6 {
+		t.Fatalf("warm chain3 Execute allocates %v, want exactly 6", got)
+	}
+}
+
+// TestWarmRetryExecuteAllocBudget is TestWarmExecuteAllocBudget under
+// DefaultRetryPolicy with a per-attempt timeout: each invocation also arms
+// its deadline event, whose callback is bound once per invocation record,
+// so one warm chain3 request allocates exactly 9 events and nothing else.
+func TestWarmRetryExecuteAllocBudget(t *testing.T) {
+	eng, _, ex := setup(t, map[string]*fixedModel{
+		"f1": {exec: 1}, "f2": {exec: 1}, "f3": {exec: 1},
+	})
+	pol := DefaultRetryPolicy()
+	pol.Timeout = 30
+	ex.Policy = &pol
+	d := Chain("chain3", "f1", "f2", "f3")
+	done := func(Result) {}
+	run := func() {
+		if err := ex.Execute(d, 1, nil, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + 60)
+	}
+	run() // cold starts
+	if got := testing.AllocsPerRun(200, run); got != 9 {
+		t.Fatalf("warm chain3 Execute under a retry policy allocates %v, want exactly 9", got)
 	}
 }
 
@@ -127,7 +166,7 @@ func TestStageWidthFansOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res *Result
-	if err := ex.Execute(d, 1, nil, func(r Result) { res = &r }); err != nil {
+	if err := ex.Execute(d, 1, nil, keep(&res)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -229,7 +268,7 @@ func TestCostAccounting(t *testing.T) {
 	eng, _, ex := setup(t, map[string]*fixedModel{"f": {exec: 2}})
 	d := Chain("c", "f")
 	var res *Result
-	ex.Execute(d, 1, nil, func(r Result) { res = &r })
+	ex.Execute(d, 1, nil, keep(&res))
 	eng.Run()
 	// CPU 1 × 2s = 2 core-s; 128MB = 0.125GB × 2s = 0.25 GB-s.
 	if math.Abs(res.CPUTime()-2) > 1e-9 {
