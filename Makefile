@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck lint test bench pairs identity microbench smoke
+.PHONY: verify build vet fmtcheck lint test bench pairs identity microbench
 
 # Tier-1 gate: build everything, vet, check formatting, lint (the
 # determinism invariants, and no code or option nothing runs), and run the
@@ -137,81 +137,3 @@ identity:
 
 microbench:
 	$(GO) test -bench=. -benchtime=1x ./...
-
-# smoke runs the overload saturation sweep and the scheduler arena at
-# quick scale through the CLI twice each — parallel and serial — and
-# requires byte-identical stdout: the fastest end-to-end check that the
-# overload-protection layers (bounded queues, breakers, retry budgets,
-# pool guard) and every registered scheduler (aquatope, jolteon, caerus,
-# naive) stay deterministic and parallel-safe. Timing lines go to
-# stderr, so stdout compares clean. The chaos sweep runs the same way
-# under -format json: nothing else drives the mechanical export
-# (MarshalResult, every result's Rows and JSON field set) through the
-# binary.
-#
-# It then exercises the trace-analysis pipeline end to end: a short
-# aquatope run dumps spans + metrics, aquatrace analyzes the dump twice
-# and the reports must byte-compare equal (aquatrace itself exits nonzero
-# if phase attribution drifts past 1% of measured latency). The summary
-# lands in smoke_analysis.json for CI to archive.
-#
-# Finally the kill-restore leg drives the crash-safe serving loop end to
-# end: record a stream, run an uninterrupted -serve reference (the
-# scripted controller kill left inert via -ignore-crash), run the same
-# serve with the kill armed — identical flags including the dump flags,
-# since the config digest covers whether tracing is on — it must exit
-# 137 mid-run writing no dumps (asserted), leaving only boundary
-# checkpoints and the durable journal. Every one of those checkpoints must
-# cmp equal to the reference run's file of the same name: a checkpoint is
-# a function of the run (-ignore-crash is outside the config digest), and
-# this is the cheapest guard that every Snapshot stays deterministic. Then
-# restore from the checkpoint directory and byte-compare the resumed run's
-# span/metric dumps against the reference (DESIGN.md §15's restore-equals-
-# uninterrupted contract, checked through the real binary). The reference
-# run's checkpoints are also size-checked: a boundary file is ~35 KB at any
-# horizon now that histories are stored as positions, so one over 128 KB
-# means a history-proportional payload has crept back in.
-smoke:
-	$(GO) run ./cmd/aquabench -exp overload -scale quick -parallel 2 > .smoke_p2.txt
-	$(GO) run ./cmd/aquabench -exp overload -scale quick -parallel 1 > .smoke_p1.txt
-	cmp .smoke_p1.txt .smoke_p2.txt
-	$(GO) run ./cmd/aquabench -exp arena -scale quick -parallel 2 > .smoke_arena_p2.txt
-	$(GO) run ./cmd/aquabench -exp arena -scale quick -parallel 1 > .smoke_arena_p1.txt
-	cmp .smoke_arena_p1.txt .smoke_arena_p2.txt
-	$(GO) run ./cmd/aquabench -exp chaos -scale quick -format json -parallel 2 > .smoke_chaos_p2.json
-	$(GO) run ./cmd/aquabench -exp chaos -scale quick -format json -parallel 1 > .smoke_chaos_p1.json
-	cmp .smoke_chaos_p1.json .smoke_chaos_p2.json
-	$(GO) run ./cmd/aquatope -app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
-		-trace-out .smoke_spans.jsonl -metrics-out .smoke_metrics.json > /dev/null
-	$(GO) run ./cmd/aquatrace -trace .smoke_spans.jsonl -metrics .smoke_metrics.json \
-		-json smoke_analysis.json > .smoke_a1.txt
-	$(GO) run ./cmd/aquatrace -trace .smoke_spans.jsonl -metrics .smoke_metrics.json > .smoke_a2.txt
-	cmp .smoke_a1.txt .smoke_a2.txt
-	$(GO) build -o .smoke_aquatope ./cmd/aquatope
-	./.smoke_aquatope -app chain -minutes 20 -seed 3 -emit-stream .smoke_stream.jsonl > /dev/null
-	./.smoke_aquatope -serve -stream .smoke_stream.jsonl -checkpoint-dir .smoke_ck_ref \
-		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
-		-chaos kill-restore -ignore-crash \
-		-trace-out .smoke_ref_spans.jsonl -metrics-out .smoke_ref_metrics.json > /dev/null
-	test -z "$$(find .smoke_ck_ref -name '*.aqcp' -size +128k | tee /dev/stderr)"
-	./.smoke_aquatope -serve -stream .smoke_stream.jsonl -checkpoint-dir .smoke_ck \
-		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
-		-chaos kill-restore \
-		-trace-out .smoke_crash_spans.jsonl -metrics-out .smoke_crash_metrics.json \
-		> /dev/null 2>&1; test $$? -eq 137
-	test ! -e .smoke_crash_spans.jsonl && test ! -e .smoke_crash_metrics.json
-	for f in .smoke_ck/checkpoint-*.aqcp; do cmp $$f .smoke_ck_ref/$${f##*/} || exit 1; done
-	./.smoke_aquatope -serve -stream .smoke_stream.jsonl -checkpoint-dir .smoke_ck \
-		-restore .smoke_ck \
-		-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 \
-		-chaos kill-restore \
-		-trace-out .smoke_restore_spans.jsonl -metrics-out .smoke_restore_metrics.json > /dev/null
-	cmp .smoke_ref_spans.jsonl .smoke_restore_spans.jsonl
-	cmp .smoke_ref_metrics.json .smoke_restore_metrics.json
-	rm -rf .smoke_p1.txt .smoke_p2.txt .smoke_arena_p1.txt .smoke_arena_p2.txt \
-		.smoke_chaos_p1.json .smoke_chaos_p2.json \
-		.smoke_a1.txt .smoke_a2.txt .smoke_spans.jsonl .smoke_metrics.json \
-		.smoke_aquatope .smoke_stream.jsonl .smoke_ck_ref .smoke_ck \
-		.smoke_crash_spans.jsonl .smoke_crash_metrics.json \
-		.smoke_ref_spans.jsonl .smoke_ref_metrics.json \
-		.smoke_restore_spans.jsonl .smoke_restore_metrics.json

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -27,6 +28,24 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	_ = os.RemoveAll(dir) // best-effort cleanup of a temp directory
 	os.Exit(code)
+}
+
+// run executes the binary in dir and returns its exit code and output.
+func run(t *testing.T, dir string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(binary, args...)
+	cmd.Dir = dir
+	var so, se bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &so, &se
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), so.String(), se.String()
+	}
+	if err != nil {
+		t.Fatalf("running aquabench %v: %v", args, err)
+	}
+	return 0, so.String(), se.String()
 }
 
 // TestFlagsAndExitCodes: flags → exit code and what the user is told. No
@@ -58,30 +77,20 @@ func TestFlagsAndExitCodes(t *testing.T) {
 			stderr: []string{"pprof listener:"}},
 	} {
 		t.Run(r.name, func(t *testing.T) {
-			cmd := exec.Command(binary, r.args...)
-			cmd.Dir = t.TempDir()
-			var so, se bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &so, &se
-			code := 0
-			var exit *exec.ExitError
-			if err := cmd.Run(); errors.As(err, &exit) {
-				code = exit.ExitCode()
-			} else if err != nil {
-				t.Fatalf("running aquabench %v: %v", r.args, err)
-			}
+			code, stdout, stderr := run(t, t.TempDir(), r.args...)
 			if code != r.code {
-				t.Errorf("exit code %d, want %d\nstderr: %s", code, r.code, se.String())
+				t.Errorf("exit code %d, want %d\nstderr: %s", code, r.code, stderr)
 			}
 			for _, want := range r.stderr {
-				if !strings.Contains(se.String(), want) {
-					t.Errorf("stderr lacks %q:\n%s", want, se.String())
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr lacks %q:\n%s", want, stderr)
 				}
 			}
 			if r.listed == nil {
 				return
 			}
 			var listed []string
-			for _, line := range strings.Split(so.String(), "\n") {
+			for _, line := range strings.Split(stdout, "\n") {
 				if f := strings.Fields(line); len(f) > 0 {
 					listed = append(listed, f[0])
 				}
@@ -90,5 +99,33 @@ func TestFlagsAndExitCodes(t *testing.T) {
 				t.Errorf("stdout lists %v, want %v (registry order)", listed, r.listed)
 			}
 		})
+	}
+}
+
+// TestChaosJSONParallelDeterministic drives the mechanical export
+// (MarshalResult, the result's Rows and JSON field set) through the binary:
+// the chaos sweep under -format json prints the same bytes at one worker
+// and at two, and those bytes decode to the chaos result with its rows.
+func TestChaosJSONParallelDeterministic(t *testing.T) {
+	var outs []string
+	for _, parallel := range []string{"1", "2"} {
+		code, stdout, stderr := run(t, t.TempDir(), "-exp", "chaos", "-scale", "quick", "-format", "json", "-parallel", parallel)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d\n%s", parallel, code, stderr)
+		}
+		outs = append(outs, stdout)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("-format json stdout differs between -parallel 1 and 2:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+	var results []struct {
+		ID   string     `json:"id"`
+		Rows [][]string `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(outs[0]), &results); err != nil {
+		t.Fatalf("-format json stdout does not decode: %v\n%s", err, outs[0])
+	}
+	if len(results) != 1 || results[0].ID != "chaos" || len(results[0].Rows) == 0 {
+		t.Errorf("want one chaos result with rows, got %+v", results)
 	}
 }

@@ -186,15 +186,12 @@ func main() {
 		runServe(serveRun{
 			app:           app,
 			cfg:           cfg,
-			label:         *system,
 			minutes:       *minutes,
 			stream:        *streamFlag,
 			checkpointDir: *checkpointDir,
 			restore:       *restoreFlag,
 			ignoreCrash:   *ignoreCrash,
 			pace:          *pace,
-			budget:        *budget,
-			chaosOn:       *chaosName != "",
 			collector:     collector,
 			registry:      registry,
 			dump:          dump,
@@ -301,15 +298,12 @@ func printResult(app *apps.App, res core.Result, chaosOn bool) {
 type serveRun struct {
 	app           *apps.App
 	cfg           core.Config
-	label         string
 	minutes       int
 	stream        string
 	checkpointDir string
 	restore       string
 	ignoreCrash   bool
 	pace          float64
-	budget        int
-	chaosOn       bool
 	collector     *telemetry.Collector
 	registry      *telemetry.Registry
 	dump          func()
@@ -354,7 +348,7 @@ func runServe(r serveRun) {
 		TrainMin:      r.cfg.TrainMin,
 		HorizonMin:    r.minutes,
 		Scheduler:     r.cfg.Scheduler,
-		SearchBudget:  r.budget,
+		SearchBudget:  r.cfg.SearchBudget,
 		ProfileNoise:  r.cfg.ProfileNoise,
 		RuntimeNoise:  r.cfg.RuntimeNoise,
 		Chaos:         r.cfg.Chaos,
@@ -421,7 +415,7 @@ func runServe(r serveRun) {
 	}()
 
 	fmt.Printf("serving %s under %s over %s (interval checkpoints in %s)\n",
-		r.app.Name, r.label, r.stream, r.checkpointDir)
+		r.app.Name, r.cfg.Scheduler.Name(), r.stream, r.checkpointDir)
 	switch err := s.Run(src); {
 	case errors.Is(err, serve.ErrCrashed):
 		fmt.Fprintln(os.Stderr, "controller crash fault fired; exiting without dumps (journal + checkpoints survive)")
@@ -436,6 +430,6 @@ func runServe(r serveRun) {
 		r.dump()
 		os.Exit(1)
 	}
-	printResult(r.app, s.Result(), r.chaosOn)
+	printResult(r.app, s.Result(), !r.cfg.Chaos.Empty())
 	r.dump()
 }

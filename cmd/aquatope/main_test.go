@@ -90,40 +90,92 @@ func TestFlagsAndExitCodes(t *testing.T) {
 }
 
 // TestServeKillRestore drives the crash-safe serving loop through the real
-// binary: a run the kill-restore script kills exits 137 and writes no dumps;
-// restoring from its checkpoint directory finishes with exit 0 and dumps.
+// binary against an uninterrupted reference serve of the same stream and
+// flags (the scripted kill left inert by -ignore-crash, which is outside the
+// config digest):
+//
+//   - a run the kill-restore script kills exits 137 and writes no dumps;
+//   - every checkpoint it left is byte-equal to the reference run's file of
+//     the same name — a checkpoint is a function of the run, so this is the
+//     guard that every Snapshot stays deterministic;
+//   - no reference checkpoint is over 128 KB: histories are stored as
+//     positions, so a boundary file is tens of KB at any horizon, and a
+//     bigger one means a history-proportional payload has crept back in;
+//   - restoring from the killed run's checkpoint directory finishes with
+//     exit 0, a verified replay, and span and metric dumps byte-equal to the
+//     reference's (DESIGN.md §15's restore-equals-uninterrupted contract).
 func TestServeKillRestore(t *testing.T) {
 	dir := t.TempDir()
 	flags := []string{"-app", "chain", "-minutes", "20", "-train", "5", "-budget", "2", "-system", "keepalive", "-seed", "3"}
 	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, flags...)...); code != 0 {
 		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
 	}
-	serve := append([]string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", "ck", "-chaos", "kill-restore",
-		"-trace-out", "spans.jsonl", "-metrics-out", "metrics.json"}, flags...)
+	serve := func(ckDir, dumps string, extra ...string) []string {
+		args := append([]string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", ckDir, "-chaos", "kill-restore",
+			"-trace-out", dumps + "spans.jsonl", "-metrics-out", dumps + "metrics.json"}, extra...)
+		return append(args, flags...)
+	}
+	dumps := []string{"spans.jsonl", "metrics.json"}
 
-	code, _, stderr := run(t, dir, serve...)
+	if code, _, stderr := run(t, dir, serve("ref", "ref.", "-ignore-crash")...); code != 0 {
+		t.Fatalf("reference run: exit %d, want 0\n%s", code, stderr)
+	}
+	refCkpts, _ := filepath.Glob(filepath.Join(dir, "ref", "*.aqcp"))
+	if len(refCkpts) == 0 {
+		t.Fatal("reference run left no checkpoint")
+	}
+	for _, f := range refCkpts {
+		if fi, err := os.Stat(f); err != nil {
+			t.Error(err)
+		} else if fi.Size() > 128<<10 {
+			t.Errorf("reference checkpoint %s is %d bytes, over 128 KB", filepath.Base(f), fi.Size())
+		}
+	}
+
+	code, _, stderr := run(t, dir, serve("ck", "")...)
 	if code != 137 {
 		t.Fatalf("killed run: exit %d, want 137\n%s", code, stderr)
 	}
-	for _, dump := range []string{"spans.jsonl", "metrics.json"} {
+	for _, dump := range dumps {
 		if _, err := os.Stat(filepath.Join(dir, dump)); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("killed run left %s behind (stat: %v)", dump, err)
 		}
 	}
-	if ckpts, _ := filepath.Glob(filepath.Join(dir, "ck", "checkpoint-*.aqcp")); len(ckpts) == 0 {
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "ck", "checkpoint-*.aqcp"))
+	if len(ckpts) == 0 {
 		t.Fatal("killed run left no boundary checkpoint")
 	}
+	for _, f := range ckpts {
+		sameFile(t, f, filepath.Join(dir, "ref", filepath.Base(f)))
+	}
 
-	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serve...)...)
+	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serve("ck", "")...)...)
 	if code != 0 {
 		t.Fatalf("restored run: exit %d, want 0\n%s", code, stderr)
 	}
 	if !strings.Contains(stderr, "verified replay") || !strings.Contains(stdout, "workflows completed:") {
 		t.Errorf("restored run did not report a verified replay and a result:\nstdout: %s\nstderr: %s", stdout, stderr)
 	}
-	for _, dump := range []string{"spans.jsonl", "metrics.json"} {
-		if fi, err := os.Stat(filepath.Join(dir, dump)); err != nil || fi.Size() == 0 {
-			t.Errorf("restored run wrote no %s (stat: %v)", dump, err)
-		}
+	for _, dump := range dumps {
+		sameFile(t, filepath.Join(dir, dump), filepath.Join(dir, "ref."+dump))
+	}
+}
+
+// sameFile fails the test unless the file at got exists and is byte-equal
+// to the one at want.
+func sameFile(t *testing.T, got, want string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if !bytes.Equal(g, w) {
+		t.Errorf("%s (%d bytes) differs from %s (%d bytes)", got, len(g), want, len(w))
 	}
 }

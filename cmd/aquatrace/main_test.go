@@ -61,8 +61,17 @@ func run(t *testing.T, dir string, args ...string) (code int, stdout, stderr str
 // TestFlagsAndExitCodes: flags → exit code and what the user is told.
 func TestFlagsAndExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "garbled.jsonl"), []byte("{\"id\":1,\nnot json\n"), 0o644); err != nil {
-		t.Fatal(err)
+	// uncovered.jsonl is a 10 s workflow whose only stage was skipped: a
+	// skipped stage contributes no phase, so attribution misses all 10 s.
+	for name, dump := range map[string]string{
+		"garbled.jsonl": "{\"id\":1,\nnot json\n",
+		"uncovered.jsonl": `{"id":1,"kind":"workflow","name":"app","start":0,"end":10,"fields":{"latency_s":10}}
+{"id":2,"parent":1,"kind":"stage","name":"s0","start":0,"end":10,"fields":{"skipped":1}}
+`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(dump), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	spans := filepath.Join(dumpDir, "spans.jsonl")
 	for _, r := range []struct {
@@ -84,6 +93,8 @@ func TestFlagsAndExitCodes(t *testing.T) {
 			stderr: []string{"aquatrace:", "out.json"}},
 		{name: "good-dump", args: []string{"-trace", spans, "-metrics", filepath.Join(dumpDir, "metrics.json")}, code: 0,
 			stdout: []string{"chain3"}},
+		{name: "attribution-miss", args: []string{"-trace", "uncovered.jsonl"}, code: 1, stdout: []string{"max attribution error: 100%"},
+			stderr: []string{"exceeds the 1% bound"}},
 		{name: "audit", args: []string{"-trace", spans, "-audit"}, code: 0, stdout: []string{"pool.decision"}},
 	} {
 		t.Run(r.name, func(t *testing.T) {

@@ -1,53 +1,14 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-
-	"aquatope/internal/telemetry"
-)
-
-// captureArena runs the scheduler arena at the given worker count and
-// returns the result plus the rendered table, span stream and metric
-// snapshot.
-func captureArena(t *testing.T, parallel int) (ArenaResult, string, []byte, []byte) {
-	t.Helper()
-	s := micro
-	s.Parallel = parallel
-	col := telemetry.NewCollector()
-	reg := telemetry.NewRegistry()
-	s.Collector = col
-	s.Registry = reg
-	r := Arena(s)
-	var spans, metrics bytes.Buffer
-	if err := col.WriteJSONL(&spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteJSON(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	return r, Table(r), spans.Bytes(), metrics.Bytes()
-}
+import "testing"
 
 // TestArenaParallelDeterminism: serial and parallel arena runs produce
 // byte-identical tables, span dumps and metric snapshots across all four
 // schedulers and all three workload regimes.
 func TestArenaParallelDeterminism(t *testing.T) {
-	r1, table1, spans1, metrics1 := captureArena(t, 1)
-	checkGolden(t, "arena", r1)
-	_, table8, spans8, metrics8 := captureArena(t, 8)
-	if table1 != table8 {
-		t.Errorf("tables diverge between -parallel 1 and 8:\n%s\nvs\n%s", table1, table8)
-	}
-	if !bytes.Equal(spans1, spans8) {
-		t.Errorf("span streams diverge between -parallel 1 and 8 (%d vs %d bytes)", len(spans1), len(spans8))
-	}
-	if !bytes.Equal(metrics1, metrics8) {
-		t.Errorf("metric snapshots diverge between -parallel 1 and 8")
-	}
-	if len(spans1) == 0 {
-		t.Error("expected the arena to emit spans")
-	}
+	serial := serialRun(t, "arena")
+	checkGolden(t, "arena", serial.r)
+	checkParallelMatches(t, "arena", serial)
 }
 
 // TestArenaDifferentiation asserts the head-to-head actually separates the
@@ -61,8 +22,11 @@ func TestArenaParallelDeterminism(t *testing.T) {
 //     static baselines (the cost of intelligence is visible, not hidden);
 //   - under overload AQUATOPE keeps strictly more goodput than the static
 //     caerus allocation.
+//
+// It checks the serial run TestArenaParallelDeterminism already made and
+// proved equal to a parallel one.
 func TestArenaDifferentiation(t *testing.T) {
-	r, _, _, _ := captureArena(t, 0)
+	r := serialRun(t, "arena").r.(ArenaResult)
 
 	for _, w := range r.Workloads {
 		for _, sc := range r.Schedulers {

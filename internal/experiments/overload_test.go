@@ -1,61 +1,25 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-
-	"aquatope/internal/telemetry"
-)
-
-// captureOverload runs the overload sweep at the given worker count and
-// returns the rendered table, span stream and metric snapshot.
-func captureOverload(t *testing.T, parallel int) (OverloadResult, string, []byte, []byte) {
-	t.Helper()
-	s := micro
-	s.Parallel = parallel
-	col := telemetry.NewCollector()
-	reg := telemetry.NewRegistry()
-	s.Collector = col
-	s.Registry = reg
-	r := Overload(s)
-	var spans, metrics bytes.Buffer
-	if err := col.WriteJSONL(&spans); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteJSON(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	return r, Table(r), spans.Bytes(), metrics.Bytes()
-}
+import "testing"
 
 // TestOverloadParallelDeterminism: serial and parallel runs of the overload
 // sweep produce byte-identical tables, span dumps and metric snapshots —
 // with every protection layer (admission, breakers, budgets, pool guard)
 // enabled.
 func TestOverloadParallelDeterminism(t *testing.T) {
-	r1, table1, spans1, metrics1 := captureOverload(t, 1)
-	checkGolden(t, "overload", r1)
-	_, table8, spans8, metrics8 := captureOverload(t, 8)
-	if table1 != table8 {
-		t.Errorf("tables diverge between -parallel 1 and 8:\n%s\nvs\n%s", table1, table8)
-	}
-	if !bytes.Equal(spans1, spans8) {
-		t.Errorf("span streams diverge between -parallel 1 and 8 (%d vs %d bytes)", len(spans1), len(spans8))
-	}
-	if !bytes.Equal(metrics1, metrics8) {
-		t.Errorf("metric snapshots diverge between -parallel 1 and 8")
-	}
-	if len(spans1) == 0 {
-		t.Error("expected the overload sweep to emit spans")
-	}
+	serial := serialRun(t, "overload")
+	checkGolden(t, "overload", serial.r)
+	checkParallelMatches(t, "overload", serial)
 }
 
 // TestOverloadCurves checks the sweep's acceptance shape: a clean baseline
 // row, monotonically increasing shed rate past saturation, bounded P99
 // under the deadline-carrying policies, and the retry budget recovering
-// strictly more goodput than naive retries under the same overload.
+// strictly more goodput than naive retries under the same overload. It
+// checks the serial run TestOverloadParallelDeterminism already made and
+// proved equal to a parallel one.
 func TestOverloadCurves(t *testing.T) {
-	r, _, _, _ := captureOverload(t, 0)
+	r := serialRun(t, "overload").r.(OverloadResult)
 
 	// Baseline (×1): no overload, nothing shed, everything in QoS.
 	for _, p := range r.Policies {
