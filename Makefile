@@ -136,4 +136,4 @@ identity:
 	done; exit $$rc
 
 microbench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...

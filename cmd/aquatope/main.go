@@ -154,7 +154,10 @@ func main() {
 			}
 		})
 	}
-	if !serveMode {
+	// exitOnSignal makes an interrupt flush the dumps and exit 130. A batch
+	// run arms it before the run; a serve run, whose loop handles its own
+	// signals, arms it once the loop has completed.
+	exitOnSignal := func() {
 		sigs := make(chan os.Signal, 1)
 		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 		go func() {
@@ -196,18 +199,19 @@ func main() {
 			registry:      registry,
 			dump:          dump,
 		})
-		return
+		exitOnSignal()
+	} else {
+		exitOnSignal()
+		fmt.Printf("running %s under %s: %d invocations over %d min (train %d min)\n",
+			app.Name, *system, len(tr.Arrivals), *minutes, *trainMin)
+		res, err := core.Run(cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "run failed:", err)
+			dump()
+			os.Exit(1)
+		}
+		printResult(app, res, *chaosName != "")
 	}
-
-	fmt.Printf("running %s under %s: %d invocations over %d min (train %d min)\n",
-		app.Name, *system, len(tr.Arrivals), *minutes, *trainMin)
-	res, err := core.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "run failed:", err)
-		dump()
-		os.Exit(1)
-	}
-	printResult(app, res, *chaosName != "")
 
 	dump()
 	if srv != nil {
@@ -339,9 +343,11 @@ func openStream(spec string) (io.ReadCloser, error) {
 
 // runServe is the crash-safe live mode: it builds (or restores) a
 // serving loop over the arrival stream, checkpoints every interval
-// boundary, and maps outcomes to exit codes — 0 on completion, 130 after
-// a graceful signal stop (dumps flushed), 137 when a scripted controller
-// crash fired (no dumps: the checkpoint and journal are the survivors).
+// boundary, and maps outcomes to exit codes — 130 after a graceful signal
+// stop (dumps flushed), 137 when a scripted controller crash fired (no
+// dumps: the checkpoint and journal are the survivors). On completion it
+// prints the result, stops catching signals and returns; main then dumps
+// and publishes /analysis as after a batch run.
 func runServe(r serveRun) {
 	opts := serve.Options{
 		Apps:          []*apps.App{r.app},
@@ -430,6 +436,6 @@ func runServe(r serveRun) {
 		r.dump()
 		os.Exit(1)
 	}
+	signal.Stop(sigs)
 	printResult(r.app, s.Result(), !r.cfg.Chaos.Empty())
-	r.dump()
 }

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"aquatope/internal/sched"
 )
@@ -177,5 +182,106 @@ func sameFile(t *testing.T, got, want string) {
 	}
 	if !bytes.Equal(g, w) {
 		t.Errorf("%s (%d bytes) differs from %s (%d bytes)", got, len(g), want, len(w))
+	}
+}
+
+// TestTelemetryAddrPublishesAnalysis: with -telemetry-addr, a batch run and
+// a -serve run of the same stream both publish /analysis once the run
+// completes, keep /metrics answering, stay up until interrupted, and exit
+// 130 on the interrupt.
+func TestTelemetryAddrPublishesAnalysis(t *testing.T) {
+	dir := t.TempDir()
+	flags := []string{"-app", "chain", "-minutes", "20", "-train", "5", "-budget", "2", "-system", "keepalive", "-seed", "3"}
+	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, flags...)...); code != 0 {
+		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
+	}
+	rows := []struct {
+		name string
+		args []string
+	}{
+		{name: "batch"},
+		{name: "serve", args: []string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", "ck"}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			args := append(append([]string{"-telemetry-addr", "127.0.0.1:0"}, r.args...), flags...)
+			cmd := exec.Command(binary, args...)
+			cmd.Dir = dir
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			exited := make(chan struct{})
+			t.Cleanup(func() {
+				_ = cmd.Process.Kill() // no-op once the process has exited
+				<-exited
+			})
+
+			var addr string
+			sc := bufio.NewScanner(stdout)
+			for addr == "" && sc.Scan() {
+				if rest, ok := strings.CutPrefix(sc.Text(), "serving telemetry on http://"); ok {
+					addr = strings.Fields(rest)[0]
+				}
+			}
+			go func() {
+				_, _ = io.Copy(io.Discard, stdout) // keep the pipe drained
+				_ = cmd.Wait()                     // the exit code is read from cmd.ProcessState
+				close(exited)
+			}()
+			if addr == "" {
+				<-exited
+				t.Fatalf("no telemetry address printed\nstderr: %s", stderr.String())
+			}
+
+			get := func(path string) (int, []byte) {
+				resp, err := http.Get("http://" + addr + path)
+				if err != nil {
+					return 0, nil
+				}
+				defer resp.Body.Close() //aqualint:allow droppederr read-only response body
+				body, _ := io.ReadAll(resp.Body)
+				return resp.StatusCode, body
+			}
+			timeout := time.After(60 * time.Second) //aqualint:allow wallclock bounds the wait on a real child process
+			for {
+				code, body := get("/analysis")
+				if code == http.StatusOK {
+					var a map[string]any
+					if err := json.Unmarshal(body, &a); err != nil {
+						t.Fatalf("/analysis is not JSON: %v\n%s", err, body)
+					}
+					break
+				}
+				select {
+				case <-exited:
+					t.Fatalf("exited %d before /analysis was published\nstderr: %s",
+						cmd.ProcessState.ExitCode(), stderr.String())
+				case <-timeout:
+					t.Fatalf("/analysis still %d after 60 s", code)
+				case <-time.After(50 * time.Millisecond): //aqualint:allow wallclock poll interval against a real HTTP server
+				}
+			}
+			if code, _ := get("/metrics"); code != http.StatusOK {
+				t.Fatalf("/metrics answered %d", code)
+			}
+
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-exited:
+			case <-time.After(30 * time.Second): //aqualint:allow wallclock bounds the wait on a real child process
+				t.Fatal("still running 30 s after SIGINT")
+			}
+			if code := cmd.ProcessState.ExitCode(); code != 130 {
+				t.Fatalf("exit %d after SIGINT, want 130\nstderr: %s", code, stderr.String())
+			}
+		})
 	}
 }

@@ -148,7 +148,7 @@ type Engine struct {
 	changeEvents int
 	sinceRefit   int // window updates since the last hyperparameter refit
 
-	tracer  telemetry.Tracer
+	tracer  *telemetry.Collector
 	iter    int     // Observe calls, the telemetry iteration index
 	lastAcq float64 // acquisition value of the last batch's first slot
 }
@@ -159,15 +159,15 @@ func New(opts Options) *Engine {
 	if opts.Dim <= 0 {
 		panic("bo: Dim must be positive")
 	}
-	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed), tracer: telemetry.Nop{}}
+	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed)}
 	e.costGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
 	e.latGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
 	return e
 }
 
-// SetTracer installs the telemetry tracer receiving one bo.iteration point
-// per Observe call. A nil tracer restores the no-op default.
-func (e *Engine) SetTracer(t telemetry.Tracer) { e.tracer = telemetry.OrNop(t) }
+// SetTracer installs the collector receiving one bo.iteration point per
+// Observe call; nil turns tracing off.
+func (e *Engine) SetTracer(t *telemetry.Collector) { e.tracer = t }
 
 // NumObservations returns the number of recorded observations.
 func (e *Engine) NumObservations() int { return len(e.obs) }

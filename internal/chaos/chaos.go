@@ -83,10 +83,9 @@ func (s Scenario) Empty() bool { return len(s.Faults) == 0 }
 
 // Injector arms a scenario on a cluster's event engine.
 type Injector struct {
-	cl     *faas.Cluster
-	tracer telemetry.Tracer
-	scn    Scenario
-	armed  bool
+	cl    *faas.Cluster
+	scn   Scenario
+	armed bool
 
 	// curRates accumulates overlapping fault-rate windows.
 	curRates faas.FaultRates
@@ -103,9 +102,9 @@ type Injector struct {
 func (in *Injector) SetOnCrash(fn func()) { in.onCrash = fn }
 
 // New returns an injector for the scenario, emitting chaos.fault spans to
-// the cluster's tracer.
+// the cluster's tracer as it is when each fault fires.
 func New(cl *faas.Cluster, scn Scenario) *Injector {
-	return &Injector{cl: cl, tracer: cl.Tracer(), scn: scn}
+	return &Injector{cl: cl, scn: scn}
 }
 
 // Arm schedules every fault of the scenario on the cluster's engine. Faults
@@ -137,10 +136,11 @@ func (in *Injector) fire(f Fault) {
 		}
 		return
 	}
-	span := in.tracer.StartSpan(telemetry.KindChaosFault, string(f.Kind), 0, now)
+	tr := in.cl.Tracer()
+	span := tr.StartSpan(telemetry.KindChaosFault, string(f.Kind), 0, now)
 	end := func(fields telemetry.Fields) {
 		if span != 0 {
-			in.tracer.EndSpan(span, eng.Now(), fields)
+			tr.EndSpan(span, eng.Now(), fields)
 		}
 	}
 	switch f.Kind {

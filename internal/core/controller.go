@@ -75,7 +75,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.TrainMin <= 0 {
 		return nil, fmt.Errorf("core: TrainMin must be positive")
 	}
-	tracer := telemetry.OrNop(cfg.Tracer)
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -88,7 +87,7 @@ func New(cfg Config) (*Controller, error) {
 		seeds := SearchSeeds(cfg)
 		chosen = make(map[string]map[string]faas.ResourceConfig)
 		for i, comp := range cfg.Components {
-			chosen[comp.App.Name] = SearchComponent(cfg, i, seeds[i], tracer)
+			chosen[comp.App.Name] = SearchComponent(cfg, i, seeds[i], cfg.Tracer)
 		}
 	}
 
@@ -107,7 +106,7 @@ func New(cfg Config) (*Controller, error) {
 		ccfg.Seed = cfg.Seed + 1
 	}
 	c.cl = faas.NewCluster(c.eng, ccfg)
-	c.cl.SetTracer(tracer)
+	c.cl.SetTracer(cfg.Tracer)
 	for _, comp := range cfg.Components {
 		if err := comp.App.Register(c.cl); err != nil {
 			return nil, err
@@ -127,12 +126,12 @@ func New(cfg Config) (*Controller, error) {
 	}
 
 	for i, comp := range cfg.Components {
-		if tracer.Enabled() {
+		if cfg.Tracer.Enabled() {
 			// One run.meta point per application: the QoS target and
 			// training cutoff that post-hoc analysis (cmd/aquatrace) needs
 			// to flag violators and restrict rollups to the evaluation
 			// window.
-			tracer.Point(telemetry.KindRunMeta, comp.App.Name, 0, 0, telemetry.Fields{
+			cfg.Tracer.Point(telemetry.KindRunMeta, comp.App.Name, 0, 0, telemetry.Fields{
 				"qos":      comp.App.QoS,
 				"train_s":  c.trainCut,
 				"invokers": float64(len(c.cl.Invokers())),

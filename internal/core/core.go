@@ -59,7 +59,7 @@ type Config struct {
 	ClusterCfg faas.Config
 	// Tracer receives workflow/stage/invocation spans, container lifecycle
 	// and pool/BO decision points from the live run (nil = tracing off).
-	Tracer telemetry.Tracer
+	Tracer *telemetry.Collector
 	// Registry collects metrics from all subsystems of the live run. When
 	// nil a private registry is created (latency percentiles are always
 	// computed from it).
@@ -295,20 +295,17 @@ func SearchSeeds(cfg Config) [][2]int64 {
 // profiler, space and manager are private to the call — so independent
 // components may search concurrently as long as each gets its SearchSeeds
 // pair and its own tracer.
-func SearchComponent(cfg Config, i int, seeds [2]int64, tracer telemetry.Tracer) map[string]faas.ResourceConfig {
+func SearchComponent(cfg Config, i int, seeds [2]int64, tracer *telemetry.Collector) map[string]faas.ResourceConfig {
 	a := cfg.Components[i].App
 	if cfg.Scheduler == nil || cfg.Scheduler.Configurator() == nil {
 		return a.Defaults
 	}
-	tracer = telemetry.OrNop(tracer)
 	space := resource.NewSpace(a)
 	prof := resource.NewProfiler(a, seeds[0])
+	prof.Tracer = tracer
 	prof.Noise = cfg.ProfileNoise
 	prof.ColdStartFraction = cfg.ColdStartFraction
 	m := cfg.Scheduler.Configurator().Manager(space, prof, a.QoS, seeds[1])
-	if st, ok := m.(interface{ SetTracer(telemetry.Tracer) }); ok {
-		st.SetTracer(tracer)
-	}
 	budget := cfg.SearchBudget
 	if budget <= 0 {
 		budget = 30

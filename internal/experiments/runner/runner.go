@@ -30,9 +30,10 @@ import (
 
 // Ctx is the per-replication context handed to each job.
 type Ctx struct {
-	// Tracer receives the replication's spans. It is never nil: when the
-	// engine has no destination collector this is the Nop tracer.
-	Tracer telemetry.Tracer
+	// Tracer receives the replication's spans; nil (tracing off: its
+	// StartSpan, EndSpan and Point do nothing) when the engine has no
+	// destination collector.
+	Tracer *telemetry.Collector
 	// Registry receives the replication's metrics; nil (which every
 	// registry method tolerates) when the engine has no destination.
 	Registry *telemetry.Registry
@@ -109,11 +110,10 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				ctx := Ctx{Tracer: telemetry.Nop{}}
+				var ctx Ctx
 				if collectors != nil {
-					c := telemetry.NewCollector()
-					collectors[i] = c
-					ctx.Tracer = c
+					collectors[i] = telemetry.NewCollector()
+					ctx.Tracer = collectors[i]
 				}
 				if registries != nil {
 					registries[i] = telemetry.NewRegistry()

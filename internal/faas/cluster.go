@@ -191,7 +191,7 @@ type Cluster struct {
 	// so cluster-wide passes cost no lookups by name.
 	fnList  []*function
 	metrics *Metrics
-	tracer  telemetry.Tracer
+	tracer  *telemetry.Collector
 	// queued is the number of invocations parked across all function
 	// queues; while it is zero a drain pass has nothing to do.
 	queued   int
@@ -220,7 +220,6 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 		faultRNG: stats.NewRNG(cfg.Seed ^ 0x5eed_c4a0_5),
 		fns:      make(map[string]*function),
 		metrics:  NewMetricsOn(cfg.Registry),
-		tracer:   telemetry.Nop{},
 	}
 	for i := 0; i < cfg.Invokers; i++ {
 		iv := &Invoker{
@@ -241,12 +240,12 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 // Engine returns the underlying simulation engine.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// SetTracer installs the telemetry tracer receiving invocation spans and
-// container lifecycle events. A nil tracer restores the no-op default.
-func (c *Cluster) SetTracer(t telemetry.Tracer) { c.tracer = telemetry.OrNop(t) }
+// SetTracer installs the collector receiving invocation spans and container
+// lifecycle events; nil turns tracing off.
+func (c *Cluster) SetTracer(t *telemetry.Collector) { c.tracer = t }
 
-// Tracer returns the cluster's tracer (never nil).
-func (c *Cluster) Tracer() telemetry.Tracer { return c.tracer }
+// Tracer returns the cluster's collector (nil when tracing is off).
+func (c *Cluster) Tracer() *telemetry.Collector { return c.tracer }
 
 // Metrics returns the cluster's metric accumulator.
 func (c *Cluster) Metrics() *Metrics { return c.metrics }

@@ -7,7 +7,9 @@ import (
 )
 
 // benchWindow is the steady-state sliding-window size the BO engine runs
-// at; the benchmarks below pin the incremental-vs-cold cost gap there.
+// at; BenchmarkFitWindow and TestObserveCheaperThanFit pin the
+// incremental-vs-cold cost gap there (the bench probes gp.observe_us time
+// the incremental path).
 const benchWindow = 64
 
 func benchPoints(n, dim int, seed int64) (X [][]float64, y []float64) {
@@ -35,20 +37,6 @@ func newSteadyState(b testing.TB) (*GP, [][]float64, []float64) {
 	return g, X, y
 }
 
-// BenchmarkObserveSteadyState measures one evict+append cycle of a full
-// sliding window via the incremental rank-1 path.
-func BenchmarkObserveSteadyState(b *testing.B) {
-	g, X, y := newSteadyState(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := benchWindow + i%1024
-		if err := g.Observe(X[p], y[p]); err != nil {
-			b.Fatalf("observe: %v", err)
-		}
-	}
-}
-
 // BenchmarkFitWindow measures the pre-redesign steady state: a cold refit
 // of the whole window on every new observation.
 func BenchmarkFitWindow(b *testing.B) {
@@ -68,7 +56,7 @@ func BenchmarkFitWindow(b *testing.B) {
 // incremental Observe allocates nothing, and so well below half of what a
 // cold window refit does. Allocation counts are deterministic, so this guards
 // the O(n²)-vs-O(n³) gap without a flaky wall-clock assertion (the time
-// ratio is tracked by the two benchmarks above).
+// ratio is tracked by BenchmarkFitWindow and the gp.observe_us probes).
 func TestObserveCheaperThanFit(t *testing.T) {
 	g, X, y := newSteadyState(t)
 	i := 0

@@ -214,7 +214,7 @@ const (
 // fall back to the recent-peak rule, plus the shed count observed this
 // interval (for the decision audit log). Mode changes emit an explicit
 // pool.mode telemetry point; its trigger 1 names the shed trigger.
-func (m *Manager) updateGuard(apply bool, tr telemetry.Tracer) (bool, int) {
+func (m *Manager) updateGuard(apply bool, tr *telemetry.Collector) (bool, int) {
 	if !m.Guard {
 		return false, 0
 	}

@@ -6,7 +6,6 @@ import (
 	"aquatope/internal/bo"
 	"aquatope/internal/faas"
 	"aquatope/internal/stats"
-	"aquatope/internal/telemetry"
 )
 
 // Manager searches an app's configuration space for the cheapest
@@ -57,10 +56,13 @@ type BOManager struct {
 }
 
 // NewBO returns a manager driving the Aquatope engine with explicit
-// options; Dim is derived from the space and need not be set.
+// options; Dim is derived from the space and need not be set. The engine
+// emits its bo.iteration and bo.decision points to prof.Tracer.
 func NewBO(label string, space *Space, prof *Profiler, opts bo.Options) *BOManager {
 	opts.Dim = space.Dim()
-	return &BOManager{Label: label, Space: space, Profiler: prof, Opt: bo.New(opts)}
+	e := bo.New(opts)
+	e.SetTracer(prof.Tracer)
+	return &BOManager{Label: label, Space: space, Profiler: prof, Opt: e}
 }
 
 // NewAquatope returns the paper's customized-BO resource manager.
@@ -121,14 +123,6 @@ func (m *BOManager) Best() (map[string]faas.ResourceConfig, float64, bool) {
 		return nil, 0, false
 	}
 	return cfgs, cost, true
-}
-
-// SetTracer forwards the tracer to the underlying Aquatope engine (its
-// bo.iteration and bo.decision points); the other optimizers emit nothing.
-func (m *BOManager) SetTracer(t telemetry.Tracer) {
-	if e, ok := m.Opt.(*bo.Engine); ok {
-		e.SetTracer(t)
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"aquatope/internal/faas"
 	"aquatope/internal/sim"
 	"aquatope/internal/stats"
+	"aquatope/internal/telemetry"
 	"aquatope/internal/workflow"
 )
 
@@ -17,8 +18,10 @@ import (
 // customized BO must tolerate.
 type Profiler struct {
 	App *apps.App
-	// Repeats is the number of workflow executions averaged per sample.
-	Repeats int
+	// Tracer receives the explain records of the configuration manager
+	// built on this profiler (bo.iteration, bo.decision, sched.decision
+	// points); nil is tracing off. The profiling runs are not traced.
+	Tracer *telemetry.Collector
 	// Noise configures platform interference during profiling.
 	Noise faas.Noise
 	// ColdStartFraction, when positive, disables pre-warming for that
@@ -38,9 +41,12 @@ type Profiler struct {
 	seed int64
 }
 
+// sampleRepeats is the number of workflow executions averaged per sample.
+const sampleRepeats = 3
+
 // NewProfiler returns a profiler for the app with the paper's defaults.
 func NewProfiler(a *apps.App, seed int64) *Profiler {
-	return &Profiler{App: a, Repeats: 3, rng: stats.NewRNG(seed), seed: seed}
+	return &Profiler{App: a, rng: stats.NewRNG(seed), seed: seed}
 }
 
 // Cost is the linear cost model of §5.1 over one request's CPU time
@@ -57,12 +63,8 @@ func (p *Profiler) Sample(cfgs map[string]faas.ResourceConfig) (cost, latency fl
 // SampleComponents profiles one configuration and returns the mean
 // per-request CPU-time (core-s), memory-time (GB-s) and latency.
 func (p *Profiler) SampleComponents(cfgs map[string]faas.ResourceConfig) (cpu, mem, latency float64) {
-	reps := p.Repeats
-	if reps <= 0 {
-		reps = 3
-	}
 	var cpus, mems, lats []float64
-	for r := 0; r < reps; r++ {
+	for r := 0; r < sampleRepeats; r++ {
 		c, m, l := p.runOnce(cfgs, p.rng.Int63())
 		cpus = append(cpus, c)
 		mems = append(mems, m)

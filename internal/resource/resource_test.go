@@ -239,16 +239,16 @@ func TestBOManagerEngineAccessor(t *testing.T) {
 	a := chainApp()
 	p := NewProfiler(a, 12)
 	s := NewSpace(a)
-	spans := func(m *BOManager) int {
+	spans := func(build func(*Space, *Profiler, float64, int64) *BOManager) int {
 		col := telemetry.NewCollector()
-		m.SetTracer(col)
-		m.Step()
+		p.Tracer = col
+		build(s, p, 1, 1).Step()
 		return col.Len()
 	}
-	if spans(NewAquatope(s, p, 1, 1)) == 0 {
-		t.Fatal("aquatope manager should forward the tracer to its engine")
+	if spans(NewAquatope) == 0 {
+		t.Fatal("aquatope manager should hand the profiler's tracer to its engine")
 	}
-	if n := spans(NewCLITE(s, p, 1, 1)); n != 0 {
+	if n := spans(NewCLITE); n != 0 {
 		t.Fatalf("CLITE manager has no aquatope engine, yet traced %d points", n)
 	}
 }

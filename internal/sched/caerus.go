@@ -32,11 +32,10 @@ func keepAlive() pool.Policy { return &pool.FixedKeepAlive{} }
 // whose profiled latency meets the QoS bound wins. If the budget runs out
 // first, the lowest-latency assignment seen stands in.
 type caerusManager struct {
-	space  *resource.Space
-	prof   *resource.Profiler
-	qos    float64
-	seed   int64
-	tracer telemetry.Tracer
+	space *resource.Space
+	prof  *resource.Profiler
+	qos   float64
+	seed  int64
 
 	cpus    []float64 // per-function CPU fixed by work share
 	queue   [][]int   // BFS frontier of per-function memory-level vectors
@@ -55,7 +54,7 @@ type caerusManager struct {
 }
 
 func newCaerusManager(space *resource.Space, prof *resource.Profiler, qos float64, seed int64) resource.Manager {
-	return &caerusManager{space: space, prof: prof, qos: qos, seed: seed, tracer: telemetry.Nop{}}
+	return &caerusManager{space: space, prof: prof, qos: qos, seed: seed}
 }
 
 // Name implements resource.Manager.
@@ -63,13 +62,6 @@ func (m *caerusManager) Name() string { return "caerus" }
 
 // Samples implements resource.Manager.
 func (m *caerusManager) Samples() int { return m.samples }
-
-// SetTracer installs the explain-record sink (sched.decision points).
-func (m *caerusManager) SetTracer(t telemetry.Tracer) {
-	if t != nil {
-		m.tracer = t
-	}
-}
 
 // workRefDraws is how many perf-model draws estimate one stage's work.
 const workRefDraws = 5
@@ -175,7 +167,7 @@ func (m *caerusManager) Step() int {
 			}
 		}
 	}
-	if m.tracer.Enabled() {
+	if m.prof.Tracer.Enabled() {
 		sum := 0
 		for _, l := range levels {
 			sum += l
@@ -191,7 +183,7 @@ func (m *caerusManager) Step() int {
 		if satisfied {
 			f["satisfied"] = 1
 		}
-		m.tracer.Point(telemetry.KindSchedDecision, "caerus", 0, float64(m.iter), f)
+		m.prof.Tracer.Point(telemetry.KindSchedDecision, "caerus", 0, float64(m.iter), f)
 	}
 	m.iter++
 	return 1

@@ -92,12 +92,11 @@ func (p *quantilePolicy) Decide(history []float64, _ int) pool.Decision {
 // so the search is one-dimensional per function like the reference
 // solver's eq_vcpu_alloc mode.
 type jolteonManager struct {
-	space  *resource.Space
-	prof   *resource.Profiler
-	qos    float64
-	risk   float64
-	k      int
-	tracer telemetry.Tracer
+	space *resource.Space
+	prof  *resource.Profiler
+	qos   float64
+	risk  float64
+	k     int
 
 	level   []int // per-function index into space.CPUOptions
 	done    []bool
@@ -115,14 +114,13 @@ type jolteonManager struct {
 // The solver is deterministic given its samples, so the seed goes unused.
 func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) *jolteonManager {
 	m := &jolteonManager{
-		space:  space,
-		prof:   prof,
-		qos:    qos,
-		risk:   jolteonRisk,
-		k:      jolteonSamples,
-		tracer: telemetry.Nop{},
-		level:  make([]int, len(space.Functions)),
-		done:   make([]bool, len(space.Functions)),
+		space: space,
+		prof:  prof,
+		qos:   qos,
+		risk:  jolteonRisk,
+		k:     jolteonSamples,
+		level: make([]int, len(space.Functions)),
+		done:  make([]bool, len(space.Functions)),
 	}
 	for i := range m.level {
 		m.level[i] = len(space.CPUOptions) - 1
@@ -135,13 +133,6 @@ func (m *jolteonManager) Name() string { return "jolteon" }
 
 // Samples implements resource.Manager.
 func (m *jolteonManager) Samples() int { return m.samples }
-
-// SetTracer installs the explain-record sink (sched.decision points).
-func (m *jolteonManager) SetTracer(t telemetry.Tracer) {
-	if t != nil {
-		m.tracer = t
-	}
-}
 
 // memFor returns the smallest memory option covering the Lambda coupling
 // for the given vCPU allocation (or the largest option if none does).
@@ -234,7 +225,7 @@ func (m *jolteonManager) Step() int {
 
 // trace emits the explain record for one candidate evaluation.
 func (m *jolteonManager) trace(fn int, cost, latMean, latSD, bound float64, feasible, accepted bool) {
-	if !m.tracer.Enabled() {
+	if !m.prof.Tracer.Enabled() {
 		return
 	}
 	frozen := 0
@@ -261,7 +252,7 @@ func (m *jolteonManager) trace(fn int, cost, latMean, latSD, bound float64, feas
 	if accepted {
 		f["accepted"] = 1
 	}
-	m.tracer.Point(telemetry.KindSchedDecision, "jolteon", 0, float64(m.iter), f)
+	m.prof.Tracer.Point(telemetry.KindSchedDecision, "jolteon", 0, float64(m.iter), f)
 }
 
 // Best implements resource.Manager.

@@ -35,10 +35,9 @@ func (p *peakPolicy) Decide(history []float64, _ int) pool.Decision {
 // naiveManager makes exactly one decision: everything at the top of the
 // grid. The single profiling sample only prices the choice.
 type naiveManager struct {
-	space  *resource.Space
-	prof   *resource.Profiler
-	qos    float64
-	tracer telemetry.Tracer
+	space *resource.Space
+	prof  *resource.Profiler
+	qos   float64
 
 	samples int
 	best    map[string]faas.ResourceConfig
@@ -49,7 +48,7 @@ type naiveManager struct {
 // newNaiveManager prices the top of the grid; it draws nothing, so the
 // seed goes unused.
 func newNaiveManager(space *resource.Space, prof *resource.Profiler, qos float64, _ int64) *naiveManager {
-	return &naiveManager{space: space, prof: prof, qos: qos, tracer: telemetry.Nop{}}
+	return &naiveManager{space: space, prof: prof, qos: qos}
 }
 
 // Name implements resource.Manager.
@@ -57,13 +56,6 @@ func (m *naiveManager) Name() string { return "naive" }
 
 // Samples implements resource.Manager.
 func (m *naiveManager) Samples() int { return m.samples }
-
-// SetTracer installs the explain-record sink (sched.decision points).
-func (m *naiveManager) SetTracer(t telemetry.Tracer) {
-	if t != nil {
-		m.tracer = t
-	}
-}
 
 // Step implements resource.Manager.
 func (m *naiveManager) Step() int {
@@ -79,8 +71,8 @@ func (m *naiveManager) Step() int {
 	cost, lat := m.prof.Sample(cfgs)
 	m.samples++
 	m.best, m.bestC, m.haveB = cfgs, cost, true
-	if m.tracer.Enabled() {
-		m.tracer.Point(telemetry.KindSchedDecision, "naive", 0, 0, telemetry.Fields{
+	if m.prof.Tracer.Enabled() {
+		m.prof.Tracer.Point(telemetry.KindSchedDecision, "naive", 0, 0, telemetry.Fields{
 			"iter": 0,
 			"cost": cost,
 			"lat":  lat,

@@ -23,7 +23,6 @@ import (
 
 	"aquatope/internal/pool"
 	"aquatope/internal/resource"
-	"aquatope/internal/telemetry"
 )
 
 // PoolSizer supplies the pre-warm pool policy for each function — the
@@ -180,8 +179,7 @@ func (p *policyPool) Name() string { return p.name }
 func (p *policyPool) Policy(string) pool.Policy { return meterPolicy(p.build(), p.meter) }
 
 // meteredManager counts Step calls and profiled configurations on the
-// scheduler's meter. It forwards the optional SetTracer hook so core's
-// telemetry wiring sees through the wrapper.
+// scheduler's meter.
 type meteredManager struct {
 	resource.Manager
 	meter *Meter
@@ -196,15 +194,6 @@ func (m meteredManager) Step() int {
 		m.meter.ConfigProfiles += float64(n)
 	}
 	return n
-}
-
-// SetTracer forwards the tracer hook configurators use to emit their
-// explain records (bo.decision from the BO engine, sched.decision from
-// everything else).
-func (m meteredManager) SetTracer(t telemetry.Tracer) {
-	if st, ok := m.Manager.(interface{ SetTracer(telemetry.Tracer) }); ok {
-		st.SetTracer(t)
-	}
 }
 
 // managerConf is the Configurator of every registered scheduler: a

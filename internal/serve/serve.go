@@ -178,15 +178,13 @@ func New(opts Options) (*Server, error) {
 		RuntimeNoise:      opts.RuntimeNoise,
 		ColdStartFraction: opts.ColdStartFraction,
 		ClusterCfg:        opts.ClusterCfg,
+		Tracer:            opts.Tracer,
 		Registry:          opts.Registry,
 		Chosen:            opts.Chosen,
 		Chaos:             opts.Chaos,
 		Resilience:        opts.Resilience,
 		PoolGuard:         opts.PoolGuard,
 		Seed:              opts.Seed,
-	}
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
 	}
 	s := &Server{
 		opts:         opts,

@@ -1,27 +1,11 @@
 package telemetry
 
-// Benchmarks for the disabled-telemetry hot path: every instrumented
-// subsystem calls through a Tracer interface and nil-safe registry handles
-// on each invocation, so these must stay in the nanosecond range for the
-// no-op tracer to be free in practice (the acceptance bar for wiring
-// telemetry through faas/sim hot paths).
+// Benchmarks for registry updates on the invocation hot path, with
+// telemetry disabled (nil handles) and enabled. The span path is measured by
+// the bench probes telemetry.span_ns and telemetry.span_allocs, and the
+// disabled span path (a nil *Collector) by TestNilCollectorAllocBudget.
 
 import "testing"
-
-// BenchmarkNopInvocationPath mirrors the per-invocation instrumentation in
-// faas.Cluster: one StartSpan, a zero-ID check that skips building the end
-// fields, and one EndSpan.
-func BenchmarkNopInvocationPath(b *testing.B) {
-	var tr Tracer = Nop{}
-	for i := 0; i < b.N; i++ {
-		id := tr.StartSpan(KindInvocation, "f", 0, 0)
-		if id != 0 {
-			tr.EndSpan(id, 1, Fields{"exec": 1})
-		} else {
-			tr.EndSpan(id, 1, nil)
-		}
-	}
-}
 
 // BenchmarkNilInstruments mirrors the per-event registry updates in
 // sim.Engine and faas.Metrics with telemetry disabled (nil handles).
@@ -33,18 +17,6 @@ func BenchmarkNilInstruments(b *testing.B) {
 		c.Inc()
 		g.Set(float64(i))
 		h.Observe(float64(i))
-	}
-}
-
-// BenchmarkCollectorInvocationPath is the enabled-path cost for one
-// invocation span, for comparison against the Nop numbers.
-func BenchmarkCollectorInvocationPath(b *testing.B) {
-	c := NewCollector()
-	var tr Tracer = c
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := tr.StartSpan(KindInvocation, "f", 0, float64(i))
-		tr.EndSpan(id, float64(i)+1, Fields{"exec": 1, "cold": 0})
 	}
 }
 

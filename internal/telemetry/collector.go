@@ -11,11 +11,16 @@ import (
 	"aquatope/internal/checkpoint"
 )
 
-// Collector is a Tracer that buffers every span in memory for export. Span
-// IDs are assigned sequentially in StartSpan/Point call order, which makes
-// the exported stream deterministic for a deterministic simulation. It is
-// safe for concurrent use, although the simulator itself is
-// single-goroutine.
+// Collector buffers every span in memory for export. Span IDs are assigned
+// sequentially in StartSpan/Point call order, which makes the exported
+// stream deterministic for a deterministic simulation. It is safe for
+// concurrent use, although the simulator itself is single-goroutine.
+//
+// A nil *Collector is tracing off: Enabled reports false, StartSpan returns
+// the zero SpanID and EndSpan and Point do nothing, so subsystems hold a
+// *Collector and call it unconditionally. All times are simulation seconds
+// except where a subsystem has no clock (the BO engine uses its iteration
+// index).
 type Collector struct {
 	mu    sync.Mutex
 	spans []Span
@@ -34,11 +39,16 @@ func NewCollector() *Collector {
 	return &Collector{byID: make(map[SpanID]int), next: 1}
 }
 
-// Enabled implements Tracer.
-func (c *Collector) Enabled() bool { return true }
+// Enabled reports whether spans are being recorded. Hot paths use it to
+// skip building Fields maps when tracing is off.
+func (c *Collector) Enabled() bool { return c != nil }
 
-// StartSpan implements Tracer.
+// StartSpan opens a span; parent 0 makes it a root. On a nil collector it
+// returns the zero SpanID.
 func (c *Collector) StartSpan(kind, name string, parent SpanID, at float64) SpanID {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.next
@@ -48,9 +58,11 @@ func (c *Collector) StartSpan(kind, name string, parent SpanID, at float64) Span
 	return id
 }
 
-// EndSpan implements Tracer.
+// EndSpan closes a span, attaching fields (may be nil). It takes ownership
+// of fields: the caller must not touch the map afterwards. Ending an unknown
+// or zero ID, or any ID on a nil collector, is a no-op.
 func (c *Collector) EndSpan(id SpanID, at float64, fields Fields) {
-	if id == 0 {
+	if c == nil || id == 0 {
 		return
 	}
 	c.mu.Lock()
@@ -68,8 +80,12 @@ func (c *Collector) EndSpan(id SpanID, at float64, fields Fields) {
 	c.done = append(c.done, i)
 }
 
-// Point implements Tracer.
+// Point records an instantaneous event; like EndSpan it takes ownership of
+// fields. On a nil collector it does nothing.
 func (c *Collector) Point(kind, name string, parent SpanID, at float64, fields Fields) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.next

@@ -6,7 +6,7 @@ import (
 )
 
 // record plays a small deterministic span tree into t.
-func record(t Tracer, base float64) {
+func record(t *Collector, base float64) {
 	w := t.StartSpan(KindWorkflow, "wf", 0, base)
 	s := t.StartSpan(KindStage, "stage", w, base+1)
 	t.Point(KindRetry, "retry", s, base+2, Fields{"attempt": 1})

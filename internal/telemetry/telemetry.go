@@ -10,16 +10,16 @@
 // observations are collected and exported (JSONL span streams, JSON metric
 // snapshots; see DESIGN.md §6).
 //
-// Instrumented subsystems hold a Tracer and call it on their hot paths; the
-// Nop tracer makes those calls free when telemetry is disabled, and all
-// registry handles are nil-safe so a disabled registry costs a single branch
-// per update. Everything is deterministic: span IDs are assigned in call
+// Instrumented subsystems hold a *Collector and a *Registry and call them on
+// their hot paths. Both are nil-safe: a nil Collector records no spans and a
+// nil Registry hands out nil handles, so disabled telemetry costs a single
+// branch per call. Everything is deterministic: span IDs are assigned in call
 // order, and exports emit spans and metric names in sorted, stable order, so
 // two runs with the same seed produce byte-identical output.
 package telemetry
 
-// SpanID identifies a recorded span. The zero ID means "no span": the Nop
-// tracer returns it, and instrumented code can skip building end-of-span
+// SpanID identifies a recorded span. The zero ID means "no span": a nil
+// Collector returns it, and instrumented code can skip building end-of-span
 // fields when it sees it.
 type SpanID uint64
 
@@ -84,48 +84,4 @@ type Span struct {
 	Start  float64 `json:"start"`
 	End    float64 `json:"end"`
 	Fields Fields  `json:"fields,omitempty"`
-}
-
-// Tracer receives telemetry callbacks from instrumented subsystems. All
-// times are simulation seconds except where a subsystem has no clock (the
-// BO engine uses its iteration index).
-type Tracer interface {
-	// Enabled reports whether spans are being recorded. Hot paths use it
-	// to skip building Fields maps when tracing is off.
-	Enabled() bool
-	// StartSpan opens a span; parent 0 makes it a root.
-	StartSpan(kind, name string, parent SpanID, at float64) SpanID
-	// EndSpan closes a span, attaching fields (may be nil). It takes
-	// ownership of fields: the caller must not touch the map afterwards.
-	// Ending an unknown or zero ID is a no-op.
-	EndSpan(id SpanID, at float64, fields Fields)
-	// Point records an instantaneous event; like EndSpan it takes
-	// ownership of fields.
-	Point(kind, name string, parent SpanID, at float64, fields Fields)
-}
-
-// Nop is the default tracer: every call is a no-op and StartSpan returns
-// the zero SpanID, so instrumented hot paths cost one interface call when
-// tracing is disabled (benchmarked in bench_test.go).
-type Nop struct{}
-
-// Enabled implements Tracer.
-func (Nop) Enabled() bool { return false }
-
-// StartSpan implements Tracer.
-func (Nop) StartSpan(string, string, SpanID, float64) SpanID { return 0 }
-
-// EndSpan implements Tracer.
-func (Nop) EndSpan(SpanID, float64, Fields) {}
-
-// Point implements Tracer.
-func (Nop) Point(string, string, SpanID, float64, Fields) {}
-
-// OrNop returns t, or the Nop tracer when t is nil, so subsystems can store
-// the result and call it unconditionally.
-func OrNop(t Tracer) Tracer {
-	if t == nil {
-		return Nop{}
-	}
-	return t
 }

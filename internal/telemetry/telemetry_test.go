@@ -235,21 +235,23 @@ func TestSnapshotJSONDeterminism(t *testing.T) {
 	}
 }
 
-func TestNopAndOrNop(t *testing.T) {
-	var tr Tracer = Nop{}
-	if tr.Enabled() {
-		t.Fatal("Nop must report disabled")
+// TestNilCollectorAllocBudget pins tracing off: a nil collector is
+// disabled, opens no span, accepts EndSpan for any id and Point, and none
+// of it allocates.
+func TestNilCollectorAllocBudget(t *testing.T) {
+	var c *Collector
+	if c.Enabled() {
+		t.Fatal("a nil collector must report disabled")
 	}
-	if id := tr.StartSpan(KindWorkflow, "w", 0, 0); id != 0 {
-		t.Fatalf("Nop StartSpan = %d, want 0", id)
-	}
-	tr.EndSpan(1, 2, Fields{"x": 1})
-	tr.Point(KindPoolDecision, "p", 0, 0, nil)
-	if _, ok := OrNop(nil).(Nop); !ok {
-		t.Fatal("OrNop(nil) must be Nop")
-	}
-	c := NewCollector()
-	if OrNop(c) != Tracer(c) {
-		t.Fatal("OrNop must pass through non-nil tracers")
+	allocs := testing.AllocsPerRun(100, func() {
+		if id := c.StartSpan(KindWorkflow, "w", 0, 0); id != 0 {
+			t.Fatalf("nil StartSpan = %d, want 0", id)
+		}
+		c.EndSpan(0, 1, nil)
+		c.EndSpan(7, 2, nil)
+		c.Point(KindPoolDecision, "p", 0, 3, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil collector path allocates %.1f per run, want 0", allocs)
 	}
 }

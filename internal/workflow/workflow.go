@@ -334,7 +334,7 @@ func (e *Executor) jitter() float64 {
 type execution struct {
 	e   *Executor
 	d   *DAG
-	tr  telemetry.Tracer
+	tr  *telemetry.Collector
 	pol *RetryPolicy // the executor's policy at submission (nil = fire-once)
 	// maxAttempts and timeout are pol's, or 1 and none without a policy.
 	maxAttempts int
