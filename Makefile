@@ -16,8 +16,9 @@ verify: build vet fmtcheck lint
 # (DESIGN.md §8): no wall-clock time, no global randomness, no
 # order-dependent map iteration, no silently dropped errors. Its unreached
 # and onevalue checks fail on an internal package, identifier or field
-# nothing reachable from cmd/*, bench or examples/* uses, and on an option
-# non-test code sets to one value only.
+# nothing reachable from cmd/*, bench or examples/* uses, on a field of an
+# exported untagged struct that non-test code sets to one value only, and
+# on an allow for either check that suppresses nothing.
 lint:
 	$(GO) run ./cmd/aqualint ./...
 

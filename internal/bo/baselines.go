@@ -77,11 +77,8 @@ func (r *RandomSearch) BestFeasible() ([]float64, float64, bool) {
 // reactive penalty, the noiseless-incumbent assumption, and sequential
 // sampling.
 type CLITE struct {
-	Dim       int
-	QoS       float64
-	Bootstrap int
-	// PenaltyWeight scales the QoS-violation term of the score function.
-	PenaltyWeight float64
+	Dim int
+	QoS float64
 
 	rng    *stats.RNG
 	surr   *gp.GP
@@ -90,9 +87,16 @@ type CLITE struct {
 	since  int
 }
 
+// cliteBootstrap random samples precede CLITE's first GP fit, and
+// clitePenaltyWeight scales the QoS-violation term of its score.
+const (
+	cliteBootstrap             = 5
+	clitePenaltyWeight float64 = 2
+)
+
 // NewCLITE returns the CLITE baseline optimizer.
 func NewCLITE(dim int, qos float64, seed int64) *CLITE {
-	c := &CLITE{Dim: dim, QoS: qos, Bootstrap: 5, PenaltyWeight: 2, rng: stats.NewRNG(seed)}
+	c := &CLITE{Dim: dim, QoS: qos, rng: stats.NewRNG(seed)}
 	c.surr = gp.New(gp.NewMatern52(dim), 1e-6) // noiseless assumption, per paper
 	return c
 }
@@ -102,12 +106,12 @@ func (c *CLITE) score(o Observation) float64 {
 	if o.Latency <= c.QoS {
 		return o.Cost
 	}
-	return o.Cost * (1 + c.PenaltyWeight*(o.Latency-c.QoS)/c.QoS)
+	return o.Cost * (1 + clitePenaltyWeight*(o.Latency-c.QoS)/c.QoS)
 }
 
 // Suggest implements Optimizer (single candidate per iteration).
 func (c *CLITE) Suggest() [][]float64 {
-	if len(c.obs) < c.Bootstrap || !c.fitted {
+	if len(c.obs) < cliteBootstrap || !c.fitted {
 		x := make([]float64, c.Dim)
 		for d := range x {
 			x[d] = c.rng.Float64()

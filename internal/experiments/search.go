@@ -227,11 +227,13 @@ func fig12Curve(s Scale, a *apps.App, mgr string, rep int) []float64 {
 	ci := 0
 	bestTrue := math.Inf(1)
 	lastEvaluated := ""
-	for m.Samples() < s.SearchBudget && ci < len(checkpoints) {
-		if m.Step() == 0 {
+	for used := 0; used < s.SearchBudget && ci < len(checkpoints); {
+		n := m.Step()
+		if n == 0 {
 			break
 		}
-		for ci < len(checkpoints) && m.Samples() >= checkpoints[ci] {
+		used += n
+		for ci < len(checkpoints) && used >= checkpoints[ci] {
 			if cfg, _, ok := m.Best(); ok {
 				key := fmt.Sprint(cfg)
 				if key != lastEvaluated {

@@ -24,10 +24,9 @@ func (c *Cluster) Snapshot(enc *checkpoint.Encoder) {
 	enc.F64(c.faults.ExecKill)
 	enc.Bool(c.draining)
 
-	enc.U64(uint64(len(c.fnOrder)))
-	for _, name := range c.fnOrder {
-		f := c.fns[name]
-		enc.String(name)
+	enc.U64(uint64(len(c.fnList)))
+	for _, f := range c.fnList {
+		enc.String(f.spec.Name)
 		enc.F64(f.keepAlive)
 		enc.Int(f.prewarmTarget)
 		enc.Int(f.busyN)

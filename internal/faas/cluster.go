@@ -186,9 +186,8 @@ type Cluster struct {
 	rng      *stats.RNG
 	invokers []*Invoker
 	fns      map[string]*function
-	fnOrder  []string
-	// fnList is fns in registration order (fnList[i] == fns[fnOrder[i]]),
-	// so cluster-wide passes cost no lookups by name.
+	// fnList is fns in registration order, so cluster-wide passes cost no
+	// lookups by name.
 	fnList  []*function
 	metrics *Metrics
 	tracer  *telemetry.Collector
@@ -264,7 +263,6 @@ func (c *Cluster) RegisterFunction(spec FunctionSpec, cfg ResourceConfig) error 
 	fn := &function{spec: spec, cfg: cfg,
 		keepAlive: c.cfg.DefaultKeepAlive, queueLimit: c.cfg.QueueLimit}
 	c.fns[spec.Name] = fn
-	c.fnOrder = append(c.fnOrder, spec.Name)
 	c.fnList = append(c.fnList, fn)
 	return nil
 }
@@ -301,7 +299,13 @@ func (c *Cluster) SetKeepAlive(name string, seconds float64) error {
 // Functions returns the registered function names in registration order. It
 // copies the list on every call, so it is for set-up and reporting; hot paths
 // that only need membership use HasFunction.
-func (c *Cluster) Functions() []string { return append([]string(nil), c.fnOrder...) }
+func (c *Cluster) Functions() []string {
+	names := make([]string, len(c.fnList))
+	for i, fn := range c.fnList {
+		names[i] = fn.spec.Name
+	}
+	return names
+}
 
 // HasFunction reports whether a function of that name is registered.
 func (c *Cluster) HasFunction(name string) bool {

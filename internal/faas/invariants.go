@@ -4,7 +4,7 @@ import "fmt"
 
 // CheckIndexes recomputes, by the scans they replace, everything the cluster
 // maintains incrementally — each invoker's idle-container count, the queued
-// total, and fnList against fnOrder and fns — and reports the first
+// total, and fnList against fns — and reports the first
 // mismatch. It also checks the free list of invocation records: each free
 // record is listed once, and none is in a queue, running in a container or
 // reserved on a warming one. It is the oracle tests step the engine against;
@@ -12,8 +12,8 @@ import "fmt"
 //
 //aqualint:allow unreached test oracle: faas and workflow property tests recompute every maintained index through it
 func (c *Cluster) CheckIndexes() error {
-	if len(c.fnList) != len(c.fnOrder) {
-		return fmt.Errorf("faas: fnList has %d functions, fnOrder %d", len(c.fnList), len(c.fnOrder))
+	if len(c.fnList) != len(c.fns) {
+		return fmt.Errorf("faas: fnList has %d functions, fns %d", len(c.fnList), len(c.fns))
 	}
 	free := make(map[*pendingInvocation]bool, len(c.free))
 	for _, p := range c.free {
@@ -29,16 +29,17 @@ func (c *Cluster) CheckIndexes() error {
 		free[p] = true
 	}
 	queued := 0
-	for i, name := range c.fnOrder {
-		if c.fnList[i] != c.fns[name] {
+	for i, fn := range c.fnList {
+		name := fn.spec.Name
+		if c.fns[name] != fn {
 			return fmt.Errorf("faas: fnList[%d] is not function %q", i, name)
 		}
-		for _, p := range c.fnList[i].queue {
+		for _, p := range fn.queue {
 			if free[p] {
 				return fmt.Errorf("faas: free invocation record queued for %q", name)
 			}
 		}
-		queued += len(c.fnList[i].queue)
+		queued += len(fn.queue)
 	}
 	if queued != c.queued {
 		return fmt.Errorf("faas: queued total %d, queues hold %d", c.queued, queued)

@@ -28,6 +28,7 @@ type SyntheticModel struct {
 	// (context rebuild: SDK clients, models, connections).
 	ColdExecPenalty float64
 	// InputExponent scales execution time with input size^exponent.
+	//aqualint:allow onevalue bench/adapter.go writes it; ROADMAP item 9 opens bench/
 	InputExponent float64
 	// JitterStd is the lognormal sigma of intrinsic execution noise.
 	JitterStd float64

@@ -26,6 +26,7 @@ type ResourceConfig struct {
 	MemoryMB float64
 	// Concurrency is the maximum number of simultaneously running
 	// containers for the function (per cluster). Zero means unlimited.
+	//aqualint:allow onevalue TestPropertyDemandAccounting's stranded-invocation input runs at 2 and the faas.cluster section snapshots it; ROADMAP item 14 owns the field
 	Concurrency int
 }
 

@@ -16,7 +16,8 @@
 // The directive covers its own line and the line below it, so it works
 // both as a trailing comment and as a standalone comment above the
 // flagged statement. A directive without a reason, or naming an unknown
-// check, is itself reported.
+// check, is itself reported; so, in a whole-program run, is an unreached
+// or onevalue allow that suppresses nothing.
 package lint
 
 import (
@@ -131,11 +132,19 @@ func Run(pkgs []*Package, cfg Config) []Finding {
 	return dedup(findings)
 }
 
+// deletionChecks are the checks whose findings move when code elsewhere
+// changes: an allow for one of them goes stale when the write or use it
+// covered is deleted, so a whole-program run reports one that suppresses
+// nothing.
+var deletionChecks = map[string]bool{"unreached": true, "onevalue": true}
+
 func runPackage(prog *Program, pkg *Package, cfg Config) []Finding {
 	var findings []Finding
+	whole := len(prog.mainPackages()) > 0
 	for _, file := range pkg.Files {
 		allows, bad := parseAllows(pkg.Fset, file.AST)
 		findings = append(findings, bad...)
+		ran := make(map[string]bool)
 		for _, name := range sortedCheckNames(cfg) {
 			rule := cfg.Checks[name]
 			az := analyzerByName(name)
@@ -160,6 +169,13 @@ func runPackage(prog *Program, pkg *Package, cfg Config) []Finding {
 				})
 			}
 			az.Run(prog, pkg, file, rule, report)
+			ran[name] = true
+		}
+		for _, a := range allows {
+			if whole && deletionChecks[a.check] && ran[a.check] && !a.used {
+				findings = append(findings, Finding{Pos: a.pos, Check: "directive",
+					Message: fmt.Sprintf("aqualint:allow %s suppresses nothing; delete it", a.check)})
+			}
 		}
 	}
 	return findings
@@ -190,16 +206,26 @@ func dedup(fs []Finding) []Finding {
 
 const directivePrefix = "//aqualint:"
 
-// allowSet maps source line -> set of check names allowed on that line.
-type allowSet map[int]map[string]bool
+// allow is one well-formed //aqualint:allow directive.
+type allow struct {
+	pos   token.Position
+	check string
+	used  bool // it suppressed a finding
+}
 
-func (a allowSet) allowed(line int, check string) bool { return a[line][check] }
+// allowSet is a file's allow directives in source order.
+type allowSet []*allow
 
-func (a allowSet) add(line int, check string) {
-	if a[line] == nil {
-		a[line] = make(map[string]bool)
+// allowed reports whether a directive for check covers line, its own or
+// the one below, and marks each such directive used.
+func (a allowSet) allowed(line int, check string) bool {
+	ok := false
+	for _, d := range a {
+		if d.check == check && (line == d.pos.Line || line == d.pos.Line+1) {
+			d.used, ok = true, true
+		}
 	}
-	a[line][check] = true
+	return ok
 }
 
 // parseAllows extracts //aqualint:allow directives from the file. Each
@@ -207,7 +233,7 @@ func (a allowSet) add(line int, check string) {
 // flagged statement or on the line above it. Malformed directives are
 // returned as findings under the "directive" pseudo-check.
 func parseAllows(fset *token.FileSet, file *ast.File) (allowSet, []Finding) {
-	allows := make(allowSet)
+	var allows allowSet
 	var bad []Finding
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
@@ -228,8 +254,7 @@ func parseAllows(fset *token.FileSet, file *ast.File) (allowSet, []Finding) {
 				bad = append(bad, Finding{Pos: pos, Check: "directive",
 					Message: fmt.Sprintf("aqualint:allow %s needs a reason explaining why the check does not apply", fields[1])})
 			default:
-				allows.add(pos.Line, fields[1])
-				allows.add(pos.Line+1, fields[1])
+				allows = append(allows, &allow{pos: pos, check: fields[1]})
 			}
 		}
 	}

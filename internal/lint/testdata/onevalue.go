@@ -1,5 +1,5 @@
-// Fixtures for the onevalue analyzer: fields of *Config, *Options and
-// *Policy structs that the program writes with at most one constant value.
+// Fixtures for the onevalue analyzer: fields of exported untagged structs
+// that the program writes with at most one constant value.
 package main
 
 func main() {
@@ -8,7 +8,10 @@ func main() {
 	b.Ratio = 0
 	b.Scale = float64(a.Workers)
 	a.Count++
-	run(a, b, Options{Burst: 6}, Options{}, RetryPolicy{Max: 3}, Settings{Fixed: 1})
+	l := &Log{}
+	l.Add("x")
+	run(a, b, Options{Burst: 6, Jitter: 1}, Options{Jitter: 2}, RetryPolicy{Max: 3}, Settings{Fixed: 1},
+		Wire{ID: 1}, NewPool(PoolConfig{}), NewPool(PoolConfig{Name: "p"}))
 }
 
 func run(...any) {}
@@ -28,7 +31,8 @@ type RunConfig struct {
 type Options struct {
 	Burst int // want onevalue
 	//aqualint:allow onevalue a documented knob only the tests vary
-	Depth int
+	Depth  int
+	Jitter int //aqualint:allow onevalue stale: main sets it to 1 and 2, so it suppresses nothing // want directive
 }
 
 func (o Options) withDefaults() Options {
@@ -40,5 +44,33 @@ func (o Options) withDefaults() Options {
 
 type RetryPolicy struct{ Max int } // want onevalue
 
-// Settings is not named as an option struct.
-type Settings struct{ Fixed int }
+// Settings is checked whatever its name.
+type Settings struct{ Fixed int } // want onevalue
+
+// Wire is filled by reflection through its tags, which the check cannot
+// see, so it is not checked.
+type Wire struct {
+	ID int `json:"id"`
+}
+
+// PoolConfig's Size is defaulted by NewPool, a function that takes the
+// struct: the zero value both literals write resolves to 8.
+type PoolConfig struct {
+	Size int    // want onevalue
+	Name string // ok: "" and "p"
+}
+
+type Pool struct{ cfg PoolConfig }
+
+func NewPool(cfg PoolConfig) *Pool {
+	if cfg.Size == 0 {
+		cfg.Size = 8
+	}
+	return &Pool{cfg: cfg}
+}
+
+// Log's Lines is written only by its own method, with a non-constant, so
+// it varies although the one literal writes nil.
+type Log struct{ Lines []string }
+
+func (l *Log) Add(s string) { l.Lines = append(l.Lines, s) }

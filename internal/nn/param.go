@@ -43,13 +43,20 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
+// Adam's standard moment decays and epsilon, and the global
+// gradient-norm clip essential for LSTM BPTT stability. They are typed,
+// so 1-adamBeta1 is 0.09999999999999998, what float64 subtraction gives;
+// an untyped 1-0.9 would fold to 0.1 and move every trained weight.
+const (
+	adamBeta1 float64 = 0.9
+	adamBeta2 float64 = 0.999
+	adamEps   float64 = 1e-8
+	adamClip  float64 = 5
+)
+
 // Adam is the Adam optimizer (Kingma & Ba 2015) over a set of parameters.
 type Adam struct {
 	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Eps     float64
-	Clip    float64 // global gradient-norm clip; 0 disables
 	t       int
 	m, v    map[*Param][]float64
 	targets []*Param
@@ -58,7 +65,7 @@ type Adam struct {
 // NewAdam returns an Adam optimizer with standard defaults and the given
 // learning rate, managing the provided parameters.
 func NewAdam(lr float64, params []*Param) *Adam {
-	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: 5,
+	a := &Adam{LR: lr,
 		m: make(map[*Param][]float64), v: make(map[*Param][]float64), targets: params}
 	for _, p := range params {
 		a.m[p] = make([]float64, len(p.W))
@@ -74,32 +81,29 @@ func (a *Adam) Step(scale float64) {
 		scale = 1
 	}
 	a.t++
-	// Optional global-norm clipping, essential for LSTM BPTT stability.
-	if a.Clip > 0 {
-		var norm float64
-		for _, p := range a.targets {
-			for _, g := range p.G {
-				g /= scale
-				norm += g * g
-			}
-		}
-		norm = math.Sqrt(norm)
-		if norm > a.Clip {
-			factor := a.Clip / norm
-			scale /= factor
+	var norm float64
+	for _, p := range a.targets {
+		for _, g := range p.G {
+			g /= scale
+			norm += g * g
 		}
 	}
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	norm = math.Sqrt(norm)
+	if norm > adamClip {
+		factor := adamClip / norm
+		scale /= factor
+	}
+	bc1 := 1 - math.Pow(adamBeta1, float64(a.t))
+	bc2 := 1 - math.Pow(adamBeta2, float64(a.t))
 	for _, p := range a.targets {
 		m, v := a.m[p], a.v[p]
 		for i := range p.W {
 			g := p.G[i] / scale
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = adamBeta1*m[i] + (1-adamBeta1)*g
+			v[i] = adamBeta2*v[i] + (1-adamBeta2)*g*g
 			mh := m[i] / bc1
 			vh := v[i] / bc2
-			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + adamEps)
 		}
 		p.ZeroGrad()
 	}

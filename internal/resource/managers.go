@@ -18,8 +18,6 @@ type Manager interface {
 	// Best returns the cheapest QoS-feasible configuration observed and
 	// its cost; ok is false if none was found yet.
 	Best() (cfg map[string]faas.ResourceConfig, cost float64, ok bool)
-	// Samples returns the number of profiled configurations so far.
-	Samples() int
 }
 
 // Search runs a manager until the sample budget is exhausted and returns
@@ -29,16 +27,17 @@ type Manager interface {
 // invalidate an earlier incumbent inside the optimizer.
 func Search(m Manager, budget int) (costs []float64, samples []int) {
 	best := math.Inf(1)
-	for m.Samples() < budget {
+	for used := 0; used < budget; {
 		n := m.Step()
 		if n == 0 {
 			break
 		}
+		used += n
 		if _, c, ok := m.Best(); ok && c < best {
 			best = c
 		}
 		costs = append(costs, best)
-		samples = append(samples, m.Samples())
+		samples = append(samples, used)
 	}
 	return costs, samples
 }
@@ -52,7 +51,6 @@ type BOManager struct {
 	Space    *Space
 	Profiler *Profiler
 	Opt      bo.Optimizer
-	samples  int
 }
 
 // NewBO returns a manager driving the Aquatope engine with explicit
@@ -92,9 +90,6 @@ func NewRandom(space *Space, prof *Profiler, qos float64, seed int64) *BOManager
 // Name implements Manager.
 func (m *BOManager) Name() string { return m.Label }
 
-// Samples implements Manager.
-func (m *BOManager) Samples() int { return m.samples }
-
 // Step implements Manager.
 func (m *BOManager) Step() int {
 	batch := m.Opt.Suggest()
@@ -108,7 +103,6 @@ func (m *BOManager) Step() int {
 		obs = append(obs, bo.Observation{X: x, Cost: cost, Latency: lat})
 	}
 	m.Opt.Observe(obs)
-	m.samples += len(obs)
 	return len(obs)
 }
 
@@ -136,13 +130,12 @@ type AutoscaleManager struct {
 	Profiler *Profiler
 	QoS      float64
 
-	level   int // index into the uniform scaling ladder
-	maxLvl  int
-	rng     *stats.RNG
-	samples int
-	best    map[string]faas.ResourceConfig
-	bestC   float64
-	haveB   bool
+	level  int // index into the uniform scaling ladder
+	maxLvl int
+	rng    *stats.RNG
+	best   map[string]faas.ResourceConfig
+	bestC  float64
+	haveB  bool
 }
 
 // NewAutoscale returns the autoscaling resource-manager baseline.
@@ -157,9 +150,6 @@ func NewAutoscale(space *Space, prof *Profiler, qos float64, seed int64) *Autosc
 
 // Name implements Manager.
 func (m *AutoscaleManager) Name() string { return "autoscale" }
-
-// Samples implements Manager.
-func (m *AutoscaleManager) Samples() int { return m.samples }
 
 // uniform builds the configuration at the current ladder level: every
 // function gets the level-th CPU and memory option.
@@ -186,7 +176,6 @@ func (m *AutoscaleManager) uniform(level int) map[string]faas.ResourceConfig {
 func (m *AutoscaleManager) Step() int {
 	cfgs := m.uniform(m.level)
 	cost, lat := m.Profiler.Sample(cfgs)
-	m.samples++
 	if lat > m.QoS {
 		if m.level < m.maxLvl {
 			m.level++ // scale everything up

@@ -19,17 +19,19 @@ type Oracle struct {
 	QoS      float64
 	// MaxGrid bounds exhaustive enumeration (default 4096 configs).
 	MaxGrid int
-	// Restarts for coordinate descent on large spaces (default 3).
-	Restarts int
 	// Repeats per noiseless evaluation (default 6).
 	Repeats int
 	Seed    int64
 }
 
+// oracleRestarts is how many random starts coordinate descent tries on
+// top of its deterministic ones.
+const oracleRestarts = 3
+
 // NewOracle returns an oracle for the space.
 func NewOracle(space *Space, prof *Profiler, qos float64, seed int64) *Oracle {
 	return &Oracle{Space: space, Profiler: prof, QoS: qos,
-		MaxGrid: 4096, Restarts: 3, Repeats: 6, Seed: seed}
+		MaxGrid: 4096, Repeats: 6, Seed: seed}
 }
 
 // Solve returns the optimal feasible configuration and its cost. ok is
@@ -74,20 +76,11 @@ func (o *Oracle) exhaustive() (map[string]faas.ResourceConfig, float64, bool) {
 // until a full pass yields no improvement, from several starts.
 func (o *Oracle) coordinateDescent() (map[string]faas.ResourceConfig, float64, bool) {
 	rng := stats.NewRNG(o.Seed)
-	k := o.Space.dimsPerFunction()
 	dimOpts := func(d int) int {
-		switch d % k {
-		case 0:
+		if d%2 == 0 {
 			return len(o.Space.CPUOptions)
-		case 1:
-			return len(o.Space.MemOptions)
-		default:
-			return len(o.Space.Concurrency)
 		}
-	}
-	restarts := o.Restarts
-	if restarts <= 0 {
-		restarts = 3
+		return len(o.Space.MemOptions)
 	}
 	// Deterministic starts: the most generous configuration (always
 	// feasible if anything is) plus every feasible uniform "ladder"
@@ -120,7 +113,7 @@ func (o *Oracle) coordinateDescent() (map[string]faas.ResourceConfig, float64, b
 	}
 	globalBest := math.Inf(1)
 	var globalX []float64
-	for r := 0; r < restarts+len(starts); r++ {
+	for r := 0; r < oracleRestarts+len(starts); r++ {
 		var x []float64
 		if r < len(starts) {
 			x = append([]float64(nil), starts[r]...)

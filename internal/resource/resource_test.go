@@ -37,23 +37,6 @@ func TestSpaceDimMismatch(t *testing.T) {
 	}
 }
 
-func TestSpaceWithConcurrency(t *testing.T) {
-	s := NewSpace(chainApp())
-	s.Concurrency = []int{4, 8, 16, 32}
-	if s.Dim() != 6 {
-		t.Fatalf("dim = %d", s.Dim())
-	}
-	cfgs, err := s.Decode(make([]float64, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cfgs {
-		if c.Concurrency != 4 {
-			t.Fatalf("concurrency = %d", c.Concurrency)
-		}
-	}
-}
-
 func TestGridEnumeration(t *testing.T) {
 	s := &Space{Functions: []string{"f"}, CPUOptions: []float64{1, 2}, MemOptions: []float64{128, 256, 512}}
 	if s.GridSize() != 6 {

@@ -1,7 +1,6 @@
 // Package resource implements the container resource manager of §5: it
-// maps workflow-wide resource configurations (per-function CPU, memory and
-// optionally concurrency, matching provider interfaces) onto the normalized
-// search cube, profiles candidates on the simulated platform under
+// maps workflow-wide resource configurations (per-function CPU and memory,
+// matching provider interfaces) onto the normalized search cube, profiles candidates on the simulated platform under
 // warm-start conditions, and drives the search with the customized BO
 // engine or one of the paper's baselines (Random, Autoscale, CLITE), with
 // an exhaustive Oracle for reference.
@@ -21,12 +20,12 @@ var DefaultCPUOptions = []float64{0.25, 0.5, 1, 2, 4}
 // DefaultMemOptions are the per-function memory limits explored (MB).
 var DefaultMemOptions = []float64{128, 256, 512, 1024, 2048, 4096}
 
-// Space maps [0,1]^Dim vectors to per-function resource configurations.
+// Space maps [0,1]^Dim vectors to per-function resource configurations:
+// coordinates 2i and 2i+1 pick function i's CPU and memory options.
 type Space struct {
-	Functions   []string
-	CPUOptions  []float64
-	MemOptions  []float64
-	Concurrency []int // nil disables the concurrency dimension
+	Functions  []string
+	CPUOptions []float64
+	MemOptions []float64
 }
 
 // NewSpace returns the default CPU×memory space over an app's functions.
@@ -38,16 +37,8 @@ func NewSpace(a *apps.App) *Space {
 	}
 }
 
-// dimsPerFunction returns 2 (CPU, mem) or 3 (plus concurrency).
-func (s *Space) dimsPerFunction() int {
-	if len(s.Concurrency) > 0 {
-		return 3
-	}
-	return 2
-}
-
 // Dim returns the dimensionality of the normalized search cube.
-func (s *Space) Dim() int { return len(s.Functions) * s.dimsPerFunction() }
+func (s *Space) Dim() int { return 2 * len(s.Functions) }
 
 // snap maps u in [0,1] to an option index.
 func snapIdx(u float64, n int) int {
@@ -66,17 +57,12 @@ func (s *Space) Decode(x []float64) (map[string]faas.ResourceConfig, error) {
 	if len(x) != s.Dim() {
 		return nil, fmt.Errorf("resource: vector dim %d, want %d", len(x), s.Dim())
 	}
-	k := s.dimsPerFunction()
 	out := make(map[string]faas.ResourceConfig, len(s.Functions))
 	for i, fn := range s.Functions {
-		cfg := faas.ResourceConfig{
-			CPU:      s.CPUOptions[snapIdx(x[i*k], len(s.CPUOptions))],
-			MemoryMB: s.MemOptions[snapIdx(x[i*k+1], len(s.MemOptions))],
+		out[fn] = faas.ResourceConfig{
+			CPU:      s.CPUOptions[snapIdx(x[2*i], len(s.CPUOptions))],
+			MemoryMB: s.MemOptions[snapIdx(x[2*i+1], len(s.MemOptions))],
 		}
-		if k == 3 {
-			cfg.Concurrency = s.Concurrency[snapIdx(x[i*k+2], len(s.Concurrency))]
-		}
-		out[fn] = cfg
 	}
 	return out, nil
 }
@@ -86,9 +72,6 @@ func binCenter(i, n int) float64 { return (float64(i) + 0.5) / float64(n) }
 // GridSize returns the total number of distinct configurations.
 func (s *Space) GridSize() int {
 	per := len(s.CPUOptions) * len(s.MemOptions)
-	if len(s.Concurrency) > 0 {
-		per *= len(s.Concurrency)
-	}
 	total := 1
 	for range s.Functions {
 		total *= per
@@ -102,14 +85,10 @@ func (s *Space) GridSize() int {
 // EnumGrid calls fn for every grid configuration (bin-center coordinates).
 // Use only when GridSize is tractable.
 func (s *Space) EnumGrid(fn func(x []float64)) {
-	k := s.dimsPerFunction()
 	dims := make([]int, s.Dim())
 	for i := range s.Functions {
-		dims[i*k] = len(s.CPUOptions)
-		dims[i*k+1] = len(s.MemOptions)
-		if k == 3 {
-			dims[i*k+2] = len(s.Concurrency)
-		}
+		dims[2*i] = len(s.CPUOptions)
+		dims[2*i+1] = len(s.MemOptions)
 	}
 	idx := make([]int, len(dims))
 	for {

@@ -41,7 +41,6 @@ type caerusManager struct {
 	queue   [][]int   // BFS frontier of per-function memory-level vectors
 	visited map[string]bool
 	iter    int
-	samples int
 	done    bool
 
 	best  map[string]faas.ResourceConfig
@@ -59,9 +58,6 @@ func newCaerusManager(space *resource.Space, prof *resource.Profiler, qos float6
 
 // Name implements resource.Manager.
 func (m *caerusManager) Name() string { return "caerus" }
-
-// Samples implements resource.Manager.
-func (m *caerusManager) Samples() int { return m.samples }
 
 // workRefDraws is how many perf-model draws estimate one stage's work.
 const workRefDraws = 5
@@ -143,7 +139,6 @@ func (m *caerusManager) Step() int {
 	m.queue = m.queue[1:]
 	cfgs := m.configAt(levels)
 	cost, lat := m.prof.Sample(cfgs)
-	m.samples++
 	satisfied := lat <= m.qos
 	if satisfied {
 		// Best-fit: the first (i.e. smallest-footprint, by BFS order)

@@ -102,7 +102,6 @@ type jolteonManager struct {
 	done    []bool
 	next    int // round-robin cursor
 	iter    int
-	samples int
 	started bool
 
 	best  map[string]faas.ResourceConfig
@@ -130,9 +129,6 @@ func newJolteonManager(space *resource.Space, prof *resource.Profiler, qos float
 
 // Name implements resource.Manager.
 func (m *jolteonManager) Name() string { return "jolteon" }
-
-// Samples implements resource.Manager.
-func (m *jolteonManager) Samples() int { return m.samples }
 
 // memFor returns the smallest memory option covering the Lambda coupling
 // for the given vCPU allocation (or the largest option if none does).
@@ -165,7 +161,6 @@ func (m *jolteonManager) measure(cfgs map[string]faas.ResourceConfig) (costMean,
 		c, l := m.prof.Sample(cfgs)
 		costMean += c
 		lats[j] = l
-		m.samples++
 	}
 	costMean /= float64(m.k)
 	return costMean, stats.Mean(lats), stats.StdDev(lats)

@@ -39,10 +39,9 @@ type naiveManager struct {
 	prof  *resource.Profiler
 	qos   float64
 
-	samples int
-	best    map[string]faas.ResourceConfig
-	bestC   float64
-	haveB   bool
+	best  map[string]faas.ResourceConfig
+	bestC float64
+	haveB bool
 }
 
 // newNaiveManager prices the top of the grid; it draws nothing, so the
@@ -53,9 +52,6 @@ func newNaiveManager(space *resource.Space, prof *resource.Profiler, qos float64
 
 // Name implements resource.Manager.
 func (m *naiveManager) Name() string { return "naive" }
-
-// Samples implements resource.Manager.
-func (m *naiveManager) Samples() int { return m.samples }
 
 // Step implements resource.Manager.
 func (m *naiveManager) Step() int {
@@ -69,7 +65,6 @@ func (m *naiveManager) Step() int {
 		cfgs[fn] = faas.ResourceConfig{CPU: maxCPU, MemoryMB: maxMem}
 	}
 	cost, lat := m.prof.Sample(cfgs)
-	m.samples++
 	m.best, m.bestC, m.haveB = cfgs, cost, true
 	if m.prof.Tracer.Enabled() {
 		m.prof.Tracer.Point(telemetry.KindSchedDecision, "naive", 0, 0, telemetry.Fields{

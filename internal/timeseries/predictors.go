@@ -622,7 +622,6 @@ type VanillaLSTM struct {
 	Hidden  int
 	Window  int
 	Epochs  int
-	LR      float64
 	Seed    int64
 	lstm    *nn.LSTM
 	head    *nn.Dense
@@ -632,9 +631,12 @@ type VanillaLSTM struct {
 	train   []float64
 }
 
+// vanillaLSTMLR is the vanilla LSTM's Adam learning rate.
+const vanillaLSTMLR float64 = 0.01
+
 // NewVanillaLSTM returns an untrained vanilla LSTM predictor.
 func NewVanillaLSTM(hidden, window, epochs int, seed int64) *VanillaLSTM {
-	return &VanillaLSTM{Hidden: hidden, Window: window, Epochs: epochs, LR: 0.01, Seed: seed, std: 1}
+	return &VanillaLSTM{Hidden: hidden, Window: window, Epochs: epochs, Seed: seed, std: 1}
 }
 
 // Name implements Predictor.
@@ -648,7 +650,7 @@ func (v *VanillaLSTM) Fit(train []float64) {
 	v.head = nn.NewDense("vh", v.Hidden, 1, nn.Identity, rng)
 	_, v.mean, v.std = stats.Standardize(train)
 	params := append(v.lstm.Params(), v.head.Params()...)
-	opt := nn.NewAdam(v.LR, params)
+	opt := nn.NewAdam(vanillaLSTMLR, params)
 	scale := func(x float64) float64 { return (x - v.mean) / v.std }
 	n := len(train) - v.Window
 	if n <= 0 {
