@@ -30,7 +30,8 @@ type App struct {
 	QoS float64
 	// InputFn samples a request's input size.
 	InputFn func(rng *stats.RNG) float64
-	// WidthFn samples per-request stage width overrides (nil = none).
+	// WidthFn samples per-request stage width overrides (nil = none). The
+	// map it returns may be shared between requests and is read-only.
 	WidthFn func(rng *stats.RNG) map[string]int
 }
 
@@ -57,6 +58,8 @@ func (a *App) Input(rng *stats.RNG) float64 {
 }
 
 // Widths returns per-request width overrides (nil when WidthFn is nil).
+// The map is shared by every request that draws the same widths: read it,
+// never write it.
 func (a *App) Widths(rng *stats.RNG) map[string]int {
 	if a.WidthFn == nil {
 		return nil
@@ -218,6 +221,11 @@ func NewVideoProcessing() *App {
 	for _, s := range specs {
 		defaults[s.Name] = faas.ResourceConfig{CPU: 1, MemoryMB: 768}
 	}
+	// One read-only override map per chunk count, built once.
+	chunks := make([]map[string]int, 9)
+	for w := 2; w < len(chunks); w++ {
+		chunks[w] = map[string]int{"face": w, "drawbox": w, "watermark": w}
+	}
 	return &App{
 		Name:     "videoproc",
 		DAG:      d,
@@ -230,8 +238,7 @@ func NewVideoProcessing() *App {
 		},
 		WidthFn: func(rng *stats.RNG) map[string]int {
 			// Chunk count varies with video length (2..8).
-			w := 2 + rng.Intn(7)
-			return map[string]int{"face": w, "drawbox": w, "watermark": w}
+			return chunks[2+rng.Intn(7)]
 		},
 	}
 }
@@ -272,6 +279,12 @@ func NewSocialNetwork(graph *socialgraph.Graph) *App {
 	for _, s := range specs {
 		defaults[s.Name] = faas.ResourceConfig{CPU: 0.5, MemoryMB: 384}
 	}
+	// One read-only override map per shard count a user can need, built
+	// once.
+	shards := make([]map[string]int, graph.MaxDegree()/32+2)
+	for w := 1; w < len(shards); w++ {
+		shards[w] = map[string]int{"hometimeline": w}
+	}
 	return &App{
 		Name:     "socialnet",
 		DAG:      d,
@@ -284,8 +297,7 @@ func NewSocialNetwork(graph *socialgraph.Graph) *App {
 		WidthFn: func(rng *stats.RNG) map[string]int {
 			// Broadcast shards: one home-timeline update per 32 followers.
 			user := graph.SampleUser(rng)
-			w := graph.Followers(user)/32 + 1
-			return map[string]int{"hometimeline": w}
+			return shards[graph.Followers(user)/32+1]
 		},
 	}
 }

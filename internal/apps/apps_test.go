@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"maps"
 	"testing"
 
 	"aquatope/internal/faas"
@@ -182,6 +183,47 @@ func TestQoSAchievableWhenWellProvisioned(t *testing.T) {
 		}
 		if res.Latency() > a.QoS {
 			t.Fatalf("%s warm latency %v exceeds QoS %v", a.Name, res.Latency(), a.QoS)
+		}
+	}
+}
+
+// TestWidthsAllocBudget: drawing a request's width overrides allocates
+// nothing for any app, and the shared maps hold exactly what the per-request
+// formulas gave, after exactly the same RNG draws.
+func TestWidthsAllocBudget(t *testing.T) {
+	graph := socialgraph.Reed98Like(1)
+	formula := map[string]func(rng *stats.RNG) map[string]int{
+		"videoproc": func(rng *stats.RNG) map[string]int {
+			w := 2 + rng.Intn(7)
+			return map[string]int{"face": w, "drawbox": w, "watermark": w}
+		},
+		"socialnet": func(rng *stats.RNG) map[string]int {
+			w := graph.Followers(graph.SampleUser(rng))/32 + 1
+			return map[string]int{"hometimeline": w}
+		},
+	}
+	for _, a := range All(1) {
+		rng := stats.NewRNG(1)
+		if got := testing.AllocsPerRun(100, func() { a.Widths(rng) }); got != 0 {
+			t.Errorf("%s: Widths allocates %v, want 0", a.Name, got)
+		}
+		want := formula[a.Name]
+		if want == nil {
+			if a.WidthFn != nil {
+				t.Errorf("%s: unexpected WidthFn", a.Name)
+			}
+			continue
+		}
+		for seed := int64(0); seed < 200; seed++ {
+			got, ref := stats.NewRNG(seed), stats.NewRNG(seed)
+			for i := 0; i < 20; i++ {
+				if g, w := a.Widths(got), want(ref); !maps.Equal(g, w) {
+					t.Fatalf("%s seed %d draw %d: widths %v, want %v", a.Name, seed, i, g, w)
+				}
+			}
+			if got.Int63() != ref.Int63() {
+				t.Fatalf("%s seed %d: the RNG streams diverged", a.Name, seed)
+			}
 		}
 	}
 }

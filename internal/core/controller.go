@@ -59,8 +59,9 @@ type appRun struct {
 	// sealed is the checkpoint position of lats: the latencies already
 	// folded into a snapshot (lats is append-only).
 	sealed checkpoint.Position
-	// onResult is settle, bound once so an arrival allocates no closure
-	// for it.
+	// onFire and onResult are fire and settle, bound once so an arrival
+	// allocates no closure for either.
+	onFire   func()
 	onResult func(workflow.Result)
 }
 
@@ -143,11 +144,15 @@ func New(cfg Config) (*Controller, error) {
 			feat: comp.Trace,
 			// Draws happen when an arrival fires, so each app consumes its
 			// stream in engine event order however the arrivals came in.
-			rng:  stats.NewRNG(cfg.Seed + int64(i+1)),
-			cut:  c.trainCut,
-			res:  AppResult{ChosenConfig: chosen[comp.App.Name]},
+			rng: stats.NewRNG(cfg.Seed + int64(i+1)),
+			cut: c.trainCut,
+			res: AppResult{ChosenConfig: chosen[comp.App.Name]},
+			// Every test-window arrival of a batch trace settles at most one
+			// latency; a streamed trace hands none over up front.
+			lats: make([]float64, 0, countFrom(comp.Trace.Arrivals, c.trainCut)),
 			hist: reg.Histogram(telemetry.MetricWorkflowLatency + "." + comp.App.Name),
 		}
+		a.onFire = a.fire
 		a.onResult = a.settle
 		c.apps = append(c.apps, a)
 		c.byName[comp.App.Name] = a
@@ -200,7 +205,7 @@ func (c *Controller) Arrive(app string, at float64) {
 	if at < c.trainCut {
 		a.early = append(a.early, at)
 	}
-	c.eng.Schedule(at, a.fire)
+	c.eng.Schedule(at, a.onFire)
 }
 
 func (a *appRun) fire() {
@@ -335,6 +340,17 @@ func (a *appRun) snapshotStats(enc *checkpoint.Encoder) {
 	enc.F64(r.MemTime)
 }
 
+// countFrom counts the arrivals at or after cut.
+func countFrom(arrivals []float64, cut float64) int {
+	n := 0
+	for _, at := range arrivals {
+		if at >= cut {
+			n++
+		}
+	}
+	return n
+}
+
 // Run executes the end-to-end experiment as a pre-scheduled batch: build,
 // hand over every arrival of every component's trace, finish.
 func Run(cfg Config) (Result, error) {
@@ -342,6 +358,11 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	n := 0
+	for _, comp := range cfg.Components {
+		n += len(comp.Trace.Arrivals)
+	}
+	c.eng.Grow(n)
 	for _, comp := range cfg.Components {
 		for _, at := range comp.Trace.Arrivals {
 			c.Arrive(comp.App.Name, at)

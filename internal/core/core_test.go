@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aquatope/internal/apps"
+	"aquatope/internal/faas"
 	"aquatope/internal/sched"
 	"aquatope/internal/trace"
 )
@@ -154,5 +155,45 @@ func TestResultAggregation(t *testing.T) {
 	}
 	if (Result{}).QoSViolationRate() != 0 || (Result{}).ColdStartRate() != 0 {
 		t.Fatal("empty result rates should be 0")
+	}
+}
+
+// TestArriveAllocBudget: once the queue has room, handing an arrival over
+// costs its sim.Event and nothing else (the fire callback is bound once).
+func TestArriveAllocBudget(t *testing.T) {
+	comps := smallComponents(1)
+	c, err := New(Config{Components: comps, TrainMin: 120, Seed: 3,
+		Chosen: map[string]map[string]faas.ResourceConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	c.Engine().Grow(runs + 1)
+	at := c.trainCut + 1
+	if got := testing.AllocsPerRun(runs, func() { c.Arrive("chain2", at) }); got != 1 {
+		t.Fatalf("Arrive allocates %v, want exactly 1", got)
+	}
+}
+
+// TestLatsSizedForTestWindow: a batch run's latency list is sized for
+// every test-window arrival up front, so it never regrows.
+func TestLatsSizedForTestWindow(t *testing.T) {
+	comps := smallComponents(2)
+	c, err := New(Config{Components: comps, TrainMin: 120, Seed: 3,
+		Chosen: map[string]map[string]faas.ResourceConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := c.apps[0]
+	want := countFrom(comps[0].Trace.Arrivals, c.trainCut)
+	if want == 0 || cap(a.lats) != want {
+		t.Fatalf("cap(lats) = %d, want %d test-window arrivals", cap(a.lats), want)
+	}
+	for _, at := range comps[0].Trace.Arrivals {
+		c.Arrive("chain2", at)
+	}
+	c.Finish()
+	if len(a.lats) == 0 || cap(a.lats) != want {
+		t.Fatalf("lats: len %d cap %d, want cap %d throughout", len(a.lats), cap(a.lats), want)
 	}
 }

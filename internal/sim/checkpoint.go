@@ -25,6 +25,6 @@ func (e *Engine) Snapshot(enc *checkpoint.Encoder) {
 	for _, x := range pend {
 		enc.F64(x.at)
 		enc.U64(x.seq)
-		enc.Bool(x.ev.canceled)
+		enc.Bool(x.ev.fn == nil)
 	}
 }

@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aquatope/internal/telemetry"
 )
@@ -18,13 +19,12 @@ import (
 type Time = float64
 
 // Event is a scheduled callback. Callers may hold an *Event past its firing
-// (to Cancel it, or ask Canceled/At), so the engine never recycles one.
+// (to Cancel it), so the engine never recycles one. It is two words: the
+// firing time lives only in the queue entry, a nil fn marks a canceled
+// event and a nil eng one that has left the queue.
 type Event struct {
-	at       Time
-	fn       func()
-	eng      *Engine // owner, for live-event accounting on Cancel
-	canceled bool
-	queued   bool // still in the queue (not yet popped)
+	fn  func()
+	eng *Engine // owner while queued, for live-event accounting on Cancel
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that
@@ -32,12 +32,12 @@ type Event struct {
 // queue slot until it reaches the head and is popped: removing it eagerly
 // would change the pending schedule the checkpoint fingerprint lists.
 func (e *Event) Cancel() {
-	if e == nil || e.canceled {
+	if e == nil || e.fn == nil {
 		return
 	}
-	e.canceled = true
+	e.fn = nil
 	// Still in the queue: it no longer counts as a live pending event.
-	if e.queued {
+	if e.eng != nil {
 		e.eng.live--
 	}
 }
@@ -74,9 +74,9 @@ func (q *eventQueue) push(x entry) {
 }
 
 // pop removes and returns the head; the queue must not be empty.
-func (q *eventQueue) pop() *Event {
+func (q *eventQueue) pop() entry {
 	h := *q
-	head := h[0].ev
+	head := h[0]
 	n := len(h) - 1
 	x := h[n]
 	h[n] = entry{}
@@ -103,7 +103,7 @@ func (q *eventQueue) pop() *Event {
 	if n > 0 {
 		h[i] = x
 	}
-	head.queued = false
+	head.ev.eng = nil
 	return head
 }
 
@@ -143,16 +143,23 @@ func (e *Engine) Now() Time { return e.now }
 //aqualint:allow unreached test observer: sim, chaos and workflow tests read outstanding work through it
 func (e *Engine) Pending() int { return e.live }
 
-// Schedule runs fn at absolute virtual time at. Scheduling in the past
-// panics: it always indicates a logic bug in the caller.
+// Grow makes room in the queue for n more events, so a caller that hands
+// over a known number of events up front grows the heap once.
+func (e *Engine) Grow(n int) { e.queue = slices.Grow(e.queue, n) }
+
+// Schedule runs fn at absolute virtual time at. Scheduling in the past or
+// a nil fn panics: either always indicates a logic bug in the caller.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
+	if fn == nil {
+		panic("sim: scheduling a nil callback")
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	if math.IsNaN(at) {
 		panic("sim: scheduling event at NaN")
 	}
-	ev := &Event{at: at, fn: fn, eng: e, queued: true}
+	ev := &Event{fn: fn, eng: e}
 	e.queue.push(entry{at: at, seq: e.seq, ev: ev})
 	e.seq++
 	e.live++
@@ -171,17 +178,17 @@ func (e *Engine) After(delay float64, fn func()) *Event {
 // Step executes the next event. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.canceled {
+		x := e.queue.pop()
+		if x.ev.fn == nil {
 			continue // live count already dropped at Cancel time
 		}
-		e.now = ev.at
+		e.now = x.at
 		e.events++
 		e.live--
 		e.evCount.Inc()
 		e.clockG.Set(e.now)
 		e.pendingG.Set(float64(e.live))
-		ev.fn()
+		x.ev.fn()
 		return true
 	}
 	return false
@@ -199,7 +206,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	for len(e.queue) > 0 {
 		// Peek without popping: the heap's head is index 0.
 		next := e.queue[0]
-		if next.ev.canceled {
+		if next.ev.fn == nil {
 			e.queue.pop()
 			continue
 		}

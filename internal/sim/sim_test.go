@@ -1,13 +1,21 @@
 package sim
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 )
+
+// quickConfig runs n cases from a fixed seed, so every run checks the
+// same inputs and a failure replays.
+func quickConfig(n int) *quick.Config {
+	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(1))} //aqualint:allow globalrand testing/quick takes a *rand.Rand; this one is seeded with a constant
+}
 
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
@@ -71,8 +79,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.canceled {
-		t.Fatal("the event should be canceled")
+	if ev.fn != nil || ev.eng != nil {
+		t.Fatal("the event should be canceled and out of the queue")
 	}
 	if e.events != 0 {
 		t.Fatalf("events = %v, want 0", e.events)
@@ -136,12 +144,41 @@ func TestRunUntilSkipsCanceledHead(t *testing.T) {
 	}
 }
 
+// TestEventAt: the firing time lives in the event's queue entry.
 func TestEventAt(t *testing.T) {
 	e := NewEngine()
 	ev := e.Schedule(7, func() {})
-	if ev.at != 7 {
-		t.Fatalf("At = %v, want 7", ev.at)
+	if len(e.queue) != 1 || e.queue[0].ev != ev || e.queue[0].at != 7 {
+		t.Fatalf("queue = %+v, want one entry for the event at 7", e.queue)
 	}
+	if ev.eng != e {
+		t.Fatal("a queued event should name its engine")
+	}
+	e.Run()
+	if ev.eng != nil || ev.fn == nil {
+		t.Fatal("a fired event should have left the queue uncanceled")
+	}
+}
+
+// TestEventIsTwoWords: an Event is its callback and its owner, nothing
+// else, so it lands in the 16-byte size class.
+func TestEventIsTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Fatalf("sizeof(Event) = %d, want 16", got)
+	}
+}
+
+func TestScheduleNilPanics(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a nil callback should panic")
+		}
+		if e.Pending() != 0 || len(e.queue) != 0 {
+			t.Errorf("a refused schedule left %d pending, %d queued", e.Pending(), len(e.queue))
+		}
+	}()
+	e.Schedule(1, nil)
 }
 
 func TestPropertyEventsFireInTimestampOrder(t *testing.T) {
@@ -158,7 +195,7 @@ func TestPropertyEventsFireInTimestampOrder(t *testing.T) {
 		}
 		return sort.Float64sAreSorted(fired)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickConfig(500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,7 +346,7 @@ func TestPropertyQueueMatchesSortedReference(t *testing.T) {
 			evs[want].gone = true
 		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(2000)); err != nil {
 		t.Fatal(err)
 	}
 }
