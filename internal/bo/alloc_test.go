@@ -26,7 +26,7 @@ func TestSuggestAllocBudget(t *testing.T) {
 		}
 		e.Observe(obs)
 	}
-	if got := testing.AllocsPerRun(1, func() { e.Suggest() }); got > 1443 {
-		t.Fatalf("Suggest allocates %v, budget 1443", got)
+	if got := testing.AllocsPerRun(1, func() { e.Suggest() }); got > 1059 {
+		t.Fatalf("Suggest allocates %v, budget 1059", got)
 	}
 }

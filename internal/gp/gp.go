@@ -41,9 +41,21 @@ type GP struct {
 	jitter float64        // diagonal jitter the factorization needed
 	alpha  []float64
 
-	// Scratch buffers so steady-state Observe/Forget cycles are
-	// allocation-free: cross-covariances, the evict rank-1 vector, and the
-	// triangular-solve intermediate of restandardize.
+	// refactor's double buffer: it builds the kernel and its factor into
+	// spareK and spareL and swaps them with kmat and chol only on success,
+	// so a failed factorization leaves the caches as they were. noisy holds
+	// kmat + Noise·I while it is factored.
+	spareK, spareL, noisy *linalg.Matrix
+
+	// trials is FitHyperparameters' memo of the points scored in the
+	// current fit, one entry of stride dim+1 each: the log-hyperparameters,
+	// then the log marginal likelihood.
+	trials []float64
+
+	// Scratch buffers so steady-state Observe/Forget cycles and Posterior
+	// are allocation-free: cross-covariances, the evict rank-1 vector (and
+	// Posterior's solve), and the triangular-solve intermediate of
+	// restandardize.
 	kbuf, vbuf, solveTmp []float64
 }
 
@@ -53,6 +65,16 @@ func growBuf(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
+}
+
+// resize returns an n×n matrix on m's storage when it has room for one, and
+// a new matrix otherwise. The contents are stale: callers overwrite them.
+func resize(m *linalg.Matrix, n int) *linalg.Matrix {
+	if m == nil || cap(m.Data) < n*n {
+		return linalg.NewMatrix(n, n)
+	}
+	m.Rows, m.Cols, m.Data = n, n, m.Data[:n*n]
+	return m
 }
 
 // New returns a GP with the given kernel and fixed noise variance.
@@ -171,10 +193,12 @@ func (g *GP) Fit(X [][]float64, y []float64) error {
 
 // refactor rebuilds the kernel-matrix cache and factorization from the
 // current window. It is the only O(n³) path; Observe/Forget reach it solely
-// through jitter escalation or hyperparameter refits.
+// through jitter escalation or hyperparameter refits. It works in the spare
+// buffers and installs them only on success, so it allocates only when the
+// window outgrows them.
 func (g *GP) refactor() error {
 	n := len(g.x)
-	km := linalg.NewMatrix(n, n)
+	km := resize(g.spareK, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := g.Kernel.Eval(g.x[i], g.x[j])
@@ -182,15 +206,20 @@ func (g *GP) refactor() error {
 			km.Set(j, i, v)
 		}
 	}
-	noisy := km.Clone()
+	noisy := resize(g.noisy, n)
+	copy(noisy.Data, km.Data)
 	for i := 0; i < n; i++ {
 		noisy.Set(i, i, noisy.At(i, i)+g.Noise)
 	}
-	l, jit, err := linalg.CholeskyJitter(noisy)
+	l := resize(g.spareL, n)
+	g.spareK, g.spareL, g.noisy = km, l, noisy
+	jit, err := linalg.CholeskyJitterInto(noisy, l)
 	if err != nil {
 		return err
 	}
-	g.kmat, g.chol, g.jitter = km, l, jit
+	g.kmat, g.spareK = km, g.kmat
+	g.chol, g.spareL = l, g.chol
+	g.jitter = jit
 	g.restandardize()
 	return nil
 }
@@ -227,12 +256,14 @@ func (g *GP) Posterior(x []float64) (mean, variance float64) {
 	if len(g.x) == 0 {
 		return g.yMean, g.yStd * g.yStd * g.Kernel.Eval(x, x)
 	}
-	ks := make([]float64, len(g.x))
+	n := len(g.x)
+	g.kbuf, g.vbuf = growBuf(g.kbuf, n), growBuf(g.vbuf, n)
+	ks, v := g.kbuf, g.vbuf
 	for i, xi := range g.x {
 		ks[i] = g.Kernel.Eval(x, xi)
 	}
 	mu := linalg.Dot(ks, g.alpha)
-	v := linalg.SolveLower(g.chol, ks)
+	linalg.SolveLowerInto(g.chol, ks, v)
 	va := g.Kernel.Eval(x, x) - linalg.Dot(v, v)
 	if va < 0 {
 		va = 0
@@ -365,48 +396,45 @@ func (g *GP) LogMarginalLikelihood() float64 {
 // GP must already be fitted; the best hyperparameters are installed and the
 // factorization (and kernel-matrix cache) refreshed. This is the scheduled
 // full-refit path — per-step updates never come here.
+//
+// Every point scored in the fit is memoised in g.trials, and a bitwise
+// repeat (a step back to where the search just came from) reads the memo
+// instead of refactoring. That is exact: scoring is a pure function of the
+// point's bits, since the window, the targets and rng do not change inside
+// the loop. The final refactor at the best point rebuilds the installed
+// caches. It fails only when no scored point had a finite likelihood; then
+// no point ever moved, every successful trial was scored afresh, and the
+// caches hold the last successful trial just as they would without the
+// memo.
 func (g *GP) FitHyperparameters(rng *stats.RNG, restarts int) {
 	if len(g.x) == 0 {
 		return
 	}
-	dim := len(g.Kernel.Hyperparameters())
-	evalAt := func(h []float64) float64 {
-		g.Kernel.SetHyperparameters(h)
-		if err := g.refactor(); err != nil {
-			return math.Inf(-1)
-		}
-		return g.LogMarginalLikelihood()
-	}
-	best := append([]float64(nil), g.Kernel.Hyperparameters()...)
-	bestLL := evalAt(best)
-
+	dim := len(g.Kernel.Lengthscales) + 1
+	g.trials = g.Kernel.appendHyperparameters(g.trials[:0])
+	best := g.score(dim)
 	for r := 0; r < restarts; r++ {
-		var h []float64
-		var ll float64
-		if r == 0 {
-			// The incumbent was evaluated just above and the model is still
-			// factored at it: start from its likelihood, don't recompute it.
-			h, ll = append([]float64(nil), best...), bestLL
-		} else {
-			h = make([]float64, dim)
-			for i := range h {
-				h[i] = rng.Uniform(-2, 2) // lengthscales/variance in e^±2
+		// Restart 0 starts from the incumbent, already scored above.
+		h := best
+		if r > 0 {
+			for i := 0; i < dim; i++ {
+				g.trials = append(g.trials, rng.Uniform(-2, 2)) // lengthscales/variance in e^±2
 			}
-			ll = evalAt(h)
+			h = g.score(dim)
 		}
 		step := 0.5
 		for pass := 0; pass < 12; pass++ {
 			improved := false
 			for d := 0; d < dim; d++ {
-				for _, dir := range []float64{+1, -1} {
-					trial := append([]float64(nil), h...)
-					trial[d] += dir * step
-					if trial[d] < -5 || trial[d] > 5 {
+				for _, dir := range [...]float64{+1, -1} {
+					v := g.trials[h+d] + dir*step
+					if v < -5 || v > 5 {
 						continue
 					}
-					if tll := evalAt(trial); tll > ll {
-						h, ll = trial, tll
-						improved = true
+					g.trials = append(g.trials, g.trials[h:h+dim]...)
+					g.trials[len(g.trials)-dim+d] = v
+					if t := g.score(dim); g.trials[t+dim] > g.trials[h+dim] {
+						h, improved = t, true
 					}
 				}
 			}
@@ -417,13 +445,44 @@ func (g *GP) FitHyperparameters(rng *stats.RNG, restarts int) {
 				}
 			}
 		}
-		if ll > bestLL {
-			bestLL = ll
-			best = append([]float64(nil), h...)
+		if g.trials[h+dim] > g.trials[best+dim] {
+			best = h
 		}
 	}
-	g.Kernel.SetHyperparameters(best)
+	g.Kernel.SetHyperparameters(g.trials[best : best+dim])
 	_ = g.refactor()
+}
+
+// score returns the memo offset of the point held in g.trials' last dim
+// entries. A new point is scored (its likelihood, or -Inf when the kernel
+// matrix cannot be factored) and kept; a bitwise repeat of a point already
+// scored in this fit is dropped for the earlier entry.
+func (g *GP) score(dim int) int {
+	off := len(g.trials) - dim
+	p := g.trials[off:]
+	for o := 0; o < off; o += dim + 1 {
+		if sameBits(g.trials[o:o+dim], p) {
+			g.trials = g.trials[:off]
+			return o
+		}
+	}
+	g.Kernel.SetHyperparameters(p)
+	ll := math.Inf(-1)
+	if g.refactor() == nil {
+		ll = g.LogMarginalLikelihood()
+	}
+	g.trials = append(g.trials, ll)
+	return off
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // LeaveOneOutAll returns, for every window point i, the posterior mean and

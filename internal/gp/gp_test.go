@@ -33,11 +33,11 @@ func TestMatern52Properties(t *testing.T) {
 
 func TestKernelHyperparameterRoundTrip(t *testing.T) {
 	k := NewMatern52(3)
-	h := k.Hyperparameters()
+	h := k.appendHyperparameters(nil)
 	h[0] = math.Log(2.5)
 	h[len(h)-1] = math.Log(0.7)
 	k.SetHyperparameters(h)
-	h2 := k.Hyperparameters()
+	h2 := k.appendHyperparameters(nil)
 	for i := range h {
 		if math.Abs(h[i]-h2[i]) > 1e-12 {
 			t.Fatalf("hyperparameter round trip failed at %d", i)

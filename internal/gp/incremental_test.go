@@ -85,7 +85,7 @@ func TestIncrementalMatchesColdProperty(t *testing.T) {
 			default:
 				// Scheduled refit: perturb hyperparameters and rebuild, as
 				// the refit-every-k schedule does.
-				h := g.Kernel.Hyperparameters()
+				h := g.Kernel.appendHyperparameters(nil)
 				for i := range h {
 					h[i] += rng.Uniform(-0.2, 0.2)
 				}

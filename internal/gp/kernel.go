@@ -43,15 +43,13 @@ func (k *Matern52) Eval(a, b []float64) float64 {
 	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
 
-// Hyperparameters returns the current log-scale parameters: log
-// lengthscales first, log output variance last.
-func (k *Matern52) Hyperparameters() []float64 {
-	h := make([]float64, len(k.Lengthscales)+1)
-	for i, l := range k.Lengthscales {
-		h[i] = math.Log(l)
+// appendHyperparameters appends the current log-scale parameters to dst:
+// log lengthscales first, log output variance last.
+func (k *Matern52) appendHyperparameters(dst []float64) []float64 {
+	for _, l := range k.Lengthscales {
+		dst = append(dst, math.Log(l))
 	}
-	h[len(h)-1] = math.Log(k.Variance)
-	return h
+	return append(dst, math.Log(k.Variance))
 }
 
 // SetHyperparameters installs log-scale parameters (same layout).

@@ -31,7 +31,7 @@ func TestWindow1IncrementalMatchesColdProperty(t *testing.T) {
 		case op < 0.9:
 			g.Forget()
 		default:
-			h := g.Kernel.Hyperparameters()
+			h := g.Kernel.appendHyperparameters(nil)
 			for i := range h {
 				h[i] += rng.Uniform(-0.2, 0.2)
 			}

@@ -6,10 +6,11 @@ import (
 	"aquatope/internal/stats"
 )
 
-// TestInPlaceAllocBudget pins the sliding-window factor maintenance and the
-// caller-buffered triangular solves at zero allocations: a window at
-// steady state drops its oldest point and extends by a new one inside the
-// factor's own backing array, and the solves write into caller buffers.
+// TestInPlaceAllocBudget pins the sliding-window factor maintenance, the
+// caller-buffered factorization and the caller-buffered triangular solves
+// at zero allocations: a window at steady state drops its oldest point and
+// extends by a new one inside the factor's own backing array, and the
+// factorization and the solves write into caller buffers.
 func TestInPlaceAllocBudget(t *testing.T) {
 	const n = 32
 	rng := stats.NewRNG(5)
@@ -31,6 +32,15 @@ func TestInPlaceAllocBudget(t *testing.T) {
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
+	}
+	into := NewMatrix(n, n)
+	factor := func() {
+		if _, err := CholeskyJitterInto(a, into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, factor); got != 0 {
+		t.Errorf("CholeskyJitterInto allocates %v, budget 0", got)
 	}
 	l.Data = append(make([]float64, 0, (n+1)*(n+1)), l.Data...)
 	scratch, k := make([]float64, n), make([]float64, n-1)

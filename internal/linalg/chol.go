@@ -32,14 +32,28 @@ import "math"
 // maintaining a factor incrementally must add the same jitter to appended
 // diagonal entries to stay consistent with the factored matrix.
 func CholeskyJitter(a *Matrix) (*Matrix, float64, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	jitter, err := CholeskyJitterInto(a, l)
+	if err != nil {
+		return nil, 0, err
+	}
+	return l, jitter, nil
+}
+
+// CholeskyJitterInto is CholeskyJitter writing the factor into the
+// caller's l (same shape as a), allocation-free. On failure l holds the
+// last attempt's partial rows and is not a factor.
+func CholeskyJitterInto(a, l *Matrix) (float64, error) {
 	if a.Rows != a.Cols {
-		return nil, 0, errNonSquare
+		return 0, errNonSquare
+	}
+	if l.Rows != a.Rows || l.Cols != a.Cols {
+		panic("linalg: cholesky factor shape mismatch")
 	}
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
-		l, ok := tryCholesky(a, jitter)
-		if ok {
-			return l, jitter, nil
+		if tryCholesky(a, l, jitter) {
+			return jitter, nil
 		}
 		if jitter == 0 {
 			jitter = 1e-10
@@ -50,7 +64,7 @@ func CholeskyJitter(a *Matrix) (*Matrix, float64, error) {
 			break
 		}
 	}
-	return nil, 0, ErrNotPSD
+	return 0, ErrNotPSD
 }
 
 // ExtendCholeskyInPlace turns l = chol(A + jitter·I) (n×n) into the

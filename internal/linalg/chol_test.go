@@ -297,6 +297,41 @@ func TestInPlaceVariantsBitwiseEqual(t *testing.T) {
 	}
 }
 
+// TestCholeskyJitterIntoOverwritesStaleBuffer: factoring into a buffer of
+// stale values gives bitwise CholeskyJitter's fresh factor and jitter, upper
+// triangle included, also when failed attempts escalate the jitter.
+func TestCholeskyJitterIntoOverwritesStaleBuffer(t *testing.T) {
+	g := stats.NewRNG(8)
+	rank1 := NewMatrix(8, 8)
+	v := make([]float64, 8)
+	for i := range v {
+		v[i] = g.Normal(0, 1)
+	}
+	for i := range v {
+		for j := range v {
+			rank1.Set(i, j, v[i]*v[j])
+		}
+	}
+	for _, a := range []*Matrix{randSPD(g, 12, 1e-3), mat(2, 2, 1, 1, 1, 1), rank1} {
+		want, wantJit, err := CholeskyJitter(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewMatrix(a.Rows, a.Cols)
+		for i := range l.Data {
+			l.Data[i] = math.NaN()
+		}
+		jit, err := CholeskyJitterInto(a, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jit != wantJit {
+			t.Fatalf("n=%d: jitter %v, fresh factor's %v", a.Rows, jit, wantJit)
+		}
+		checkBitwise(t, l, want, "factor into a stale buffer")
+	}
+}
+
 // boolNoise adds observation noise on the diagonal only.
 func boolNoise(a, b []float64) float64 {
 	if &a[0] == &b[0] {

@@ -33,13 +33,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (shared backing array).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose as a new matrix.
 //
 //aqualint:allow unreached test oracle: the Cholesky tests rebuild L·Lᵀ with it
@@ -104,9 +97,14 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	return l, err
 }
 
-func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
+// tryCholesky factors a + jitter·I into l (same shape), reporting whether
+// every pivot stayed positive. It clears l first, so the upper triangle and
+// a failed attempt's leftovers read exactly as a freshly allocated matrix
+// would: ExtendCholeskyInPlace and the bitwise cold-vs-incremental
+// identities rely on the zero upper triangle.
+func tryCholesky(a, l *Matrix, jitter float64) bool {
 	n := a.Rows
-	l := NewMatrix(n, n)
+	clear(l.Data)
 	for j := 0; j < n; j++ {
 		var d float64 = a.At(j, j) + jitter
 		lj := l.Row(j)
@@ -114,7 +112,7 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 			d -= lj[k] * lj[k]
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, false
+			return false
 		}
 		dj := math.Sqrt(d)
 		l.Set(j, j, dj)
@@ -127,7 +125,7 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 			l.Set(i, j, s/dj)
 		}
 	}
-	return l, true
+	return true
 }
 
 // SolveLower solves L y = b for lower-triangular L.

@@ -77,15 +77,6 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := mat(2, 2, 1, 2, 3, 4)
-	c := a.Clone()
-	c.Set(0, 0, 99)
-	if a.At(0, 0) != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestCholeskyKnown(t *testing.T) {
 	a := mat(3, 3,
 		4, 12, -16,
