@@ -103,9 +103,10 @@ func TestFlagsAndExitCodes(t *testing.T) {
 //   - every checkpoint it left is byte-equal to the reference run's file of
 //     the same name — a checkpoint is a function of the run, so this is the
 //     guard that every Snapshot stays deterministic;
-//   - no reference checkpoint is over 128 KB: histories are stored as
-//     positions, so a boundary file is tens of KB at any horizon, and a
-//     bigger one means a history-proportional payload has crept back in;
+//   - no reference checkpoint is over 1 KiB: a section is the SHA-256 of
+//     its component snapshot, so a file is a header plus one digest per
+//     section at any horizon, and a bigger one means a body has crept back
+//     in;
 //   - restoring from the killed run's checkpoint directory finishes with
 //     exit 0, a verified replay, and span and metric dumps byte-equal to the
 //     reference's (DESIGN.md §15's restore-equals-uninterrupted contract).
@@ -132,8 +133,8 @@ func TestServeKillRestore(t *testing.T) {
 	for _, f := range refCkpts {
 		if fi, err := os.Stat(f); err != nil {
 			t.Error(err)
-		} else if fi.Size() > 128<<10 {
-			t.Errorf("reference checkpoint %s is %d bytes, over 128 KB", filepath.Base(f), fi.Size())
+		} else if fi.Size() > 1<<10 {
+			t.Errorf("reference checkpoint %s is %d bytes, over 1 KiB", filepath.Base(f), fi.Size())
 		}
 	}
 

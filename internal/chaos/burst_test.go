@@ -34,7 +34,7 @@ func burstCluster(t *testing.T, seed int64, queueLimit int) (*sim.Engine, *faas.
 func TestBurstInjectsAndSheds(t *testing.T) {
 	eng, cl, col := burstCluster(t, 1, 2)
 	scn := Scenario{Name: "burst", Faults: []Fault{
-		{Kind: KindBurst, At: 10, Duration: 5, Rate: 4, Function: "f"},
+		{Kind: KindBurst, At: 10, Duration: 5, Rate: 4},
 	}}
 	New(cl, scn).Arm()
 	eng.Run()

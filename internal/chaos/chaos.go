@@ -38,8 +38,8 @@ const (
 	KindStraggler Kind = "straggler"
 	// KindBurst injects background invocations at Rate per second for the
 	// window [At, At+Duration) — a demand surge stacked on top of the
-	// workload, driving the platform through and past saturation. Function
-	// targets one function; empty round-robins over every registered one.
+	// workload, driving the platform through and past saturation. It
+	// round-robins over every registered function.
 	KindBurst Kind = "burst"
 	// KindCrash kills the controller process itself at At — the fault the
 	// crash-safe serving loop (internal/serve) exists to survive. The
@@ -67,10 +67,6 @@ type Fault struct {
 	Factor float64
 	// Rate is the burst's injection rate in invocations per second.
 	Rate float64
-	// Function targets burst faults (empty = all registered functions,
-	// round-robin).
-	//aqualint:allow onevalue serve.Options.Digest prints it with %+v, so deleting it orphans parent checkpoints; ROADMAP item 13 replaces the digest
-	Function string
 }
 
 // Scenario is a named, ordered fault script.
@@ -191,9 +187,6 @@ func (in *Injector) fire(f Fault) {
 		}
 	case KindBurst:
 		fns := in.cl.Functions()
-		if f.Function != "" {
-			fns = []string{f.Function}
-		}
 		if f.Rate <= 0 || f.Duration <= 0 || len(fns) == 0 {
 			end(telemetry.Fields{"rate": f.Rate, "injected": 0})
 			return

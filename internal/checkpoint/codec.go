@@ -17,11 +17,11 @@
 //     SHA-256), the form every history-proportional payload is stored in.
 //
 // A component contributes a fingerprint writer, Snapshot(*Encoder), and
-// nothing else: restore is verified deterministic replay (internal/serve
-// re-derives every section and byte-compares it with the stored one), so
-// no section is ever loaded back into a component. The Decoder therefore
-// reads only what the program reads back from disk — the serve header and
-// the position heads — and has no slice readers. A Snapshot must be
+// nothing else: restore is verified deterministic replay. internal/serve
+// stores the SHA-256 of each snapshot as its section and compares it with
+// the digest of the re-derived snapshot, so no section is ever decoded, let
+// alone loaded back into a component. The Decoder therefore reads only the
+// serve header and has no slice readers. A Snapshot must be
 // read-only: serving writes checkpoints mid-run and a mutating snapshot
 // would make the checkpointed run diverge from an unmonitored one.
 // (Advancing a Position's running digest over an append-only log is not a
@@ -116,7 +116,7 @@ func corrupt(format string, args ...any) error {
 }
 
 // Decoder reads values encoded by Encoder. Errors are sticky: after the
-// first failure every read returns the zero value and Err reports the
+// first failure every read returns the zero value and Done reports the
 // original cause. Decoder never panics on malformed input.
 type Decoder struct {
 	data []byte
@@ -126,12 +126,6 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over data.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
-
-// Err returns the first decoding error, or nil.
-func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.data) - d.off }
 
 // Done returns an error when decoding failed or unread bytes remain — a
 // trailing-garbage check.
@@ -222,7 +216,7 @@ func (d *Decoder) count() (int, bool) {
 	if d.err != nil {
 		return 0, false
 	}
-	if n > uint64(d.Remaining()) {
+	if n > uint64(len(d.data)-d.off) {
 		d.fail("length %d exceeds remaining input", n)
 		return 0, false
 	}

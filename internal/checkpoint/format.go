@@ -18,9 +18,10 @@ import (
 //
 // The header is an opaque blob owned by the producer (internal/serve encodes
 // seed, virtual time, interval index, journal position and config digest into
-// it with an Encoder). Sections are named component snapshots. Every layer is
-// CRC-guarded and length-validated so truncation or bit flips anywhere are
-// detected before any stored section is compared with a re-derived one.
+// it with an Encoder). Sections are named blobs; internal/serve stores the
+// SHA-256 of each component snapshot as one. Every layer is CRC-guarded and
+// length-validated so truncation or bit flips anywhere are detected before
+// any stored section is compared with a re-derived one.
 
 // Magic identifies an AQCP checkpoint file.
 const Magic = "AQCP"
@@ -28,9 +29,11 @@ const Magic = "AQCP"
 // Version is the current format version. Decode rejects any other value:
 // snapshot state is tightly coupled to component struct layout, so skew
 // always means "refuse and re-run" rather than best-effort migration.
-const Version uint32 = 2
+// Version 1 stored the span log and latency lists as blobs, version 2 each
+// whole component snapshot; version 3 stores one digest per section.
+const Version uint32 = 3
 
-// Section is one named component snapshot inside a File.
+// Section is one named blob inside a File.
 type Section struct {
 	Name string
 	Data []byte

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -108,7 +109,7 @@ func TestDecoderStickyErrors(t *testing.T) {
 	if got := dec.F64(); got != 0 {
 		t.Fatalf("truncated f64: %v", got)
 	}
-	if dec.Err() == nil {
+	if dec.err == nil {
 		t.Fatal("expected error")
 	}
 	if got := dec.String(); got != "" {
@@ -122,14 +123,14 @@ func TestDecoderStickyErrors(t *testing.T) {
 	enc := NewEncoder()
 	enc.U64(1 << 40)
 	dec = NewDecoder(enc.Bytes())
-	if got := dec.Blob(); got != nil || dec.Err() == nil {
+	if got := dec.Blob(); got != nil || dec.err == nil {
 		t.Fatal("oversized length accepted")
 	}
 
 	// Invalid bool byte.
 	dec = NewDecoder([]byte{7})
 	dec.Bool()
-	if dec.Err() == nil {
+	if dec.err == nil {
 		t.Fatal("bad bool accepted")
 	}
 
@@ -138,7 +139,7 @@ func TestDecoderStickyErrors(t *testing.T) {
 	enc.String("alpha")
 	dec = NewDecoder(enc.Bytes())
 	dec.Expect("beta")
-	if dec.Err() == nil {
+	if dec.err == nil {
 		t.Fatal("marker mismatch accepted")
 	}
 }
@@ -207,23 +208,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("unexpected error type: %v", err)
 		}
 	})
-	t.Run("v1-refused", func(t *testing.T) {
-		// Format 1 stored the span log and latency lists as blobs; its
-		// sections mean something else, so a v1 file that is otherwise
-		// intact must be refused by version, naming both.
-		mut := append([]byte(nil), base...)
-		binary.LittleEndian.PutUint32(mut[4:], 1)
-		binary.LittleEndian.PutUint32(mut[len(mut)-4:], crcOf(mut[:len(mut)-4]))
-		_, err := Decode(mut)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v1 file: got %v, want ErrCorrupt", err)
-		}
-		for _, want := range []string{"version 1", "supported: 2"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not mention %q", err, want)
+	for _, v := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d-refused", v), func(t *testing.T) {
+			// Format 1 stored the span log and latency lists as blobs and
+			// format 2 whole component snapshots; their sections mean
+			// something else, so an older file that is otherwise intact
+			// must be refused by version, naming both.
+			mut := append([]byte(nil), base...)
+			binary.LittleEndian.PutUint32(mut[4:], v)
+			binary.LittleEndian.PutUint32(mut[len(mut)-4:], crcOf(mut[:len(mut)-4]))
+			_, err := Decode(mut)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("v%d file: got %v, want ErrCorrupt", v, err)
 			}
-		}
-	})
+			for _, want := range []string{fmt.Sprintf("version %d", v), "supported: 3"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
 	t.Run("trailing-garbage", func(t *testing.T) {
 		mut := append(append([]byte(nil), base...), 0xAA)
 		if _, err := Decode(mut); err == nil {
@@ -293,11 +297,11 @@ func TestPositionIgnoresBatching(t *testing.T) {
 		t.Fatalf("batched position (%d, %x) differs from single write (%d, %x)", pieces.Count(), pieces.Sum(), once.Count(), once.Sum())
 	}
 
-	enc := NewEncoder()
-	pieces.Snapshot(enc)
-	dec := NewDecoder(enc.Bytes())
-	n, sum := DecodePosition(dec)
-	if err := dec.Done(); err != nil || n != 3 || !bytes.Equal(sum, want[:]) {
-		t.Fatalf("position round trip: count %d sum %x err %v", n, sum, err)
+	got, exp := NewEncoder(), NewEncoder()
+	pieces.Snapshot(got)
+	exp.Int(3)
+	exp.Blob(want[:])
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("position snapshot %x, want count then digest %x", got.Bytes(), exp.Bytes())
 	}
 }

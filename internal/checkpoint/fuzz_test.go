@@ -15,9 +15,10 @@ import (
 // re-encodes to the exact input (so a decoded File can stand in for the
 // file it came from — no silent partial restore). The committed seed corpus
 // in testdata/fuzz/FuzzDecode covers a valid file plus truncated,
-// bit-flipped and version-skewed variants, and seed-v1-refused: the valid
-// file as format 1 wrote it, which must now be refused; `go test
-// -fuzz=FuzzDecode ./internal/checkpoint` explores from there.
+// bit-flipped and version-skewed variants, and seed-v1-refused and
+// seed-v2-refused: the valid file as formats 1 and 2 wrote it, which must
+// now be refused; `go test -fuzz=FuzzDecode ./internal/checkpoint` explores
+// from there.
 func FuzzDecode(f *testing.F) {
 	valid := sampleFile().Encode()
 	f.Add(valid)
@@ -48,7 +49,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecoder drives arbitrary bytes through every primitive read to prove
 // the value codec never panics regardless of read sequence. The reads are
 // the ones the program performs on bytes that came off disk (the serve
-// header and the position heads).
+// header).
 func FuzzDecoder(f *testing.F) {
 	enc := NewEncoder()
 	enc.U64(99)
@@ -73,7 +74,8 @@ func FuzzDecoder(f *testing.F) {
 // TestCorpusFollowsVersion keeps the committed corpus honest across format
 // bumps: the fuzz target passes whether a seed is accepted or refused, so a
 // stale seed-valid would go unnoticed. seed-valid must be today's sample
-// file; seed-v1-refused, the one format 1 wrote, must be refused by version.
+// file; seed-v1-refused and seed-v2-refused, the ones formats 1 and 2
+// wrote, must be refused by version.
 func TestCorpusFollowsVersion(t *testing.T) {
 	seed := func(name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
@@ -91,8 +93,11 @@ func TestCorpusFollowsVersion(t *testing.T) {
 	if !bytes.Equal(seed("seed-valid"), sampleFile().Encode()) {
 		t.Error("seed-valid is not the current encoding of sampleFile(); regenerate the corpus")
 	}
-	_, err := Decode(seed("seed-v1-refused"))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("seed-v1-refused: got %v, want a version-1 refusal", err)
+	for _, v := range []string{"1", "2"} {
+		name := "seed-v" + v + "-refused"
+		_, err := Decode(seed(name))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported snapshot version "+v+" ") {
+			t.Errorf("%s: got %v, want a version-%s refusal", name, err, v)
+		}
 	}
 }

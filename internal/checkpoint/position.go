@@ -6,13 +6,15 @@ import (
 )
 
 // Position is where an append-only log stands: how many records it holds
-// and the SHA-256 of every byte appended so far. A checkpoint stores a
+// and the SHA-256 of every byte appended so far. A snapshot encodes a
 // history-proportional payload (the arrival journal, the completed-span
-// log, the settled-latency list) as its Position instead of its content:
-// restore re-derives the log by replay, and equal positions prove equal
-// logs. The digest is over the plain concatenation of the appended bytes —
-// no per-Write framing — so it does not depend on how appends were batched
-// between snapshots. The zero value is an empty log.
+// log, the settled-latency list) as its Position instead of its content,
+// so a boundary hashes what was appended since the last one rather than
+// the whole history: restore re-derives the log by replay, and equal
+// positions prove equal logs. The digest is over the plain concatenation
+// of the appended bytes — no per-Write framing — so it does not depend on
+// how appends were batched between snapshots. The zero value is an empty
+// log.
 type Position struct {
 	n int
 	h hash.Hash
@@ -42,9 +44,4 @@ func (p *Position) Sum() []byte { return p.hash().Sum(nil) }
 func (p *Position) Snapshot(enc *Encoder) {
 	enc.Int(p.n)
 	enc.Blob(p.Sum())
-}
-
-// DecodePosition reads what Position.Snapshot wrote.
-func DecodePosition(dec *Decoder) (count int, sum []byte) {
-	return dec.Int(), dec.Blob()
 }

@@ -20,7 +20,6 @@ var digestExcluded = map[string]string{
 	"ArmCrash":            "the crash fault fires either way; only whether the process survives it differs, and Restore forces it off",
 	"CheckpointDir":       "where the bytes land, not what they are",
 	"Registry":            "which registry collects, not what it collects",
-	"Meter":               "a sink the scheduler was already built around; its counts are verified as the sched.meter section",
 	"ClusterCfg.Noise":    "overwritten by RuntimeNoise",
 	"ClusterCfg.Registry": "overwritten by Registry",
 }
@@ -76,7 +75,7 @@ func digestBase(t *testing.T) Options {
 		t.Fatal("kill-restore scenario missing")
 	}
 	scn.Faults = append(scn.Faults, chaos.Fault{
-		Kind: chaos.KindFaultRates, At: 1, Duration: 2, Invoker: 1, Factor: 2, Rate: 3, Function: "f",
+		Kind: chaos.KindFaultRates, At: 1, Duration: 2, Invoker: 1, Factor: 2, Rate: 3,
 		Rates: faas.FaultRates{InitFailure: 0.1, ExecKill: 0.2},
 	})
 	// The walker perturbs element 0.
@@ -92,7 +91,6 @@ func digestBase(t *testing.T) Options {
 		TrainMin:          5,
 		HorizonMin:        20,
 		Scheduler:         brain,
-		Meter:             &sched.Meter{},
 		SearchBudget:      3,
 		ProfileNoise:      noise,
 		RuntimeNoise:      noise,

@@ -9,7 +9,6 @@ import (
 
 	"aquatope/internal/apps"
 	"aquatope/internal/chaos"
-	"aquatope/internal/checkpoint"
 	"aquatope/internal/faas"
 	"aquatope/internal/sched"
 	"aquatope/internal/telemetry"
@@ -61,27 +60,44 @@ func horizonRun(tb testing.TB, minutes int, dir string) int {
 	return s.Boundary()
 }
 
-// TestCheckpointFlatInHorizon pins the point of storing histories as
-// positions: doubling the horizon must not grow a boundary file. Before
-// format v2 the last file quadrupled with every doubling.
+// TestCheckpointFlatInHorizon pins the point of storing one digest per
+// section: doubling the horizon must not grow a boundary file, and a file is
+// a fixed-size witness under 1 KiB — also past the training cut, where
+// sectionsOpts' BNN pool holds its weights and a per-minute demand history.
 func TestCheckpointFlatInHorizon(t *testing.T) {
-	const h = 22
-	last := func(minutes int) *checkpoint.File {
-		dir := t.TempDir()
-		k := horizonRun(t, minutes, dir)
-		f, err := checkpoint.ReadFile(filepath.Join(dir, checkpointName(k)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	short, long := last(h), last(2*h)
-	if a, b := len(short.Encode()), len(long.Encode()); float64(b) >= 1.25*float64(a) {
-		t.Errorf("last boundary file grew from %d B at %d min to %d B at %d min (want < 1.25x)", a, h, b, 2*h)
-	}
-	spans, ok := long.Section("telemetry.spans")
-	if !ok || len(spans) >= 4<<10 {
-		t.Errorf("telemetry.spans section at %d min: %d B (present %v), want < 4 KiB", 2*h, len(spans), ok)
+	for _, tc := range []struct {
+		name    string
+		minutes int
+		run     func(t *testing.T, minutes int, dir string) int
+	}{
+		{"caerus", 22, func(t *testing.T, minutes int, dir string) int { return horizonRun(t, minutes, dir) }},
+		{"aquatope-trained", 20, func(t *testing.T, minutes int, dir string) int {
+			s, err := New(sectionsOpts(t, dir, minutes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(sourceOf(t, fixtureStream(t, minutes, 11))); err != nil {
+				t.Fatal(err)
+			}
+			return s.Boundary()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			last := func(minutes int) int {
+				dir := t.TempDir()
+				k := tc.run(t, minutes, dir)
+				fi, err := os.Stat(filepath.Join(dir, checkpointName(k)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return int(fi.Size())
+			}
+			short, long := last(tc.minutes), last(2*tc.minutes)
+			if short != long || long >= 1<<10 {
+				t.Errorf("last boundary file is %d B at %d min and %d B at %d min (want equal and under 1 KiB)",
+					short, tc.minutes, long, 2*tc.minutes)
+			}
+		})
 	}
 }
 

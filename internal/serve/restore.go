@@ -42,6 +42,10 @@ func decodeHeader(data []byte) (header, error) {
 	if err := d.Done(); err != nil {
 		return header{}, fmt.Errorf("serve: checkpoint header: %w", err)
 	}
+	if h.K < 0 || h.Ingested < 0 || h.JournalOff < 0 {
+		return header{}, fmt.Errorf("serve: checkpoint header: %w: negative boundary %d, record count %d or journal offset %d",
+			checkpoint.ErrCorrupt, h.K, h.Ingested, h.JournalOff)
+	}
 	return h, nil
 }
 
@@ -93,9 +97,9 @@ func fileExists(p string) bool {
 //  3. Build a fresh server from opts — re-running the resource search and
 //     re-scheduling the training fit — and replay the entire durable
 //     journal through the normal ingest loop.
-//  4. At the checkpointed boundary, byte-compare every re-derived
-//     component snapshot against the stored sections; any divergence is a
-//     hard error.
+//  4. At the checkpointed boundary, compare the digest of every
+//     re-derived component snapshot with the stored section; any
+//     divergence is a hard error.
 //
 // The returned server has consumed Ingested() records; resume by skipping
 // that many records on the live source and calling Run. Restored servers
@@ -115,8 +119,8 @@ func Restore(opts Options, checkpointPath string) (*Server, error) {
 		return nil, err
 	}
 	if h.Digest != opts.Digest() {
-		return nil, fmt.Errorf("serve: restore: config digest mismatch: checkpoint %s.. vs options %s.. — the restored run must use the exact options of the original",
-			h.Digest[:12], opts.Digest()[:12])
+		return nil, fmt.Errorf("serve: restore: config digest mismatch: checkpoint %.12s.. vs options %.12s.. — the restored run must use the exact options of the original",
+			h.Digest, opts.Digest())
 	}
 
 	journalPath := filepath.Join(opts.CheckpointDir, "stream.jsonl")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,12 +17,12 @@ import (
 )
 
 // sectionsOpts is the overload-armed serving fixture whose checkpoint
-// sections the golden pins: the BNN pool under the kill-restore script,
-// deadline-aware bounded queues, breakers, the pool guard, and retries with
-// a shared budget — every overload layer at its production constants.
-func sectionsOpts(t *testing.T, dir string) Options {
+// sections the golden pins at a 30-minute horizon: the BNN pool under the
+// kill-restore script, deadline-aware bounded queues, breakers, the pool
+// guard, and retries with a shared budget — every overload layer at its
+// production constants.
+func sectionsOpts(t *testing.T, dir string, minutes int) Options {
 	t.Helper()
-	const minutes = 30
 	app := apps.NewChain(2)
 	scn, ok := chaos.Builtin("kill-restore", float64(minutes)*60, 7)
 	if !ok {
@@ -67,15 +66,16 @@ func sectionsOpts(t *testing.T, dir string) Options {
 	}
 }
 
-// TestCheckpointSectionsGolden pins the SHA-256 of every section of every
-// boundary checkpoint an uninterrupted overload-armed serving run cuts. The
+// TestCheckpointSectionsGolden pins the SHA-256 every section of every
+// boundary checkpoint an uninterrupted overload-armed serving run cuts
+// stores: the digest of that component's snapshot. The
 // header is left out: it carries Options.Digest, whose text is free to
 // change when an option's spelling does. Everything else is a function of
 // the run, so a refactor of the platform path must leave these hashes
 // alone. Regenerate with UPDATE_GOLDEN=1 go test ./internal/serve/.
 func TestCheckpointSectionsGolden(t *testing.T) {
 	dir := t.TempDir()
-	opts := sectionsOpts(t, dir)
+	opts := sectionsOpts(t, dir, 30)
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestCheckpointSectionsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sec := range f.Sections {
-			fmt.Fprintf(&b, "%s %s %x\n", filepath.Base(path), sec.Name, sha256.Sum256(sec.Data))
+			fmt.Fprintf(&b, "%s %s %x\n", filepath.Base(path), sec.Name, sec.Data)
 		}
 	}
 	got := b.String()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -55,10 +54,6 @@ type Options struct {
 
 	// Scheduler selects the brain exactly as core.Config.Scheduler does.
 	Scheduler sched.Scheduler
-	// Meter, when non-nil, is the meter Scheduler was built with; its
-	// counters go into checkpoints as one more section (sched.meter).
-	// No other section depends on whether a meter is attached.
-	Meter *sched.Meter //aqualint:allow onevalue only tests attach a meter; ROADMAP item 13 reworks the options it belongs to
 
 	SearchBudget      int
 	ProfileNoise      faas.Noise
@@ -101,7 +96,7 @@ type Options struct {
 // replaying a journal through a differently-configured server would
 // diverge silently instead. The value structs go in whole (%+v), so a field
 // added to one of them is covered the day it is added; what is left out —
-// Pace, ArmCrash, CheckpointDir, Registry, Meter, which collector traces —
+// Pace, ArmCrash, CheckpointDir, Registry, which collector traces —
 // moves wall time or where bytes land, never the trajectory. A scheduler is
 // known here by its names only; the sched.Options it was built from show up
 // as diverged sections in replay, not as a digest mismatch.
@@ -286,9 +281,11 @@ func checkpointName(k int) string { return fmt.Sprintf("checkpoint-%06d.aqcp", k
 
 // assemble collects the current component snapshots into sections plus the
 // serve header. Called at boundaries (and at final-stop), when no event is
-// mid-flight, so every Snapshot observes a quiescent component. The span
-// log goes in as a position whose running digest advances here, like the
-// controller's latency lists.
+// mid-flight, so every Snapshot observes a quiescent component. A section
+// stores the SHA-256 of its snapshot, not the snapshot: restore only ever
+// compares it with the replay's, so a file is a fixed-size witness. The
+// span log goes in as a position whose running digest advances here, like
+// the controller's latency lists.
 func (s *Server) assemble(final bool) *checkpoint.File {
 	f := &checkpoint.File{Version: checkpoint.Version}
 
@@ -310,17 +307,16 @@ func (s *Server) assemble(final bool) *checkpoint.File {
 	}
 	f.Header = hdr.Bytes()
 
+	enc := checkpoint.NewEncoder()
 	add := func(name string, fn func(*checkpoint.Encoder)) {
-		enc := checkpoint.NewEncoder()
+		enc.Reset()
 		fn(enc)
-		f.AddSection(name, enc.Bytes())
+		sum := sha256.Sum256(enc.Bytes())
+		f.AddSection(name, sum[:])
 	}
 	s.ctl.Snapshot(add)
 	if s.opts.Tracer != nil {
 		add("telemetry.spans", s.opts.Tracer.SnapshotTo)
-	}
-	if s.opts.Meter != nil {
-		add("sched.meter", s.opts.Meter.Snapshot)
 	}
 	f.SortSections()
 	return f
@@ -336,11 +332,11 @@ func (s *Server) writeCheckpoint(name string, final bool) error {
 	return nil
 }
 
-// verifyAgainst byte-compares the re-derived component snapshots with the
-// checkpoint's stored sections — the restore-equals-uninterrupted contract
-// made operational. Any mismatch means the replay environment diverged
-// from the run that cut the checkpoint and continuing would silently fork
-// history, so it is a hard error.
+// verifyAgainst compares the digests of the re-derived component snapshots
+// with the checkpoint's stored sections — the restore-equals-uninterrupted
+// contract made operational. Any mismatch means the replay environment
+// diverged from the run that cut the checkpoint and continuing would
+// silently fork history, so it is a hard error.
 func (s *Server) verifyAgainst(want *checkpoint.File) error {
 	got := s.assemble(false)
 	if len(got.Sections) != len(want.Sections) {
@@ -353,31 +349,11 @@ func (s *Server) verifyAgainst(want *checkpoint.File) error {
 			return fmt.Errorf("serve: restore verification: section %d is %q, checkpoint has %q", i, g.Name, w.Name)
 		}
 		if !bytes.Equal(g.Data, w.Data) {
-			return fmt.Errorf("serve: restore verification: section %q diverged after replay (replayed %s; checkpoint %s)",
-				w.Name, describeSection(w.Name, g.Data), describeSection(w.Name, w.Data))
+			return fmt.Errorf("serve: restore verification: section %q diverged after replay (replayed sha256 %.6x..; checkpoint %.6x..)",
+				w.Name, g.Data, w.Data)
 		}
 	}
 	return nil
-}
-
-// describeSection renders one side of a verification mismatch. The two
-// position sections are a few dozen bytes whatever the history behind them,
-// so a byte length says nothing there: report the counts and the digest
-// they carry.
-func describeSection(name string, data []byte) string {
-	switch {
-	case name == "telemetry.spans":
-		if total, completed, digest, open, err := telemetry.SpanSectionHead(data); err == nil {
-			return fmt.Sprintf("%d spans, %d completed (sha256 %.4x..), %d open", total, completed, digest, open)
-		}
-	case strings.HasPrefix(name, "serve.stats."):
-		dec := checkpoint.NewDecoder(data)
-		dec.Expect("serve.stats")
-		if n, digest := checkpoint.DecodePosition(dec); dec.Err() == nil {
-			return fmt.Sprintf("%d latencies (sha256 %.4x..)", n, digest)
-		}
-	}
-	return fmt.Sprintf("%d bytes", len(data))
 }
 
 // Run ingests the stream to completion: records are scheduled as they

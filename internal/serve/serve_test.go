@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -251,12 +252,12 @@ func TestRestoreRejectsDigestMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsTamperedCheckpoint: the span log and the latency list
-// are stored as positions, so their digests are all that stands between a
-// forked history and a "verified" restore. A checkpoint that is well formed
-// (every CRC recomputed) but carries one flipped digest byte must fail
-// verification naming the section; a version-1 file must be refused as
-// such before any replay.
+// TestRestoreRejectsTamperedCheckpoint: a section is a digest, and it is
+// all that stands between a forked history and a "verified" restore. A
+// checkpoint that is well formed (every CRC recomputed) but carries one
+// flipped byte in any section's digest must fail verification naming the
+// section; a file of an older format must be refused by version before any
+// replay.
 func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 	crashDir := t.TempDir()
 	crashed, err := New(fixtureOpts(t, crashDir, true))
@@ -279,67 +280,14 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 		_, err := Restore(fixtureOpts(t, dir, false), path)
 		return err
 	}
-	// forge lets edit rewrite one section's stored body in place, then
-	// re-encodes the file, so every CRC is valid again.
-	forge := func(section string, edit func(data []byte)) func(string) {
-		return func(path string) {
-			f, err := checkpoint.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data, ok := f.Section(section)
-			if !ok {
-				t.Fatalf("no %s section", section)
-			}
-			edit(data)
-			if err := checkpoint.WriteFile(path, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// flipDigest flips one byte of the position digest that follows the
-	// section's marker and skip leading ints.
-	flipDigest := func(section, marker string, skip int) func(string) {
-		return forge(section, func(data []byte) {
-			dec := checkpoint.NewDecoder(data)
-			dec.Expect(marker)
-			for i := 0; i < skip; i++ {
-				dec.Int()
-			}
-			count, sum := checkpoint.DecodePosition(dec)
-			if dec.Err() != nil || len(sum) != 32 || count == 0 {
-				t.Fatalf("%s: no position after %d ints (count %d, %d-byte digest, err %v)", section, skip, count, len(sum), dec.Err())
-			}
-			// The digest is the last 32 bytes the decoder consumed.
-			data[len(data)-dec.Remaining()-32] ^= 0x01
-		})
-	}
 
 	if err := restore(t, func(string) {}); err != nil {
 		t.Fatalf("untouched checkpoint: %v", err)
 	}
-	for _, tc := range []struct {
-		name, section, marker string
-		skip                  int
-		counts                string
-	}{
-		{"span-digest", "telemetry.spans", "telemetry.spans", 1, "completed"},
-		{"latency-digest", "serve.stats.chain2", "serve.stats", 0, "latencies"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := restore(t, flipDigest(tc.section, tc.marker, tc.skip))
-			if err == nil {
-				t.Fatal("restore verified a checkpoint with a forged digest")
-			}
-			for _, want := range []string{`"` + tc.section + `" diverged`, tc.counts} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-		})
-	}
 	// Every section that is written is a section that is verified: flip the
-	// last byte of each stored body in turn.
+	// first byte of each stored digest in turn and re-encode the file, so
+	// every CRC is valid again. The error names the section and shows both
+	// digests' prefixes.
 	sections := []string{
 		"chaos.injector", "faas.cluster", "loadgen.rng.chain2", "pool.manager",
 		"serve.stats.chain2", "sim.engine", "telemetry.registry", "telemetry.spans",
@@ -352,55 +300,127 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 	var stored []string
 	for _, sec := range f.Sections {
 		stored = append(stored, sec.Name)
+		if len(sec.Data) != sha256.Size {
+			t.Errorf("section %s holds %d bytes, want a %d-byte digest", sec.Name, len(sec.Data), sha256.Size)
+		}
 	}
 	if !reflect.DeepEqual(stored, sections) {
 		t.Fatalf("boundary file holds sections %v, the table forges %v", stored, sections)
 	}
 	for _, section := range sections {
 		t.Run("section/"+section, func(t *testing.T) {
-			err := restore(t, forge(section, func(data []byte) { data[len(data)-1] ^= 0x01 }))
-			if want := `section "` + section + `" diverged`; err == nil || !strings.Contains(err.Error(), want) {
+			var replayed, forged []byte
+			err := restore(t, func(path string) {
+				f, err := checkpoint.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := f.Section(section)
+				replayed = append(replayed, data...)
+				data[0] ^= 0x01
+				forged = data
+				if err := checkpoint.WriteFile(path, f); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want := fmt.Sprintf("section %q diverged after replay (replayed sha256 %.6x..; checkpoint %.6x..)", section, replayed, forged)
+			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("got %v, want %s", err, want)
 			}
 		})
 	}
-	t.Run("version-1", func(t *testing.T) {
-		err := restore(t, func(path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("version-%d", version), func(t *testing.T) {
+			err := restore(t, func(path string) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				binary.LittleEndian.PutUint32(data[4:], version)
+				binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("version-%d checkpoint: got %v, want ErrCorrupt", version, err)
 			}
-			binary.LittleEndian.PutUint32(data[4:], 1)
-			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+			for _, want := range []string{fmt.Sprintf("version %d", version), "supported: 3"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if strings.Contains(err.Error(), "diverged") {
+				t.Errorf("version skew reported as a divergence: %v", err)
 			}
 		})
-		if !errors.Is(err, checkpoint.ErrCorrupt) {
-			t.Fatalf("version-1 checkpoint: got %v, want ErrCorrupt", err)
-		}
-		for _, want := range []string{"version 1", "supported: 2"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestRestoreRejectsForgedHeader: a checkpoint file comes from outside the
+// program, so a header that is well formed and CRC-valid but holds values
+// no run writes must be refused with an error, never a panic.
+func TestRestoreRejectsForgedHeader(t *testing.T) {
+	keepalive, ok := sched.New("keepalive", sched.Options{})
+	if !ok {
+		t.Fatal("scheduler keepalive not registered")
+	}
+	opts := Options{Apps: []*apps.App{apps.NewChain(2)}, TrainMin: 1, HorizonMin: 5, Scheduler: keepalive, Seed: 1}
+	digest := opts.Digest()
+	for _, tc := range []struct {
+		name        string
+		digest      string
+		k, ingested int
+		journalOff  int64
+		want        string
+		corrupt     bool
+	}{
+		{name: "short-digest", want: "config digest mismatch"},
+		{name: "negative-journal-offset", digest: digest, journalOff: -5, want: "journal offset -5", corrupt: true},
+		{name: "negative-boundary", digest: digest, k: -1, want: "boundary -1", corrupt: true},
+		{name: "negative-ingested", digest: digest, ingested: -1, want: "record count -1", corrupt: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			hdr := checkpoint.NewEncoder()
+			hdr.String("serve.header")
+			hdr.Bool(false)
+			hdr.I64(opts.Seed)
+			hdr.String(tc.digest)
+			hdr.F64(0)
+			hdr.Int(tc.k)
+			hdr.Int(tc.ingested)
+			hdr.F64(0)
+			hdr.I64(tc.journalOff)
+			hdr.Blob(nil)
+			path := filepath.Join(dir, checkpointName(1))
+			if err := checkpoint.WriteFile(path, &checkpoint.File{Header: hdr.Bytes()}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if strings.Contains(err.Error(), "diverged") {
-			t.Errorf("version skew reported as a divergence: %v", err)
-		}
-	})
+			o := opts
+			o.CheckpointDir = dir
+			_, err := Restore(o, path)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+			if errors.Is(err, checkpoint.ErrCorrupt) != tc.corrupt {
+				t.Errorf("errors.Is(err, ErrCorrupt) = %v, want %v: %v", !tc.corrupt, tc.corrupt, err)
+			}
+		})
+	}
 }
 
 // TestPoolSectionIgnoresMeter: attaching a sched.Meter wraps every pool
 // policy, and the wrapper must not hide the policy's state (BNN weights,
 // window offset) from the pool.manager fingerprint. The same run served
-// with and without a meter writes byte-identical pool.manager sections at
-// every boundary.
+// with and without a meter writes equal pool.manager digests at every
+// boundary.
 func TestPoolSectionIgnoresMeter(t *testing.T) {
 	recs := fixtureStream(t, 20, 7)
 	serveInto := func(m *sched.Meter) string {
 		dir := t.TempDir()
 		opts := fixtureOpts(t, dir, false)
-		opts.Scheduler, opts.Meter = testBrain(t, m), m
+		opts.Scheduler = testBrain(t, m)
 		s, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +448,7 @@ func TestPoolSectionIgnoresMeter(t *testing.T) {
 			return data
 		}
 		if a, b := section(plain), section(metered); !bytes.Equal(a, b) {
-			t.Fatalf("boundary %d: pool.manager is %d bytes unmetered, %d bytes metered", k, len(a), len(b))
+			t.Fatalf("boundary %d: pool.manager digest is %.6x.. unmetered, %.6x.. metered", k, a, b)
 		}
 	}
 }

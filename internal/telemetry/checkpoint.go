@@ -90,14 +90,3 @@ func appendRecord(enc *checkpoint.Encoder, sp *Span, keys []string) []string {
 	}
 	return keys
 }
-
-// SpanSectionHead reads the fixed-size head of a telemetry.spans section:
-// spans recorded, the completed log's position, and spans still open.
-func SpanSectionHead(section []byte) (total, completed int, digest []byte, open int, err error) {
-	dec := checkpoint.NewDecoder(section)
-	dec.Expect("telemetry.spans")
-	total = dec.Int()
-	completed, digest = checkpoint.DecodePosition(dec)
-	open = dec.Int()
-	return total, completed, digest, open, dec.Err()
-}
