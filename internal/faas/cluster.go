@@ -191,6 +191,10 @@ type Cluster struct {
 	fnList  []*function
 	metrics *Metrics
 	tracer  *telemetry.Collector
+	// spanFields is the one Fields map the cluster fills for every span it
+	// ends and every point it records (fields hands it out emptied): the
+	// collector copies what it is handed.
+	spanFields telemetry.Fields
 	// queued is the number of invocations parked across all function
 	// queues; while it is zero a drain pass has nothing to do.
 	queued   int
@@ -557,13 +561,13 @@ func (c *Cluster) spawnContainer(fn *function, prewarmed bool) *container {
 		if prewarmed {
 			pre = 1
 		}
-		c.tracer.Point(telemetry.KindContainerCreate, fn.spec.Name, 0, c.eng.Now(), telemetry.Fields{
-			"container": float64(ct.id),
-			"invoker":   float64(iv.ID),
-			"mem_mb":    ct.cfg.MemoryMB,
-			"prewarmed": pre,
-			"init_s":    init,
-		})
+		f := c.fields()
+		f["container"] = float64(ct.id)
+		f["invoker"] = float64(iv.ID)
+		f["mem_mb"] = ct.cfg.MemoryMB
+		f["prewarmed"] = pre
+		f["init_s"] = init
+		c.tracer.Point(telemetry.KindContainerCreate, fn.spec.Name, 0, c.eng.Now(), f)
 	}
 	c.eng.Schedule(ct.warmAt, func() {
 		if ct.state != stateWarming {
@@ -831,6 +835,15 @@ func (c *Cluster) failPending(fn *function, p *pendingInvocation, outcome Outcom
 	c.deliver(p, res, ct)
 }
 
+// fields returns the cluster's span-field map, emptied for the next span.
+func (c *Cluster) fields() telemetry.Fields {
+	if c.spanFields == nil {
+		c.spanFields = make(telemetry.Fields)
+	}
+	clear(c.spanFields)
+	return c.spanFields
+}
+
 // deliver finalizes one invocation: cancels its deadline, records metrics,
 // ends its span and invokes the caller's callback. Then the record goes back
 // to the free list, unless a warm-wait event still refers to it.
@@ -851,15 +864,14 @@ func (c *Cluster) deliver(p *pendingInvocation, res InvocationResult, ct *contai
 		if res.ColdStart {
 			coldF = 1
 		}
-		f := telemetry.Fields{
-			"cold":    coldF,
-			"wait_s":  res.WaitTime,
-			"exec_s":  res.ExecTime,
-			"cpu":     res.CPU,
-			"mem_mb":  res.MemoryMB,
-			"outcome": float64(res.Outcome),
-			"attempt": float64(res.Attempt),
-		}
+		f := c.fields()
+		f["cold"] = coldF
+		f["wait_s"] = res.WaitTime
+		f["exec_s"] = res.ExecTime
+		f["cpu"] = res.CPU
+		f["mem_mb"] = res.MemoryMB
+		f["outcome"] = float64(res.Outcome)
+		f["attempt"] = float64(res.Attempt)
 		if ct != nil {
 			f["container"] = float64(ct.id)
 			f["invoker"] = float64(ct.invoker.ID)
@@ -1131,13 +1143,13 @@ func (c *Cluster) killContainer(ct *container) {
 		if ct.faultKilled {
 			faultF = 1
 		}
-		c.tracer.Point(telemetry.KindContainerKill, fn.spec.Name, 0, c.eng.Now(), telemetry.Fields{
-			"container":  float64(ct.id),
-			"invoker":    float64(ct.invoker.ID),
-			"mem_mb":     ct.cfg.MemoryMB,
-			"lifetime_s": c.eng.Now() - ct.born,
-			"fault":      faultF,
-		})
+		f := c.fields()
+		f["container"] = float64(ct.id)
+		f["invoker"] = float64(ct.invoker.ID)
+		f["mem_mb"] = ct.cfg.MemoryMB
+		f["lifetime_s"] = c.eng.Now() - ct.born
+		f["fault"] = faultF
+		c.tracer.Point(telemetry.KindContainerKill, fn.spec.Name, 0, c.eng.Now(), f)
 	}
 	// Freed capacity may unblock queued work.
 	c.drainAllQueues()

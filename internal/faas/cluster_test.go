@@ -6,6 +6,7 @@ import (
 
 	"aquatope/internal/sim"
 	"aquatope/internal/stats"
+	"aquatope/internal/telemetry"
 )
 
 // testModel is a deterministic PerfModel for exact assertions.
@@ -88,6 +89,35 @@ func TestWarmInvokeAllocBudget(t *testing.T) {
 	run() // the cold start, then one warm pass
 	if got := testing.AllocsPerRun(500, run); got != 2 {
 		t.Fatalf("warm Invoke allocates %v, want exactly 2", got)
+	}
+}
+
+// TestTracedWarmInvokeAllocBudget is TestWarmInvokeAllocBudget with a live
+// collector: the invocation span goes into the collector's record chunks
+// and field arena, and its fields into the one map the cluster refills, so
+// tracing adds nothing but a fresh chunk now and then — amortised, the
+// untraced budget of 2 holds.
+func TestTracedWarmInvokeAllocBudget(t *testing.T) {
+	eng, cl := newTestCluster(t)
+	col := telemetry.NewCollector()
+	cl.SetTracer(col)
+	register(t, cl, "f", &testModel{init: 1, exec: 0.05}, ResourceConfig{CPU: 1, MemoryMB: 128})
+	run := func() {
+		if err := cl.Invoke("f", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + 1)
+	}
+	run()
+	run() // the cold start, then one warm pass
+	before := col.Len()
+	if got := testing.AllocsPerRun(500, run); got > 2 {
+		t.Fatalf("traced warm Invoke allocates %v, want at most 2", got)
+	}
+	// 501 invocation spans (AllocsPerRun's warm-up run included), and the
+	// kill point of the second cold start's container when it expires.
+	if spans := col.Len() - before; spans != 502 {
+		t.Fatalf("the measured runs recorded %d spans, want 502", spans)
 	}
 }
 

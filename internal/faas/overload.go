@@ -152,12 +152,11 @@ func (c *Cluster) breakerEvent(iv *Invoker, to breakerState, errRate float64) {
 		c.metrics.breakerClosed()
 	}
 	if c.tracer.Enabled() {
-		c.tracer.Point(telemetry.KindBreaker, fmt.Sprintf("invoker%d", iv.ID), 0,
-			c.eng.Now(), telemetry.Fields{
-				"invoker":  float64(iv.ID),
-				"state":    float64(to),
-				"err_rate": errRate,
-			})
+		f := c.fields()
+		f["invoker"] = float64(iv.ID)
+		f["state"] = float64(to)
+		f["err_rate"] = errRate
+		c.tracer.Point(telemetry.KindBreaker, fmt.Sprintf("invoker%d", iv.ID), 0, c.eng.Now(), f)
 	}
 }
 

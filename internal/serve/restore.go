@@ -26,6 +26,21 @@ type header struct {
 	JournalSHA []byte
 }
 
+// encode appends the header as assemble stores it; decodeHeader reads it
+// back.
+func (h *header) encode(enc *checkpoint.Encoder) {
+	enc.String("serve.header")
+	enc.Bool(h.Final)
+	enc.I64(h.Seed)
+	enc.String(h.Digest)
+	enc.F64(h.Now)
+	enc.Int(h.K)
+	enc.Int(h.Ingested)
+	enc.F64(h.LastT)
+	enc.I64(h.JournalOff)
+	enc.Blob(h.JournalSHA)
+}
+
 func decodeHeader(data []byte) (header, error) {
 	d := checkpoint.NewDecoder(data)
 	var h header
@@ -91,14 +106,16 @@ func fileExists(p string) bool {
 // replay. opts must be bit-identical to the options of the run that cut
 // the checkpoint (enforced via the embedded config digest). The steps:
 //
-//  1. Read and validate the checkpoint container (CRC-guarded).
+//  1. Read and validate the checkpoint container (CRC-guarded) and check
+//     its header's config digest and seed against opts.
 //  2. Truncate the journal's torn tail and prove the checkpoint's journal
 //     prefix (offset + SHA-256) survives in it.
 //  3. Build a fresh server from opts — re-running the resource search and
 //     re-scheduling the training fit — and replay the entire durable
 //     journal through the normal ingest loop.
-//  4. At the checkpointed boundary, compare the digest of every
-//     re-derived component snapshot with the stored section; any
+//  4. At the checkpointed boundary, compare the header's clock, record
+//     count and last arrival time with the replay's, and the digest of
+//     every re-derived component snapshot with the stored section; any
 //     divergence is a hard error.
 //
 // The returned server has consumed Ingested() records; resume by skipping
@@ -121,6 +138,11 @@ func Restore(opts Options, checkpointPath string) (*Server, error) {
 	if h.Digest != opts.Digest() {
 		return nil, fmt.Errorf("serve: restore: config digest mismatch: checkpoint %.12s.. vs options %.12s.. — the restored run must use the exact options of the original",
 			h.Digest, opts.Digest())
+	}
+	// The digest covers the seed, so only a forged header gets here with
+	// another one.
+	if h.Seed != opts.Seed {
+		return nil, fmt.Errorf("serve: restore: %w: header Seed %d, options seed %d", checkpoint.ErrCorrupt, h.Seed, opts.Seed)
 	}
 
 	journalPath := filepath.Join(opts.CheckpointDir, "stream.jsonl")

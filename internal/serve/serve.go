@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -156,6 +157,7 @@ type Server struct {
 	lastT        float64
 	stop         atomic.Bool
 	digest       string
+	enc          checkpoint.Encoder // assemble's, reused at every boundary
 }
 
 // New builds a serving run on a fresh core.Controller (phase-1 search
@@ -285,29 +287,11 @@ func checkpointName(k int) string { return fmt.Sprintf("checkpoint-%06d.aqcp", k
 // stores the SHA-256 of its snapshot, not the snapshot: restore only ever
 // compares it with the replay's, so a file is a fixed-size witness. The
 // span log goes in as a position whose running digest advances here, like
-// the controller's latency lists.
+// the controller's latency lists. Every snapshot and then the header are
+// encoded into the server's one encoder; the header is copied out of it.
 func (s *Server) assemble(final bool) *checkpoint.File {
 	f := &checkpoint.File{Version: checkpoint.Version}
-
-	hdr := checkpoint.NewEncoder()
-	hdr.String("serve.header")
-	hdr.Bool(final)
-	hdr.I64(s.opts.Seed)
-	hdr.String(s.digest)
-	hdr.F64(s.ctl.Engine().Now())
-	hdr.Int(s.k)
-	hdr.Int(s.ingested)
-	hdr.F64(s.lastT)
-	if s.journal != nil {
-		hdr.I64(s.journal.Offset())
-		hdr.Blob(s.journal.PrefixSHA256())
-	} else {
-		hdr.I64(0)
-		hdr.Blob(nil)
-	}
-	f.Header = hdr.Bytes()
-
-	enc := checkpoint.NewEncoder()
+	enc := &s.enc
 	add := func(name string, fn func(*checkpoint.Encoder)) {
 		enc.Reset()
 		fn(enc)
@@ -319,6 +303,22 @@ func (s *Server) assemble(final bool) *checkpoint.File {
 		add("telemetry.spans", s.opts.Tracer.SnapshotTo)
 	}
 	f.SortSections()
+
+	h := header{
+		Final:    final,
+		Seed:     s.opts.Seed,
+		Digest:   s.digest,
+		Now:      s.ctl.Engine().Now(),
+		K:        s.k,
+		Ingested: s.ingested,
+		LastT:    s.lastT,
+	}
+	if s.journal != nil {
+		h.JournalOff, h.JournalSHA = s.journal.Offset(), s.journal.PrefixSHA256()
+	}
+	enc.Reset()
+	h.encode(enc)
+	f.Header = bytes.Clone(enc.Bytes())
 	return f
 }
 
@@ -332,12 +332,27 @@ func (s *Server) writeCheckpoint(name string, final bool) error {
 	return nil
 }
 
-// verifyAgainst compares the digests of the re-derived component snapshots
-// with the checkpoint's stored sections — the restore-equals-uninterrupted
-// contract made operational. Any mismatch means the replay environment
-// diverged from the run that cut the checkpoint and continuing would
-// silently fork history, so it is a hard error.
+// verifyAgainst compares the replayed server with the checkpoint: the
+// header's clock, record count and last arrival time with the replay's, then
+// the digests of the re-derived component snapshots with the stored
+// sections — the restore-equals-uninterrupted contract made operational.
+// Any mismatch means the replay environment diverged from the run that cut
+// the checkpoint (or the header was forged), and continuing would silently
+// fork history, so it is a hard error.
 func (s *Server) verifyAgainst(want *checkpoint.File) error {
+	h, err := decodeHeader(want.Header)
+	if err != nil {
+		return err
+	}
+	if now := s.ctl.Engine().Now(); math.Float64bits(h.Now) != math.Float64bits(now) {
+		return fmt.Errorf("serve: restore verification: %w: header Now %v, replayed clock %v", checkpoint.ErrCorrupt, h.Now, now)
+	}
+	if math.Float64bits(h.LastT) != math.Float64bits(s.lastT) {
+		return fmt.Errorf("serve: restore verification: %w: header LastT %v, replayed last arrival %v", checkpoint.ErrCorrupt, h.LastT, s.lastT)
+	}
+	if h.Ingested != s.ingested {
+		return fmt.Errorf("serve: restore verification: %w: header Ingested %d, replayed %d records", checkpoint.ErrCorrupt, h.Ingested, s.ingested)
+	}
 	got := s.assemble(false)
 	if len(got.Sections) != len(want.Sections) {
 		return fmt.Errorf("serve: restore verification: %d sections re-derived, checkpoint has %d",

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -359,47 +360,75 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 
 // TestRestoreRejectsForgedHeader: a checkpoint file comes from outside the
 // program, so a header that is well formed and CRC-valid but holds values
-// no run writes must be refused with an error, never a panic.
+// no run writes must be refused with an error, never a panic. Each row
+// rewrites one field of a real boundary checkpoint's header. Negative counts
+// are refused as the header is decoded and a wrong digest before replay.
+// The seed is covered by the digest, so a wrong one with the right digest is
+// forged and refused at once; the clock, the last arrival time and the
+// record count when replay reaches the checkpointed boundary and the
+// server's own values disagree. Every forged value is ErrCorrupt and named.
 func TestRestoreRejectsForgedHeader(t *testing.T) {
 	keepalive, ok := sched.New("keepalive", sched.Options{})
 	if !ok {
 		t.Fatal("scheduler keepalive not registered")
 	}
-	opts := Options{Apps: []*apps.App{apps.NewChain(2)}, TrainMin: 1, HorizonMin: 5, Scheduler: keepalive, Seed: 1}
-	digest := opts.Digest()
+	runDir := t.TempDir()
+	opts := Options{Apps: []*apps.App{apps.NewChain(2)}, TrainMin: 1, HorizonMin: 10, Scheduler: keepalive, CheckpointDir: runDir, Seed: 1}
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(sourceOf(t, fixtureStream(t, 10, 7))); err != nil {
+		t.Fatal(err)
+	}
+	name := checkpointName(3)
 	for _, tc := range []struct {
-		name        string
-		digest      string
-		k, ingested int
-		journalOff  int64
-		want        string
-		corrupt     bool
+		name    string
+		forge   func(h *header)
+		want    string
+		corrupt bool
 	}{
-		{name: "short-digest", want: "config digest mismatch"},
-		{name: "negative-journal-offset", digest: digest, journalOff: -5, want: "journal offset -5", corrupt: true},
-		{name: "negative-boundary", digest: digest, k: -1, want: "boundary -1", corrupt: true},
-		{name: "negative-ingested", digest: digest, ingested: -1, want: "record count -1", corrupt: true},
+		{name: "untouched", forge: func(*header) {}},
+		{name: "short-digest", forge: func(h *header) { h.Digest = "" }, want: "config digest mismatch"},
+		{name: "negative-journal-offset", forge: func(h *header) { h.JournalOff = -5 }, want: "journal offset -5", corrupt: true},
+		{name: "negative-boundary", forge: func(h *header) { h.K = -1 }, want: "boundary -1", corrupt: true},
+		{name: "negative-ingested", forge: func(h *header) { h.Ingested = -1 }, want: "record count -1", corrupt: true},
+		{name: "forged-now", forge: func(h *header) { h.Now++ }, want: "header Now", corrupt: true},
+		{name: "forged-last-arrival", forge: func(h *header) { h.LastT = math.Nextafter(h.LastT, 0) }, want: "header LastT", corrupt: true},
+		{name: "forged-ingested", forge: func(h *header) { h.Ingested-- }, want: "header Ingested", corrupt: true},
+		{name: "forged-seed", forge: func(h *header) { h.Seed++ }, want: "header Seed", corrupt: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			hdr := checkpoint.NewEncoder()
-			hdr.String("serve.header")
-			hdr.Bool(false)
-			hdr.I64(opts.Seed)
-			hdr.String(tc.digest)
-			hdr.F64(0)
-			hdr.Int(tc.k)
-			hdr.Int(tc.ingested)
-			hdr.F64(0)
-			hdr.I64(tc.journalOff)
-			hdr.Blob(nil)
-			path := filepath.Join(dir, checkpointName(1))
-			if err := checkpoint.WriteFile(path, &checkpoint.File{Header: hdr.Bytes()}); err != nil {
+			copyDir(t, runDir, dir)
+			path := filepath.Join(dir, name)
+			f, err := checkpoint.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := decodeHeader(f.Header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Ingested == 0 || h.LastT == 0 {
+				t.Fatalf("boundary 3 holds %d records up to t=%v: the forged rows need some", h.Ingested, h.LastT)
+			}
+			tc.forge(&h)
+			enc := checkpoint.NewEncoder()
+			h.encode(enc)
+			f.Header = enc.Bytes()
+			if err := checkpoint.WriteFile(path, f); err != nil {
 				t.Fatal(err)
 			}
 			o := opts
 			o.CheckpointDir = dir
-			_, err := Restore(o, path)
+			_, err = Restore(o, path)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("untouched header: %v", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want an error containing %q", err, tc.want)
 			}

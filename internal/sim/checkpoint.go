@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"aquatope/internal/checkpoint"
 )
@@ -19,12 +19,15 @@ func (e *Engine) Snapshot(enc *checkpoint.Encoder) {
 	enc.U64(e.seq)
 	enc.U64(e.events)
 	enc.Int(e.live)
-	pend := append([]entry(nil), e.queue...)
-	sort.Slice(pend, func(i, j int) bool { return pend[i].before(pend[j]) })
-	enc.U64(uint64(len(pend)))
-	for _, x := range pend {
+	// The heap is sorted in a scratch copy the engine keeps, so a boundary
+	// allocates nothing once the copy has grown to the queue's size.
+	e.snap = append(e.snap[:0], e.queue...)
+	slices.SortFunc(e.snap, entry.compare)
+	enc.U64(uint64(len(e.snap)))
+	for _, x := range e.snap {
 		enc.F64(x.at)
 		enc.U64(x.seq)
 		enc.Bool(x.ev.fn == nil)
 	}
+	clear(e.snap) // hold no event past the snapshot
 }

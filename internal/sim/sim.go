@@ -54,6 +54,17 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
+// compare orders entries as before does, for slices.SortFunc.
+func (a entry) compare(b entry) int {
+	switch {
+	case a.before(b):
+		return -1
+	case b.before(a):
+		return 1
+	}
+	return 0
+}
+
 // eventQueue is a 4-ary min-heap on (at, seq). seq is unique, so the key
 // order is total and the pop order does not depend on the heap's shape.
 type eventQueue []entry
@@ -119,6 +130,8 @@ type Engine struct {
 	evCount  *telemetry.Counter
 	clockG   *telemetry.Gauge
 	pendingG *telemetry.Gauge
+
+	snap []entry // Snapshot's scratch copy of the queue
 }
 
 // NewEngine returns an engine with the clock at zero.

@@ -1,28 +1,33 @@
 package telemetry
 
 import (
-	"bytes"
-	"sort"
+	"slices"
 
 	"aquatope/internal/checkpoint"
 )
 
 // SnapshotTo serializes the registry as its canonical JSON export (map keys
-// sorted by encoding/json, so equal state yields equal bytes). Telemetry is
-// replay-derived state: the restorer re-derives counters by re-running the
-// input stream and byte-compares this section to prove the rebuilt registry
-// matches the checkpointed one. (Named SnapshotTo because Snapshot is the
-// registry's long-standing JSON export API.)
+// sorted by encoding/json, so equal state yields equal bytes), rendered into
+// a buffer the registry keeps between calls. Telemetry is replay-derived
+// state: the restorer re-derives counters by re-running the input stream and
+// byte-compares this section to prove the rebuilt registry matches the
+// checkpointed one. (Named SnapshotTo because Snapshot is the registry's
+// long-standing JSON export API.)
 func (r *Registry) SnapshotTo(enc *checkpoint.Encoder) {
 	enc.String("telemetry.registry")
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if r == nil {
+		r = NewRegistry() // snapshots as empty, as a nil registry does
+	}
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	r.snap.Reset()
+	if err := r.WriteJSON(&r.snap); err != nil {
 		// The JSON encoder cannot fail on Snapshot's map/float payload;
 		// record the error text defensively so a mismatch surfaces.
 		enc.String("error: " + err.Error())
 		return
 	}
-	enc.Blob(buf.Bytes())
+	enc.Blob(r.snap.Bytes())
 }
 
 // SnapshotTo writes the span log as a position, not as content: a
@@ -45,48 +50,40 @@ func (c *Collector) SnapshotTo(enc *checkpoint.Encoder) {
 	enc.String("telemetry.spans")
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var keys []string
-	rec := checkpoint.NewEncoder()
 	for _, i := range c.done {
-		rec.Reset()
-		keys = appendRecord(rec, &c.spans[i], keys)
-		c.sealed.Write(rec.Bytes(), 1)
+		c.rec.Reset()
+		appendRecord(&c.rec, recordAt(c.chunks, i))
+		c.sealed.Write(c.rec.Bytes(), 1)
 	}
 	c.done = c.done[:0]
 
-	open := make([]int, 0, len(c.byID))
+	c.open = c.open[:0]
 	for _, i := range c.byID {
-		open = append(open, i)
+		c.open = append(c.open, i)
 	}
-	sort.Ints(open)
-	enc.Int(len(c.spans))
+	slices.Sort(c.open)
+	enc.Int(c.n)
 	c.sealed.Snapshot(enc)
-	enc.Int(len(open))
-	for _, i := range open {
-		keys = appendRecord(enc, &c.spans[i], keys)
+	enc.Int(len(c.open))
+	for _, i := range c.open {
+		appendRecord(enc, recordAt(c.chunks, i))
 	}
 }
 
 // appendRecord appends a span's canonical record: every value its JSONL
 // dump line shows, length-prefixed or fixed-width, fields in sorted key
-// order — so changing any byte of the dump line changes the record. keys is
-// scratch space, returned for reuse.
-func appendRecord(enc *checkpoint.Encoder, sp *Span, keys []string) []string {
-	enc.U64(uint64(sp.ID))
-	enc.U64(uint64(sp.Parent))
-	enc.String(sp.Kind)
-	enc.String(sp.Name)
-	enc.F64(sp.Start)
-	enc.F64(sp.End)
-	keys = keys[:0]
-	for k := range sp.Fields {
-		keys = append(keys, k)
+// order (the order the arena holds them in) — so changing any byte of the
+// dump line changes the record.
+func appendRecord(enc *checkpoint.Encoder, r *record) {
+	enc.U64(uint64(r.id))
+	enc.U64(uint64(r.parent))
+	enc.String(r.kind)
+	enc.String(r.name)
+	enc.F64(r.start)
+	enc.F64(r.end)
+	enc.U64(uint64(len(r.fields)))
+	for _, f := range r.fields {
+		enc.String(f.key)
+		enc.F64(f.val)
 	}
-	sort.Strings(keys)
-	enc.U64(uint64(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.F64(sp.Fields[k])
-	}
-	return keys
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // tracerOp is one recorded call of a random tracer script, kept as data so
-// the same script can be played into several collectors (each gets its own
-// copy of the field maps, which the tracer takes ownership of).
+// the same script can be played into several collectors (which copy the
+// field maps they are handed, so the players share them).
 type tracerOp struct {
 	op     int
 	kind   string
@@ -91,17 +91,6 @@ func randomScript(rng *stats.RNG, n, depth int) ([]tracerOp, SpanID) {
 	return ops, next - 1
 }
 
-func cloneFields(f Fields) Fields {
-	if f == nil {
-		return nil
-	}
-	out := make(Fields, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
 // play runs the script into c. An incremental player snapshots at every
 // snapshot point (and snapshots merge sources before merging them); the
 // other never snapshots.
@@ -111,9 +100,9 @@ func play(c *Collector, ops []tracerOp, incremental bool) {
 		case opStart:
 			c.StartSpan(o.kind, o.name, o.parent, o.at)
 		case opEnd:
-			c.EndSpan(o.id, o.at, cloneFields(o.fields))
+			c.EndSpan(o.id, o.at, o.fields)
 		case opPoint:
-			c.Point(o.kind, o.name, o.parent, o.at, cloneFields(o.fields))
+			c.Point(o.kind, o.name, o.parent, o.at, o.fields)
 		case opMerge:
 			src := NewCollector()
 			play(src, o.sub, incremental)
@@ -213,11 +202,13 @@ func TestSnapshotCoversEveryDumpByte(t *testing.T) {
 			// Records are hashed at snapshot time, so editing the table
 			// before the first snapshot stands in for a run that recorded
 			// a different value.
-			before := c.spans[target.index]
-			mutate(&c.spans[target.index])
-			if reflect.DeepEqual(before, c.spans[target.index]) {
+			before := recordAt(c.chunks, target.index).span()
+			sp := before
+			mutate(&sp)
+			if reflect.DeepEqual(before, sp) {
 				t.Fatalf("%s/%s: mutation changed nothing", target.name, what)
 			}
+			setRecord(c, target.index, sp)
 			if bytes.Equal(spanSection(c), base) {
 				t.Errorf("changing the %s of a %s span left the section unchanged", what, target.name)
 			}

@@ -43,12 +43,21 @@ func FuzzReadJSONL(f *testing.F) {
 func writeSpans(t *testing.T, spans []Span) []byte {
 	t.Helper()
 	c := NewCollector()
-	c.spans = spans
+	for _, sp := range spans {
+		setRecord(c, c.push(record{}), sp)
+	}
 	var buf bytes.Buffer
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatalf("writing %d accepted spans: %v", len(spans), err)
 	}
 	return buf.Bytes()
+}
+
+// setRecord overwrites record i with sp, its fields copied into the arena
+// as EndSpan copies them.
+func setRecord(c *Collector, i int, sp Span) {
+	*recordAt(c.chunks, i) = record{id: sp.ID, parent: sp.Parent, kind: sp.Kind, name: sp.Name,
+		start: sp.Start, end: sp.End, fields: c.copyFields(sp.Fields)}
 }
 
 // sameSpan compares floats bit for bit, so -0 and 0 differ.

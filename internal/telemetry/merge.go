@@ -12,31 +12,39 @@ import (
 // in a fixed order is what keeps the exported span stream and metric snapshot
 // independent of goroutine scheduling.
 
-// Merge appends every span of src, re-basing span IDs (and parent
-// references) onto this collector's ID sequence so the merged stream stays
-// densely numbered in merge order. Open spans in src are absorbed as-is and
-// can no longer be ended through either collector — every merged-in span
-// counts as completed in the checkpoint view — so merge a collector only
-// after the run that fed it has completed. src is left untouched.
+// Merge appends every span of src, copying its records and field values as
+// they are stored and re-basing span IDs (and parent references) onto this
+// collector's ID sequence, so the merged stream stays densely numbered in
+// merge order. Open spans in src are absorbed as-is and can no longer be
+// ended through either collector — every merged-in span counts as completed
+// in the checkpoint view — so merge a collector only after the run that fed
+// it has completed. src is left untouched.
 func (c *Collector) Merge(src *Collector) {
 	if c == nil || src == nil {
 		return
 	}
-	spans := src.Spans()
+	// Chunks are never reallocated, so src's records (and the arena
+	// windows their fields point into) can be read after its lock is
+	// released; src is done recording.
 	src.mu.Lock()
-	srcNext := src.next
+	chunks, n, srcNext := src.chunks, src.n, src.next
 	src.mu.Unlock()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	offset := c.next - 1
-	for _, sp := range spans {
-		sp.ID += offset
-		if sp.Parent != 0 {
-			sp.Parent += offset
+	for i := 0; i < n; i++ {
+		r := *recordAt(chunks, i)
+		r.id += offset
+		if r.parent != 0 {
+			r.parent += offset
 		}
-		c.done = append(c.done, len(c.spans))
-		c.spans = append(c.spans, sp)
+		if len(r.fields) > 0 {
+			w := c.reserve(len(r.fields))
+			copy(w, r.fields)
+			r.fields = w
+		}
+		c.done = append(c.done, c.push(r))
 	}
 	c.next += srcNext - 1
 }

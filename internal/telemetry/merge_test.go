@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// record plays a small deterministic span tree into t.
-func record(t *Collector, base float64) {
+// recordTree plays a small deterministic span tree into t.
+func recordTree(t *Collector, base float64) {
 	w := t.StartSpan(KindWorkflow, "wf", 0, base)
 	s := t.StartSpan(KindStage, "stage", w, base+1)
 	t.Point(KindRetry, "retry", s, base+2, Fields{"attempt": 1})
@@ -17,13 +17,13 @@ func record(t *Collector, base float64) {
 func TestCollectorMergeRebasesIDs(t *testing.T) {
 	// Serial reference: both trees recorded into one collector.
 	serial := NewCollector()
-	record(serial, 0)
-	record(serial, 100)
+	recordTree(serial, 0)
+	recordTree(serial, 100)
 
 	// Split: each tree in its own collector, merged in order.
 	a, b := NewCollector(), NewCollector()
-	record(a, 0)
-	record(b, 100)
+	recordTree(a, 0)
+	recordTree(b, 100)
 	merged := NewCollector()
 	merged.Merge(a)
 	merged.Merge(b)
@@ -54,7 +54,7 @@ func TestCollectorMergeRebasesIDs(t *testing.T) {
 func TestCollectorMergeContinuesIDSequence(t *testing.T) {
 	dst := NewCollector()
 	src := NewCollector()
-	record(src, 0)
+	recordTree(src, 0)
 	dst.Merge(src)
 	// New spans started after a merge must continue past the merged IDs.
 	id := dst.StartSpan(KindInvocation, "inv", 0, 9)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"math"
 	"sync"
 )
@@ -18,6 +19,11 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+
+	// snapMu guards snap, the buffer SnapshotTo renders into at every
+	// checkpoint boundary.
+	snapMu sync.Mutex
+	snap   bytes.Buffer
 }
 
 // NewRegistry returns an empty registry.

@@ -23,8 +23,10 @@ package telemetry
 // fields when it sees it.
 type SpanID uint64
 
-// Fields carries numeric span attributes. Encoding/json emits map keys in
-// sorted order, so field maps do not threaten determinism.
+// Fields carries numeric span attributes. EndSpan and Point copy a Fields
+// map into the collector's field arena sorted by key, and the JSONL writer
+// and the checkpoint record emit them in that order, so map iteration order
+// never reaches an export. The caller keeps the map and may refill it.
 type Fields map[string]float64
 
 // Span kinds emitted by the instrumented subsystems.

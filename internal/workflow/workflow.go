@@ -315,10 +315,23 @@ type Executor struct {
 	// plain slice, not a sync.Pool, so which record serves which request is
 	// a function of the event sequence alone.
 	free []*execution
+	// spanFields is the one Fields map the executor fills for every stage,
+	// workflow and retry span it emits (fields hands it out emptied): the
+	// collector copies what it is handed.
+	spanFields telemetry.Fields
 }
 
 // NewExecutor returns an executor bound to a cluster.
 func NewExecutor(c *faas.Cluster) *Executor { return &Executor{Cluster: c} }
+
+// fields returns the executor's span-field map, emptied for the next span.
+func (e *Executor) fields() telemetry.Fields {
+	if e.spanFields == nil {
+		e.spanFields = make(telemetry.Fields)
+	}
+	clear(e.spanFields)
+	return e.spanFields
+}
 
 // jitter returns a multiplicative backoff jitter factor in
 // [1-backoffJitter, 1+backoffJitter].
@@ -522,10 +535,10 @@ func (x *execution) launch(i int) {
 		// the rest of the DAG) instead of burning resources.
 		x.res.SkippedStages++
 		if s.span != 0 {
-			tr.EndSpan(s.span, x.now(), telemetry.Fields{
-				"invocations": 0,
-				"skipped":     1,
-			})
+			f := x.e.fields()
+			f["invocations"] = 0
+			f["skipped"] = 1
+			tr.EndSpan(s.span, x.now(), f)
 			s.span = 0
 		}
 		x.finishStage(i)
@@ -548,9 +561,9 @@ func (x *execution) finishStage(i int) {
 	tr := x.tr
 	x.stagesLeft--
 	if s := &x.stages[i]; s.span != 0 {
-		tr.EndSpan(s.span, x.now(), telemetry.Fields{
-			"invocations": float64(len(s.results)),
-		})
+		f := x.e.fields()
+		f["invocations"] = float64(len(s.results))
+		tr.EndSpan(s.span, x.now(), f)
 	}
 	for _, ch := range x.d.children[i] {
 		x.stages[ch].deps--
@@ -574,10 +587,10 @@ func (x *execution) finishStage(i int) {
 		}
 		x.res.PerStage = x.perStage
 		if x.span != 0 {
-			tr.EndSpan(x.span, x.res.EndTime, telemetry.Fields{
-				"invocations": float64(x.res.Invocations),
-				"cold_starts": float64(x.res.ColdStarts),
-			})
+			f := x.e.fields()
+			f["invocations"] = float64(x.res.Invocations)
+			f["cold_starts"] = float64(x.res.ColdStarts)
+			tr.EndSpan(x.span, x.res.EndTime, f)
 		}
 		if x.done != nil {
 			x.done(x.res)
@@ -643,6 +656,16 @@ func (c *call) settle(r faas.InvocationResult) {
 	c.x.settleCall(c.stage, r)
 }
 
+// retryFields returns the executor's span-field map holding the keys every
+// invocation.retry point carries.
+func (c *call) retryFields(outcome, hedge float64) telemetry.Fields {
+	f := c.x.e.fields()
+	f["attempt"] = float64(c.issued)
+	f["outcome"] = outcome
+	f["hedge"] = hedge
+	return f
+}
+
 // retryPoint emits one invocation.retry point for the call's stage.
 func (c *call) retryPoint(f telemetry.Fields) {
 	x := c.x
@@ -674,12 +697,9 @@ func (c *call) onTerminal(r faas.InvocationResult) {
 			x.res.Retries++
 			delay := backoff(k) * x.e.jitter()
 			if tr.Enabled() {
-				c.retryPoint(telemetry.Fields{
-					"attempt":   float64(c.issued),
-					"backoff_s": delay,
-					"outcome":   float64(r.Outcome),
-					"hedge":     0,
-				})
+				f := c.retryFields(float64(r.Outcome), 0)
+				f["backoff_s"] = delay
+				c.retryPoint(f)
 			}
 			c.issued++ // commit the slot before the timer fires
 			c.outstanding++
@@ -690,12 +710,9 @@ func (c *call) onTerminal(r faas.InvocationResult) {
 		// amplifying an already-saturated platform.
 		x.res.RetriesDenied++
 		if tr.Enabled() {
-			c.retryPoint(telemetry.Fields{
-				"attempt": float64(c.issued),
-				"outcome": float64(r.Outcome),
-				"hedge":   0,
-				"denied":  1,
-			})
+			f := c.retryFields(float64(r.Outcome), 0)
+			f["denied"] = 1
+			c.retryPoint(f)
 		}
 	}
 	if c.outstanding == 0 {
@@ -732,13 +749,10 @@ func (c *call) hedge() {
 			// duplicate request is pure extra load.
 			x.res.HedgesSkipped++
 			if tr.Enabled() {
-				c.retryPoint(telemetry.Fields{
-					"attempt":     float64(c.issued),
-					"outcome":     0,
-					"hedge":       1,
-					"denied":      1,
-					"queue_depth": float64(depth),
-				})
+				f := c.retryFields(0, 1)
+				f["denied"] = 1
+				f["queue_depth"] = float64(depth)
+				c.retryPoint(f)
 			}
 			return
 		}
@@ -746,23 +760,17 @@ func (c *call) hedge() {
 	if !x.takeBudget() {
 		x.res.HedgesSkipped++
 		if tr.Enabled() {
-			c.retryPoint(telemetry.Fields{
-				"attempt": float64(c.issued),
-				"outcome": 0,
-				"hedge":   1,
-				"denied":  1,
-			})
+			f := c.retryFields(0, 1)
+			f["denied"] = 1
+			c.retryPoint(f)
 		}
 		return
 	}
 	x.res.Hedges++
 	if tr.Enabled() {
-		c.retryPoint(telemetry.Fields{
-			"attempt":   float64(c.issued),
-			"backoff_s": 0,
-			"outcome":   0,
-			"hedge":     1,
-		})
+		f := c.retryFields(0, 1)
+		f["backoff_s"] = 0
+		c.retryPoint(f)
 	}
 	c.issue()
 }
