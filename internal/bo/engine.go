@@ -151,6 +151,53 @@ type Engine struct {
 	tracer  *telemetry.Collector
 	iter    int     // Observe calls, the telemetry iteration index
 	lastAcq float64 // acquisition value of the last batch's first slot
+
+	// Suggest's working set, reused by every call and never handed out:
+	// Suggest returns copies of the rows it picks. Each scrambled Sobol
+	// generator draws its digital shift from a stream seeded with one
+	// e.rng draw and reads nothing from it afterwards, so one stream
+	// reseeded in place and one generator restarted in place stand in for
+	// a new stream and generator per use.
+	split *stats.RNG
+	sob   qmc.Sobol
+	pts   []float64   // candidate points, Dim per row
+	all   []candidate // every candidate
+	kept  []candidate // the candidates past the QoS filter
+	// selectBatch's (cost, latency) QMC draws, two per sample; each
+	// candidate's fantasy costs and feasibilities, S per candidate; and
+	// the candidates already picked.
+	draws []float64
+	costS []float64
+	feasS []bool
+	taken []bool
+	// sampleIncumbents' per-sample incumbents, and its S×m normal draws
+	// and the joint cost and latency samples drawn from them.
+	best                   []float64
+	jointZ, jointC, jointL []float64
+}
+
+// allocPoolBuffers sizes the candidate pool's share of Suggest's working
+// set once, on the first model-driven call, for the largest pool the
+// engine's dimension allows. Every later call slices into it.
+func (e *Engine) allocPoolBuffers() {
+	const S = fantasySamples
+	rows := poolSize(e.cfg.Dim) + 2*e.cfg.Dim // Sobol points, two moves per dimension
+	e.pts = make([]float64, rows*e.cfg.Dim)
+	e.all, e.kept = make([]candidate, rows), make([]candidate, 0, rows)
+	e.draws, e.taken = make([]float64, 2*S), make([]bool, rows)
+	if e.cfg.Acquisition != EI {
+		e.costS, e.feasS = make([]float64, rows*S), make([]bool, rows*S)
+	}
+}
+
+// poolSize is the number of Sobol candidates scored per suggestion round
+// in dim dimensions.
+func poolSize(dim int) int {
+	n := candidatePoolSize
+	if byDim := 32 * dim; byDim > n {
+		n = byDim
+	}
+	return min(n, 512)
 }
 
 // New returns an engine for the given options.
@@ -159,7 +206,9 @@ func New(opts Options) *Engine {
 	if opts.Dim <= 0 {
 		panic("bo: Dim must be positive")
 	}
-	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed)}
+	// split is reseeded before every use; its construction seed is never
+	// drawn from.
+	e := &Engine{cfg: opts, rng: stats.NewRNG(opts.Seed), split: stats.NewRNG(opts.Seed)}
 	e.costGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
 	e.latGP = gp.New(gp.NewMatern52(opts.Dim), noiseVar)
 	return e
@@ -190,7 +239,9 @@ func (e *Engine) ChangeEvents() int { return e.changeEvents }
 
 // Suggest returns the next batch of candidate configurations to profile.
 // During bootstrap it returns quasi-random points; afterwards it maximizes
-// the configured acquisition greedily per batch slot.
+// the configured acquisition greedily per batch slot. The rows belong to the
+// caller: they are copies, and the engine keeps them only through the
+// Observations it is handed.
 func (e *Engine) Suggest() [][]float64 {
 	q := e.cfg.BatchSize
 	if e.countClean() < bootstrap || !e.fitted {
@@ -282,31 +333,32 @@ type candidate struct {
 // applies the proactive QoS filter: candidates unlikely to meet the
 // constraint are pruned before acquisition scoring (unless that would
 // empty the pool). Each surviving candidate keeps its latency posterior
-// for reuse in selectBatch.
+// for reuse in selectBatch. The candidates and their points are the
+// engine's buffers, valid until the next call.
 func (e *Engine) candidatePool() []candidate {
-	n := candidatePoolSize
-	if byDim := 32 * e.cfg.Dim; byDim > n {
-		n = byDim
+	if e.pts == nil {
+		e.allocPoolBuffers()
 	}
-	if n > 512 {
-		n = 512
-	}
-	sob := qmc.NewScrambledSobol(e.cfg.Dim, e.rng.Split())
-	raw := sob.Sample(n)
+	dim, n := e.cfg.Dim, poolSize(e.cfg.Dim)
+	e.restartSobol(dim)
+	e.sob.Sample(e.pts[:n*dim])
 	if bestX, _, ok := e.BestFeasible(); ok {
-		for d := 0; d < e.cfg.Dim; d++ {
-			for _, dir := range []float64{-1, 1} {
-				c := append([]float64(nil), bestX...)
+		for d := 0; d < dim; d++ {
+			for _, dir := range [...]float64{-1, 1} {
+				// Build the move in the next free row; an out-of-range
+				// move leaves the row free for the next one.
+				c := e.pts[n*dim : (n+1)*dim]
+				copy(c, bestX)
 				c[d] += dir * e.rng.Uniform(0.05, 0.25)
 				if c[d] >= 0 && c[d] < 1 {
-					raw = append(raw, c)
+					n++
 				}
 			}
 		}
 	}
-	all := make([]candidate, len(raw))
-	kept := make([]candidate, 0, len(raw))
-	for i, x := range raw {
+	all, kept := e.all[:n], e.kept[:0]
+	for i := range all {
+		x := e.pts[i*dim : (i+1)*dim : (i+1)*dim]
 		lm, lv := e.latGP.Posterior(x)
 		lsd := math.Sqrt(lv + 1e-12)
 		feas := stats.NormalCDF((e.cfg.QoS - lm) / lsd)
@@ -319,6 +371,13 @@ func (e *Engine) candidatePool() []candidate {
 		return all
 	}
 	return kept
+}
+
+// restartSobol restarts the engine's Sobol generator on dim dimensions,
+// scrambled from a stream seeded with the next e.rng draw.
+func (e *Engine) restartSobol(dim int) {
+	e.split.Reseed(e.rng.Int63())
+	e.sob.Reset(dim, e.split)
 }
 
 // FeasibilityProbability returns P(latency(x) <= QoS) under the latency GP.
@@ -358,20 +417,23 @@ func (e *Engine) cleanObservations() []Observation {
 // evaluation is batched: every candidate's QMC cost/feasibility samples are
 // materialized in one pass over the shared draws, so the greedy slot loop
 // (and the fantasy incumbent updates) only compare precomputed values
-// instead of re-deriving them per slot.
+// instead of re-deriving them per slot. The picked rows are copied out of
+// the candidate pool.
 func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
 	const S = fantasySamples
 	// Per-sample incumbent best over observed points (feasible preferred).
 	best := e.sampleIncumbents(S)
 
-	// QMC normal draws shared across candidates: dims (cost, latency).
-	sob := qmc.NewScrambledSobol(2, e.rng.Split())
-	draws := sob.NormalSample(S)
+	// QMC normal draws shared across candidates: sample s is the pair
+	// (cost, latency) at draws[2s], draws[2s+1].
+	draws := e.draws
+	e.restartSobol(2)
+	e.sob.NormalSample(draws)
 
 	nei := e.cfg.Acquisition != EI
-	// Batched fantasy samples, one pass per candidate.
-	costS := make([][]float64, len(cands))
-	feasS := make([][]bool, len(cands))
+	// Batched fantasy samples, one pass per candidate: candidate i's are
+	// costS[i*S:(i+1)*S] and feasS[i*S:(i+1)*S].
+	costS, feasS := e.costS, e.feasS
 	for i := range cands {
 		cm, cv := e.costGP.Posterior(cands[i].x)
 		cands[i].cm = cm
@@ -379,17 +441,16 @@ func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
 		if !nei {
 			continue
 		}
-		cs := make([]float64, S)
-		fs := make([]bool, S)
+		cs, fs := costS[i*S:(i+1)*S], feasS[i*S:(i+1)*S]
 		for s := 0; s < S; s++ {
-			cs[s] = cands[i].cm + cands[i].csd*draws[s][0]
-			fs[s] = cands[i].lm+cands[i].lsd*draws[s][1] <= e.cfg.QoS
+			cs[s] = cands[i].cm + cands[i].csd*draws[2*s]
+			fs[s] = cands[i].lm+cands[i].lsd*draws[2*s+1] <= e.cfg.QoS
 		}
-		costS[i], feasS[i] = cs, fs
 	}
 
-	var batch [][]float64
-	taken := make([]bool, len(cands))
+	batch := make([][]float64, 0, q)
+	taken := e.taken[:len(cands)]
+	clear(taken)
 	for slot := 0; slot < q; slot++ {
 		bestIdx, bestGain := -1, -math.Inf(1)
 		for i := range cands {
@@ -401,7 +462,7 @@ func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
 				c := cands[i]
 				gain = e.analyticEI(c.cm, c.csd, c.lm, c.lsd, best)
 			} else {
-				cs, fs := costS[i], feasS[i]
+				cs, fs := costS[i*S:(i+1)*S], feasS[i*S:(i+1)*S]
 				for s := 0; s < S; s++ {
 					if !fs[s] {
 						continue
@@ -423,12 +484,12 @@ func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
 			e.lastAcq = bestGain
 		}
 		taken[bestIdx] = true
-		batch = append(batch, cands[bestIdx].x)
+		batch = append(batch, append([]float64(nil), cands[bestIdx].x...))
 		// Fantasy update: pending point lowers the per-sample incumbent.
 		// This also runs under EI (best[0] is the analytic incumbent), so
 		// later slots improve over pending picks, not just observed points.
 		if nei {
-			cs, fs := costS[bestIdx], feasS[bestIdx]
+			cs, fs := costS[bestIdx*S:(bestIdx+1)*S], feasS[bestIdx*S:(bestIdx+1)*S]
 			for s := 0; s < S; s++ {
 				if fs[s] && cs[s] < best[s] {
 					best[s] = cs[s]
@@ -437,8 +498,8 @@ func (e *Engine) selectBatch(cands []candidate, q int) [][]float64 {
 		} else {
 			c := cands[bestIdx]
 			for s := 0; s < S; s++ {
-				costS := c.cm + c.csd*draws[s][0]
-				latS := c.lm + c.lsd*draws[s][1]
+				costS := c.cm + c.csd*draws[2*s]
+				latS := c.lm + c.lsd*draws[2*s+1]
 				if latS <= e.cfg.QoS && costS < best[s] {
 					best[s] = costS
 				}
@@ -475,52 +536,66 @@ func (e *Engine) analyticEI(cm, csd, lm, lsd float64, best []float64) float64 {
 // feasible points (falling back to overall minimum when no sampled point is
 // feasible). Under EI it returns the deterministic observed feasible best
 // replicated once. The joint posterior over window points reuses the GPs'
-// cached train-kernel matrices — no kernel re-evaluation.
+// cached train-kernel matrices — no kernel re-evaluation. The result is the
+// engine's buffer, valid until the next call.
 func (e *Engine) sampleIncumbents(S int) []float64 {
-	clean := e.cleanObservations()
+	if cap(e.best) < S {
+		// Sized once for the engine's fantasy count, the joint draws for
+		// as many window points as a Sobol sequence covers.
+		e.best = make([]float64, S)
+		if e.cfg.Acquisition != EI {
+			e.jointZ = make([]float64, S*qmc.MaxDim)
+			e.jointC, e.jointL = make([]float64, S*qmc.MaxDim), make([]float64, S*qmc.MaxDim)
+		}
+	}
+	best := e.best[:S]
 	if e.cfg.Acquisition == EI {
-		best := math.Inf(1)
-		for _, o := range clean {
-			if o.Latency <= e.cfg.QoS && o.Cost < best {
-				best = o.Cost
+		inc, incAny := math.Inf(1), math.Inf(1)
+		for i, o := range e.obs {
+			if e.anomalous[i] {
+				continue
+			}
+			if o.Latency <= e.cfg.QoS && o.Cost < inc {
+				inc = o.Cost
+			}
+			if o.Cost < incAny {
+				incAny = o.Cost
 			}
 		}
-		if math.IsInf(best, 1) {
-			for _, o := range clean {
-				if o.Cost < best {
-					best = o.Cost
-				}
-			}
+		if math.IsInf(inc, 1) {
+			inc = incAny
 		}
-		out := make([]float64, S)
-		for i := range out {
-			out[i] = best
+		for i := range best {
+			best[i] = inc
 		}
-		return out
+		return best
 	}
 	// Sobol dimensionality is bounded; for larger histories use the most
 	// recent points for the joint draw (older ones rarely hold the
 	// incumbent under a converging optimizer).
-	m := len(clean)
+	m := e.countClean()
 	if m > qmc.MaxDim {
 		m = qmc.MaxDim
 	}
-	sobC := qmc.NewScrambledSobol(m, e.rng.Split())
-	sobL := qmc.NewScrambledSobol(m, e.rng.Split())
 	// Suggest only gets here fitted: the GP windows mirror the clean set, so
-	// the most recent m window points are exactly clean[len-m:] — served from
-	// the kernel cache.
-	costDraws := e.costGP.SampleJointRecent(m, sobC.NormalSample(S))
-	latDraws := e.latGP.SampleJointRecent(m, sobL.NormalSample(S))
-	best := make([]float64, S)
+	// the most recent m window points are exactly the last m clean
+	// observations — served from the kernel cache. Sample s of each joint
+	// draw is row s, m wide.
+	z, jc, jl := e.jointZ[:S*m], e.jointC[:S*m], e.jointL[:S*m]
+	e.restartSobol(m)
+	e.sob.NormalSample(z)
+	e.costGP.SampleJointRecent(m, z, jc)
+	e.restartSobol(m)
+	e.sob.NormalSample(z)
+	e.latGP.SampleJointRecent(m, z, jl)
 	for s := 0; s < S; s++ {
+		costs, lats := jc[s*m:(s+1)*m], jl[s*m:(s+1)*m]
 		bf, bAny := math.Inf(1), math.Inf(1)
-		for i := 0; i < m; i++ {
-			c := costDraws[s][i]
+		for i, c := range costs {
 			if c < bAny {
 				bAny = c
 			}
-			if latDraws[s][i] <= e.cfg.QoS && c < bf {
+			if lats[i] <= e.cfg.QoS && c < bf {
 				bf = c
 			}
 		}

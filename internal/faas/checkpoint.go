@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"aquatope/internal/checkpoint"
+	"aquatope/internal/stats"
 )
 
 // Snapshot serializes the cluster's observable state as a verification
@@ -19,7 +20,11 @@ import (
 func (c *Cluster) Snapshot(enc *checkpoint.Encoder) {
 	enc.String("faas.cluster")
 	c.rng.Snapshot(enc)
-	c.faultRNG.Snapshot(enc)
+	if c.faultRNG == nil {
+		stats.SnapshotFresh(enc, c.faultSeed())
+	} else {
+		c.faultRNG.Snapshot(enc)
+	}
 	enc.F64(c.faults.InitFailure)
 	enc.F64(c.faults.ExecKill)
 	enc.Bool(c.draining)

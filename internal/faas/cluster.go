@@ -202,7 +202,9 @@ type Cluster struct {
 
 	// faults are the active probabilistic fault rates (normally zero);
 	// faultRNG is a dedicated stream so enabling them mid-run never
-	// perturbs the noise/performance draws of a same-seed run.
+	// perturbs the noise/performance draws of a same-seed run. It is built
+	// when a fault first draws from it (faultStream): most clusters never
+	// arm a fault, and a stream costs ~5 KB.
 	faults        FaultRates
 	faultRNG      *stats.RNG
 	onInvokerDown []func(invoker int)
@@ -217,12 +219,11 @@ type Cluster struct {
 func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:      cfg,
-		eng:      eng,
-		rng:      stats.NewRNG(cfg.Seed),
-		faultRNG: stats.NewRNG(cfg.Seed ^ 0x5eed_c4a0_5),
-		fns:      make(map[string]*function),
-		metrics:  NewMetricsOn(cfg.Registry),
+		cfg:     cfg,
+		eng:     eng,
+		rng:     stats.NewRNG(cfg.Seed),
+		fns:     make(map[string]*function),
+		metrics: NewMetricsOn(cfg.Registry),
 	}
 	for i := 0; i < cfg.Invokers; i++ {
 		iv := &Invoker{
@@ -238,6 +239,17 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 		c.invokers = append(c.invokers, iv)
 	}
 	return c
+}
+
+// faultSeed is the seed of the cluster's fault stream.
+func (c *Cluster) faultSeed() int64 { return c.cfg.Seed ^ 0x5eed_c4a0_5 }
+
+// faultStream returns the fault stream, building it on first use.
+func (c *Cluster) faultStream() *stats.RNG {
+	if c.faultRNG == nil {
+		c.faultRNG = stats.NewRNG(c.faultSeed())
+	}
+	return c.faultRNG
 }
 
 // Engine returns the underlying simulation engine.
@@ -547,7 +559,7 @@ func (c *Cluster) spawnContainer(fn *function, prewarmed bool) *container {
 	}
 	init := fn.spec.Model.InitTime(ct.cfg, c.rng)
 	ct.warmAt = c.eng.Now() + init
-	if c.faults.InitFailure > 0 && c.faultRNG.Bernoulli(c.faults.InitFailure) {
+	if c.faults.InitFailure > 0 && c.faultStream().Bernoulli(c.faults.InitFailure) {
 		ct.initFailed = true
 	}
 	c.accrueUtil(iv)
@@ -715,8 +727,8 @@ func (c *Cluster) runOn(ct *container, p *pendingInvocation, coldExperience bool
 	}
 	// Fault model: the hosting container may be killed mid-execution
 	// (OOM-style), failing the invocation partway through.
-	if c.faults.ExecKill > 0 && c.faultRNG.Bernoulli(c.faults.ExecKill) {
-		killAt := exec * c.faultRNG.Float64()
+	if c.faults.ExecKill > 0 && c.faultStream().Bernoulli(c.faults.ExecKill) {
+		killAt := exec * c.faultStream().Float64()
 		ct.running = p
 		ct.execTimer = c.eng.After(killAt, func() {
 			c.abortRun(ct, p, OutcomeFailed, "container-kill")

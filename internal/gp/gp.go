@@ -57,21 +57,31 @@ type GP struct {
 	// Posterior's solve), and the triangular-solve intermediate of
 	// restandardize.
 	kbuf, vbuf, solveTmp []float64
+
+	// SampleJointRecent's scratch: the joint posterior's mean and
+	// covariance, the m solves behind it (row i at jsolve[i*n:]), and the
+	// covariance's factor.
+	jmean, jsolve  []float64
+	jcov, jcovChol *linalg.Matrix
 }
 
-// growBuf returns buf resized to n, reusing its backing array when possible.
+// growBuf returns buf resized to n, reusing its backing array when possible
+// and otherwise moving to one with room for 2n, so a buffer that follows a
+// growing window reallocates O(log n) times.
 func growBuf(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, 2*n)
 	}
 	return buf[:n]
 }
 
 // resize returns an n×n matrix on m's storage when it has room for one, and
-// a new matrix otherwise. The contents are stale: callers overwrite them.
+// otherwise a new one with room for twice the entries, so a window that
+// grows a point at a time reallocates only when its area doubles. The
+// contents are stale: callers overwrite them.
 func resize(m *linalg.Matrix, n int) *linalg.Matrix {
 	if m == nil || cap(m.Data) < n*n {
-		return linalg.NewMatrix(n, n)
+		return &linalg.Matrix{Rows: n, Cols: n, Data: make([]float64, n*n, 2*n*n)}
 	}
 	m.Rows, m.Cols, m.Data = n, n, m.Data[:n*n]
 	return m
@@ -314,27 +324,30 @@ func (g *GP) PosteriorBatch(xs [][]float64) (mean []float64, cov *linalg.Matrix)
 	return mean, cov
 }
 
-// PosteriorBatchRecent returns the joint posterior over the most recent m
+// posteriorRecent returns the joint posterior over the most recent m
 // window points, sourcing every kernel value from the cached train-kernel
 // matrix — zero kernel evaluations. This is the NEI incumbent path's batch
 // posterior: within one Suggest it reuses the same cache the factor was
-// built from, so repeated calls cost only the triangular solves.
-func (g *GP) PosteriorBatchRecent(m int) (mean []float64, cov *linalg.Matrix) {
+// built from, so repeated calls cost only the triangular solves. The mean
+// and covariance are the GP's scratch, valid until the next call.
+func (g *GP) posteriorRecent(m int) (mean []float64, cov *linalg.Matrix) {
 	n := len(g.x)
 	if m > n {
 		m = n
 	}
-	mean = make([]float64, m)
-	cov = linalg.NewMatrix(m, m)
-	vMat := make([][]float64, m)
+	g.jmean = growBuf(g.jmean, m)
+	g.jcov = resize(g.jcov, m)
+	g.jsolve = growBuf(g.jsolve, m*n)
+	mean, cov = g.jmean, g.jcov
 	for i := 0; i < m; i++ {
 		ks := g.kmat.Row(n - m + i)
 		mean[i] = linalg.Dot(ks, g.alpha)*g.yStd + g.yMean
-		vMat[i] = linalg.SolveLower(g.chol, ks)
+		linalg.SolveLowerInto(g.chol, ks, g.jsolve[i*n:(i+1)*n])
 	}
 	for i := 0; i < m; i++ {
+		vi := g.jsolve[i*n : (i+1)*n]
 		for j := i; j < m; j++ {
-			c := g.kmat.At(n-m+i, n-m+j) - linalg.Dot(vMat[i], vMat[j])
+			c := g.kmat.At(n-m+i, n-m+j) - linalg.Dot(vi, g.jsolve[j*n:(j+1)*n])
 			c *= g.yStd * g.yStd
 			if i == j && c < 0 {
 				c = 0
@@ -347,27 +360,34 @@ func (g *GP) PosteriorBatchRecent(m int) (mean []float64, cov *linalg.Matrix) {
 }
 
 // SampleJointRecent draws correlated function values at the most recent m
-// window points via the cached-kernel batch posterior, using externally
-// supplied standard-normal draws (e.g. from a Sobol sequence): each draws[s]
-// must have length m.
-func (g *GP) SampleJointRecent(m int, draws [][]float64) [][]float64 {
-	mean, cov := g.PosteriorBatchRecent(m)
-	return sampleWithCov(mean, cov, draws)
+// window points (m at most the window size) via the cached-kernel joint
+// posterior, using externally supplied standard-normal draws (e.g. from a
+// Sobol sequence). draws holds one row of m draws per sample, and out
+// receives the samples in the same layout; both belong to the caller, and
+// the GP works in its own scratch.
+func (g *GP) SampleJointRecent(m int, draws, out []float64) {
+	if m < 1 || m > len(g.x) {
+		panic("gp: joint sample size outside the window")
+	}
+	mean, cov := g.posteriorRecent(m)
+	g.jcovChol = resize(g.jcovChol, len(mean))
+	sampleWithCov(mean, cov, g.jcovChol, draws, out)
 }
 
-func sampleWithCov(mean []float64, cov *linalg.Matrix, draws [][]float64) [][]float64 {
+// sampleWithCov writes mean + L·z for every row z of draws into the same
+// row of out, with L the Cholesky factor of cov, factored into l (the
+// independent marginals' square roots when cov cannot be factored).
+func sampleWithCov(mean []float64, cov, l *linalg.Matrix, draws, out []float64) {
 	q := len(mean)
-	l, err := linalg.Cholesky(cov)
-	if err != nil {
+	if _, err := linalg.CholeskyJitterInto(cov, l); err != nil {
 		// Degenerate covariance: fall back to independent marginals.
-		l = linalg.NewMatrix(q, q)
+		clear(l.Data)
 		for i := 0; i < q; i++ {
 			l.Set(i, i, math.Sqrt(math.Max(cov.At(i, i), 0)))
 		}
 	}
-	out := make([][]float64, len(draws))
-	for s, z := range draws {
-		v := make([]float64, q)
+	for s := 0; s+q <= len(draws); s += q {
+		z, v := draws[s:s+q], out[s:s+q]
 		for i := 0; i < q; i++ {
 			var acc float64
 			for j := 0; j <= i; j++ {
@@ -375,9 +395,7 @@ func sampleWithCov(mean []float64, cov *linalg.Matrix, draws [][]float64) [][]fl
 			}
 			v[i] = mean[i] + acc
 		}
-		out[s] = v
 	}
-	return out
 }
 
 // LogMarginalLikelihood returns the log evidence of the fitted data under

@@ -190,17 +190,21 @@ func TestSampleJointMatchesPosteriorMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 3
-	sob := qmc.NewSobol(m)
-	draws := sob.NormalSample(2048)
-	samples := g.SampleJointRecent(m, draws)
+	const S = 2048
+	draws, samples := make([]float64, S*m), make([]float64, S*m)
+	var sob qmc.Sobol
+	sob.Reset(m, nil)
+	sob.NormalSample(draws)
+	g.SampleJointRecent(m, draws, samples)
 	mean, cov := g.PosteriorBatch(X[len(X)-m:])
 	for j := 0; j < m; j++ {
 		var s, ss float64
-		for _, row := range samples {
-			s += row[j]
-			ss += row[j] * row[j]
+		for r := 0; r < S; r++ {
+			v := samples[r*m+j]
+			s += v
+			ss += v * v
 		}
-		n := float64(len(samples))
+		n := float64(S)
 		m := s / n
 		v := ss/n - m*m
 		if math.Abs(m-mean[j]) > 0.05 {

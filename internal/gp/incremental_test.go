@@ -221,7 +221,7 @@ func TestPosteriorBatchRecentMatches(t *testing.T) {
 		}
 	}
 	m := 6
-	meanR, covR := g.PosteriorBatchRecent(m)
+	meanR, covR := g.posteriorRecent(m)
 	meanB, covB := g.PosteriorBatch(X[len(X)-m:])
 	for i := 0; i < m; i++ {
 		if math.Abs(meanR[i]-meanB[i]) > 1e-12 {

@@ -76,10 +76,11 @@ func CholeskyJitterInto(a, l *Matrix) (float64, error) {
 // given the cross column k = A[0:n, n] and the new diagonal entry d (jitter
 // is re-applied to d for consistency), in O(n²). The factor is restructured
 // for the wider stride inside its own backing array, growing it only when
-// capacity runs out. It returns false when the Schur complement is not
-// positive; the factor has then been restructured and is no longer valid —
-// the caller must refactor from scratch with jitter escalation, which is
-// what the failure demands anyway.
+// capacity runs out (geometrically, so a factor grown one row at a time
+// reallocates O(log n) times). It returns false when the Schur complement
+// is not positive; the factor has then been restructured and is no longer
+// valid — the caller must refactor from scratch with jitter escalation,
+// which is what the failure demands anyway.
 //
 // Extending an empty factor (n == 0) ignores jitter: there is no existing
 // factorization to stay consistent with, and a cold factorization of a 1×1
@@ -95,12 +96,7 @@ func ExtendCholeskyInPlace(l *Matrix, k []float64, d, jitter float64) bool {
 		jitter = 0
 	}
 	need := (n + 1) * (n + 1)
-	if cap(l.Data) < need {
-		grown := make([]float64, need)
-		copy(grown, l.Data)
-		l.Data = grown
-	}
-	l.Data = l.Data[:need]
+	l.Data = growData(l.Data, need)
 	// Widen the stride from the last row down: each destination starts at or
 	// past its source, so pending source rows are never clobbered, and the
 	// new trailing column is zeroed to mirror a freshly allocated factor.

@@ -184,20 +184,16 @@ func SolveUpperTInto(l *Matrix, y, x []float64) {
 // GrowBorderInPlace extends a square matrix by one bordering row/column in
 // place: the existing block keeps its values at the wider stride, the new
 // column and row are filled with col (mirrored) and the corner with d. The
-// backing array grows only when capacity runs out, so a sliding window at
-// steady state reborders without allocating.
+// backing array grows only when capacity runs out, and then geometrically,
+// so a sliding window at steady state reborders without allocating and a
+// filling one reallocates O(log n) times.
 func (m *Matrix) GrowBorderInPlace(col []float64, d float64) {
 	n := m.Rows
 	if m.Cols != n || len(col) != n {
 		panic("linalg: grow border shape mismatch")
 	}
 	need := (n + 1) * (n + 1)
-	if cap(m.Data) < need {
-		grown := make([]float64, need)
-		copy(grown, m.Data)
-		m.Data = grown
-	}
-	m.Data = m.Data[:need]
+	m.Data = growData(m.Data, need)
 	// Widen the stride from the last row down; destinations start at or past
 	// their sources, so pending rows are never clobbered.
 	for i := n - 1; i >= 1; i-- {
@@ -209,6 +205,19 @@ func (m *Matrix) GrowBorderInPlace(col []float64, d float64) {
 	copy(m.Data[n*(n+1):n*(n+1)+n], col)
 	m.Data[need-1] = d
 	m.Rows, m.Cols = n+1, n+1
+}
+
+// growData returns data resized to need elements with its contents kept.
+// When its capacity runs short it moves to a new array with room for twice
+// need, so a matrix grown one row and column at a time reallocates each
+// time its area doubles.
+func growData(data []float64, need int) []float64 {
+	if cap(data) < need {
+		grown := make([]float64, need, 2*need)
+		copy(grown, data)
+		return grown
+	}
+	return data[:need]
 }
 
 // ShrinkLeadingInPlace removes row and column 0 of a square matrix in place

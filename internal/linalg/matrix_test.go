@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -206,7 +207,7 @@ func TestPropertyCholeskySolvesSPD(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil { //aqualint:allow globalrand testing/quick takes a *rand.Rand; this one is seeded with a constant
 		t.Fatal(err)
 	}
 }

@@ -60,37 +60,22 @@ var joeKuo = []dirSpec{
 // MaxDim is the largest dimensionality a Sobol sequence supports here.
 const MaxDim = 32
 
-// Sobol generates points of a Sobol sequence in [0,1)^dim using Gray-code
-// ordering. The zero-th point of the raw sequence (the origin) is skipped,
-// matching common practice.
-type Sobol struct {
-	dim   int
-	count uint64
-	v     [][]uint64 // v[d][bit] direction integers, scaled to maxBits
-	x     []uint64   // current Gray-code state per dimension
-	shift []uint64   // digital shift per dimension (0 = unscrambled)
-}
+// directions holds the direction integers v[d][bit] of every dimension,
+// scaled to maxBits. They depend on nothing but joeKuo, so they are
+// computed once, at package initialisation; generators only read them.
+var directions = newDirections()
 
-// NewSobol returns an unscrambled Sobol generator for the given
-// dimensionality (1..MaxDim).
-func NewSobol(dim int) *Sobol {
-	if dim < 1 || dim > MaxDim {
-		panic(fmt.Sprintf("qmc: dimension %d out of range [1,%d]", dim, MaxDim))
-	}
-	s := &Sobol{dim: dim}
-	s.v = make([][]uint64, dim)
-	s.x = make([]uint64, dim)
-	s.shift = make([]uint64, dim)
+func newDirections() *[MaxDim][maxBits]uint64 {
+	var v [MaxDim][maxBits]uint64
 	// Dimension 1: van der Corput, v[bit] = 1 << (maxBits-1-bit).
-	s.v[0] = make([]uint64, maxBits)
 	for b := 0; b < maxBits; b++ {
-		s.v[0][b] = 1 << (maxBits - 1 - uint(b))
+		v[0][b] = 1 << (maxBits - 1 - uint(b))
 	}
-	for d := 1; d < dim; d++ {
+	for d := 1; d < MaxDim; d++ {
 		spec := joeKuo[d-1]
 		deg := int(spec.s)
-		m := make([]uint64, maxBits)
-		copy(m, spec.m)
+		var m [maxBits]uint64
+		copy(m[:], spec.m)
 		for i := deg; i < maxBits; i++ {
 			mi := m[i-deg] ^ (m[i-deg] << uint(deg))
 			for k := 1; k < deg; k++ {
@@ -100,28 +85,43 @@ func NewSobol(dim int) *Sobol {
 			}
 			m[i] = mi
 		}
-		vd := make([]uint64, maxBits)
 		for b := 0; b < maxBits; b++ {
-			vd[b] = m[b] << (maxBits - 1 - uint(b))
+			v[d][b] = m[b] << (maxBits - 1 - uint(b))
 		}
-		s.v[d] = vd
 	}
-	return s
+	return &v
 }
 
-// NewScrambledSobol returns a Sobol generator whose output is XORed with a
-// per-dimension random digital shift, giving an unbiased randomized QMC
-// estimator while preserving low discrepancy.
-func NewScrambledSobol(dim int, rng *stats.RNG) *Sobol {
-	s := NewSobol(dim)
-	for d := range s.shift {
+// Sobol generates points of a Sobol sequence in [0,1)^dim using Gray-code
+// ordering. The zero-th point of the raw sequence (the origin) is skipped,
+// matching common practice. A generator holds only its position and
+// scramble, so Reset restarts one in place for a new draw.
+type Sobol struct {
+	dim   int
+	count uint64
+	x     [MaxDim]uint64 // current Gray-code state per dimension
+	shift [MaxDim]uint64 // digital shift per dimension (0 = unscrambled)
+}
+
+// Reset restarts s at the first point of the dim-dimensional sequence
+// (1..MaxDim). A non-nil rng scrambles it: one draw per dimension sets a
+// random digital shift XORed into every point, an unbiased randomized QMC
+// estimator that keeps the low discrepancy. A zero Sobol is ready for Reset.
+func (s *Sobol) Reset(dim int, rng *stats.RNG) {
+	if dim < 1 || dim > MaxDim {
+		panic(fmt.Sprintf("qmc: dimension %d out of range [1,%d]", dim, MaxDim))
+	}
+	*s = Sobol{dim: dim}
+	if rng == nil {
+		return
+	}
+	for d := 0; d < dim; d++ {
 		s.shift[d] = uint64(rng.Int63()) & ((1 << maxBits) - 1)
 	}
-	return s
 }
 
-// Next returns the next point of the sequence in [0,1)^dim.
-func (s *Sobol) Next() []float64 {
+// Next writes the next point of the sequence in [0,1)^dim into p[:dim].
+func (s *Sobol) Next(p []float64) {
 	s.count++
 	// Gray-code: flip the direction number of the lowest zero bit of count-1.
 	c := uint(0)
@@ -131,38 +131,32 @@ func (s *Sobol) Next() []float64 {
 	if c >= maxBits {
 		c = maxBits - 1
 	}
-	out := make([]float64, s.dim)
-	for d := 0; d < s.dim; d++ {
-		s.x[d] ^= s.v[d][c]
-		out[d] = float64(s.x[d]^s.shift[d]) / float64(uint64(1)<<maxBits)
+	p = p[:s.dim]
+	for d := range p {
+		s.x[d] ^= directions[d][c]
+		p[d] = float64(s.x[d]^s.shift[d]) / float64(uint64(1)<<maxBits)
 	}
-	return out
 }
 
-// Sample returns the next n points as an n×dim slice.
-func (s *Sobol) Sample(n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = s.Next()
+// Sample fills dst with the next len(dst)/dim points, one row of dim
+// coordinates after another.
+func (s *Sobol) Sample(dst []float64) {
+	for i := 0; i+s.dim <= len(dst); i += s.dim {
+		s.Next(dst[i : i+s.dim])
 	}
-	return out
 }
 
-// NormalSample returns n quasi-random standard-normal vectors of the
-// generator's dimension, produced by applying the inverse normal CDF to each
-// coordinate.
-func (s *Sobol) NormalSample(n int) [][]float64 {
-	pts := s.Sample(n)
-	for _, p := range pts {
-		for j, u := range p {
-			// Guard the open interval; Sobol can emit exactly 0.
-			if u <= 0 {
-				u = 0.5 / float64(uint64(1)<<32)
-			}
-			p[j] = stats.NormalQuantile(u)
+// NormalSample fills dst like Sample with quasi-random standard-normal
+// vectors, produced by applying the inverse normal CDF to each coordinate.
+func (s *Sobol) NormalSample(dst []float64) {
+	s.Sample(dst)
+	for j, u := range dst[:len(dst)/s.dim*s.dim] {
+		// Guard the open interval; Sobol can emit exactly 0.
+		if u <= 0 {
+			u = 0.5 / float64(uint64(1)<<32)
 		}
+		dst[j] = stats.NormalQuantile(u)
 	}
-	return pts
 }
 
 // Discrepancy2 computes the L2-star discrepancy of a point set in [0,1)^d

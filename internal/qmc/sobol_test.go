@@ -7,24 +7,31 @@ import (
 	"aquatope/internal/stats"
 )
 
+// newSobol returns a generator Reset to dim dimensions, scrambled from rng
+// (plain when rng is nil).
+func newSobol(dim int, rng *stats.RNG) *Sobol {
+	s := &Sobol{}
+	s.Reset(dim, rng)
+	return s
+}
+
 func TestFirstDimensionIsVanDerCorput(t *testing.T) {
-	s := NewSobol(1)
+	s := newSobol(1, nil)
 	want := []float64{0.5, 0.75, 0.25, 0.375, 0.875, 0.625, 0.125}
+	p := make([]float64, 1)
 	for i, w := range want {
-		got := s.Next()[0]
-		if math.Abs(got-w) > 1e-12 {
+		s.Next(p)
+		if got := p[0]; math.Abs(got-w) > 1e-12 {
 			t.Fatalf("point %d = %v, want %v", i, got, w)
 		}
 	}
 }
 
 func TestPointsInUnitCube(t *testing.T) {
-	s := NewSobol(8)
+	s := newSobol(8, nil)
+	p := make([]float64, 8)
 	for i := 0; i < 1000; i++ {
-		p := s.Next()
-		if len(p) != 8 {
-			t.Fatalf("dim = %d", len(p))
-		}
+		s.Next(p)
 		for _, x := range p {
 			if x < 0 || x >= 1 {
 				t.Fatalf("coordinate out of [0,1): %v", x)
@@ -41,18 +48,19 @@ func TestDimensionBounds(t *testing.T) {
 					t.Errorf("dim %d should panic", d)
 				}
 			}()
-			NewSobol(d)
+			newSobol(d, nil)
 		}()
 	}
-	NewSobol(MaxDim) // must not panic
+	newSobol(MaxDim, nil) // must not panic
 }
 
 func TestUniformMeanPerDimension(t *testing.T) {
-	s := NewSobol(6)
+	s := newSobol(6, nil)
 	n := 4096
 	sums := make([]float64, 6)
+	p := make([]float64, 6)
 	for i := 0; i < n; i++ {
-		p := s.Next()
+		s.Next(p)
 		for j, x := range p {
 			sums[j] += x
 		}
@@ -67,7 +75,12 @@ func TestUniformMeanPerDimension(t *testing.T) {
 
 func TestLowerDiscrepancyThanRandom(t *testing.T) {
 	n, d := 512, 4
-	sob := NewSobol(d).Sample(n)
+	flat := make([]float64, n*d)
+	newSobol(d, nil).Sample(flat)
+	sob := make([][]float64, n)
+	for i := range sob {
+		sob[i] = flat[i*d : (i+1)*d]
+	}
 	g := stats.NewRNG(9)
 	rnd := make([][]float64, n)
 	for i := range rnd {
@@ -84,11 +97,12 @@ func TestLowerDiscrepancyThanRandom(t *testing.T) {
 
 func TestScrambledStaysUniform(t *testing.T) {
 	g := stats.NewRNG(10)
-	s := NewScrambledSobol(4, g)
+	s := newSobol(4, g)
 	n := 4096
 	sums := make([]float64, 4)
+	p := make([]float64, 4)
 	for i := 0; i < n; i++ {
-		p := s.Next()
+		s.Next(p)
 		for j, x := range p {
 			if x < 0 || x >= 1 {
 				t.Fatalf("scrambled coordinate out of range: %v", x)
@@ -104,9 +118,11 @@ func TestScrambledStaysUniform(t *testing.T) {
 }
 
 func TestScramblesDiffer(t *testing.T) {
-	a := NewScrambledSobol(3, stats.NewRNG(1))
-	b := NewScrambledSobol(3, stats.NewRNG(2))
-	pa, pb := a.Next(), b.Next()
+	a := newSobol(3, stats.NewRNG(1))
+	b := newSobol(3, stats.NewRNG(2))
+	pa, pb := make([]float64, 3), make([]float64, 3)
+	a.Next(pa)
+	b.Next(pb)
 	same := true
 	for i := range pa {
 		if pa[i] != pb[i] {
@@ -119,16 +135,15 @@ func TestScramblesDiffer(t *testing.T) {
 }
 
 func TestNormalSampleMoments(t *testing.T) {
-	s := NewSobol(2)
-	pts := s.NormalSample(4096)
+	s := newSobol(2, nil)
+	pts := make([]float64, 4096*2)
+	s.NormalSample(pts)
 	var sum, sumSq float64
-	for _, p := range pts {
-		for _, x := range p {
-			sum += x
-			sumSq += x * x
-		}
+	for _, x := range pts {
+		sum += x
+		sumSq += x * x
 	}
-	n := float64(len(pts) * 2)
+	n := float64(len(pts))
 	mean := sum / n
 	variance := sumSq/n - mean*mean
 	if math.Abs(mean) > 0.02 {
@@ -149,10 +164,12 @@ func TestQMCIntegrationBeatsMC(t *testing.T) {
 		return v
 	}
 	n := 1024
-	s := NewSobol(3)
+	s := newSobol(3, nil)
 	var qmcSum float64
+	p := make([]float64, 3)
 	for i := 0; i < n; i++ {
-		qmcSum += integrand(s.Next())
+		s.Next(p)
+		qmcSum += integrand(p)
 	}
 	qmcErr := math.Abs(qmcSum/float64(n) - 0.125)
 

@@ -16,6 +16,12 @@ import (
 // container pool guarantees the resource manager only ever needs to model
 // warm behaviour (§5). Noise settings inject the platform uncertainty the
 // customized BO must tolerate.
+//
+// Each run gets a new cluster, but the rest of the rig is private to the
+// profiler and reused: the engine (reset between runs), the executor, one
+// registry that absorbs the throwaway clusters' metrics, and the request
+// and SampleNoiseless seed streams, reseeded in place. A profiler is
+// therefore single-goroutine, as every caller uses it.
 type Profiler struct {
 	App *apps.App
 	// Tracer receives the explain records of the configuration manager
@@ -39,6 +45,20 @@ type Profiler struct {
 
 	rng  *stats.RNG
 	seed int64
+
+	// reg is the registry every profiling cluster records into; nothing
+	// reads it. request is a run's request stream (widths, input, cold
+	// draw), reseeded per run; noiseless draws SampleNoiseless's run seeds,
+	// reseeded per call. Their construction seeds are never drawn from.
+	reg       *telemetry.Registry
+	request   *stats.RNG
+	noiseless *stats.RNG
+	// eng is every run's engine, reset as the run starts (the last one
+	// drained it), and ex every run's executor, pointed at the run's
+	// cluster; both keep their storage (the event heap, the execution
+	// records) from run to run.
+	eng *sim.Engine
+	ex  *workflow.Executor
 }
 
 // sampleRepeats is the number of workflow executions averaged per sample.
@@ -46,7 +66,9 @@ const sampleRepeats = 3
 
 // NewProfiler returns a profiler for the app with the paper's defaults.
 func NewProfiler(a *apps.App, seed int64) *Profiler {
-	return &Profiler{App: a, rng: stats.NewRNG(seed), seed: seed}
+	return &Profiler{App: a, rng: stats.NewRNG(seed), seed: seed, reg: telemetry.NewRegistry(),
+		request: stats.NewRNG(seed + 1), noiseless: stats.NewRNG(seed + 999),
+		eng: sim.NewEngine(), ex: workflow.NewExecutor(nil)}
 }
 
 // Cost is the linear cost model of §5.1 over one request's CPU time
@@ -63,70 +85,11 @@ func (p *Profiler) Sample(cfgs map[string]faas.ResourceConfig) (cost, latency fl
 // SampleComponents profiles one configuration and returns the mean
 // per-request CPU-time (core-s), memory-time (GB-s) and latency.
 func (p *Profiler) SampleComponents(cfgs map[string]faas.ResourceConfig) (cpu, mem, latency float64) {
-	var cpus, mems, lats []float64
-	for r := 0; r < sampleRepeats; r++ {
-		c, m, l := p.runOnce(cfgs, p.rng.Int63())
-		cpus = append(cpus, c)
-		mems = append(mems, m)
-		lats = append(lats, l)
-	}
-	return stats.Mean(cpus), stats.Mean(mems), stats.Mean(lats)
-}
-
-// runOnce executes one workflow request on a fresh cluster.
-func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64) (cpu, mem, latency float64) {
-	eng := sim.NewEngine()
 	noise := p.Noise
 	if p.ExecTimeStd > 0 {
 		noise.GaussianStd = math.Sqrt(noise.GaussianStd*noise.GaussianStd + p.ExecTimeStd*p.ExecTimeStd)
 	}
-	cl := faas.NewCluster(eng, faas.Config{
-		Invokers:           4,
-		CPUPerInvoker:      64,
-		MemoryPerInvokerMB: 1 << 20,
-		Noise:              noise,
-		Seed:               seed,
-	})
-	if err := p.App.Register(cl); err != nil {
-		panic(err)
-	}
-	for fn, cfg := range cfgs {
-		if err := cl.SetResourceConfig(fn, cfg); err != nil {
-			panic(err)
-		}
-	}
-	rng := stats.NewRNG(seed + 1)
-	widths := p.App.Widths(rng)
-	input := p.App.Input(rng)
-	if p.InputScale > 0 {
-		input *= p.InputScale
-	}
-
-	cold := p.ColdStartFraction > 0 && rng.Bernoulli(p.ColdStartFraction)
-	if !cold {
-		// Pre-warm generously so the request observes warm behaviour.
-		maxWidth := 1
-		for _, w := range widths {
-			if w > maxWidth {
-				maxWidth = w
-			}
-		}
-		for _, fn := range p.App.FunctionNames() {
-			_ = cl.SetPrewarmTarget(fn, maxWidth+2)
-		}
-		eng.RunUntil(120) // let pre-warming finish
-	}
-
-	ex := workflow.NewExecutor(cl)
-	// The Result is valid only inside the callback, so read it there.
-	cpu, mem, latency = math.Inf(1), math.Inf(1), math.Inf(1)
-	if err := ex.Execute(p.App.DAG, input, widths, func(r workflow.Result) {
-		cpu, mem, latency = r.CPUTime(), r.MemTime(), r.Latency()
-	}); err != nil {
-		panic(err)
-	}
-	eng.Run()
-	return cpu, mem, latency
+	return p.profile(cfgs, sampleRepeats, p.rng, noise, p.ColdStartFraction)
 }
 
 // SampleNoiseless profiles with interference disabled and extra repeats —
@@ -137,23 +100,80 @@ func (p *Profiler) SampleNoiseless(cfgs map[string]faas.ResourceConfig, reps int
 }
 
 // SampleNoiselessComponents is SampleNoiseless with CPU and memory time
-// reported separately (the Fig. 13 metrics).
+// reported separately (the Fig. 13 metrics). Every call draws the same run
+// seeds, and none from the profiler's Sample stream.
 func (p *Profiler) SampleNoiselessComponents(cfgs map[string]faas.ResourceConfig, reps int) (cpu, mem, latency float64) {
-	saved := *p
-	p.Noise = faas.Noise{}
-	p.ExecTimeStd = 0
-	p.ColdStartFraction = 0
 	if reps <= 0 {
 		reps = 6
 	}
-	var cpus, mems, lats []float64
-	rng := stats.NewRNG(p.seed + 999)
+	p.noiseless.Reseed(p.seed + 999)
+	return p.profile(cfgs, reps, p.noiseless, faas.Noise{}, 0)
+}
+
+// profile averages reps runs of one configuration, each seeded from seeds.
+// The sums run in run order and divide once, the way stats.Mean does.
+func (p *Profiler) profile(cfgs map[string]faas.ResourceConfig, reps int, seeds *stats.RNG, noise faas.Noise, coldFrac float64) (cpu, mem, latency float64) {
 	for r := 0; r < reps; r++ {
-		c, m, l := p.runOnce(cfgs, rng.Int63())
-		cpus = append(cpus, c)
-		mems = append(mems, m)
-		lats = append(lats, l)
+		c, m, l := p.runOnce(cfgs, seeds.Int63(), noise, coldFrac)
+		cpu, mem, latency = cpu+c, mem+m, latency+l
 	}
-	*p = saved
-	return stats.Mean(cpus), stats.Mean(mems), stats.Mean(lats)
+	n := float64(reps)
+	return cpu / n, mem / n, latency / n
+}
+
+// runOnce executes one workflow request on a fresh cluster under noise,
+// cold-starting it with probability coldFrac, and drains the engine.
+func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64, noise faas.Noise, coldFrac float64) (cpu, mem, latency float64) {
+	eng := p.eng
+	eng.Reset() // the last run drained it
+	cl := faas.NewCluster(eng, faas.Config{
+		Invokers:           4,
+		CPUPerInvoker:      64,
+		MemoryPerInvokerMB: 1 << 20,
+		Noise:              noise,
+		Registry:           p.reg,
+		Seed:               seed,
+	})
+	if err := p.App.Register(cl); err != nil {
+		panic(err)
+	}
+	for fn, cfg := range cfgs {
+		if err := cl.SetResourceConfig(fn, cfg); err != nil {
+			panic(err)
+		}
+	}
+	rng := p.request
+	rng.Reseed(seed + 1)
+	widths := p.App.Widths(rng)
+	input := p.App.Input(rng)
+	if p.InputScale > 0 {
+		input *= p.InputScale
+	}
+
+	cold := coldFrac > 0 && rng.Bernoulli(coldFrac)
+	if !cold {
+		// Pre-warm generously so the request observes warm behaviour.
+		maxWidth := 1
+		for _, w := range widths {
+			if w > maxWidth {
+				maxWidth = w
+			}
+		}
+		for _, spec := range p.App.Specs {
+			_ = cl.SetPrewarmTarget(spec.Name, maxWidth+2)
+		}
+		eng.RunUntil(120) // let pre-warming finish
+	}
+
+	ex := p.ex
+	ex.Cluster = cl
+	// The Result is valid only inside the callback, so read it there.
+	cpu, mem, latency = math.Inf(1), math.Inf(1), math.Inf(1)
+	if err := ex.Execute(p.App.DAG, input, widths, func(r workflow.Result) {
+		cpu, mem, latency = r.CPUTime(), r.MemTime(), r.Latency()
+	}); err != nil {
+		panic(err)
+	}
+	eng.Run()
+	return cpu, mem, latency
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"aquatope/internal/checkpoint"
 	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 )
@@ -366,4 +367,51 @@ func TestScheduleStepAllocBudget(t *testing.T) {
 	}); got > 1 {
 		t.Fatalf("schedule+dispatch allocates %v, budget 1", got)
 	}
+}
+
+// TestResetMatchesFresh: a drained engine, once reset, runs a schedule as a
+// new engine does — the same firing times and the same snapshot bytes
+// mid-run and after — and resetting with an event still queued panics.
+func TestResetMatchesFresh(t *testing.T) {
+	snap := func(e *Engine) string {
+		enc := checkpoint.NewEncoder()
+		e.Snapshot(enc)
+		return string(enc.Bytes())
+	}
+	reused := NewEngine()
+	for round := 0; round < 3; round++ {
+		fresh := NewEngine()
+		var got, want []Time
+		for i, at := range []Time{3, 1, 2, 2, 5} {
+			a := reused.Schedule(at, func() { got = append(got, reused.Now()) })
+			b := fresh.Schedule(at, func() { want = append(want, fresh.Now()) })
+			if i == 3 {
+				a.Cancel()
+				b.Cancel()
+			}
+		}
+		reused.RunUntil(1.5)
+		fresh.RunUntil(1.5)
+		if a, b := snap(reused), snap(fresh); a != b {
+			t.Fatalf("round %d: mid-run snapshot %x, fresh engine's %x", round, a, b)
+		}
+		reused.Run()
+		fresh.Run()
+		if a, b := snap(reused), snap(fresh); a != b || len(got) != len(want) {
+			t.Fatalf("round %d: fired at %v (snapshot %x), fresh engine at %v (%x)", round, got, a, want, b)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: fired at %v, fresh engine at %v", round, got, want)
+			}
+		}
+		reused.Reset()
+	}
+	reused.Schedule(1, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with an event queued should panic")
+		}
+	}()
+	reused.Reset()
 }

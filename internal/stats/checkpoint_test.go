@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 
 	"aquatope/internal/checkpoint"
@@ -47,6 +48,42 @@ func TestSnapshotIsReadOnly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if x, y := a.Float64(), b.Float64(); x != y {
 			t.Fatalf("snapshot perturbed the stream at draw %d", i)
+		}
+	}
+}
+
+// TestReseedMatchesFresh: a generator reseeded in place, whatever it drew
+// before, draws the stream NewRNG(seed) draws, reports the same position
+// and snapshots the same bytes — and SnapshotFresh writes those bytes for a
+// generator that was never built.
+func TestReseedMatchesFresh(t *testing.T) {
+	g := NewRNG(1)
+	for seed := int64(-3); seed < 40; seed++ {
+		drawMix(g, int(seed&7)+1)
+		g.Reseed(seed)
+		fresh := NewRNG(seed)
+		if s, n := g.Pos(); s != seed || n != 0 {
+			t.Fatalf("seed %d: Pos after Reseed = (%d, %d), want (%d, 0)", seed, s, n, seed)
+		}
+		a, b := checkpoint.NewEncoder(), checkpoint.NewEncoder()
+		g.Snapshot(a)
+		SnapshotFresh(b, seed)
+		if string(a.Bytes()) != string(b.Bytes()) {
+			t.Fatalf("seed %d: reseeded snapshot %x, SnapshotFresh %x", seed, a.Bytes(), b.Bytes())
+		}
+		b.Reset()
+		fresh.Snapshot(b)
+		if string(a.Bytes()) != string(b.Bytes()) {
+			t.Fatalf("seed %d: reseeded snapshot %x, fresh generator's %x", seed, a.Bytes(), b.Bytes())
+		}
+		got, want := drawMix(g, 15), drawMix(fresh, 15)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: draw %d = %v, fresh generator %v", seed, i, got[i], want[i])
+			}
+		}
+		if gs, gn := g.Pos(); gs != seed || gn != fresh.src.n {
+			t.Fatalf("seed %d: Pos after draws (%d, %d), fresh (%d, %d)", seed, gs, gn, seed, fresh.src.n)
 		}
 	}
 }

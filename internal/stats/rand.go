@@ -46,6 +46,15 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(src), src: src, seed: seed}
 }
 
+// Reseed restarts the generator on seed in place: the stream that follows
+// is the one NewRNG(seed) would draw, and Pos reports (seed, 0). It is how a
+// component that needs a fresh stream per task reuses one ~5 KB source
+// instead of building a new one.
+func (g *RNG) Reseed(seed int64) {
+	g.r.Seed(seed) // rand.Rand.Seed reseeds the counting source, resetting its count
+	g.seed = seed
+}
+
 // Pos returns the seed and the number of source draws consumed so far —
 // the complete serializable state of the generator.
 func (g *RNG) Pos() (seed int64, draws uint64) { return g.seed, g.src.n }
@@ -114,7 +123,3 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Split derives a new independent RNG from this one. Use it to hand child
-// components their own deterministic streams.
-func (g *RNG) Split() *RNG { return NewRNG(g.r.Int63()) }

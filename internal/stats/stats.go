@@ -84,9 +84,10 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // SMAPE returns the Symmetric Mean Absolute Percentage Error between the
-// actual and predicted series, expressed in percent (0-100). This is the
-// accuracy metric used for Table 1 of the paper. Pairs where both values are
-// zero contribute zero error.
+// actual and predicted series, expressed in percent (0-200: a pair where
+// exactly one value is zero, or the two differ in sign, scores 200). This is
+// the accuracy metric used for Table 1 of the paper. Pairs where both values
+// are zero contribute zero error.
 func SMAPE(actual, predicted []float64) float64 {
 	n := len(actual)
 	if len(predicted) < n {
