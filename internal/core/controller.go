@@ -173,7 +173,7 @@ func New(cfg Config) (*Controller, error) {
 		for _, a := range c.apps {
 			for _, fn := range a.app.FunctionNames() {
 				policies[fn] = sizer.Policy(fn)
-				c.mgr.Manage(fn, policies[fn], 0)
+				c.mgr.Manage(fn, policies[fn])
 			}
 		}
 		c.mgr.Start()
@@ -257,6 +257,18 @@ func (a *appRun) settle(r workflow.Result) {
 // Engine exposes the virtual clock; a feeder that hands arrivals over in
 // time order advances it between them.
 func (c *Controller) Engine() *sim.Engine { return c.eng }
+
+// AliveMemoryMB reports the memory of every live container right now.
+func (c *Controller) AliveMemoryMB() float64 { return c.cl.AliveMemoryMB() }
+
+// PoolHistory returns a copy of the per-minute demand the pool manager has
+// recorded for fn since t = 0 (nil without a pool manager).
+func (c *Controller) PoolHistory(fn string) []float64 {
+	if c.mgr == nil {
+		return nil
+	}
+	return c.mgr.History(fn)
+}
 
 // OnCrash arms the chaos scenario's KindCrash faults with a controller-kill
 // hook. The injector reads the hook when the fault fires, so arming after

@@ -7,7 +7,6 @@ import (
 	"aquatope/internal/apps"
 	"aquatope/internal/bo"
 	"aquatope/internal/experiments/runner"
-	"aquatope/internal/pool"
 	"aquatope/internal/resource"
 	"aquatope/internal/sched"
 	"aquatope/internal/trace"
@@ -96,20 +95,16 @@ func ablationTrace(s Scale, seedOffset int64) *trace.Trace {
 	})
 }
 
-// ablationPoolCell is one pool-replay replication's outcome.
+// ablationPoolCell is one pool-run replication's outcome.
 type ablationPoolCell struct {
 	coldRate, memGBs float64
 }
 
-// ablationReplay replays the ablations' periodic trace under the scale's
+// ablationReplay runs the ablations' periodic trace under the scale's
 // Aquatope pool with one option overridden.
 func ablationReplay(s Scale, seedOffset int64, o sched.Options) ablationPoolCell {
-	r := pool.Run(pool.RunConfig{
-		Trace: ablationTrace(s, seedOffset), TrainMin: s.TrainMin, Model: poolModel(),
-		Resources: poolResources,
-		Policy:    poolBrain("aquatope", o), Seed: s.Seed,
-	})
-	return ablationPoolCell{coldRate: r.ColdRate, memGBs: r.ProvisionedMemGBs}
+	r := runPool(ablationTrace(s, seedOffset), s.TrainMin, poolModel(), poolBrain("aquatope", o), s.Seed).res
+	return ablationPoolCell{coldRate: r.ColdStartRate(), memGBs: r.ProvisionedMemGBs}
 }
 
 // AblationHeadroom replays a periodic trace under the Aquatope pool with

@@ -58,16 +58,11 @@ func Fig9(s Scale) Fig9Result {
 			i := i
 			jobs = append(jobs, runner.Job[fig9Rep]{Cell: name, Rep: i,
 				Run: func(runner.Ctx) (fig9Rep, error) {
-					r := pool.Run(pool.RunConfig{
-						Trace:     ensembleTrace(i, s.TraceMin, s.Seed),
-						TrainMin:  s.TrainMin,
-						Model:     ensembleModel(i, s.Seed),
-						Resources: poolResources,
-						Policy:    mk(),
-						Seed:      s.Seed + int64(i),
-					})
-					return fig9Rep{name: name, cold: float64(r.ColdStarts),
-						total: float64(r.Invocations), memGBs: r.ProvisionedMemGBs}, nil
+					r := runPool(ensembleTrace(i, s.TraceMin, s.Seed), s.TrainMin,
+						ensembleModel(i, s.Seed), mk(), s.Seed+int64(i)).res
+					a := r.PerApp[poolApp]
+					return fig9Rep{name: name, cold: float64(a.ColdStarts),
+						total: float64(a.Invocations), memGBs: r.ProvisionedMemGBs}, nil
 				}})
 		}
 	}
@@ -159,15 +154,8 @@ func Fig10(s Scale) Fig10Result {
 		func(ci, pi int) string { return fmt.Sprintf("cv%.2f/%s", cvs[ci], policies[pi].name) },
 		func(_ runner.Ctx, ci, pi, _ int) (fig10Cell, error) {
 			tr := fig10Trace(s, cvs[ci])
-			r := pool.Run(pool.RunConfig{
-				Trace:     tr,
-				TrainMin:  s.TrainMin,
-				Model:     poolModel(),
-				Resources: poolResources,
-				Policy:    policies[pi].mk(),
-				Seed:      s.Seed,
-			})
-			return fig10Cell{cv: tr.InterArrivalCV(), coldRate: r.ColdRate}, nil
+			r := runPool(tr, s.TrainMin, poolModel(), policies[pi].mk(), s.Seed)
+			return fig10Cell{cv: tr.InterArrivalCV(), coldRate: r.res.ColdStartRate()}, nil
 		})
 
 	res := Fig10Result{}
@@ -212,51 +200,42 @@ func (r Fig11Result) Rows() ([]string, [][]string) {
 	return []string{"Time", "ActualGB", "AquatopeGB", "AquaLiteGB"}, rows
 }
 
+// fig11Trace synthesizes Fig. 11's fluctuating episodic trace.
+func fig11Trace(s Scale) *trace.Trace {
+	return trace.Synthesize(trace.GenConfig{
+		DurationMin:          s.TraceMin,
+		MeanRatePerMin:       0.8,
+		Diurnal:              0.7,
+		CV:                   2,
+		BurstEpisodesPerHour: 1.2,
+		BurstDurationMin:     12,
+		BurstMultiplier:      8,
+		Seed:                 s.Seed + 7,
+	})
+}
+
 // Fig11 runs a fluctuating episodic trace under Aquatope and AquaLite and
 // records each pool's memory footprint over time alongside the actual
 // demand footprint. The two variants are the two replications.
 func Fig11(s Scale) Fig11Result {
-	run := func(brain string) pool.RunResult {
-		tr := trace.Synthesize(trace.GenConfig{
-			DurationMin:          s.TraceMin,
-			MeanRatePerMin:       0.8,
-			Diurnal:              0.7,
-			CV:                   2,
-			BurstEpisodesPerHour: 1.2,
-			BurstDurationMin:     12,
-			BurstMultiplier:      8,
-			Seed:                 s.Seed + 7,
-		})
-		return pool.Run(pool.RunConfig{
-			Trace: tr, TrainMin: s.TrainMin, Model: poolModel(),
-			Resources: poolResources,
-			Policy:    poolBrain(brain, s.brainOptions()), MemorySeries: true, Seed: s.Seed,
-		})
+	run := func(brain string) poolRun {
+		return runPool(fig11Trace(s), s.TrainMin, poolModel(), poolBrain(brain, s.brainOptions()), s.Seed)
 	}
-	jobs := []runner.Job[pool.RunResult]{
-		{Cell: "aquatope",
-			Run: func(runner.Ctx) (pool.RunResult, error) { return run("aquatope"), nil }},
-		{Cell: "aqualite",
-			Run: func(runner.Ctx) (pool.RunResult, error) { return run("aqualite"), nil }},
+	jobs := []runner.Job[poolRun]{
+		{Cell: "aquatope", Run: func(runner.Ctx) (poolRun, error) { return run("aquatope"), nil }},
+		{Cell: "aqualite", Run: func(runner.Ctx) (poolRun, error) { return run("aqualite"), nil }},
 	}
 	out := runner.MustRun(s.engine("fig11"), jobs)
 	full, lite := out[0], out[1]
 
 	// Actual footprint: demand series × container memory.
-	demand := full.DemandSeries
-	n := len(full.MemorySeriesGB)
-	if len(lite.MemorySeriesGB) < n {
-		n = len(lite.MemorySeriesGB)
-	}
-	if len(demand) < n {
-		n = len(demand)
-	}
+	n := min(len(full.memGB), len(lite.memGB), len(full.demand))
 	res := Fig11Result{MinuteOffset: s.TrainMin,
-		AquatopeCold: full.ColdRate, AquaLiteCold: lite.ColdRate}
+		AquatopeCold: full.res.ColdStartRate(), AquaLiteCold: lite.res.ColdStartRate()}
 	for i := 0; i < n; i++ {
-		res.ActualGB = append(res.ActualGB, demand[i]*poolResources.MemoryMB/1024)
-		res.AquatopeGB = append(res.AquatopeGB, full.MemorySeriesGB[i])
-		res.AquaLiteGB = append(res.AquaLiteGB, lite.MemorySeriesGB[i])
+		res.ActualGB = append(res.ActualGB, full.demand[i]*poolResources.MemoryMB/1024)
+		res.AquatopeGB = append(res.AquatopeGB, full.memGB[i])
+		res.AquaLiteGB = append(res.AquaLiteGB, lite.memGB[i])
 	}
 	return res
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strings"
 
+	"aquatope/internal/apps"
+	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/faas"
 	"aquatope/internal/pool"
@@ -21,6 +23,7 @@ import (
 	"aquatope/internal/stats"
 	"aquatope/internal/telemetry"
 	"aquatope/internal/trace"
+	"aquatope/internal/workflow"
 )
 
 // Scale selects the experiment size.
@@ -129,10 +132,81 @@ func poolBrain(name string, o sched.Options) pool.Policy {
 	return mustScheduler(name, o).PoolSizer().Policy("")
 }
 
-// poolResources is the container shape every pool replay provisions.
+// poolResources is the container shape every pool run provisions.
 var poolResources = faas.ResourceConfig{CPU: 1, MemoryMB: 512}
 
-// poolModel is the performance profile the single-function pool replays
+// poolApp and poolFn name a pool run's application and its one function.
+const poolApp, poolFn = "pool", "fn"
+
+// policyUnderTest is a pool run's scheduler: its pool half hands the one
+// policy under test to the run's function, and it has no configuration
+// search. Histogram and FaaSCache are not registry schedulers, so a pool
+// run cannot name its brain through sched.New.
+type policyUnderTest struct{ p pool.Policy }
+
+func (s policyUnderTest) Name() string                     { return s.p.Name() }
+func (s policyUnderTest) PoolSizer() sched.PoolSizer       { return s }
+func (s policyUnderTest) Configurator() sched.Configurator { return nil }
+func (s policyUnderTest) Policy(string) pool.Policy        { return s.p }
+
+// poolRun is one pool experiment's outcome over the test window.
+type poolRun struct {
+	res core.Result
+	// memGB and demand are per-minute series from the training cut: the
+	// memory of live containers (GB) once the minute's pool decision is
+	// applied, and the demand the pool manager recorded for that minute.
+	memGB, demand []float64
+}
+
+// runPool runs tr's arrivals through a one-function application, model at
+// poolResources, on a core.Controller whose pool manager runs p. The
+// cluster is seeded with seed; metrics cover the workflows submitted after
+// trainMin.
+func runPool(tr *trace.Trace, trainMin int, model faas.PerfModel, p pool.Policy, seed int64) poolRun {
+	app := &apps.App{
+		Name:     poolApp,
+		DAG:      workflow.Chain(poolApp, poolFn),
+		Specs:    []faas.FunctionSpec{{Name: poolFn, Model: model, TriggerType: tr.TriggerType}},
+		Defaults: map[string]faas.ResourceConfig{poolFn: poolResources},
+	}
+	c, err := core.New(core.Config{
+		Components: []core.Component{{App: app, Trace: tr}},
+		TrainMin:   trainMin,
+		Scheduler:  policyUnderTest{p},
+		Chosen:     map[string]map[string]faas.ResourceConfig{poolApp: app.Defaults},
+		ClusterCfg: faas.Config{Seed: seed},
+		Seed:       seed,
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, at := range tr.Arrivals {
+		c.Arrive(poolApp, at)
+	}
+	// Events at one instant fire in scheduling order, and New scheduled the
+	// manager's first tick: a sampler chain scheduled now fires after the
+	// tick of every minute, so each sample sees that minute's decision.
+	eng := c.Engine()
+	cut, horizon := float64(trainMin)*60, float64(tr.DurationMin)*60
+	var out poolRun
+	var sample func()
+	sample = func() {
+		if eng.Now() >= horizon {
+			return
+		}
+		if eng.Now() >= cut {
+			out.memGB = append(out.memGB, c.AliveMemoryMB()/1024)
+		}
+		eng.After(pool.IntervalSec, sample)
+	}
+	eng.Schedule(pool.IntervalSec, sample)
+	c.Finish()
+	out.res = c.Result()
+	out.demand = c.PoolHistory(poolFn)[trainMin : trainMin+len(out.memGB)]
+	return out
+}
+
+// poolModel is the performance profile the single-function pool runs
 // share (Fig. 10/11 and the pool ablations).
 func poolModel() *faas.SyntheticModel {
 	model := faas.DefaultSyntheticModel()

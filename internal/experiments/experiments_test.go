@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aquatope/internal/pool"
 )
 
 // tiny keeps CI fast; validity-scale runs live in cmd/aquabench.
@@ -102,6 +104,40 @@ func TestFig11Shape(t *testing.T) {
 	}
 	if !strings.Contains(Table(r), "AquatopeGB") {
 		t.Fatal("table missing series")
+	}
+}
+
+// historyProbe records the length of the demand history each Decide sees.
+type historyProbe struct {
+	pool.Policy
+	lens []int
+}
+
+func (p *historyProbe) Decide(history []float64, minute int) pool.Decision {
+	p.lens = append(p.lens, len(history))
+	return p.Policy.Decide(history, minute)
+}
+
+// TestPoolRunDecidesOnFullHistory runs Fig. 11's Aquatope pool and checks
+// that every decision after the cut sees the demand history since t = 0,
+// as the live manager records it. A manager started at the cut would hand
+// the first decisions a history shorter than the BNN's window, and the
+// policy would fall back to last-minute demand there.
+func TestPoolRunDecidesOnFullHistory(t *testing.T) {
+	probe := &historyProbe{Policy: poolBrain("aquatope", tiny.brainOptions())}
+	runPool(fig11Trace(tiny), tiny.TrainMin, poolModel(), probe, tiny.Seed)
+	if want := tiny.TraceMin - tiny.TrainMin; len(probe.lens) < want {
+		t.Fatalf("%d decisions, want at least one per test minute (%d)", len(probe.lens), want)
+	}
+	short := 0
+	for _, n := range probe.lens {
+		if n < tiny.TrainMin {
+			short++
+		}
+	}
+	if short > 0 {
+		t.Fatalf("%d of %d decisions saw fewer than %d minutes of history (first saw %d)",
+			short, len(probe.lens), tiny.TrainMin, probe.lens[0])
 	}
 }
 

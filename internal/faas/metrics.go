@@ -116,9 +116,13 @@ func (m *Metrics) containerDied(memMB, lifetime float64) {
 }
 
 // ColdStarts returns the number of cold-started invocations.
+//
+//aqualint:allow unreached test observer: TestPropertyColdWarmPartition and the metrics tests partition invocations with it
 func (m *Metrics) ColdStarts() int { return int(m.coldStarts.Value()) }
 
 // WarmStarts returns the number of warm-started invocations.
+//
+//aqualint:allow unreached test observer: TestPropertyColdWarmPartition and the metrics tests partition invocations with it
 func (m *Metrics) WarmStarts() int { return int(m.warmStarts.Value()) }
 
 // ProvisionedMemTime returns Σ memLimit × containerLifetime (GB-seconds):

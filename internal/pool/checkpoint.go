@@ -62,7 +62,7 @@ func (m *Manager) Snapshot(enc *checkpoint.Encoder) {
 	for _, e := range m.entries {
 		enc.String(e.fn)
 		enc.F64s(e.history)
-		enc.Int(e.offsetMin)
+		enc.Int(0) // retired history offset: history starts at t = 0
 		enc.F64(e.watermark)
 		enc.Int(e.lastTarget)
 		SnapshotPolicy(enc, e.policy)

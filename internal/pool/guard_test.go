@@ -56,7 +56,7 @@ func TestGuardTripsOnSheds(t *testing.T) {
 	mgr := NewManager(cl)
 	mgr.Guard = true
 	pol := &scriptPolicy{dec: Decision{Target: 7, KeepAlive: 60}}
-	mgr.Manage("f", pol, 0)
+	mgr.Manage("f", pol)
 	mgr.Start()
 
 	// Overload the single slot during the first interval: one runs, one
@@ -121,7 +121,7 @@ func TestGuardNilIsInert(t *testing.T) {
 	})
 	mgr := NewManager(cl)
 	pol := &scriptPolicy{dec: Decision{Target: 3, Predicted: 1, Headroom: 50}}
-	mgr.Manage("f", pol, 0)
+	mgr.Manage("f", pol)
 	mgr.Start()
 	eng.RunUntil(61)
 	if mgr.degraded {

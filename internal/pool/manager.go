@@ -58,11 +58,9 @@ const (
 type entry struct {
 	fn     string
 	policy Policy
-	// history of finalized per-minute demand values.
-	history []float64
-	// offsetMin is the absolute minute index of history[0] (training data
-	// length), keeping time-of-day features continuous.
-	offsetMin int
+	// history of finalized per-minute demand values since t = 0, so
+	// len(history) is the absolute minute index.
+	history   []float64
 	watermark float64
 	// lastTarget remembers the most recent applied pre-warm target so pool
 	// capacity lost to an invoker crash can be restored between ticks.
@@ -74,11 +72,9 @@ func NewManager(cl *faas.Cluster) *Manager {
 	return &Manager{cl: cl}
 }
 
-// Manage registers a function under a policy. offsetMin is the absolute
-// minute index at which the run starts (the length of the policy's
-// training history). Call before Start.
-func (m *Manager) Manage(fn string, p Policy, offsetMin int) {
-	m.entries = append(m.entries, &entry{fn: fn, policy: p, offsetMin: offsetMin})
+// Manage registers a function under a policy. Call before Start.
+func (m *Manager) Manage(fn string, p Policy) {
+	m.entries = append(m.entries, &entry{fn: fn, policy: p})
 }
 
 // History returns the observed per-minute demand of a managed function.
@@ -124,8 +120,7 @@ func (m *Manager) Start() {
 			e.history = append(e.history, e.watermark)
 			e.watermark = float64(m.cl.Demand(e.fn))
 			if apply {
-				minute := e.offsetMin + len(e.history)
-				decs[i] = e.policy.Decide(e.history, minute)
+				decs[i] = e.policy.Decide(e.history, len(e.history))
 			}
 		}
 		// Guard: trip or recover degraded mode on this tick's evidence.

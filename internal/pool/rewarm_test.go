@@ -34,7 +34,7 @@ func TestRewarmAfterInvokerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(cl)
-	m.Manage("f", &constTarget{n: 4}, 0)
+	m.Manage("f", &constTarget{n: 4})
 	m.Start()
 
 	// After the first tick (t=60) the pool holds 4 warm containers split

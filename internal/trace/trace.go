@@ -249,6 +249,8 @@ func (t *Trace) InterArrivalCV() float64 {
 }
 
 // Split divides the trace at the given minute into train and test halves.
+//
+//aqualint:allow unreached test observer: TestSplit, the package example and the pool policy tests split traces with it
 func (t *Trace) Split(atMinute int) (train, test *Trace) {
 	cut := float64(atMinute) * 60
 	train = &Trace{DurationMin: atMinute, TriggerType: t.TriggerType, StartMinute: t.StartMinute}
