@@ -1,8 +1,6 @@
 package faas
 
 import (
-	"sort"
-
 	"aquatope/internal/checkpoint"
 	"aquatope/internal/stats"
 )
@@ -85,16 +83,7 @@ func (c *Cluster) Snapshot(enc *checkpoint.Encoder) {
 		}
 		// Resident containers, sorted by (function, id) for a
 		// deterministic digest of an unordered set.
-		cts := make([]*container, 0, len(iv.containers))
-		for ct := range iv.containers {
-			cts = append(cts, ct)
-		}
-		sort.Slice(cts, func(i, j int) bool {
-			if cts[i].fn.spec.Name != cts[j].fn.spec.Name {
-				return cts[i].fn.spec.Name < cts[j].fn.spec.Name
-			}
-			return cts[i].id < cts[j].id
-		})
+		cts := c.residents(iv)
 		enc.U64(uint64(len(cts)))
 		for _, ct := range cts {
 			enc.String(ct.fn.spec.Name)

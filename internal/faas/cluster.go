@@ -1,9 +1,11 @@
 package faas
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"aquatope/internal/sim"
 	"aquatope/internal/stats"
@@ -72,7 +74,10 @@ func (iv *Invoker) MemoryInUseMB() float64 { return iv.memUsedMB }
 
 // function is the cluster-side state of a registered function.
 type function struct {
-	spec          FunctionSpec
+	spec FunctionSpec
+	// regCfg is the configuration the function was registered with; Reset
+	// puts cfg back to it.
+	regCfg        ResourceConfig
 	cfg           ResourceConfig
 	keepAlive     float64
 	prewarmTarget int
@@ -213,32 +218,121 @@ type Cluster struct {
 	// last released first; InvokeOpts reuses them. It is a plain slice so
 	// reuse follows the event sequence alone, and it is not snapshotted.
 	free []*pendingInvocation
+	// spare holds the containers a finished run left resident, which Reset
+	// took back; spawnContainer reuses them, last first. Only Reset adds to
+	// it: a container killed mid-run may still be named by a queued event.
+	spare []*container
+	// sorted is residents' scratch slice.
+	sorted []*container
 }
 
 // NewCluster builds a cluster on the given simulation engine.
 func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
-	cfg = cfg.withDefaults()
-	c := &Cluster{
-		cfg:     cfg,
-		eng:     eng,
-		rng:     stats.NewRNG(cfg.Seed),
-		fns:     make(map[string]*function),
-		metrics: NewMetricsOn(cfg.Registry),
+	c := &Cluster{eng: eng, fns: make(map[string]*function)}
+	c.init(cfg)
+	return c
+}
+
+// Reset returns a cluster whose engine has drained to the state NewCluster
+// with cfg, followed by the same RegisterFunction calls, builds: the noise
+// and fault streams are reseeded in place, every invoker is emptied, every
+// function is back at its registered configuration, and the containers the
+// last run left resident go to the spare list for spawnContainer to reuse.
+// The tracer and the OnInvokerDown hooks are dropped. Recycling is safe
+// only because no event is left to name a container, so resetting a
+// cluster whose engine still has events pending is a logic bug and panics.
+func (c *Cluster) Reset(cfg Config) {
+	if c.eng.Pending() > 0 {
+		panic("faas: reset with events pending")
 	}
-	for i := 0; i < cfg.Invokers; i++ {
-		iv := &Invoker{
+	c.init(cfg)
+}
+
+// init is NewCluster's and Reset's one initialization, over whatever
+// storage the cluster already holds.
+func (c *Cluster) init(cfg Config) {
+	cfg = cfg.withDefaults()
+	c.cfg = cfg
+	if c.rng == nil {
+		c.rng = stats.NewRNG(cfg.Seed)
+	} else {
+		c.rng.Reseed(cfg.Seed)
+	}
+	if c.faultRNG != nil {
+		c.faultRNG.Reseed(c.faultSeed())
+	}
+	if c.metrics == nil || c.metrics.reg != cfg.Registry {
+		c.metrics = NewMetricsOn(cfg.Registry)
+	}
+	c.tracer = nil
+	clear(c.onInvokerDown)
+	c.onInvokerDown = c.onInvokerDown[:0]
+	c.faults = FaultRates{}
+	c.queued, c.draining = 0, false
+
+	for _, iv := range c.invokers {
+		c.spare = append(c.spare, c.residents(iv)...)
+	}
+	clear(c.sorted)
+	keep := min(cfg.Invokers, len(c.invokers))
+	clear(c.invokers[keep:])
+	c.invokers = c.invokers[:keep]
+	for len(c.invokers) < cfg.Invokers {
+		c.invokers = append(c.invokers, &Invoker{containers: make(map[*container]struct{})})
+	}
+	for i, iv := range c.invokers {
+		clear(iv.containers)
+		*iv = Invoker{
 			ID:               i,
 			CPUCapacity:      cfg.CPUPerInvoker,
 			MemoryCapacityMB: cfg.MemoryPerInvokerMB,
 			cluster:          c,
-			containers:       make(map[*container]struct{}),
+			containers:       iv.containers,
+			breaker:          iv.breaker,
 		}
-		if cfg.Breaker.Enabled {
+		switch {
+		case !cfg.Breaker.Enabled:
+			iv.breaker = nil
+		case iv.breaker == nil:
 			iv.breaker = &breaker{}
+		default:
+			*iv.breaker = breaker{}
 		}
-		c.invokers = append(c.invokers, iv)
 	}
-	return c
+
+	for _, fn := range c.fnList {
+		clear(fn.idle[:cap(fn.idle)])
+		clear(fn.warming[:cap(fn.warming)])
+		clear(fn.queue[:cap(fn.queue)])
+		*fn = function{
+			spec:       fn.spec,
+			regCfg:     fn.regCfg,
+			cfg:        fn.regCfg,
+			keepAlive:  cfg.DefaultKeepAlive,
+			queueLimit: cfg.QueueLimit,
+			idle:       fn.idle[:0],
+			warming:    fn.warming[:0],
+			queue:      fn.queue[:0],
+		}
+	}
+}
+
+// residents returns iv's resident containers sorted by (function name, id),
+// in a scratch slice valid until the next call: the pointer-keyed map's
+// iteration order must reach neither the event sequence nor a digest.
+func (c *Cluster) residents(iv *Invoker) []*container {
+	cts := c.sorted[:0]
+	for ct := range iv.containers {
+		cts = append(cts, ct)
+	}
+	slices.SortFunc(cts, func(a, b *container) int {
+		if n := strings.Compare(a.fn.spec.Name, b.fn.spec.Name); n != 0 {
+			return n
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	c.sorted = cts
+	return cts
 }
 
 // faultSeed is the seed of the cluster's fault stream.
@@ -276,7 +370,7 @@ func (c *Cluster) RegisterFunction(spec FunctionSpec, cfg ResourceConfig) error 
 	if _, dup := c.fns[spec.Name]; dup {
 		return fmt.Errorf("faas: duplicate function %q", spec.Name)
 	}
-	fn := &function{spec: spec, cfg: cfg,
+	fn := &function{spec: spec, regCfg: cfg, cfg: cfg,
 		keepAlive: c.cfg.DefaultKeepAlive, queueLimit: c.cfg.QueueLimit}
 	c.fns[spec.Name] = fn
 	c.fnList = append(c.fnList, fn)
@@ -548,15 +642,14 @@ func (c *Cluster) spawnContainer(fn *function, prewarmed bool) *container {
 		iv = c.pickInvoker(fn.cfg.MemoryMB)
 	}
 	fn.nextContainerID++
-	ct := &container{
-		id:        fn.nextContainerID,
-		fn:        fn,
-		invoker:   iv,
-		state:     stateWarming,
-		cfg:       fn.cfg,
-		born:      c.eng.Now(),
-		prewarmed: prewarmed,
-	}
+	ct := c.newContainer()
+	ct.id = fn.nextContainerID
+	ct.fn = fn
+	ct.invoker = iv
+	ct.state = stateWarming
+	ct.cfg = fn.cfg
+	ct.born = c.eng.Now()
+	ct.prewarmed = prewarmed
 	init := fn.spec.Model.InitTime(ct.cfg, c.rng)
 	ct.warmAt = c.eng.Now() + init
 	if c.faults.InitFailure > 0 && c.faultStream().Bernoulli(c.faults.InitFailure) {
@@ -581,32 +674,51 @@ func (c *Cluster) spawnContainer(fn *function, prewarmed bool) *container {
 		f["init_s"] = init
 		c.tracer.Point(telemetry.KindContainerCreate, fn.spec.Name, 0, c.eng.Now(), f)
 	}
-	c.eng.Schedule(ct.warmAt, func() {
-		if ct.state != stateWarming {
-			return // reserved/killed meanwhile
-		}
-		// Only transition unreserved warming containers; reserved ones
-		// are driven by their waiter.
-		for i, w := range ct.fn.warming {
-			if w == ct {
-				if ct.initFailed {
-					// Initialization failed: the container dies on
-					// the spot instead of going idle.
-					c.faultKillContainer(ct, "init-failure")
-					return
-				}
-				c.accrueUtil(ct.invoker)
-				ct.setState(stateIdle)
-				ct.fn.warming = append(ct.fn.warming[:i], ct.fn.warming[i+1:]...)
-				ct.fn.idle = append(ct.fn.idle, ct)
-				ct.lastUsed = c.eng.Now()
-				c.armIdleTimer(ct)
-				c.drainAllQueues()
+	c.eng.Schedule(ct.warmAt, ct.warmDone)
+	return ct
+}
+
+// newContainer takes the last spare container and clears it but for its
+// bound callbacks, or makes one and binds its warm-up callback.
+func (c *Cluster) newContainer() *container {
+	n := len(c.spare)
+	if n == 0 {
+		ct := &container{}
+		ct.warmDone = func() { c.finishWarmUp(ct) }
+		return ct
+	}
+	ct := c.spare[n-1]
+	c.spare[n-1] = nil
+	c.spare = c.spare[:n-1]
+	*ct = container{execDone: ct.execDone, idleExpire: ct.idleExpire, warmDone: ct.warmDone}
+	return ct
+}
+
+// finishWarmUp is a container's warm-up event (container.warmDone): an
+// unreserved warming container turns idle, or dies if its initialization
+// failed. Reserved ones are driven by their waiter.
+func (c *Cluster) finishWarmUp(ct *container) {
+	if ct.state != stateWarming {
+		return // reserved/killed meanwhile
+	}
+	for i, w := range ct.fn.warming {
+		if w == ct {
+			if ct.initFailed {
+				// Initialization failed: the container dies on
+				// the spot instead of going idle.
+				c.faultKillContainer(ct, "init-failure")
 				return
 			}
+			c.accrueUtil(ct.invoker)
+			ct.setState(stateIdle)
+			ct.fn.warming = append(ct.fn.warming[:i], ct.fn.warming[i+1:]...)
+			ct.fn.idle = append(ct.fn.idle, ct)
+			ct.lastUsed = c.eng.Now()
+			c.armIdleTimer(ct)
+			c.drainAllQueues()
+			return
 		}
-	})
-	return ct
+	}
 }
 
 // pickInvoker returns the invoker with the most free memory that fits memMB.
@@ -1047,18 +1159,7 @@ func (c *Cluster) CrashInvoker(invoker int) {
 	}
 	iv.down = true
 	c.metrics.invokerCrashed()
-	// Snapshot and sort: map iteration order must not leak into the
-	// deterministic event sequence.
-	cts := make([]*container, 0, len(iv.containers))
-	for ct := range iv.containers {
-		cts = append(cts, ct)
-	}
-	sort.Slice(cts, func(i, j int) bool {
-		if cts[i].fn.spec.Name != cts[j].fn.spec.Name {
-			return cts[i].fn.spec.Name < cts[j].fn.spec.Name
-		}
-		return cts[i].id < cts[j].id
-	})
+	cts := c.residents(iv)
 	// Hold queue draining until the whole invoker is torn down, so failed
 	// work retried inline cannot land on a container about to die. Pass 1
 	// removes idle/warming capacity; pass 2 fails the running work.
@@ -1189,26 +1290,16 @@ func (c *Cluster) Flush() {
 	now := c.eng.Now()
 	c.flushUtilization(now)
 	for _, iv := range c.invokers {
-		// Collect and sort before accounting: iterating the pointer-keyed
-		// map directly would sum mem-time in random order and perturb the
-		// last ULP across same-seed runs.
-		alive := make([]*container, 0, len(iv.containers))
-		for ct := range iv.containers {
+		// Sorted before accounting: iterating the map directly would sum
+		// mem-time in random order and perturb the last ULP across
+		// same-seed runs.
+		for _, ct := range c.residents(iv) {
 			if ct.state != stateDead {
-				alive = append(alive, ct)
+				c.metrics.containerDied(ct.cfg.MemoryMB, now-ct.born)
+				ct.setState(stateDead)
 			}
 		}
-		sort.Slice(alive, func(i, j int) bool {
-			if alive[i].fn.spec.Name != alive[j].fn.spec.Name {
-				return alive[i].fn.spec.Name < alive[j].fn.spec.Name
-			}
-			return alive[i].id < alive[j].id
-		})
-		for _, ct := range alive {
-			c.metrics.containerDied(ct.cfg.MemoryMB, now-ct.born)
-			ct.setState(stateDead)
-		}
-		iv.containers = make(map[*container]struct{})
+		clear(iv.containers)
 		iv.memUsedMB = 0
 	}
 	for _, fn := range c.fnList {

@@ -45,10 +45,13 @@ type container struct {
 	running   *pendingInvocation
 	execTimer *sim.Event
 	// execDone and idleExpire are the completion and keep-alive expiry
-	// callbacks, bound on first use and then reused, so arming either
-	// timer allocates only its event.
+	// callbacks, bound on first use and then reused, and warmDone the
+	// warm-up callback, bound when the container is made; the bindings
+	// outlive recycling through Cluster.spare, so arming any of the timers
+	// allocates only its event.
 	execDone   func()
 	idleExpire func()
+	warmDone   func()
 }
 
 // setState moves the container through its lifecycle, keeping its

@@ -7,8 +7,10 @@ import "fmt"
 // total, and fnList against fns — and reports the first
 // mismatch. It also checks the free list of invocation records: each free
 // record is listed once, and none is in a queue, running in a container or
-// reserved on a warming one. It is the oracle tests step the engine against;
-// nothing on a run's path calls it.
+// reserved on a warming one; and the spare containers: each is listed once,
+// and none is resident on an invoker or in a function's idle or warming
+// list. It is the oracle tests step the engine against; nothing on a run's
+// path calls it.
 //
 //aqualint:allow unreached test oracle: faas and workflow property tests recompute every maintained index through it
 func (c *Cluster) CheckIndexes() error {
@@ -28,6 +30,13 @@ func (c *Cluster) CheckIndexes() error {
 		}
 		free[p] = true
 	}
+	spare := make(map[*container]bool, len(c.spare))
+	for _, ct := range c.spare {
+		if spare[ct] {
+			return fmt.Errorf("faas: container on the spare list twice")
+		}
+		spare[ct] = true
+	}
 	queued := 0
 	for i, fn := range c.fnList {
 		name := fn.spec.Name
@@ -40,6 +49,16 @@ func (c *Cluster) CheckIndexes() error {
 			}
 		}
 		queued += len(fn.queue)
+		for _, ct := range fn.idle {
+			if spare[ct] {
+				return fmt.Errorf("faas: spare container %d idle for %q", ct.id, name)
+			}
+		}
+		for _, ct := range fn.warming {
+			if spare[ct] {
+				return fmt.Errorf("faas: spare container %d warming for %q", ct.id, name)
+			}
+		}
 	}
 	if queued != c.queued {
 		return fmt.Errorf("faas: queued total %d, queues hold %d", c.queued, queued)
@@ -47,6 +66,9 @@ func (c *Cluster) CheckIndexes() error {
 	for _, iv := range c.invokers {
 		idle := 0
 		for ct := range iv.containers {
+			if spare[ct] {
+				return fmt.Errorf("faas: spare container %d resident on invoker %d", ct.id, iv.ID)
+			}
 			if ct.state == stateIdle {
 				idle++
 			}

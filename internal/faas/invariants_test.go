@@ -57,3 +57,31 @@ func TestRequeueAtFrontKeepsQueuedTotal(t *testing.T) {
 		t.Fatalf("big finished at %v, long at %v; big needs long's memory", bigEnd, longEnd)
 	}
 }
+
+// TestCheckIndexesSpareList: the index oracle rejects a spare container
+// that is still resident, idle or warming, and one listed twice.
+func TestCheckIndexesSpareList(t *testing.T) {
+	eng, cl := newTestCluster(t)
+	register(t, cl, "f", &testModel{init: 1, exec: 1}, ResourceConfig{CPU: 1, MemoryMB: 128})
+	if err := cl.SetPrewarmTarget("f", 2); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	cl.Reset(cl.cfg)
+	checkIndexes(t, cl)
+	if len(cl.spare) != 2 {
+		t.Fatalf("Reset took back %d containers, want the 2 pre-warmed ones", len(cl.spare))
+	}
+	cl.spare = append(cl.spare, cl.spare[0])
+	if cl.CheckIndexes() == nil {
+		t.Fatal("a container on the spare list twice passed the index oracle")
+	}
+	cl.spare = cl.spare[:2]
+	if err := cl.SetPrewarmTarget("f", 1); err != nil {
+		t.Fatal(err)
+	}
+	cl.spare = append(cl.spare, cl.fns["f"].warming[0])
+	if cl.CheckIndexes() == nil {
+		t.Fatal("a warming, resident container on the spare list passed the index oracle")
+	}
+}

@@ -12,17 +12,19 @@ import (
 )
 
 // Profiler evaluates candidate configurations by running the workflow on a
-// fresh simulated cluster under warm-start conditions — the pre-warmed
-// container pool guarantees the resource manager only ever needs to model
-// warm behaviour (§5). Noise settings inject the platform uncertainty the
+// simulated cluster under warm-start conditions — the pre-warmed container
+// pool guarantees the resource manager only ever needs to model warm
+// behaviour (§5). Noise settings inject the platform uncertainty the
 // customized BO must tolerate.
 //
-// Each run gets a new cluster, but the rest of the rig is private to the
-// profiler and reused: the engine (reset between runs), the executor, one
-// registry that absorbs the throwaway clusters' metrics, and the request
-// and SampleNoiseless seed streams, reseeded in place. A profiler is
-// therefore single-goroutine, as every caller uses it.
+// The rig is private to the profiler and built once: one engine and one
+// cluster, reset before each run, the app registered on the cluster once,
+// one executor, one registry that absorbs the runs' metrics, and the
+// request and SampleNoiseless seed streams, reseeded in place. A profiler
+// is therefore single-goroutine, as every caller uses it.
 type Profiler struct {
+	// App is the profiled application; NewProfiler registers it on the
+	// profiling cluster, so it is fixed for the profiler's life.
 	App *apps.App
 	// Tracer receives the explain records of the configuration manager
 	// built on this profiler (bo.iteration, bo.decision, sched.decision
@@ -46,18 +48,20 @@ type Profiler struct {
 	rng  *stats.RNG
 	seed int64
 
-	// reg is the registry every profiling cluster records into; nothing
+	// reg is the registry the profiling cluster records into; nothing
 	// reads it. request is a run's request stream (widths, input, cold
 	// draw), reseeded per run; noiseless draws SampleNoiseless's run seeds,
 	// reseeded per call. Their construction seeds are never drawn from.
 	reg       *telemetry.Registry
 	request   *stats.RNG
 	noiseless *stats.RNG
-	// eng is every run's engine, reset as the run starts (the last one
-	// drained it), and ex every run's executor, pointed at the run's
-	// cluster; both keep their storage (the event heap, the execution
-	// records) from run to run.
+	// eng, cl and ex are every run's engine, cluster and executor. The
+	// engine and cluster are reset as a run starts (the last one drained
+	// them); all three keep their storage (the event heap, the function
+	// table, invokers and containers, the execution records) from run to
+	// run.
 	eng *sim.Engine
+	cl  *faas.Cluster
 	ex  *workflow.Executor
 }
 
@@ -66,9 +70,28 @@ const sampleRepeats = 3
 
 // NewProfiler returns a profiler for the app with the paper's defaults.
 func NewProfiler(a *apps.App, seed int64) *Profiler {
-	return &Profiler{App: a, rng: stats.NewRNG(seed), seed: seed, reg: telemetry.NewRegistry(),
-		request: stats.NewRNG(seed + 1), noiseless: stats.NewRNG(seed + 999),
-		eng: sim.NewEngine(), ex: workflow.NewExecutor(nil)}
+	p := &Profiler{App: a, rng: stats.NewRNG(seed), seed: seed, reg: telemetry.NewRegistry(),
+		request: stats.NewRNG(seed + 1), noiseless: stats.NewRNG(seed + 999), eng: sim.NewEngine()}
+	p.cl = faas.NewCluster(p.eng, p.clusterConfig(faas.Noise{}, 0))
+	if err := a.Register(p.cl); err != nil {
+		panic(err)
+	}
+	p.ex = workflow.NewExecutor(p.cl)
+	return p
+}
+
+// clusterConfig is the profiling cluster's configuration for a run with
+// the given noise and seed: four roomy invokers, so no run is short of
+// capacity.
+func (p *Profiler) clusterConfig(noise faas.Noise, seed int64) faas.Config {
+	return faas.Config{
+		Invokers:           4,
+		CPUPerInvoker:      64,
+		MemoryPerInvokerMB: 1 << 20,
+		Noise:              noise,
+		Registry:           p.reg,
+		Seed:               seed,
+	}
 }
 
 // Cost is the linear cost model of §5.1 over one request's CPU time
@@ -121,22 +144,12 @@ func (p *Profiler) profile(cfgs map[string]faas.ResourceConfig, reps int, seeds 
 	return cpu / n, mem / n, latency / n
 }
 
-// runOnce executes one workflow request on a fresh cluster under noise,
+// runOnce executes one workflow request on the reset cluster under noise,
 // cold-starting it with probability coldFrac, and drains the engine.
 func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64, noise faas.Noise, coldFrac float64) (cpu, mem, latency float64) {
-	eng := p.eng
+	eng, cl := p.eng, p.cl
 	eng.Reset() // the last run drained it
-	cl := faas.NewCluster(eng, faas.Config{
-		Invokers:           4,
-		CPUPerInvoker:      64,
-		MemoryPerInvokerMB: 1 << 20,
-		Noise:              noise,
-		Registry:           p.reg,
-		Seed:               seed,
-	})
-	if err := p.App.Register(cl); err != nil {
-		panic(err)
-	}
+	cl.Reset(p.clusterConfig(noise, seed))
 	for fn, cfg := range cfgs {
 		if err := cl.SetResourceConfig(fn, cfg); err != nil {
 			panic(err)
@@ -166,7 +179,6 @@ func (p *Profiler) runOnce(cfgs map[string]faas.ResourceConfig, seed int64, nois
 	}
 
 	ex := p.ex
-	ex.Cluster = cl
 	// The Result is valid only inside the callback, so read it there.
 	cpu, mem, latency = math.Inf(1), math.Inf(1), math.Inf(1)
 	if err := ex.Execute(p.App.DAG, input, widths, func(r workflow.Result) {

@@ -10,10 +10,11 @@ import (
 )
 
 // TestCheckpointCutAllocBudget pins what one boundary's checkpoint cut
-// allocates: the server's encoder, the engine's sorted copy of its queue and
-// the registry's render buffer are kept between boundaries, so once they
-// have grown a cut allocates the same fixed count whether 1 000 or 10 000
-// events are pending.
+// allocates: the server's encoder, the engine's sorted copy of its queue,
+// the cluster's sorted copy of each invoker's containers and the registry's
+// render buffer are kept between boundaries, so once they have grown a cut
+// allocates the same fixed count whether 1 000 or 10 000 events are
+// pending, and no more than the budget.
 func TestCheckpointCutAllocBudget(t *testing.T) {
 	cutAllocs := func(pending int) float64 {
 		keepalive, ok := sched.New("keepalive", sched.Options{})
@@ -49,9 +50,13 @@ func TestCheckpointCutAllocBudget(t *testing.T) {
 		}
 		return fewest
 	}
+	const budget = 223
 	small, large := cutAllocs(1_000), cutAllocs(10_000)
 	t.Logf("cut allocs: %v at 1k, %v at 10k pending", small, large)
 	if small != large {
 		t.Fatalf("a cut allocates %v with 1 000 events pending and %v with 10 000, want the same count", small, large)
+	}
+	if small > budget {
+		t.Fatalf("a cut allocates %v, budget %d", small, budget)
 	}
 }

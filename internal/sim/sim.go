@@ -152,8 +152,6 @@ func (e *Engine) Now() Time { return e.now }
 // Pending returns the number of live scheduled events: canceled events are
 // excluded even while they still occupy the queue, so gauges built on this
 // reflect real outstanding work.
-//
-//aqualint:allow unreached test observer: sim, chaos and workflow tests read outstanding work through it
 func (e *Engine) Pending() int { return e.live }
 
 // Reset returns a drained engine to the state NewEngine leaves it in —
