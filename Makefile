@@ -73,68 +73,44 @@ pairs:
 		i=$$((i + 1)); \
 	done; exit $$rc
 
-# identity is the byte-identity check a refactor that changes no number
-# owes. It builds cmd/aquatope and cmd/aquabench once from PARENT's
-# committed files (a `git archive` into a temp dir, as pairs does) and once
-# from the working tree. Each side runs every SYSTEMS name through aquatope
-# with span and metric dumps, once plain and once under -chaos mixed, and
-# every EXPS experiment through aquabench at quick scale with dumps. Then
-# each output file is cmp'd against the other side's: any difference names
-# the file and exits 1. Between them these runs reach every overload,
-# retry, pool and scheduler option. Last comes the kill-restore leg: the
-# parent binary records a stream, serves it uninterrupted, then serves it
-# again with the scripted controller kill armed (exit 137, checkpoints
-# left behind); the change binary restores from that crash directory, and
-# its span and metric dumps must cmp equal to the parent's uninterrupted
-# run. It fails whenever the config digest or the checkpoint format moves.
-# A PR that documents drift fails this by design, so it is not part of
-# verify or CI.
-#
-#	make identity PARENT=<rev>
-SYSTEMS ?= aquatope aqualite autoscale caerus icebreaker+clite jolteon keepalive naive
-EXPS ?= fig9 fig13 chaos overload arena
+# identity is the byte-identity check (ROADMAP house rule 3). It builds
+# cmd/aquatope, cmd/aquabench and examples/* from the working tree and runs
+# every registry system through aquatope, plain and under -chaos mixed, five
+# quick-scale aquabench experiments, and the four examples, into a temp dir
+# removed on exit. Between them these runs reach every overload, retry, pool
+# and scheduler option. It then compares one SHA-256 per stdout, span dump
+# and metric dump with $(MANIFEST): `same` or `DIFFERS` per file, and exit 1
+# on a moved, missing or extra output. The manifest's first line is the
+# `go version` that cut it, and another toolchain is refused: a compiler or
+# math library release may move a float's last bit. A change that moves
+# outputs on purpose rewrites the manifest with `UPDATE_GOLDEN=1 make
+# identity`, so its manifest diff lists them. The kill-restore leg is
+# cmd/aquatope's TestRestoreCommittedCrash.
+MANIFEST := testdata/identity.sha256
 identity:
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
-	mkdir "$$tmp/src" "$$tmp/parent" "$$tmp/change"; git archive $(PARENT) | tar -x -C "$$tmp/src"; \
-	(cd "$$tmp/src" && $(GO) build -o "$$tmp/parent/" ./cmd/aquatope ./cmd/aquabench); \
-	$(GO) build -o "$$tmp/change/" ./cmd/aquatope ./cmd/aquabench; \
-	for side in parent change; do \
-		bin="$$tmp/$$side"; out="$$bin/out"; mkdir "$$out"; \
-		for sys in $(SYSTEMS); do \
-			for chaos in none mixed; do \
-				flags=""; [ $$chaos = none ] || flags="-chaos $$chaos"; \
-				f="$$out/aquatope.$$sys.$$chaos"; echo "$$side: aquatope -system $$sys $$flags"; \
-				"$$bin/aquatope" -app chain -minutes 240 -train 120 -budget 3 -seed 1 -system $$sys $$flags \
-					-trace-out $$f.spans.jsonl -metrics-out $$f.metrics.json > $$f.stdout 2> /dev/null; \
-			done; \
+	@set -e; export LC_ALL=C; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; trap 'exit 130' INT TERM; \
+	cut=$$(head -n 1 $(MANIFEST) 2> /dev/null || true); go="# $$($(GO) version)"; \
+	[ -n "$(UPDATE_GOLDEN)" ] || [ "$$cut" = "$$go" ] || { \
+		echo "identity: $(MANIFEST) was cut by $${cut#\# go version }, this toolchain is $${go#\# go version }"; exit 1; }; \
+	$(GO) build -o "$$tmp/" ./cmd/aquatope ./cmd/aquabench ./examples/...; out="$$tmp/out"; mkdir "$$out"; \
+	run() { f=$$1 bin=$$2; shift 2; echo "identity: $$f"; \
+		"$$tmp/$$bin" "$$@" > "$$out/$$f.stdout" 2> "$$tmp/stderr" || { cat "$$tmp/stderr"; exit 1; }; }; \
+	dumps() { echo "-trace-out $$out/$$1.spans.jsonl -metrics-out $$out/$$1.metrics.json"; }; \
+	for sys in aquatope aqualite autoscale caerus icebreaker+clite jolteon keepalive naive; do \
+		for chaos in none mixed; do \
+			flags=""; [ $$chaos = none ] || flags="-chaos $$chaos"; f=aquatope.$$sys.$$chaos; \
+			run $$f aquatope -app chain -minutes 240 -train 120 -budget 3 -seed 1 -system $$sys $$flags $$(dumps $$f); \
 		done; \
-		for e in $(EXPS); do \
-			f="$$out/aquabench.$$e"; echo "$$side: aquabench -exp $$e"; \
-			"$$bin/aquabench" -scale quick -exp $$e \
-				-trace-out $$f.spans.jsonl -metrics-out $$f.metrics.json > $$f.stdout 2> /dev/null; \
-		done; \
-		ls "$$out" > "$$bin/files"; \
 	done; \
-	rc=0; cmp -s "$$tmp/parent/files" "$$tmp/change/files" || { echo "identity: the two sides wrote different files"; rc=1; }; \
-	for f in $$(cat "$$tmp/parent/files"); do \
-		if cmp -s "$$tmp/parent/out/$$f" "$$tmp/change/out/$$f"; then echo "same     $$f"; \
-		else echo "DIFFERS  $$f"; rc=1; fi; \
-	done; \
-	kr="$$tmp/kr"; mkdir "$$kr"; flags="-app chain -minutes 20 -train 5 -budget 2 -system keepalive -seed 3 -chaos kill-restore"; \
-	echo "parent: aquatope -serve $$flags, uninterrupted and then killed"; \
-	"$$tmp/parent/aquatope" -app chain -minutes 20 -seed 3 -emit-stream "$$kr/stream.jsonl" > /dev/null; \
-	"$$tmp/parent/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ref" $$flags -ignore-crash \
-		-trace-out "$$kr/ref.spans.jsonl" -metrics-out "$$kr/ref.metrics.json" > /dev/null 2>&1; \
-	code=0; "$$tmp/parent/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ck" $$flags \
-		-trace-out "$$kr/crash.spans.jsonl" -metrics-out "$$kr/crash.metrics.json" > /dev/null 2>&1 || code=$$?; \
-	[ $$code -eq 137 ] || { echo "identity: the parent's killed serve run exited $$code, not 137"; exit 1; }; \
-	echo "change: aquatope -serve -restore <the parent's crash directory>"; \
-	"$$tmp/change/aquatope" -serve -stream "$$kr/stream.jsonl" -checkpoint-dir "$$kr/ck" -restore "$$kr/ck" $$flags \
-		-trace-out "$$kr/restore.spans.jsonl" -metrics-out "$$kr/restore.metrics.json" > /dev/null || rc=1; \
-	for f in spans.jsonl metrics.json; do \
-		if cmp -s "$$kr/ref.$$f" "$$kr/restore.$$f"; then echo "same     kill-restore.$$f"; \
-		else echo "DIFFERS  kill-restore.$$f"; rc=1; fi; \
-	done; exit $$rc
+	for e in fig9 fig13 chaos overload arena; do run aquabench.$$e aquabench -scale quick -exp $$e $$(dumps aquabench.$$e); done; \
+	for ex in examples/*/; do ex=$$(basename $$ex); run example.$$ex $$ex; done; \
+	(echo "$$go"; cd "$$out" && sha256sum *) > "$$tmp/manifest"; \
+	if [ -n "$(UPDATE_GOLDEN)" ]; then cp "$$tmp/manifest" $(MANIFEST); echo "identity: wrote $(MANIFEST)"; exit 0; fi; \
+	awk 'FNR == 1 { next } NR == FNR { want[$$2] = $$1; order[++n] = $$2; next } \
+		{ s = !($$2 in want) ? "EXTRA" : want[$$2] == $$1 ? "same" : "DIFFERS"; delete want[$$2]; \
+		  printf "%-8s %s\n", s, $$2; if (s != "same") rc = 1 } \
+		END { for (i = 1; i <= n; i++) if (order[i] in want) { printf "MISSING  %s\n", order[i]; rc = 1 }; exit rc }' \
+		$(MANIFEST) "$$tmp/manifest"
 
 microbench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...

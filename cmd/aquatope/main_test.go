@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
@@ -94,10 +97,57 @@ func TestFlagsAndExitCodes(t *testing.T) {
 	}
 }
 
+// killRestoreFlags are the run flags of the kill-restore tests; -chaos
+// kill-restore arms the scripted controller kill.
+var killRestoreFlags = []string{"-app", "chain", "-minutes", "20", "-train", "5", "-budget", "2",
+	"-system", "keepalive", "-seed", "3", "-chaos", "kill-restore"}
+
+// dumps are the files a serve run writes under its dump prefix.
+var dumps = []string{"spans.jsonl", "metrics.json"}
+
+// serveArgs is the -serve command line over stream.jsonl with checkpoints
+// in ckDir and dumps under the prefix.
+func serveArgs(ckDir, prefix string, extra ...string) []string {
+	args := append([]string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", ckDir,
+		"-trace-out", prefix + "spans.jsonl", "-metrics-out", prefix + "metrics.json"}, extra...)
+	return append(args, killRestoreFlags...)
+}
+
+// crash records stream.jsonl in dir and serves it twice: once as the
+// uninterrupted reference (the scripted kill left inert by -ignore-crash,
+// which is outside the config digest; checkpoints in ref/, dumps under
+// "ref."), and once with the kill armed, which must exit 137 and leave its
+// journal and checkpoints in ck/.
+func crash(t *testing.T, dir string) {
+	t.Helper()
+	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, killRestoreFlags...)...); code != 0 {
+		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
+	}
+	if code, _, stderr := run(t, dir, serveArgs("ref", "ref.", "-ignore-crash")...); code != 0 {
+		t.Fatalf("reference run: exit %d, want 0\n%s", code, stderr)
+	}
+	if code, _, stderr := run(t, dir, serveArgs("ck", "")...); code != 137 {
+		t.Fatalf("killed run: exit %d, want 137\n%s", code, stderr)
+	}
+}
+
+// restore resumes the crashed run in dir from ck/ with dumps under no
+// prefix, and fails the test unless it reports a verified replay and a
+// result.
+func restore(t *testing.T, dir string) {
+	t.Helper()
+	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serveArgs("ck", "")...)...)
+	if code != 0 {
+		t.Fatalf("restored run: exit %d, want 0\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "verified replay") || !strings.Contains(stdout, "workflows completed:") {
+		t.Errorf("restored run did not report a verified replay and a result:\nstdout: %s\nstderr: %s", stdout, stderr)
+	}
+}
+
 // TestServeKillRestore drives the crash-safe serving loop through the real
 // binary against an uninterrupted reference serve of the same stream and
-// flags (the scripted kill left inert by -ignore-crash, which is outside the
-// config digest):
+// flags:
 //
 //   - a run the kill-restore script kills exits 137 and writes no dumps;
 //   - every checkpoint it left is byte-equal to the reference run's file of
@@ -112,20 +162,7 @@ func TestFlagsAndExitCodes(t *testing.T) {
 //     reference's (DESIGN.md §15's restore-equals-uninterrupted contract).
 func TestServeKillRestore(t *testing.T) {
 	dir := t.TempDir()
-	flags := []string{"-app", "chain", "-minutes", "20", "-train", "5", "-budget", "2", "-system", "keepalive", "-seed", "3"}
-	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, flags...)...); code != 0 {
-		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
-	}
-	serve := func(ckDir, dumps string, extra ...string) []string {
-		args := append([]string{"-serve", "-stream", "stream.jsonl", "-checkpoint-dir", ckDir, "-chaos", "kill-restore",
-			"-trace-out", dumps + "spans.jsonl", "-metrics-out", dumps + "metrics.json"}, extra...)
-		return append(args, flags...)
-	}
-	dumps := []string{"spans.jsonl", "metrics.json"}
-
-	if code, _, stderr := run(t, dir, serve("ref", "ref.", "-ignore-crash")...); code != 0 {
-		t.Fatalf("reference run: exit %d, want 0\n%s", code, stderr)
-	}
+	crash(t, dir)
 	refCkpts, _ := filepath.Glob(filepath.Join(dir, "ref", "*.aqcp"))
 	if len(refCkpts) == 0 {
 		t.Fatal("reference run left no checkpoint")
@@ -136,11 +173,6 @@ func TestServeKillRestore(t *testing.T) {
 		} else if fi.Size() > 1<<10 {
 			t.Errorf("reference checkpoint %s is %d bytes, over 1 KiB", filepath.Base(f), fi.Size())
 		}
-	}
-
-	code, _, stderr := run(t, dir, serve("ck", "")...)
-	if code != 137 {
-		t.Fatalf("killed run: exit %d, want 137\n%s", code, stderr)
 	}
 	for _, dump := range dumps {
 		if _, err := os.Stat(filepath.Join(dir, dump)); !errors.Is(err, os.ErrNotExist) {
@@ -155,15 +187,94 @@ func TestServeKillRestore(t *testing.T) {
 		sameFile(t, f, filepath.Join(dir, "ref", filepath.Base(f)))
 	}
 
-	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serve("ck", "")...)...)
-	if code != 0 {
-		t.Fatalf("restored run: exit %d, want 0\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "verified replay") || !strings.Contains(stdout, "workflows completed:") {
-		t.Errorf("restored run did not report a verified replay and a result:\nstdout: %s\nstderr: %s", stdout, stderr)
-	}
+	restore(t, dir)
 	for _, dump := range dumps {
 		sameFile(t, filepath.Join(dir, dump), filepath.Join(dir, "ref."+dump))
+	}
+}
+
+// crashFixture is a killed run's durable state, cut once by an earlier
+// build: stream.jsonl (the recorded stream), ck/ (the journal and
+// checkpoints the kill left) and dumps.sha256 (the SHA-256 of each dump of
+// the uninterrupted reference run).
+var crashFixture = filepath.Join("testdata", "kill-restore")
+
+// TestRestoreCommittedCrash restores a temp copy of crashFixture with the
+// current build and compares the resumed run's dumps with the reference's
+// digests. It fails when a change moves the config digest, the checkpoint
+// format or the run itself, any of which would strand a run that an older
+// build left crashed. UPDATE_GOLDEN=1 re-cuts the fixture first.
+func TestRestoreCommittedCrash(t *testing.T) {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		src := t.TempDir()
+		crash(t, src)
+		if err := os.RemoveAll(crashFixture); err != nil {
+			t.Fatal(err)
+		}
+		copyTree(t, filepath.Join(src, "ck"), filepath.Join(crashFixture, "ck"))
+		copyFile(t, filepath.Join(src, "stream.jsonl"), filepath.Join(crashFixture, "stream.jsonl"))
+		if err := os.WriteFile(filepath.Join(crashFixture, "dumps.sha256"), []byte(dumpDigests(t, src, "ref.")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	copyTree(t, crashFixture, dir)
+	restore(t, dir)
+	want, err := os.ReadFile(filepath.Join(dir, "dumps.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpDigests(t, dir, ""); got != string(want) {
+		t.Errorf("restored dumps differ from the reference run's (UPDATE_GOLDEN=1 re-cuts the fixture):\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// dumpDigests returns one sha256sum line per dump under prefix in dir,
+// named without the prefix.
+func dumpDigests(t *testing.T, dir, prefix string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, dump := range dumps {
+		data, err := os.ReadFile(filepath.Join(dir, prefix+dump))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%x  %s\n", sha256.Sum256(data), dump)
+	}
+	return b.String()
+}
+
+// copyTree copies the regular files under src to the same paths under dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		copyFile(t, path, filepath.Join(dst, rel))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyFile copies the file at src to dst, making dst's directory.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err == nil {
+		err = os.MkdirAll(filepath.Dir(dst), 0o755)
+	}
+	if err == nil {
+		err = os.WriteFile(dst, data, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -39,33 +39,24 @@ func main() {
 			DurationMin: *minutes, MeanRatePerMin: *rate, Diurnal: *diurnal,
 			CV: *cv, Seed: *seed,
 		})
-		writeTrace(os.Stdout, tr)
+		exitOn(writeTrace(os.Stdout, tr))
 	case "periodic":
 		tr := trace.SynthesizePeriodic(trace.PeriodicGenConfig{
 			DurationMin: *minutes, PeriodMin: *period, ClumpMean: *clump,
 			Diurnal: *diurnal, Seed: *seed,
 		})
-		writeTrace(os.Stdout, tr)
+		exitOn(writeTrace(os.Stdout, tr))
 	case "ensemble":
 		dir := *out
 		if dir == "" {
 			dir = "traces"
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(os.MkdirAll(dir, 0o755))
 		for i, tr := range trace.AzureLikeEnsemble(*n, *minutes, *seed) {
 			f, err := os.Create(filepath.Join(dir, fmt.Sprintf("trace%02d.csv", i)))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			writeTrace(f, tr)
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(err)
+			exitOn(writeTrace(f, tr))
+			exitOn(f.Close())
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d traces to %s/\n", *n, dir)
 	default:
@@ -74,11 +65,19 @@ func main() {
 	}
 }
 
+// exitOn prints err and exits 1 unless it is nil.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
+
 // writeTrace emits one CSV: header row, then minute,count rows, then a
-// trailing block of raw arrival timestamps.
-func writeTrace(f *os.File, tr *trace.Trace) {
+// trailing block of raw arrival timestamps. A csv.Writer keeps its first
+// write error, so the one check after Flush covers every row.
+func writeTrace(f *os.File, tr *trace.Trace) error {
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	_ = w.Write([]string{"minute", "count"})
 	for i, c := range tr.Counts() {
 		_ = w.Write([]string{strconv.Itoa(i), strconv.FormatFloat(c, 'f', 0, 64)})
@@ -87,4 +86,6 @@ func writeTrace(f *os.File, tr *trace.Trace) {
 	for _, a := range tr.Arrivals {
 		_ = w.Write([]string{strconv.FormatFloat(a, 'f', 3, 64)})
 	}
+	w.Flush()
+	return w.Error()
 }

@@ -30,10 +30,25 @@ func TestMain(m *testing.M) {
 // run executes the binary in dir and returns its exit code and output.
 func run(t *testing.T, dir string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return runTo(t, dir, "", args...)
+}
+
+// runTo is run with stdout sent to the file at stdoutFile instead, unless
+// that is empty.
+func runTo(t *testing.T, dir, stdoutFile string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(binary, args...)
 	cmd.Dir = dir
 	var so, se bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &so, &se
+	if stdoutFile != "" {
+		f, err := os.OpenFile(stdoutFile, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close() //aqualint:allow droppederr opened for the child's writes only
+		cmd.Stdout = f
+	}
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if errors.As(err, &exit) {
@@ -54,12 +69,13 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []struct {
-		name   string
-		args   []string
-		code   int
-		stdout []string // substrings
-		stderr []string
-		files  []string // relative to the run directory
+		name       string
+		args       []string
+		stdoutFile string // where stdout goes instead of being captured
+		code       int
+		stdout     []string // substrings
+		stderr     []string
+		files      []string // relative to the run directory
 	}{
 		{name: "seasonal", args: []string{"-kind", "seasonal", "-minutes", "30"}, code: 0,
 			stdout: []string{"minute,count\n0,", "\n29,", "# arrivals_sec,cv="}},
@@ -71,9 +87,16 @@ func TestFlagsAndExitCodes(t *testing.T) {
 		{name: "unknown-kind", args: []string{"-kind", "nope"}, code: 2, stderr: []string{`unknown kind "nope"`}},
 		{name: "unwritable-out", args: []string{"-kind", "ensemble", "-n", "1", "-minutes", "5", "-out", "file/sub"}, code: 1,
 			stderr: []string{"file"}},
+		{name: "full-stdout", args: []string{"-kind", "seasonal", "-minutes", "60"}, stdoutFile: "/dev/full", code: 1,
+			stderr: []string{"tracegen:", "no space left on device"}},
 	} {
 		t.Run(r.name, func(t *testing.T) {
-			code, stdout, stderr := run(t, dir, r.args...)
+			if r.stdoutFile != "" {
+				if _, err := os.Stat(r.stdoutFile); err != nil {
+					t.Skipf("no %s here: %v", r.stdoutFile, err)
+				}
+			}
+			code, stdout, stderr := runTo(t, dir, r.stdoutFile, r.args...)
 			if code != r.code {
 				t.Errorf("exit code %d, want %d\nstderr: %s", code, r.code, stderr)
 			}

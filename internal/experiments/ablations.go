@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"aquatope/internal/apps"
 	"aquatope/internal/bo"
+	"aquatope/internal/core"
 	"aquatope/internal/experiments/runner"
 	"aquatope/internal/resource"
 	"aquatope/internal/sched"
@@ -68,104 +70,72 @@ func AblationBatchSize(s Scale) AblationBatchResult {
 
 // ---------------------------------------------------------------------------
 
-// AblationHeadroomResult sweeps the pool's uncertainty headroom z,
-// exposing the cold-start / memory trade-off the paper's uncertainty-aware
-// sizing navigates.
-type AblationHeadroomResult struct {
-	Z        []float64
+// AblationPoolResult is one sweep of a pool brain option: the cold-start
+// rate and provisioned memory the Aquatope pool reaches at each value. The
+// headroom sweep (z) exposes the cold-start / memory trade-off the paper's
+// uncertainty-aware sizing navigates; the MC sweep (T) varies the number of
+// MC-dropout forward passes behind the predictive distribution.
+type AblationPoolResult struct {
+	Option   string   // the swept option's column header
+	Labels   []string // one per value, e.g. "z=0.5"
 	ColdRate []float64
 	MemGBs   []float64
 }
 
 // Rows implements Result.
-func (r AblationHeadroomResult) Rows() ([]string, [][]string) {
-	rows := make([][]string, len(r.Z))
-	for i := range r.Z {
-		rows[i] = []string{fmt.Sprintf("z=%.1f", r.Z[i]), pct(r.ColdRate[i]), f0(r.MemGBs[i])}
+func (r AblationPoolResult) Rows() ([]string, [][]string) {
+	rows := make([][]string, len(r.Labels))
+	for i, label := range r.Labels {
+		rows[i] = []string{label, pct(r.ColdRate[i]), f0(r.MemGBs[i])}
 	}
-	return []string{"Headroom", "ColdStart", "MemGBs"}, rows
+	return []string{r.Option, "ColdStart", "MemGBs"}, rows
 }
 
-// ablationTrace synthesizes the shared periodic workload for the pool
-// ablations (seedOffset distinguishes the two sweeps' traces).
-func ablationTrace(s Scale, seedOffset int64) *trace.Trace {
-	return trace.SynthesizePeriodic(trace.PeriodicGenConfig{
-		DurationMin: s.TraceMin, PeriodMin: 30, JitterFrac: 0.12,
-		ClumpMean: 2.5, Diurnal: 0.5, Seed: s.Seed + seedOffset,
-	})
+// ablationPool replays a periodic trace (seeded s.Seed+seedOffset, so each
+// sweep has its own) under the scale's Aquatope pool once per label, with
+// set applying value i to the brain options. Each value is one replication,
+// named by its label without the "=".
+func ablationPool(s Scale, id, option string, seedOffset int64, labels []string,
+	set func(o *sched.Options, i int)) AblationPoolResult {
+	cells := runGrid(s.engine(id), len(labels), 1, 1,
+		func(i, _ int) string { return strings.Replace(labels[i], "=", "", 1) },
+		func(_ runner.Ctx, i, _, _ int) (core.Result, error) {
+			o := s.brainOptions()
+			set(&o, i)
+			tr := trace.SynthesizePeriodic(trace.PeriodicGenConfig{
+				DurationMin: s.TraceMin, PeriodMin: 30, JitterFrac: 0.12,
+				ClumpMean: 2.5, Diurnal: 0.5, Seed: s.Seed + seedOffset,
+			})
+			return runPool(tr, s.TrainMin, poolModel(), poolBrain("aquatope", o), s.Seed).res, nil
+		})
+
+	res := AblationPoolResult{Option: option, Labels: labels}
+	for i := range labels {
+		r := cells[i][0][0]
+		res.ColdRate = append(res.ColdRate, r.ColdStartRate())
+		res.MemGBs = append(res.MemGBs, r.ProvisionedMemGBs)
+	}
+	return res
 }
 
-// ablationPoolCell is one pool-run replication's outcome.
-type ablationPoolCell struct {
-	coldRate, memGBs float64
-}
-
-// ablationReplay runs the ablations' periodic trace under the scale's
-// Aquatope pool with one option overridden.
-func ablationReplay(s Scale, seedOffset int64, o sched.Options) ablationPoolCell {
-	r := runPool(ablationTrace(s, seedOffset), s.TrainMin, poolModel(), poolBrain("aquatope", o), s.Seed).res
-	return ablationPoolCell{coldRate: r.ColdStartRate(), memGBs: r.ProvisionedMemGBs}
-}
-
-// AblationHeadroom replays a periodic trace under the Aquatope pool with
-// growing headroom. Each z is one replication.
-func AblationHeadroom(s Scale) AblationHeadroomResult {
+// AblationHeadroom sweeps the pool's uncertainty headroom z.
+func AblationHeadroom(s Scale) AblationPoolResult {
 	zs := []float64{0.5, 1, 2, 3, 4}
-	cells := runGrid(s.engine("ablation-headroom"), len(zs), 1, 1,
-		func(zi, _ int) string { return fmt.Sprintf("z%.1f", zs[zi]) },
-		func(_ runner.Ctx, zi, _, _ int) (ablationPoolCell, error) {
-			o := s.brainOptions()
-			o.HeadroomZ = zs[zi]
-			return ablationReplay(s, 31, o), nil
-		})
-
-	res := AblationHeadroomResult{}
+	labels := make([]string, len(zs))
 	for i, z := range zs {
-		c := cells[i][0][0]
-		res.Z = append(res.Z, z)
-		res.ColdRate = append(res.ColdRate, c.coldRate)
-		res.MemGBs = append(res.MemGBs, c.memGBs)
+		labels[i] = fmt.Sprintf("z=%.1f", z)
 	}
-	return res
+	return ablationPool(s, "ablation-headroom", "Headroom", 31, labels,
+		func(o *sched.Options, i int) { o.HeadroomZ = zs[i] })
 }
 
-// ---------------------------------------------------------------------------
-
-// AblationMCSamplesResult sweeps the number of MC-dropout forward passes T
-// used for the predictive distribution.
-type AblationMCSamplesResult struct {
-	T        []int
-	ColdRate []float64
-	MemGBs   []float64
-}
-
-// Rows implements Result.
-func (r AblationMCSamplesResult) Rows() ([]string, [][]string) {
-	rows := make([][]string, len(r.T))
-	for i := range r.T {
-		rows[i] = []string{fmt.Sprintf("T=%d", r.T[i]), pct(r.ColdRate[i]), f0(r.MemGBs[i])}
-	}
-	return []string{"MCSamples", "ColdStart", "MemGBs"}, rows
-}
-
-// AblationMCSamples varies T on the same periodic workload. Each T is one
-// replication.
-func AblationMCSamples(s Scale) AblationMCSamplesResult {
+// AblationMCSamples sweeps the number of MC-dropout passes T.
+func AblationMCSamples(s Scale) AblationPoolResult {
 	ts := []int{1, 5, 15, 30}
-	cells := runGrid(s.engine("ablation-mc"), len(ts), 1, 1,
-		func(ti, _ int) string { return fmt.Sprintf("T%d", ts[ti]) },
-		func(_ runner.Ctx, ti, _, _ int) (ablationPoolCell, error) {
-			o := s.brainOptions()
-			o.MCSamples = ts[ti]
-			return ablationReplay(s, 37, o), nil
-		})
-
-	res := AblationMCSamplesResult{}
-	for i, T := range ts {
-		c := cells[i][0][0]
-		res.T = append(res.T, T)
-		res.ColdRate = append(res.ColdRate, c.coldRate)
-		res.MemGBs = append(res.MemGBs, c.memGBs)
+	labels := make([]string, len(ts))
+	for i, t := range ts {
+		labels[i] = fmt.Sprintf("T=%d", t)
 	}
-	return res
+	return ablationPool(s, "ablation-mc", "MCSamples", 37, labels,
+		func(o *sched.Options, i int) { o.MCSamples = ts[i] })
 }

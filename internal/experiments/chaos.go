@@ -166,7 +166,7 @@ func Chaos(s Scale) ChaosResult {
 	}
 	cells := runGrid(s.engine("chaos"), len(res.Rates), len(res.Policies), 1,
 		func(ri, pi int) string { return fmt.Sprintf("rate%.2f/%s", res.Rates[ri], res.Policies[pi]) },
-		func(_ runner.Ctx, ri, pi, _ int) (chaosCell, error) {
+		func(ctx runner.Ctx, ri, pi, _ int) (chaosCell, error) {
 			app := chaosApp()
 			out, err := core.Run(core.Config{
 				Components:   []core.Component{{App: app, Trace: chaosTrace(s)}},
@@ -175,6 +175,8 @@ func Chaos(s Scale) ChaosResult {
 				RuntimeNoise: runtimeNoise,
 				Chaos:        chaosScenario(s, res.Rates[ri]),
 				Resilience:   chaosPolicy(res.Policies[pi], app.QoS),
+				Tracer:       ctx.Tracer,
+				Registry:     ctx.Registry, // nil: core keeps a private one
 				Seed:         s.Seed,
 			})
 			if err != nil {

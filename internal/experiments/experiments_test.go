@@ -247,12 +247,12 @@ func TestAblationShape(t *testing.T) {
 	}
 	h := AblationHeadroom(s)
 	checkGolden(t, "ablation-headroom", h)
-	if len(h.Z) != 5 || len(h.ColdRate) != 5 || len(h.MemGBs) != 5 {
+	if len(h.Labels) != 5 || len(h.ColdRate) != 5 || len(h.MemGBs) != 5 {
 		t.Fatalf("headroom sweep size wrong: %+v", h)
 	}
 	m := AblationMCSamples(s)
 	checkGolden(t, "ablation-mc", m)
-	if len(m.T) != 4 || len(m.ColdRate) != 4 || len(m.MemGBs) != 4 {
+	if len(m.Labels) != 4 || len(m.ColdRate) != 4 || len(m.MemGBs) != 4 {
 		t.Fatalf("MC sweep size wrong: %+v", m)
 	}
 }

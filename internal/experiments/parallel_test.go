@@ -194,7 +194,7 @@ func TestAllResultsImplementRows(t *testing.T) {
 		Table1Result{}, Fig9Result{}, Fig10Result{}, Fig11Result{},
 		Fig12Result{}, Fig13Result{}, Fig14Result{}, Fig15Result{},
 		Fig16Result{}, Fig17Result{FullCPU: 1, FullMem: 1}, Fig18Result{Order: []string{"a"}, Violation: map[string]float64{}, CPUTime: map[string]float64{"a": 1}, MemTime: map[string]float64{"a": 1}, ColdRate: map[string]float64{}},
-		AblationBatchResult{}, AblationHeadroomResult{}, AblationMCSamplesResult{},
+		AblationBatchResult{}, AblationPoolResult{Option: "Headroom", Labels: []string{"z=1.0"}, ColdRate: []float64{0}, MemGBs: []float64{0}},
 		ChaosResult{Policies: []string{"none"}},
 		OverloadResult{Mults: []int{1}, Policies: []string{"none"}},
 	}
