@@ -382,19 +382,19 @@ func runServe(r serveRun) {
 			fmt.Fprintln(os.Stderr, "restore:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "restoring from %s (verified replay)\n", path)
+		fmt.Fprintf(os.Stderr, "restoring from %s\n", path)
 		s, err = serve.Restore(opts, path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "restore:", err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "verified replay of %d records through boundary %d; resuming live\n",
+			s.Ingested(), s.Boundary())
 		src, err = s.ResumeSource(reader)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "restore:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "replayed %d journaled records through boundary %d; resuming live\n",
-			s.Ingested(), s.Boundary())
 	} else {
 		s, err = serve.New(opts)
 		if err != nil {

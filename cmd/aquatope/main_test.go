@@ -13,11 +13,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"aquatope/internal/checkpoint"
 	"aquatope/internal/sched"
+	"aquatope/internal/serve"
 )
 
 // binary is the aquatope command built once for the whole test binary.
@@ -131,16 +135,25 @@ func crash(t *testing.T, dir string) {
 	}
 }
 
-// restore resumes the crashed run in dir from ck/ with dumps under no
-// prefix, and fails the test unless it reports a verified replay and a
-// result.
-func restore(t *testing.T, dir string) {
+// verifiedReplay matches the line aquatope prints once serve.Restore has
+// returned a verified replay.
+var verifiedReplay = regexp.MustCompile(`verified replay of \d+ records through boundary \d+`)
+
+// restoreArgs is the command line that restores the run in ck/ with dumps
+// under no prefix.
+func restoreArgs(extra ...string) []string {
+	return append([]string{"-restore", "ck"}, serveArgs("ck", "", extra...)...)
+}
+
+// restore runs restoreArgs in dir and fails the test unless it reports a
+// verified replay and a result.
+func restore(t *testing.T, dir string, extra ...string) {
 	t.Helper()
-	code, stdout, stderr := run(t, dir, append([]string{"-restore", "ck"}, serveArgs("ck", "")...)...)
+	code, stdout, stderr := run(t, dir, restoreArgs(extra...)...)
 	if code != 0 {
 		t.Fatalf("restored run: exit %d, want 0\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr, "verified replay") || !strings.Contains(stdout, "workflows completed:") {
+	if !verifiedReplay.MatchString(stderr) || !strings.Contains(stdout, "workflows completed:") {
 		t.Errorf("restored run did not report a verified replay and a result:\nstdout: %s\nstderr: %s", stdout, stderr)
 	}
 }
@@ -193,6 +206,27 @@ func TestServeKillRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreCompletedRun: the checkpoint directory of a run that served
+// its stream to the end restores too. The resumed run has nothing left to
+// ingest; it must exit 0 with dumps byte-equal to the original run's and
+// rewrite checkpoint-final.aqcp byte for byte.
+func TestRestoreCompletedRun(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := run(t, dir, append([]string{"-emit-stream", "stream.jsonl"}, killRestoreFlags...)...); code != 0 {
+		t.Fatalf("-emit-stream: exit %d\n%s", code, stderr)
+	}
+	if code, _, stderr := run(t, dir, serveArgs("ck", "ref.", "-ignore-crash")...); code != 0 {
+		t.Fatalf("served run: exit %d, want 0\n%s", code, stderr)
+	}
+	final := filepath.Join(dir, "ck", "checkpoint-final.aqcp")
+	copyFile(t, final, filepath.Join(dir, "final.aqcp"))
+	restore(t, dir, "-ignore-crash")
+	for _, dump := range dumps {
+		sameFile(t, filepath.Join(dir, dump), filepath.Join(dir, "ref."+dump))
+	}
+	sameFile(t, final, filepath.Join(dir, "final.aqcp"))
+}
+
 // crashFixture is a killed run's durable state, cut once by an earlier
 // build: stream.jsonl (the recorded stream), ck/ (the journal and
 // checkpoints the kill left) and dumps.sha256 (the SHA-256 of each dump of
@@ -203,7 +237,9 @@ var crashFixture = filepath.Join("testdata", "kill-restore")
 // current build and compares the resumed run's dumps with the reference's
 // digests. It fails when a change moves the config digest, the checkpoint
 // format or the run itself, any of which would strand a run that an older
-// build left crashed. UPDATE_GOLDEN=1 re-cuts the fixture first.
+// build left crashed. UPDATE_GOLDEN=1 re-cuts the fixture first. A second
+// copy whose latest checkpoint has one section digest flipped must be
+// refused: exit 1, naming the section, and no verified-replay line.
 func TestRestoreCommittedCrash(t *testing.T) {
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		src := t.TempDir()
@@ -227,6 +263,27 @@ func TestRestoreCommittedCrash(t *testing.T) {
 	if got := dumpDigests(t, dir, ""); got != string(want) {
 		t.Errorf("restored dumps differ from the reference run's (UPDATE_GOLDEN=1 re-cuts the fixture):\ngot:\n%swant:\n%s", got, want)
 	}
+
+	t.Run("section-flipped", func(t *testing.T) {
+		dir := t.TempDir()
+		copyTree(t, crashFixture, dir)
+		latest, err := serve.LatestCheckpoint(filepath.Join(dir, "ck"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := checkpoint.ReadFile(latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Sections[0].Data[0] ^= 0x01
+		if err := checkpoint.WriteFile(latest, f); err != nil {
+			t.Fatal(err)
+		}
+		code, _, stderr := run(t, dir, restoreArgs()...)
+		if code != 1 || verifiedReplay.MatchString(stderr) || !strings.Contains(stderr, "section "+strconv.Quote(f.Sections[0].Name)+" diverged") {
+			t.Errorf("restore of a flipped section digest: exit %d, want 1 naming the section and no verified replay\n%s", code, stderr)
+		}
+	})
 }
 
 // dumpDigests returns one sha256sum line per dump under prefix in dir,

@@ -174,8 +174,8 @@ func writeJournal(t *testing.T, path string, recs []Record) string {
 
 // TestStoppedRunFinalCheckpointRestores covers the SIGINT path: a stop
 // mid-stream flushes a mid-interval final checkpoint; restoring from it
-// verifies at journal exhaustion and the resumed run converges to the
-// uninterrupted reference byte for byte.
+// verifies once the whole journal it covers is replayed, and the resumed
+// run converges to the uninterrupted reference byte for byte.
 func TestStoppedRunFinalCheckpointRestores(t *testing.T) {
 	recs := fixtureStream(t, 20, 7)
 
@@ -230,6 +230,54 @@ func TestStoppedRunFinalCheckpointRestores(t *testing.T) {
 	}
 	if !bytes.Equal(gotMetrics, wantMetrics) {
 		t.Error("metric dump diverged after stop+restore")
+	}
+}
+
+// TestCompletedRunFinalCheckpointRestores: a run that served its stream to
+// the end leaves a final checkpoint cut after the horizon and the drain.
+// Restoring from it and running the resumed source (nothing left to skip
+// past) must reproduce the original run's dumps and rewrite a final
+// checkpoint byte-equal to the original's.
+func TestCompletedRunFinalCheckpointRestores(t *testing.T) {
+	recs := fixtureStream(t, 20, 7)
+	runDir := t.TempDir()
+	runOpts := fixtureOpts(t, runDir, false)
+	s, err := New(runOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(sourceOf(t, recs)); err != nil {
+		t.Fatal(err)
+	}
+	wantSpans, wantMetrics := dumps(t, runOpts)
+
+	dir := t.TempDir()
+	copyDir(t, runDir, dir)
+	opts := fixtureOpts(t, dir, false)
+	r, err := Restore(opts, filepath.Join(dir, "checkpoint-final.aqcp"))
+	if err != nil {
+		t.Fatalf("restore from a completed run's final checkpoint: %v", err)
+	}
+	src, err := r.ResumeSource(streamReader(t, recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(src); err != nil {
+		t.Fatal(err)
+	}
+	gotSpans, gotMetrics := dumps(t, opts)
+	if !bytes.Equal(gotSpans, wantSpans) {
+		t.Error("span dump diverged after restoring a completed run")
+	}
+	if !bytes.Equal(gotMetrics, wantMetrics) {
+		t.Error("metric dump diverged after restoring a completed run")
+	}
+	want, err := os.ReadFile(filepath.Join(runDir, "checkpoint-final.aqcp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "checkpoint-final.aqcp")); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("rewritten final checkpoint differs from the original (%d vs %d bytes, err %v)", len(got), len(want), err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -104,19 +105,25 @@ func fileExists(p string) bool {
 
 // Restore rebuilds a server from a checkpoint by verified deterministic
 // replay. opts must be bit-identical to the options of the run that cut
-// the checkpoint (enforced via the embedded config digest). The steps:
+// the checkpoint (enforced via the embedded config digest). It runs one
+// sequence:
 //
-//  1. Read and validate the checkpoint container (CRC-guarded) and check
-//     its header's config digest and seed against opts.
-//  2. Truncate the journal's torn tail and prove the checkpoint's journal
-//     prefix (offset + SHA-256) survives in it.
-//  3. Build a fresh server from opts — re-running the resource search and
-//     re-scheduling the training fit — and replay the entire durable
-//     journal through the normal ingest loop.
-//  4. At the checkpointed boundary, compare the header's clock, record
-//     count and last arrival time with the replay's, and the digest of
-//     every re-derived component snapshot with the stored section; any
-//     divergence is a hard error.
+//  1. Read and validate the checkpoint container (CRC-guarded), check its
+//     header's config digest and seed against opts, truncate the journal's
+//     torn tail, and prove that the journal prefix the checkpoint covers
+//     (offset + SHA-256) survives in it and ends at a record boundary.
+//  2. Build a fresh server from opts without a journal, re-running the
+//     resource search and re-scheduling the training fit. A server without
+//     a journal writes nothing, so it is the replay.
+//  3. Replay the covered prefix through the normal ingest loop, then
+//     advance to the checkpoint's boundary K, never past the horizon; the
+//     record that triggered boundary K may have been lost with the torn
+//     tail. A header clock past the horizon marks a completed run, which
+//     is drained as Run drained it.
+//  4. Compare the header's clock, record count and last arrival time with
+//     the replay's, and the digest of every re-derived component snapshot
+//     with the stored section. Any divergence is a hard error.
+//  5. Replay the rest of the journal and reopen it for appending.
 //
 // The returned server has consumed Ingested() records; resume by skipping
 // that many records on the live source and calling Run. Restored servers
@@ -146,7 +153,7 @@ func Restore(opts Options, checkpointPath string) (*Server, error) {
 	}
 
 	journalPath := filepath.Join(opts.CheckpointDir, "stream.jsonl")
-	recs, data, err := LoadJournal(journalPath)
+	_, data, err := LoadJournal(journalPath)
 	if err != nil {
 		return nil, err
 	}
@@ -154,70 +161,83 @@ func Restore(opts Options, checkpointPath string) (*Server, error) {
 		return nil, fmt.Errorf("serve: restore: journal holds %d durable bytes, checkpoint covers %d",
 			len(data), h.JournalOff)
 	}
-	sum := sha256.Sum256(data[:h.JournalOff])
+	covered := data[:h.JournalOff]
+	if n := len(covered); n > 0 && covered[n-1] != '\n' {
+		return nil, fmt.Errorf("serve: restore: %w: header JournalOff %d ends inside a journal record", checkpoint.ErrCorrupt, h.JournalOff)
+	}
+	sum := sha256.Sum256(covered)
 	if !bytes.Equal(sum[:], h.JournalSHA) {
 		return nil, fmt.Errorf("serve: restore: journal prefix hash mismatch — journal is not the one the checkpoint was cut against")
 	}
-	if len(recs) < h.Ingested {
-		return nil, fmt.Errorf("serve: restore: journal holds %d records, checkpoint covers %d", len(recs), h.Ingested)
-	}
 
-	// Rebuild and replay. New would truncate the journal; construct with
-	// journaling deferred, then re-open it in append mode afterwards.
 	replayOpts := opts
-	replayOpts.CheckpointDir = ""
+	replayOpts.CheckpointDir, replayOpts.Pace = "", 0
 	s, err := New(replayOpts)
 	if err != nil {
 		return nil, err
 	}
-	s.opts = opts
-	s.replaying = true
-	s.verifyFile = f
-	// A final checkpoint is cut mid-interval (after extra ingests beyond
-	// boundary K), so it verifies at journal exhaustion; boundary
-	// checkpoints verify the moment replay crosses boundary K.
-	s.verifyAtK = h.K
-	if h.Final {
-		s.verifyAtK = -1
-	}
-
-	src := NewSource(bytes.NewReader(data))
-	if err := s.consume(src); err != nil {
+	if err := s.consume(NewSource(bytes.NewReader(covered))); err != nil {
 		return nil, fmt.Errorf("serve: restore: replaying journal: %w", err)
 	}
-	// A stopped-run final checkpoint is cut mid-interval: it verifies at
-	// journal exhaustion, not at a boundary.
-	if h.Final && !s.verified {
-		if err := s.verifyAgainst(f); err != nil {
-			return nil, err
-		}
-		s.verified = true
-	}
-	// A boundary checkpoint whose triggering record was lost with the torn
-	// tail: the original advanced to boundary K on a record the journal no
-	// longer holds. Advancing without it reproduces the same state — the
-	// checkpoint predates that record's ingest.
-	for !s.verified && s.k < h.K {
+	for s.k < h.K && s.nextBoundary <= s.horizon {
 		if err := s.advance(); err != nil {
 			return nil, err
 		}
 	}
-	if !s.verified {
-		return nil, fmt.Errorf("serve: restore: replay of %d records never reached boundary %d (journal too short?)",
-			s.ingested, h.K)
+	if s.k != h.K {
+		return nil, fmt.Errorf("serve: restore: %w: header K %d, replay of the covered journal reaches boundary %d", checkpoint.ErrCorrupt, h.K, s.k)
 	}
-	if s.ingested != len(recs) {
-		return nil, fmt.Errorf("serve: restore: replay consumed %d of %d journal records", s.ingested, len(recs))
+	if h.Now > s.horizon {
+		s.ctl.Finish()
 	}
-	s.replaying = false
-	s.verifyFile = nil
+	if err := s.verifyAgainst(h, f); err != nil {
+		return nil, err
+	}
+	if err := s.consume(NewSource(bytes.NewReader(data[h.JournalOff:]))); err != nil {
+		return nil, fmt.Errorf("serve: restore: replaying journal: %w", err)
+	}
 
 	j, err := OpenJournalAppend(journalPath)
 	if err != nil {
 		return nil, err
 	}
-	s.journal = j
+	s.opts, s.journal = opts, j
 	return s, nil
+}
+
+// verifyAgainst compares the replayed server with the checkpoint: the
+// header's clock, record count and last arrival time with the replay's, then
+// the digests of the re-derived component snapshots with the stored
+// sections — the restore-equals-uninterrupted contract made operational.
+// Any mismatch means the replay environment diverged from the run that cut
+// the checkpoint (or the header was forged), and continuing would silently
+// fork history, so it is a hard error.
+func (s *Server) verifyAgainst(h header, want *checkpoint.File) error {
+	if now := s.ctl.Engine().Now(); math.Float64bits(h.Now) != math.Float64bits(now) {
+		return fmt.Errorf("serve: restore verification: %w: header Now %v, replayed clock %v", checkpoint.ErrCorrupt, h.Now, now)
+	}
+	if math.Float64bits(h.LastT) != math.Float64bits(s.lastT) {
+		return fmt.Errorf("serve: restore verification: %w: header LastT %v, replayed last arrival %v", checkpoint.ErrCorrupt, h.LastT, s.lastT)
+	}
+	if h.Ingested != s.ingested {
+		return fmt.Errorf("serve: restore verification: %w: header Ingested %d, replayed %d records", checkpoint.ErrCorrupt, h.Ingested, s.ingested)
+	}
+	got := s.assemble(false)
+	if len(got.Sections) != len(want.Sections) {
+		return fmt.Errorf("serve: restore verification: %d sections re-derived, checkpoint has %d",
+			len(got.Sections), len(want.Sections))
+	}
+	for i, w := range want.Sections {
+		g := got.Sections[i]
+		if g.Name != w.Name {
+			return fmt.Errorf("serve: restore verification: section %d is %q, checkpoint has %q", i, g.Name, w.Name)
+		}
+		if !bytes.Equal(g.Data, w.Data) {
+			return fmt.Errorf("serve: restore verification: section %q diverged after replay (replayed sha256 %.6x..; checkpoint %.6x..)",
+				w.Name, g.Data, w.Data)
+		}
+	}
+	return nil
 }
 
 // ResumeSource opens the original stream for a restored server, skipping

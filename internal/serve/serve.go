@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -137,18 +136,15 @@ func (o Options) Digest() string {
 
 // Server is one live serving run over a record stream: a core.Controller
 // fed a record at a time, plus what serving adds — stream validation, the
-// durable journal, interval boundaries with their checkpoints, verified
-// replay, pacing and the stop request.
+// durable journal, interval boundaries with their checkpoints, pacing and
+// the stop request. A server without a journal writes nothing, which is
+// all a replay needs (see Restore).
 type Server struct {
 	opts Options
 	ctl  *core.Controller
 	apps map[string]bool
 
-	journal    *Journal
-	replaying  bool
-	verifyFile *checkpoint.File // during replay: checkpoint to verify
-	verifyAtK  int              // boundary to verify at (-1: at journal exhaustion)
-	verified   bool
+	journal *Journal // nil: nothing is written (no CheckpointDir, or a replay)
 
 	horizon      float64
 	nextBoundary float64
@@ -244,7 +240,7 @@ func (s *Server) ingest(rec Record) error {
 	if rec.T < s.lastT {
 		return fmt.Errorf("serve: record %d goes back in time (%g after %g)", s.ingested, rec.T, s.lastT)
 	}
-	if !s.replaying && s.journal != nil {
+	if s.journal != nil {
 		if err := s.journal.Append(rec); err != nil {
 			return err
 		}
@@ -261,15 +257,6 @@ func (s *Server) advance() error {
 	s.ctl.Engine().RunUntil(s.nextBoundary)
 	s.k++
 	s.nextBoundary += pool.IntervalSec
-	if s.replaying {
-		if s.verifyFile != nil && s.k == s.verifyAtK {
-			if err := s.verifyAgainst(s.verifyFile); err != nil {
-				return err
-			}
-			s.verified = true
-		}
-		return nil
-	}
 	if s.journal == nil {
 		return nil
 	}
@@ -328,45 +315,6 @@ func (s *Server) writeCheckpoint(name string, final bool) error {
 	path := filepath.Join(s.opts.CheckpointDir, name)
 	if err := checkpoint.WriteFile(path, f); err != nil {
 		return fmt.Errorf("serve: checkpoint %s: %w", name, err)
-	}
-	return nil
-}
-
-// verifyAgainst compares the replayed server with the checkpoint: the
-// header's clock, record count and last arrival time with the replay's, then
-// the digests of the re-derived component snapshots with the stored
-// sections — the restore-equals-uninterrupted contract made operational.
-// Any mismatch means the replay environment diverged from the run that cut
-// the checkpoint (or the header was forged), and continuing would silently
-// fork history, so it is a hard error.
-func (s *Server) verifyAgainst(want *checkpoint.File) error {
-	h, err := decodeHeader(want.Header)
-	if err != nil {
-		return err
-	}
-	if now := s.ctl.Engine().Now(); math.Float64bits(h.Now) != math.Float64bits(now) {
-		return fmt.Errorf("serve: restore verification: %w: header Now %v, replayed clock %v", checkpoint.ErrCorrupt, h.Now, now)
-	}
-	if math.Float64bits(h.LastT) != math.Float64bits(s.lastT) {
-		return fmt.Errorf("serve: restore verification: %w: header LastT %v, replayed last arrival %v", checkpoint.ErrCorrupt, h.LastT, s.lastT)
-	}
-	if h.Ingested != s.ingested {
-		return fmt.Errorf("serve: restore verification: %w: header Ingested %d, replayed %d records", checkpoint.ErrCorrupt, h.Ingested, s.ingested)
-	}
-	got := s.assemble(false)
-	if len(got.Sections) != len(want.Sections) {
-		return fmt.Errorf("serve: restore verification: %d sections re-derived, checkpoint has %d",
-			len(got.Sections), len(want.Sections))
-	}
-	for i, w := range want.Sections {
-		g := got.Sections[i]
-		if g.Name != w.Name {
-			return fmt.Errorf("serve: restore verification: section %d is %q, checkpoint has %q", i, g.Name, w.Name)
-		}
-		if !bytes.Equal(g.Data, w.Data) {
-			return fmt.Errorf("serve: restore verification: section %q diverged after replay (replayed sha256 %.6x..; checkpoint %.6x..)",
-				w.Name, g.Data, w.Data)
-		}
 	}
 	return nil
 }
@@ -438,7 +386,7 @@ func (s *Server) consume(src *Source) error {
 // Options.Pace is set: the single, explicit point where the serving loop
 // touches the wall clock. Virtual time itself never depends on it.
 func (s *Server) pace() {
-	if s.opts.Pace <= 0 || s.replaying {
+	if s.opts.Pace <= 0 {
 		return
 	}
 	d := time.Duration(float64(time.Second) * pool.IntervalSec / s.opts.Pace)
@@ -455,7 +403,7 @@ func (s *Server) finalize() error {
 		}
 	}
 	s.ctl.Finish()
-	if s.journal != nil && !s.replaying {
+	if s.journal != nil {
 		if err := s.journal.Sync(); err != nil {
 			return err
 		}

@@ -364,7 +364,10 @@ func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
 // rewrites one field of a real boundary checkpoint's header. Negative counts
 // are refused as the header is decoded and a wrong digest before replay.
 // The seed is covered by the digest, so a wrong one with the right digest is
-// forged and refused at once; the clock, the last arrival time and the
+// forged and refused at once, and so is a journal offset that ends inside a
+// record even when its prefix hash is recomputed to match. A boundary index
+// the replay cannot reach before the horizon is refused when replay stops
+// there, without running on; the clock, the last arrival time and the
 // record count when replay reaches the checkpointed boundary and the
 // server's own values disagree. Every forged value is ErrCorrupt and named.
 func TestRestoreRejectsForgedHeader(t *testing.T) {
@@ -382,6 +385,10 @@ func TestRestoreRejectsForgedHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := checkpointName(3)
+	journal, err := os.ReadFile(filepath.Join(runDir, "stream.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		forge   func(h *header)
@@ -397,6 +404,12 @@ func TestRestoreRejectsForgedHeader(t *testing.T) {
 		{name: "forged-last-arrival", forge: func(h *header) { h.LastT = math.Nextafter(h.LastT, 0) }, want: "header LastT", corrupt: true},
 		{name: "forged-ingested", forge: func(h *header) { h.Ingested-- }, want: "header Ingested", corrupt: true},
 		{name: "forged-seed", forge: func(h *header) { h.Seed++ }, want: "header Seed", corrupt: true},
+		{name: "far-boundary", forge: func(h *header) { h.K = 1 << 40 }, want: "header K 1099511627776", corrupt: true},
+		{name: "journal-offset-inside-record", forge: func(h *header) {
+			h.JournalOff += 3
+			sum := sha256.Sum256(journal[:h.JournalOff])
+			h.JournalSHA = sum[:]
+		}, want: "header JournalOff", corrupt: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

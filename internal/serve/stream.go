@@ -6,14 +6,16 @@
 // killed controller can be restored mid-run.
 //
 // Restore is verified deterministic replay (DESIGN.md §15): a checkpoint
-// is a journal position plus per-component state snapshots. Restoring
-// rebuilds a fresh server from the identical configuration, re-ingests the
-// durable journal through the normal serving loop — re-running search and
-// training — and byte-compares the re-derived component snapshots against
-// the stored ones at the checkpointed boundary before resuming live
-// ingest. A restored run therefore produces byte-identical span and metric
-// dumps to an uninterrupted run by construction, and the comparison turns
-// any environment drift into a hard error instead of silent divergence.
+// is a journal position plus a digest of each component's state snapshot.
+// Restoring builds a fresh server without a journal from the identical
+// configuration, re-ingests the journal prefix the checkpoint covers
+// through the normal serving loop — re-running search and training —
+// advances to the checkpointed boundary, compares the re-derived snapshots
+// with the stored digests once, and then replays the rest of the journal
+// before resuming live ingest. A restored run therefore produces
+// byte-identical span and metric dumps to an uninterrupted run by
+// construction, and the comparison turns any environment drift into a hard
+// error instead of silent divergence.
 package serve
 
 import (
